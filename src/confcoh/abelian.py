@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class NonTwoPrimaryError(ValueError):
@@ -295,14 +295,6 @@ def diagonal_presentation(group: AbGroup2) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(entries))
 
 
-def direct_sum(a: AbGroup2, b: AbGroup2) -> AbGroup2:
-    return a.direct_sum(b)
-
-
-def stats(group: AbGroup2) -> GroupStats:
-    return group.stats()
-
-
 # ---------------------------------------------------------------------------
 # Graded groups and universal coefficients
 # ---------------------------------------------------------------------------
@@ -313,32 +305,26 @@ class GradedGroups:
     """Partial map degree -> AbGroup2 with a declared support bound."""
 
     support_bound: int
-    groups: tuple[tuple[int, AbGroup2], ...] = field(default_factory=tuple)
+    groups: dict[int, AbGroup2] = field(default_factory=dict)  # ascending degree
 
     def __post_init__(self) -> None:
-        cleaned = tuple(
-            sorted((d, g) for d, g in dict(self.groups).items() if not g.is_trivial)
-        )
-        for d, _ in cleaned:
+        cleaned = {
+            d: g for d, g in sorted(dict(self.groups).items()) if not g.is_trivial
+        }
+        for d in cleaned:
             if d < 0 or d > self.support_bound:
                 raise ValueError(f"degree {d} outside [0, {self.support_bound}]")
         object.__setattr__(self, "groups", cleaned)
 
     @classmethod
     def from_dict(cls, support_bound: int, groups: dict[int, AbGroup2]) -> "GradedGroups":
-        return cls(support_bound, tuple(groups.items()))
+        return cls(support_bound, groups)
 
     def group(self, degree: int) -> AbGroup2:
-        for d, g in self.groups:
-            if d == degree:
-                return g
-        return ZERO
-
-    def degrees(self) -> Iterator[int]:
-        return iter(range(self.support_bound + 1))
+        return self.groups.get(degree, ZERO)
 
     def total_free_rank(self) -> int:
-        return sum(g.free_rank for _, g in self.groups)
+        return sum(g.free_rank for g in self.groups.values())
 
 
 def uct_homology(coh: GradedGroups) -> GradedGroups:

@@ -22,6 +22,9 @@ from .f2algebra import config_mod2_ring, split_sq1_homology
 from .report import VerificationReport
 
 
+PAGE1_CAP = 10  # engine cost cap for the Sq1-homology sweep
+
+
 class InconsistentRecursionError(ValueError):
     """The downward rank solve produced a negative rank."""
 
@@ -31,10 +34,10 @@ class RankSequence:
     """2-rank of the torsion of H^i for 2 <= i <= 2m-1."""
 
     space: SpaceId
-    ranks: tuple[tuple[int, int], ...]
+    ranks: dict[int, int]  # degree -> rank, ascending degree
 
     def rank(self, i: int) -> int:
-        return dict(self.ranks)[i]
+        return self.ranks[i]
 
 
 def _free_rank(s: SpaceId, i: int) -> int:
@@ -62,7 +65,7 @@ def rank_recursion(s: SpaceId) -> RankSequence:
         if r < 0:
             raise InconsistentRecursionError(f"negative rank at degree {i}")
         ranks[i] = r
-    return RankSequence(s, tuple(sorted(ranks.items())))
+    return RankSequence(s, dict(sorted(ranks.items())))
 
 
 def closed_form_rank(s: SpaceId, i: int) -> int | None:
@@ -86,14 +89,14 @@ def page1_expected(s: SpaceId, d: int) -> int:
     return here.free_rank + here.z4_count + above.z4_count
 
 
-def page1_compare(s: SpaceId, cap: int = 10) -> VerificationReport:
+def page1_compare(s: SpaceId) -> VerificationReport:
     """Sq1-homology of the presented mod-2 ring against page1_expected.
 
     This re-derives the placement of every Z/4 summand in the integral
     tables from the ring presentations alone.
     """
-    if s.m > cap:
-        raise ValueError(f"m={s.m} above the configured cap {cap}")
+    if s.m > PAGE1_CAP:
+        raise ValueError(f"m={s.m} above the configured cap {PAGE1_CAP}")
     ring = config_mod2_ring(s.kind, s.m)
     report = VerificationReport()
     for d in range(2 * s.m + 1):
@@ -112,7 +115,7 @@ def rank_profile_check(s: SpaceId) -> VerificationReport:
     """rank_recursion against both the closed forms and the tables."""
     report = VerificationReport()
     seq = rank_recursion(s)
-    for i, r in seq.ranks:
+    for i, r in seq.ranks.items():
         report.add(
             "bockstein-ranks",
             "recursion vs table",

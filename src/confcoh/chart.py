@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .abelian import AbGroup2
+from .abelian import AbGroup2, ZERO
 
 
 @dataclass(frozen=True)
@@ -13,22 +12,17 @@ class ChartLine:
     """One horizontal line of a page: a coefficient tag and its entries."""
 
     coefficient: str  # "Z", "Z_alpha", or "F2"
-    entries: tuple[tuple[int, AbGroup2], ...]
+    entries: dict[int, AbGroup2]  # p -> nontrivial group, ascending p
 
     @classmethod
     def from_dict(cls, coefficient: str, entries: dict[int, AbGroup2]) -> "ChartLine":
-        cleaned = tuple(
-            sorted((p, g) for p, g in entries.items() if not g.is_trivial)
-        )
-        if any(p < 0 for p, _ in cleaned):
+        cleaned = {p: g for p, g in sorted(entries.items()) if not g.is_trivial}
+        if any(p < 0 for p in cleaned):
             raise ValueError("negative filtration degree")
         return cls(coefficient, cleaned)
 
     def group(self, p: int) -> AbGroup2:
-        for q, g in self.entries:
-            if q == p:
-                return g
-        return AbGroup2()
+        return self.entries.get(p, ZERO)
 
 
 @dataclass(frozen=True)
@@ -36,24 +30,21 @@ class Chart:
     """One page of a first-quadrant spectral sequence, entries by (p, q)."""
 
     page: int
-    lines: tuple[tuple[int, ChartLine], ...]
+    lines: dict[int, ChartLine]  # q -> line, ascending q
 
     @classmethod
     def from_dict(cls, page: int, lines: dict[int, ChartLine]) -> "Chart":
-        return cls(page, tuple(sorted(lines.items())))
+        return cls(page, dict(sorted(lines.items())))
 
     def line(self, q: int) -> ChartLine | None:
-        for qq, line in self.lines:
-            if qq == q:
-                return line
-        return None
+        return self.lines.get(q)
 
     def entry(self, p: int, q: int) -> AbGroup2:
-        line = self.line(q)
-        return line.group(p) if line is not None else AbGroup2()
+        line = self.lines.get(q)
+        return line.group(p) if line is not None else ZERO
 
     def line_degrees(self) -> list[int]:
-        return [q for q, _ in self.lines]
+        return list(self.lines)
 
     def to_json_obj(self) -> dict:
         return {
@@ -63,34 +54,10 @@ class Chart:
                     "q": q,
                     "coefficient": line.coefficient,
                     "entries": [
-                        {"p": p, "group": g.to_json_dict()} for p, g in line.entries
+                        {"p": p, "group": g.to_json_dict()}
+                        for p, g in line.entries.items()
                     ],
                 }
-                for q, line in self.lines
+                for q, line in self.lines.items()
             ],
         }
-
-
-class EffectKind(Enum):
-    """How a differential acts, at the level of order/rank bookkeeping."""
-
-    INJECTIVE_ELEMENTARY = "injective_elementary"
-    HALVE_Z4S = "halve_z4s"
-    KERNEL_TWO_Z = "kernel_two_z"
-    EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class DifferentialSpec:
-    """A page-r differential (p, q) -> (p + r, q - r + 1) with its effect."""
-
-    page: int
-    source: tuple[int, int]
-    effect: EffectKind
-    rank: int = 0  # elementary rank of the image, for INJECTIVE_ELEMENTARY
-    image_order_log2: int = 1  # for KERNEL_TWO_Z / EXPLICIT cyclic images
-
-    @property
-    def target(self) -> tuple[int, int]:
-        p, q = self.source
-        return (p + self.page, q - self.page + 1)

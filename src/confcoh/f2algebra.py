@@ -186,17 +186,6 @@ class PresentedF2Algebra:
             bits ^= 1 << idx[mono]
         return bits
 
-    def bits_to_poly(self, bits: int, d: int) -> Poly:
-        monos = self.monomials(d)
-        out = set()
-        i = 0
-        while bits:
-            if bits & 1:
-                out.add(monos[i])
-            bits >>= 1
-            i += 1
-        return frozenset(out)
-
     @staticmethod
     def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return tuple(x + y for x, y in zip(a, b))

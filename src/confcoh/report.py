@@ -44,7 +44,7 @@ class VerificationReport:
         m: int | None = None,
         degree: int | None = None,
     ) -> bool:
-        ok = str(expected) == str(got)
+        ok = expected == got  # decided by value; strings are for display
         self.checks.append(
             CheckResult(suite, label, str(expected), str(got), ok, m, degree)
         )

@@ -88,8 +88,8 @@ def sphere_bundle_abutment(n: int) -> GradedGroups:
     """Total cohomology the two-row page converges to."""
     chart, coefficient = sphere_bundle_sss_e2(n)
     groups: dict[int, AbGroup2] = {}
-    for q, line in chart.lines:
-        for p, g in line.entries:
+    for q, line in chart.lines.items():
+        for p, g in line.entries.items():
             if coefficient and (p, q) == (0, n - 2):
                 continue  # injects into the base row
             if coefficient and (p, q) == (n - 1, 0):

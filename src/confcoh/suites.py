@@ -10,8 +10,6 @@ from .report import VerificationReport
 
 SUITE_NAMES = ("uct", "bockstein", "duality", "clss", "sq1", "stiefel")
 
-PAGE1_CAP = 10  # engine cost cap for the Sq1-homology sweep
-
 
 def _spaces(m: int) -> tuple[SpaceId, SpaceId]:
     return SpaceId("B", m), SpaceId("F", m)
@@ -35,8 +33,8 @@ def suite_bockstein(m_range: range) -> VerificationReport:
             continue
         for s in _spaces(m):
             report.extend(bockstein.rank_profile_check(s))
-            if m <= PAGE1_CAP:
-                report.extend(bockstein.page1_compare(s, cap=PAGE1_CAP))
+            if m <= bockstein.PAGE1_CAP:
+                report.extend(bockstein.page1_compare(s))
     return report
 
 
@@ -76,7 +74,7 @@ def suite_sq1(m_range: range) -> VerificationReport:
     for m in m_range:
         if m % 4 == 3 and m <= 11:
             report.extend(bockstein.sq1_split_check((m - 3) // 4))
-        if 2 <= m <= PAGE1_CAP:
+        if 2 <= m <= bockstein.PAGE1_CAP:
             for s in _spaces(m):
                 ring = config_mod2_ring(s.kind, m)
                 ok = all(ring.sq1_square_is_zero(d) for d in range(2 * m))

@@ -12,7 +12,6 @@ from confcoh.abelian import (
     Z,
     ZERO,
     diagonal_presentation,
-    direct_sum,
     group_from_presentation,
     smith_normal_form,
     uct_cohomology,
@@ -142,9 +141,9 @@ def test_presentation_round_trip():
 
 
 def test_direct_sum_examples():
-    assert direct_sum(elem(2), AbGroup2.cyclic(2)) == brace(2)
-    assert direct_sum(Z, elem(2)) == AbGroup2(1, (1, 1))
-    assert direct_sum(ZERO, brace(3)) == brace(3)
+    assert elem(2) + AbGroup2.cyclic(2) == brace(2)
+    assert Z + elem(2) == AbGroup2(1, (1, 1))
+    assert ZERO + brace(3) == brace(3)
 
 
 def test_canonical_equality():

@@ -26,7 +26,7 @@ def test_rank_recursion_against_closed_forms():
     for m in range(2, 13):
         for s in (B(m), F(m)):
             seq = rank_recursion(s)
-            for i, r in seq.ranks:
+            for i, r in seq.ranks.items():
                 known = closed_form_rank(s, i)
                 if known is not None:
                     assert r == known, (s, i)
@@ -35,7 +35,7 @@ def test_rank_recursion_against_closed_forms():
 def test_rank_recursion_against_tables():
     for m in range(2, 13):
         for s in (B(m), F(m)):
-            for i, r in rank_recursion(s).ranks:
+            for i, r in rank_recursion(s).ranks.items():
                 assert r == cohomology(s, i).stats().mult2_kernel_rank, (s, i)
 
 

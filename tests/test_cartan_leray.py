@@ -14,7 +14,6 @@ from confcoh.cartan_leray import (
     run_odd_ordered,
     run_ordered,
 )
-from confcoh.chart import DifferentialSpec, EffectKind
 from confcoh.configcoh import SpaceId, cohomology, cohomology_table
 from confcoh.groupcoh import GroupId
 
@@ -72,11 +71,6 @@ def test_chart_json_dump():
     assert obj["lines"][0]["q"] == 0
     assert {"p": 2, "group": {"free": 0, "torsion": [2, 2]}} in obj["lines"][0]["entries"]
     json.dumps(obj)  # serializable
-
-
-def test_differential_spec_target():
-    spec = DifferentialSpec(5, (2, 4), EffectKind.INJECTIVE_ELEMENTARY, rank=3)
-    assert spec.target == (7, 0)
 
 
 # ---------------------------------------------------------------------------

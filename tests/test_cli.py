@@ -2,8 +2,9 @@ import csv
 import io
 import json
 
-from confcoh import cli
+from confcoh import cli, suites
 from confcoh.configcoh import SpaceId, cohomology
+from confcoh.report import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -159,8 +160,6 @@ def test_verify_range_cap(capsys):
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
-    from confcoh.report import VerificationReport
-
     def fake(names, m_range):
         report = VerificationReport()
         report.add("fake", "forced", 1, 2)
@@ -175,3 +174,36 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "verify", "--m-range", "x..y")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# check counts and verdicts
+# ---------------------------------------------------------------------------
+
+# (checks, skipped-open) per suite over m = 2..12.
+CHECK_COUNTS_2_12 = {
+    "uct": (494, 0),
+    "bockstein": (608, 0),
+    "duality": (228, 0),
+    "clss": (694, 3),
+    "sq1": (24, 0),
+    "stiefel": (187, 0),
+}
+
+
+def test_suite_check_counts():
+    for name, (n_checks, n_skipped) in CHECK_COUNTS_2_12.items():
+        report = suites.run_suites([name], range(2, 13))
+        assert report.passed, report.failures()
+        assert len(report.checks) == n_checks, name
+        assert sum(c.skipped for c in report.checks) == n_skipped, name
+    report = suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
+    assert report.summary() == "2235 checks, 0 failures, 3 skipped-open"
+
+
+def test_report_compares_values_not_strings():
+    report = VerificationReport()
+    assert not report.add("fake", "int against str", 1, "1")
+    check = report.checks[0]
+    assert check.expected == check.got == "1"
+    assert check.line().endswith("FAIL")

@@ -424,8 +424,8 @@ def _run_m3_option_a(
     )
     new_base[4] = target.without_cyclic(2)
     report.add(
-        suite, "degree-4 extension", "nontrivial",
-        "nontrivial" if new_base[4].torsion_order_log2 + new_q2[2].torsion_order_log2 == 2 else "unknown",
+        suite, "degree-4 extension", 2,
+        new_base[4].torsion_order_log2 + new_q2[2].torsion_order_log2,
         m=3, degree=4,
     )
     survivors: dict[tuple[int, int], AbGroup2] = {(0, 3): Z}
@@ -513,8 +513,6 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     identification of the torsion of H^m.
     """
     m = 4 * a + 3
-    if m > 15:
-        raise RangeError("fragment check supports m <= 15")
     s = SpaceId("B", m)
     report = VerificationReport()
     suite = "clss-3mod4-fragment"

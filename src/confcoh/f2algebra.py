@@ -2,9 +2,11 @@
 
 A presentation is a list of generators with degrees and a list of
 homogeneous relation polynomials.  Each graded piece of the quotient is
-computed by enumerating the free monomials of that degree, spanning all
-monomial multiples of the relations, and running dense bitset Gaussian
-elimination.  On top of that sits the degree-raising derivation Sq1
+computed by enumerating the free monomials of that degree and putting all
+monomial multiples of the relations, as int bitsets, into a pivot map
+keyed by lowest set bit.  The free monomials that are not pivots form the
+quotient basis, and reduction modulo the span gives coordinates in it.
+On top of that sits the degree-raising derivation Sq1
 (squaring on degree-1 generators, extended by the Leibniz rule) and its
 homology, the first page of the mod-2 Bockstein tower.
 
@@ -17,6 +19,7 @@ R / x*R splitting below relies on.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,37 +51,52 @@ def binom_mod2(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class F2Echelon:
-    """Reduced row echelon basis over GF(2); rows are int bitmasks.
+def _set_bits(v: int) -> Iterator[int]:
+    """Positions of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
-    The pivot of a row is its lowest set bit, and every row is zero on the
-    pivots of all other rows, so reduce() yields canonical coordinates.
+
+class F2Echelon:
+    """Echelon basis over GF(2) as a map from pivot to row; rows are int
+    bitmasks and the pivot of a row is its lowest set bit.
+
+    Rows are not back-substituted, so a row may be nonzero on the pivots of
+    rows added after it.  The pivot set and reduce() still depend only on
+    the span: reduce() clears every pivot bit, which leaves the canonical
+    normal form of v modulo the span.
     """
 
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
 
-    @staticmethod
-    def _lsb(v: int) -> int:
-        return (v & -v).bit_length() - 1
-
     def reduce(self, v: int) -> int:
-        for p, row in self.rows.items():
-            if (v >> p) & 1:
+        """The unique vector in v + span that is zero on every pivot."""
+        rows = self.rows
+        out = 0
+        while v:
+            low = v & -v
+            row = rows.get(low.bit_length() - 1)
+            if row is None:
+                out ^= low
+                v ^= low
+            else:
                 v ^= row
-        return v
+        return out
 
     def add(self, v: int) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        p = self._lsb(v)
-        for q, row in list(self.rows.items()):
-            if (row >> p) & 1:
-                self.rows[q] = row ^ v
-        self.rows[p] = v
-        return True
+        rows = self.rows
+        while v:
+            p = (v & -v).bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p] = v
+                return True
+            v ^= row
+        return False
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -86,9 +104,6 @@ class F2Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def pivots(self) -> set[int]:
-        return set(self.rows)
 
 
 def f2_rank(columns: list[int]) -> int:
@@ -222,7 +237,7 @@ class PresentedF2Algebra:
         if d > self.degree_cap:
             raise DegreeCapExceededError(f"degree {d} exceeds cap {self.degree_cap}")
         monos = self.monomials(d)
-        pivots = self.relation_echelon(d).pivots()
+        pivots = self.relation_echelon(d).rows
         basis = tuple(m for i, m in enumerate(monos) if i not in pivots)
         db = DegreeBasis(d, basis, {m: i for i, m in enumerate(basis)})
         self._basis_cache[d] = db
@@ -234,13 +249,8 @@ class PresentedF2Algebra:
         basis = self.degree_basis(d)
         monos = self.monomials(d)
         out = 0
-        i = 0
-        v = reduced
-        while v:
-            if v & 1:
-                out ^= 1 << basis.index[monos[i]]
-            v >>= 1
-            i += 1
+        for i in _set_bits(reduced):
+            out ^= 1 << basis.index[monos[i]]
         return out
 
     # -- Sq1 -----------------------------------------------------------------
@@ -321,13 +331,8 @@ class PresentedF2Algebra:
         second = self.sq1_matrix(d + 1)
         for col in first:
             acc = 0
-            i = 0
-            v = col
-            while v:
-                if v & 1:
-                    acc ^= second[i]
-                v >>= 1
-                i += 1
+            for i in _set_bits(col):
+                acc ^= second[i]
             if acc:
                 return False
         return True
@@ -352,7 +357,7 @@ def dihedral_mod2_ring(degree_cap: int = 40) -> PresentedF2Algebra:
     )
 
 
-def unordered_config_ring(m: int, degree_cap: int | None = None) -> PresentedF2Algebra:
+def unordered_config_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring of the unordered two-point configuration space
     of P^m: F2[x, x1, x2] modulo
 
@@ -362,8 +367,6 @@ def unordered_config_ring(m: int, degree_cap: int | None = None) -> PresentedF2A
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if degree_cap is None:
-        degree_cap = 2 * m + 2
     rel1 = frozenset({(2, 0, 0), (1, 1, 0)})
 
     def dual_class_relation(n: int) -> Poly:
@@ -382,24 +385,22 @@ def unordered_config_ring(m: int, degree_cap: int | None = None) -> PresentedF2A
         [("x", 1), ("x1", 1), ("x2", 2)],
         [rel1, dual_class_relation(m), dual_class_relation(m + 1)],
         sq1,
-        degree_cap,
+        2 * m + 2,
     )
 
 
-def ordered_config_ring(m: int, degree_cap: int | None = None) -> PresentedF2Algebra:
+def ordered_config_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring of the ordered two-point configuration space of
     P^m: F2[x1, y1] / (x1^(m+1), y1^(m+1), sum_{i+j=m} x1^i y1^j)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if degree_cap is None:
-        degree_cap = 2 * m + 2
     rels = [
         frozenset({(m + 1, 0)}),
         frozenset({(0, m + 1)}),
         frozenset({(i, m - i) for i in range(m + 1)}),
     ]
     sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
-    return PresentedF2Algebra([("x1", 1), ("y1", 1)], rels, sq1, degree_cap)
+    return PresentedF2Algebra([("x1", 1), ("y1", 1)], rels, sq1, 2 * m + 2)
 
 
 def two_variable_poly_ring(degree_cap: int = 40) -> PresentedF2Algebra:
@@ -439,16 +440,11 @@ def _restrict_matrix(
     dst_map = {p: i for i, p in enumerate(dst_positions)}
     out = []
     for pos in src_positions:
-        col = cols[pos]
         new = 0
-        i = 0
-        while col:
-            if col & 1:
-                if i not in dst_map:
-                    raise AssertionError("Sq1 does not preserve the splitting")
-                new ^= 1 << dst_map[i]
-            col >>= 1
-            i += 1
+        for i in _set_bits(cols[pos]):
+            if i not in dst_map:
+                raise AssertionError("Sq1 does not preserve the splitting")
+            new ^= 1 << dst_map[i]
         out.append(new)
     return out
 

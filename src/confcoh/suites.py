@@ -63,7 +63,7 @@ def suite_clss(m_range: range) -> VerificationReport:
             )
             if m == 3:
                 report.extend(cartan_leray.m3_scenarios())
-            if (m - 3) % 4 == 0 and m <= 15:
+            if (m - 3) % 4 == 0:
                 report.extend(cartan_leray.fragment_check_3mod4((m - 3) // 4))
         report.extend(cartan_leray.run_ordered(m)[1])
     return report
@@ -72,7 +72,7 @@ def suite_clss(m_range: range) -> VerificationReport:
 def suite_sq1(m_range: range) -> VerificationReport:
     report = VerificationReport()
     for m in m_range:
-        if m % 4 == 3 and m <= 11:
+        if m % 4 == 3:
             report.extend(bockstein.sq1_split_check((m - 3) // 4))
         if 2 <= m <= bockstein.PAGE1_CAP:
             for s in _spaces(m):

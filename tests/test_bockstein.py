@@ -10,6 +10,7 @@ from confcoh.bockstein import (
     sq1_split_check,
 )
 from confcoh.configcoh import SpaceId, cohomology
+from confcoh.f2algebra import config_mod2_ring
 
 
 B = lambda m: SpaceId("B", m)
@@ -73,6 +74,15 @@ def test_page1_compare_small(kind, m):
 def test_page1_compare_cap():
     with pytest.raises(ValueError):
         page1_compare(B(11))
+
+
+def test_page1_ranks_above_cap():
+    # page1_compare stops at PAGE1_CAP = 10; the engine is exact beyond it
+    for m in range(11, 17):
+        for s in (B(m), F(m)):
+            ring = config_mod2_ring(s.kind, m)
+            for d in range(2 * m + 1):
+                assert ring.sq1_homology_rank(d) == page1_expected(s, d), (s, d)
 
 
 def test_sq1_split_checks():

@@ -180,14 +180,11 @@ def test_m3_scenarios():
     for option in ("A", "B"):
         check = by_label[(f"clss-m3-{option}", "degree-4 torsion order", 4)]
         assert check.expected == "4" and check.got == "4"
+    check = by_label[("clss-m3-A", "degree-4 extension", 4)]
+    assert check.expected == check.got == "2"
 
 
 def test_fragment_checks():
-    for a in (0, 1, 2):
+    for a in range(8):  # m = 3..31, past the CLI's m <= 12
         report = fragment_check_3mod4(a)
         assert report.passed, report.failures()
-
-
-def test_fragment_range():
-    with pytest.raises(RangeError):
-        fragment_check_3mod4(4)  # m = 19 beyond the supported window

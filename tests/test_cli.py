@@ -201,6 +201,12 @@ def test_suite_check_counts():
     assert report.summary() == "2235 checks, 0 failures, 3 skipped-open"
 
 
+def test_clss_sq1_suites_beyond_cli_range():
+    # the fragment and split checks run uncapped above the CLI's m <= 12
+    report = suites.run_suites(["clss", "sq1"], range(13, 32))
+    assert report.summary() == "3606 checks, 0 failures, 5 skipped-open"
+
+
 def test_report_compares_values_not_strings():
     report = VerificationReport()
     assert not report.add("fake", "int against str", 1, "1")

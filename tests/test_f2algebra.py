@@ -1,9 +1,15 @@
+import itertools
 import math
+import operator
+from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confcoh.f2algebra import (
     DegreeCapExceededError,
+    F2Echelon,
     IllDefinedDerivationError,
     NotApplicableError,
     PresentedF2Algebra,
@@ -109,6 +115,39 @@ def test_basis_x_exponent_at_most_one():
     for d in range(15):
         for mono in ring.degree_basis(d).basis_monomials:
             assert mono[0] <= 1
+
+
+# ---------------------------------------------------------------------------
+# Echelon against a brute-force span
+# ---------------------------------------------------------------------------
+
+
+def span_of(vectors):
+    """Every XOR of a subset of vectors."""
+    return {
+        reduce(operator.xor, subset, 0)
+        for k in range(len(vectors) + 1)
+        for subset in itertools.combinations(vectors, k)
+    }
+
+
+BITS12 = st.integers(0, (1 << 12) - 1)
+
+
+@given(st.lists(BITS12, max_size=8), BITS12)
+def test_echelon_against_span_oracle(vectors, v):
+    ech = F2Echelon()
+    for i, w in enumerate(vectors):
+        grows = len(span_of(vectors[: i + 1])) > len(span_of(vectors[:i]))
+        assert ech.add(w) == grows
+    span = span_of(vectors)
+    assert 1 << ech.rank == len(span)
+    assert set(ech.rows) == {(w & -w).bit_length() - 1 for w in span if w}
+    normal = ech.reduce(v)
+    assert v ^ normal in span
+    assert all(ech.reduce(v ^ w) == normal for w in span)
+    assert not any((normal >> p) & 1 for p in ech.rows)
+    assert ech.contains(v) == (v in span)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,14 @@ def test_m3_scenarios():
 
 
 def test_fragment_checks():
-    for a in range(8):  # m = 3..31, past the CLI's m <= 12
+    for a in (0, 1, 2):
         report = fragment_check_3mod4(a)
         assert report.passed, report.failures()
+
+
+def test_fragment_range():
+    # m = 15..31: past the CLI's m <= 12 and the old m <= 15 window
+    for a in range(3, 8):
+        report = fragment_check_3mod4(a)
+        assert report.passed, report.failures()
+        assert report.checks and {c.m for c in report.checks} == {4 * a + 3}

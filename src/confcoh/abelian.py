@@ -46,10 +46,6 @@ class AbGroup2:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def free(cls, rank: int) -> "AbGroup2":
-        return cls(free_rank=rank)
-
-    @classmethod
     def elementary(cls, k: int) -> "AbGroup2":
         """<k>: elementary abelian 2-group of rank k."""
         return cls(torsion_exponents=(1,) * k)
@@ -68,10 +64,6 @@ class AbGroup2:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion_exponents
-
-    @property
-    def is_elementary(self) -> bool:
-        return all(e == 1 for e in self.torsion_exponents)
 
     @property
     def torsion_order_log2(self) -> int:
@@ -99,14 +91,12 @@ class AbGroup2:
 
     # -- arithmetic --------------------------------------------------------
 
-    def direct_sum(self, other: "AbGroup2") -> "AbGroup2":
+    def __add__(self, other: "AbGroup2") -> "AbGroup2":
+        """Direct sum."""
         return AbGroup2(
             self.free_rank + other.free_rank,
             self.torsion_exponents + other.torsion_exponents,
         )
-
-    def __add__(self, other: "AbGroup2") -> "AbGroup2":
-        return self.direct_sum(other)
 
     def without_elementary(self, k: int) -> "AbGroup2":
         """Remove k exponent-1 summands (image of an injected <k>)."""

@@ -22,9 +22,6 @@ from .f2algebra import config_mod2_ring, split_sq1_homology
 from .report import VerificationReport
 
 
-PAGE1_CAP = 10  # engine cost cap for the Sq1-homology sweep
-
-
 class InconsistentRecursionError(ValueError):
     """The downward rank solve produced a negative rank."""
 
@@ -95,8 +92,6 @@ def page1_compare(s: SpaceId) -> VerificationReport:
     This re-derives the placement of every Z/4 summand in the integral
     tables from the ring presentations alone.
     """
-    if s.m > PAGE1_CAP:
-        raise ValueError(f"m={s.m} above the configured cap {PAGE1_CAP}")
     ring = config_mod2_ring(s.kind, s.m)
     report = VerificationReport()
     for d in range(2 * s.m + 1):

@@ -27,10 +27,6 @@ Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
 
 
-class DegreeCapExceededError(ValueError):
-    """Requested degree above the configured cap of the presentation."""
-
-
 class IllDefinedDerivationError(ValueError):
     """Sq1 of a relation is not in the ideal: no induced derivation."""
 
@@ -136,7 +132,6 @@ class PresentedF2Algebra:
         generators: list[tuple[str, int]],
         relations: list[Poly],
         sq1_on_generators: dict[int, Poly] | None = None,
-        degree_cap: int = 40,
     ) -> None:
         self.generators = tuple(generators)
         self.degrees = tuple(d for _, d in generators)
@@ -154,7 +149,6 @@ class PresentedF2Algebra:
             want = self.degrees[g] + 1
             if any(self.monomial_degree(m) != want for m in poly):
                 raise ValueError("Sq1 image of a generator has the wrong degree")
-        self.degree_cap = degree_cap
         self._sq1_checked_through = -1
         self._monomials_cache: dict[int, list[Monomial]] = {}
         self._mono_index_cache: dict[int, dict[Monomial, int]] = {}
@@ -227,15 +221,11 @@ class PresentedF2Algebra:
     def quotient_dimension(self, d: int) -> int:
         if d < 0:
             return 0
-        if d > self.degree_cap:
-            raise DegreeCapExceededError(f"degree {d} exceeds cap {self.degree_cap}")
         return len(self.monomials(d)) - self.relation_echelon(d).rank
 
     def degree_basis(self, d: int) -> DegreeBasis:
         if d in self._basis_cache:
             return self._basis_cache[d]
-        if d > self.degree_cap:
-            raise DegreeCapExceededError(f"degree {d} exceeds cap {self.degree_cap}")
         monos = self.monomials(d)
         pivots = self.relation_echelon(d).rows
         basis = tuple(m for i, m in enumerate(monos) if i not in pivots)
@@ -283,7 +273,7 @@ class PresentedF2Algebra:
             return
         for rel in self.relations:
             target = self.monomial_degree(next(iter(rel))) + 1
-            if target > through_degree or target > self.degree_cap:
+            if target > through_degree:
                 continue
             image = self.sq1_poly_free(rel)
             if not image:
@@ -304,8 +294,6 @@ class PresentedF2Algebra:
         """
         if d in self._sq1_matrix_cache:
             return self._sq1_matrix_cache[d]
-        if d + 1 > self.degree_cap:
-            raise DegreeCapExceededError(f"degree {d + 1} exceeds cap {self.degree_cap}")
         self.check_sq1_well_defined(d + 1)
         cols = [
             self.coords(self.sq1_free(mono), d + 1)
@@ -343,7 +331,7 @@ class PresentedF2Algebra:
 # ---------------------------------------------------------------------------
 
 
-def dihedral_mod2_ring(degree_cap: int = 40) -> PresentedF2Algebra:
+def dihedral_mod2_ring() -> PresentedF2Algebra:
     """F2[x, x1, x2] / (x^2 + x*x1): the mod-2 cohomology of the dihedral
     group of order 8, with Sq1 x = x^2, Sq1 x1 = x1^2, Sq1 x2 = x1*x2."""
     rel = frozenset({(2, 0, 0), (1, 1, 0)})
@@ -352,9 +340,7 @@ def dihedral_mod2_ring(degree_cap: int = 40) -> PresentedF2Algebra:
         1: frozenset({(0, 2, 0)}),
         2: frozenset({(0, 1, 1)}),
     }
-    return PresentedF2Algebra(
-        [("x", 1), ("x1", 1), ("x2", 2)], [rel], sq1, degree_cap
-    )
+    return PresentedF2Algebra([("x", 1), ("x1", 1), ("x2", 2)], [rel], sq1)
 
 
 def unordered_config_ring(m: int) -> PresentedF2Algebra:
@@ -385,7 +371,6 @@ def unordered_config_ring(m: int) -> PresentedF2Algebra:
         [("x", 1), ("x1", 1), ("x2", 2)],
         [rel1, dual_class_relation(m), dual_class_relation(m + 1)],
         sq1,
-        2 * m + 2,
     )
 
 
@@ -400,14 +385,14 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
         frozenset({(i, m - i) for i in range(m + 1)}),
     ]
     sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
-    return PresentedF2Algebra([("x1", 1), ("y1", 1)], rels, sq1, 2 * m + 2)
+    return PresentedF2Algebra([("x1", 1), ("y1", 1)], rels, sq1)
 
 
-def two_variable_poly_ring(degree_cap: int = 40) -> PresentedF2Algebra:
+def two_variable_poly_ring() -> PresentedF2Algebra:
     """Free F2[x1, y1] with the squaring Sq1; mod-2 cohomology of a product
     of two infinite projective spaces."""
     sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
-    return PresentedF2Algebra([("x1", 1), ("y1", 1)], [], sq1, degree_cap)
+    return PresentedF2Algebra([("x1", 1), ("y1", 1)], [], sq1)
 
 
 @lru_cache(maxsize=None)

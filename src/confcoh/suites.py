@@ -33,8 +33,7 @@ def suite_bockstein(m_range: range) -> VerificationReport:
             continue
         for s in _spaces(m):
             report.extend(bockstein.rank_profile_check(s))
-            if m <= bockstein.PAGE1_CAP:
-                report.extend(bockstein.page1_compare(s))
+            report.extend(bockstein.page1_compare(s))
     return report
 
 
@@ -74,7 +73,7 @@ def suite_sq1(m_range: range) -> VerificationReport:
     for m in m_range:
         if m % 4 == 3:
             report.extend(bockstein.sq1_split_check((m - 3) // 4))
-        if 2 <= m <= bockstein.PAGE1_CAP:
+        if m >= 2:
             for s in _spaces(m):
                 ring = config_mod2_ring(s.kind, m)
                 ok = all(ring.sq1_square_is_zero(d) for d in range(2 * m))

@@ -10,7 +10,6 @@ from confcoh.bockstein import (
     sq1_split_check,
 )
 from confcoh.configcoh import SpaceId, cohomology
-from confcoh.f2algebra import config_mod2_ring
 
 
 B = lambda m: SpaceId("B", m)
@@ -64,25 +63,12 @@ def test_page1_sum_rule():
             assert total == 2 * z4 + free, s
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 17))
 @pytest.mark.parametrize("kind", ["B", "F"])
 def test_page1_compare_small(kind, m):
     report = page1_compare(SpaceId(kind, m))
     assert report.passed, report.failures()
-
-
-def test_page1_compare_cap():
-    with pytest.raises(ValueError):
-        page1_compare(B(11))
-
-
-def test_page1_ranks_above_cap():
-    # page1_compare stops at PAGE1_CAP = 10; the engine is exact beyond it
-    for m in range(11, 17):
-        for s in (B(m), F(m)):
-            ring = config_mod2_ring(s.kind, m)
-            for d in range(2 * m + 1):
-                assert ring.sq1_homology_rank(d) == page1_expected(s, d), (s, d)
+    assert len(report.checks) == 2 * m + 1
 
 
 def test_sq1_split_checks():

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from confcoh import cli, suites
 from confcoh.configcoh import SpaceId, cohomology
 from confcoh.report import VerificationReport
@@ -88,6 +90,15 @@ def test_groups_homology_needs_integral(capsys):
     assert "homology" in err
 
 
+@pytest.mark.parametrize("m", ["4097", "100000"])
+def test_groups_m_bound(monkeypatch, capsys, m):
+    # refused before the space, let alone a table, is built
+    monkeypatch.setattr(cli, "SpaceId", None)
+    code, out, err = run_cli(capsys, "groups", "--space", "B", "--m", m)
+    assert code == 2 and out == ""
+    assert "m capped at 4096" in err
+
+
 def test_groups_usage_error(capsys):
     code, _, _ = run_cli(capsys, "groups", "--space", "Q", "--m", "4")
     assert code == 2
@@ -155,8 +166,15 @@ def test_verify_clss_marks_open_cases(capsys):
 
 
 def test_verify_range_cap(capsys):
-    code, _, err = run_cli(capsys, "verify", "--m-range", "2..20")
+    code, _, err = run_cli(capsys, "verify", "--m-range", "2..33")
     assert code == 2
+    assert "m-range capped at 32" in err
+
+
+def test_verify_top_of_range(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--m-range", "32")
+    assert code == 0
+    assert "0 failures" in out
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
@@ -183,10 +201,10 @@ def test_usage_error_exit_code(capsys):
 # (checks, skipped-open) per suite over m = 2..12.
 CHECK_COUNTS_2_12 = {
     "uct": (494, 0),
-    "bockstein": (608, 0),
+    "bockstein": (704, 0),
     "duality": (228, 0),
     "clss": (694, 3),
-    "sq1": (24, 0),
+    "sq1": (28, 0),
     "stiefel": (187, 0),
 }
 
@@ -198,13 +216,14 @@ def test_suite_check_counts():
         assert len(report.checks) == n_checks, name
         assert sum(c.skipped for c in report.checks) == n_skipped, name
     report = suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
-    assert report.summary() == "2235 checks, 0 failures, 3 skipped-open"
+    assert report.summary() == "2335 checks, 0 failures, 3 skipped-open"
 
 
 def test_clss_sq1_suites_beyond_cli_range():
-    # the fragment and split checks run uncapped above the CLI's m <= 12
+    # above the pinned 2..12: fragment, split and Sq1^2 = 0 checks for every
+    # m in 13..31
     report = suites.run_suites(["clss", "sq1"], range(13, 32))
-    assert report.summary() == "3606 checks, 0 failures, 5 skipped-open"
+    assert report.summary() == "3644 checks, 0 failures, 5 skipped-open"
 
 
 def test_report_compares_values_not_strings():

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from confcoh.f2algebra import (
-    DegreeCapExceededError,
     F2Echelon,
     IllDefinedDerivationError,
     NotApplicableError,
@@ -66,14 +65,14 @@ def test_rewritten_relation_coefficients():
 
 
 def test_dihedral_ring_dimensions():
-    ring = dihedral_mod2_ring(24)
+    ring = dihedral_mod2_ring()
     for d in range(22):
         assert ring.quotient_dimension(d) == d + 1
     assert ring.quotient_dimension(5) == 6
 
 
 def test_two_variable_ring_dimensions():
-    ring = two_variable_poly_ring(24)
+    ring = two_variable_poly_ring()
     for d in range(22):
         assert ring.quotient_dimension(d) == d + 1
     assert ring.quotient_dimension(3) == 4
@@ -97,10 +96,11 @@ def test_unordered_p4_degree_6():
     assert unordered_config_ring(4).quotient_dimension(6) == 2
 
 
-def test_degree_cap():
+def test_dimension_zero_above_top_degree():
+    # the top degree is 2m - 1 = 5; every degree above it is asked for and zero
     ring = unordered_config_ring(3)
-    with pytest.raises(DegreeCapExceededError):
-        ring.quotient_dimension(9)  # cap is 2m + 2 = 8
+    for d in range(6, 15):
+        assert ring.quotient_dimension(d) == 0, d
 
 
 def test_basis_deterministic():
@@ -156,7 +156,7 @@ def test_echelon_against_span_oracle(vectors, v):
 
 
 def test_sq1_on_free_two_variable_ring():
-    ring = two_variable_poly_ring(10)
+    ring = two_variable_poly_ring()
     basis1 = ring.degree_basis(1).basis_monomials
     assert basis1 == ((1, 0), (0, 1))
     cols = ring.sq1_matrix(1)
@@ -184,17 +184,17 @@ def test_sq1_parity_rule_on_unordered_ring():
 
 
 def test_sq1_squares_to_zero_everywhere():
+    # (ring, number of degrees d checked from 0)
     rings = [
-        dihedral_mod2_ring(14),
-        two_variable_poly_ring(14),
-        config_mod2_ring("B", 4),
-        config_mod2_ring("F", 4),
-        config_mod2_ring("B", 7),
-        config_mod2_ring("F", 7),
+        (dihedral_mod2_ring(), 12),
+        (two_variable_poly_ring(), 12),
+        (config_mod2_ring("B", 4), 8),
+        (config_mod2_ring("F", 4), 8),
+        (config_mod2_ring("B", 7), 12),
+        (config_mod2_ring("F", 7), 12),
     ]
-    for ring in rings:
-        top = ring.degree_cap - 2
-        for d in range(min(top, 12)):
+    for ring, n_degrees in rings:
+        for d in range(n_degrees):
             assert ring.sq1_square_is_zero(d), (ring.generators, d)
 
 
@@ -204,7 +204,6 @@ def test_ill_defined_derivation_detected():
         [("a", 1), ("b", 2)],
         [frozenset({(0, 1)})],
         {0: frozenset({(2, 0)}), 1: frozenset({(3, 0)})},
-        degree_cap=8,
     )
     with pytest.raises(IllDefinedDerivationError):
         ring.sq1_matrix(2)
@@ -213,9 +212,7 @@ def test_ill_defined_derivation_detected():
 def test_sq1_homology_examples():
     assert config_mod2_ring("B", 3).sq1_homology_rank(4) == 1
     assert config_mod2_ring("B", 5).sq1_homology_rank(4) == 1
-    one_var = PresentedF2Algebra(
-        [("x1", 1)], [], {0: frozenset({(2,)})}, degree_cap=8
-    )
+    one_var = PresentedF2Algebra([("x1", 1)], [], {0: frozenset({(2,)})})
     assert one_var.sq1_homology_rank(0) == 1
     for d in range(1, 6):
         assert one_var.sq1_homology_rank(d) == 0

@@ -1,17 +1,17 @@
 """Degreewise linear algebra for finitely presented graded F2-algebras.
 
 A presentation is a list of generators with degrees and a list of
-homogeneous relation polynomials.  Each graded piece of the quotient is
-computed by enumerating the free monomials of that degree and putting all
-monomial multiples of the relations, as int bitsets, into a pivot map
-keyed by lowest set bit.  The free monomials that are not pivots form the
-quotient basis, and reduction modulo the span gives coordinates in it.
-On top of that sits the degree-raising derivation Sq1
-(squaring on degree-1 generators, extended by the Leibniz rule) and its
-homology, the first page of the mod-2 Bockstein tower.
+homogeneous relation polynomials.  Each ring grows one Groebner basis of
+its relation ideal degree by degree, on demand.  The standard monomials of
+a degree (divisible by no lead) form the quotient basis, and full
+reduction gives coordinates in it.  On top of that sits the
+degree-raising derivation Sq1 (squaring on degree-1 generators, extended
+by the Leibniz rule) and its homology, the first page of the mod-2
+Bockstein tower, with ranks from a pivot map of int bitsets.
 
-Monomials are exponent tuples ordered lexicographically descending, so
-bases and matrices are reproducible run to run.  With the relation
+Monomials are exponent tuples, ordered by weighted degree and then
+lexicographically, so the lead of a homogeneous polynomial is its largest
+tuple; bases are listed descending, reproducible run to run.  With the relation
 x^2 = x*x1 declared on the leading generator this order also guarantees
 that basis monomials carry x-exponent at most 1, which is what the
 R / x*R splitting below relies on.
@@ -55,32 +55,26 @@ def _set_bits(v: int) -> Iterator[int]:
         v ^= low
 
 
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _quotient(a: Monomial, b: Monomial) -> Monomial:
+    """a / b for a monomial b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
 class F2Echelon:
     """Echelon basis over GF(2) as a map from pivot to row; rows are int
     bitmasks and the pivot of a row is its lowest set bit.
 
     Rows are not back-substituted, so a row may be nonzero on the pivots of
-    rows added after it.  The pivot set and reduce() still depend only on
-    the span: reduce() clears every pivot bit, which leaves the canonical
-    normal form of v modulo the span.
+    rows added after it; the rank and the pivot set still depend only on
+    the span.
     """
 
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
-
-    def reduce(self, v: int) -> int:
-        """The unique vector in v + span that is zero on every pivot."""
-        rows = self.rows
-        out = 0
-        while v:
-            low = v & -v
-            row = rows.get(low.bit_length() - 1)
-            if row is None:
-                out ^= low
-                v ^= low
-            else:
-                v ^= row
-        return out
 
     def add(self, v: int) -> bool:
         """Insert v; returns True if it enlarged the span."""
@@ -93,9 +87,6 @@ class F2Echelon:
                 return True
             v ^= row
         return False
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
 
     @property
     def rank(self) -> int:
@@ -150,9 +141,11 @@ class PresentedF2Algebra:
             if any(self.monomial_degree(m) != want for m in poly):
                 raise ValueError("Sq1 image of a generator has the wrong degree")
         self._sq1_checked_through = -1
-        self._monomials_cache: dict[int, list[Monomial]] = {}
-        self._mono_index_cache: dict[int, dict[Monomial, int]] = {}
-        self._rel_ech_cache: dict[int, F2Echelon] = {}
+        self._groebner: list[tuple[Monomial, Poly]] = []  # (lead, polynomial)
+        self._groebner_through = -1
+        self._pending: dict[int, list[Poly]] = {}  # degree -> polys to reduce
+        for r in self.relations:
+            self._pending.setdefault(self.monomial_degree(min(r)), []).append(r)
         self._basis_cache: dict[int, DegreeBasis] = {}
         self._sq1_matrix_cache: dict[int, list[int]] = {}
 
@@ -161,40 +154,6 @@ class PresentedF2Algebra:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
 
-    def monomials(self, d: int) -> list[Monomial]:
-        """All free monomials of degree d, lexicographically descending."""
-        if d in self._monomials_cache:
-            return self._monomials_cache[d]
-        out: list[Monomial] = []
-        n = len(self.degrees)
-
-        def rec(pos: int, remaining: int, acc: list[int]) -> None:
-            if pos == n:
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            step = self.degrees[pos]
-            for e in range(remaining // step, -1, -1):
-                acc.append(e)
-                rec(pos + 1, remaining - e * step, acc)
-                acc.pop()
-
-        rec(0, d, [])
-        self._monomials_cache[d] = out
-        self._mono_index_cache[d] = {m: i for i, m in enumerate(out)}
-        return out
-
-    def _index(self, d: int) -> dict[Monomial, int]:
-        self.monomials(d)
-        return self._mono_index_cache[d]
-
-    def poly_to_bits(self, poly, d: int) -> int:
-        idx = self._index(d)
-        bits = 0
-        for mono in poly:
-            bits ^= 1 << idx[mono]
-        return bits
-
     @staticmethod
     def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return tuple(x + y for x, y in zip(a, b))
@@ -202,46 +161,85 @@ class PresentedF2Algebra:
     def poly_mul_mono(self, poly: Poly, mono: Monomial) -> Poly:
         return frozenset(self.mono_mul(m, mono) for m in poly)
 
-    # -- relation spans and quotient bases ----------------------------------
+    # -- Groebner basis and quotient bases ------------------------------------
 
-    def relation_echelon(self, d: int) -> F2Echelon:
-        """Echelon basis of the degree-d piece of the relation ideal."""
-        if d in self._rel_ech_cache:
-            return self._rel_ech_cache[d]
-        ech = F2Echelon()
-        for rel in self.relations:
-            e = self.monomial_degree(next(iter(rel)))
-            if e > d:
-                continue
-            for u in self.monomials(d - e):
-                ech.add(self.poly_to_bits(self.poly_mul_mono(rel, u), d))
-        self._rel_ech_cache[d] = ech
-        return ech
+    def _normal_form(self, poly) -> Poly:
+        """Full reduction of a homogeneous polynomial by the Groebner basis
+        as grown so far: no monomial of the result is divisible by a lead."""
+        todo = set(poly)
+        out = []
+        while todo:
+            mono = max(todo)
+            for lead, g in self._groebner:
+                if _divides(lead, mono):
+                    todo ^= self.poly_mul_mono(g, _quotient(mono, lead))
+                    break
+            else:
+                todo.remove(mono)
+                out.append(mono)
+        return frozenset(out)
+
+    def _extend(self, d: int) -> None:
+        """Grow the Groebner basis until it is complete through degree d.
+
+        Homogeneous Buchberger: degree by degree, keep the nonzero normal
+        forms of the relations and S-polynomials of that degree.  A new
+        element is reduced, so no older lead divides its lead and its
+        S-polynomials lie in higher degrees.  Pairs with coprime leads are
+        skipped: their S-polynomials reduce to zero.
+        """
+        gb = self._groebner
+        for e in range(self._groebner_through + 1, d + 1):
+            for poly in self._pending.pop(e, ()):
+                poly = self._normal_form(poly)
+                if not poly:
+                    continue
+                lead = max(poly)
+                for other, g in gb:
+                    if any(a and b for a, b in zip(lead, other)):
+                        lcm = tuple(map(max, lead, other))
+                        self._pending.setdefault(self.monomial_degree(lcm), []).append(
+                            self.poly_mul_mono(poly, _quotient(lcm, lead))
+                            ^ self.poly_mul_mono(g, _quotient(lcm, other))
+                        )
+                gb.append((lead, poly))
+            self._groebner_through = e
 
     def quotient_dimension(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return len(self.monomials(d)) - self.relation_echelon(d).rank
+        return len(self.degree_basis(d))
 
     def degree_basis(self, d: int) -> DegreeBasis:
-        if d in self._basis_cache:
-            return self._basis_cache[d]
-        monos = self.monomials(d)
-        pivots = self.relation_echelon(d).rows
-        basis = tuple(m for i, m in enumerate(monos) if i not in pivots)
-        db = DegreeBasis(d, basis, {m: i for i, m in enumerate(basis)})
-        self._basis_cache[d] = db
-        return db
+        """Standard monomials of degree d (divisible by no lead), descending.
+
+        Standard monomials are closed under division, so each one is a
+        generator times a standard monomial of lower degree.
+        """
+        if d < 0:
+            return DegreeBasis(d, (), {})
+        cache = self._basis_cache
+        if d not in cache:
+            self._extend(d)
+            leads = [lead for lead, _ in self._groebner]
+            for e in range(len(cache), d + 1):
+                candidates = {
+                    u[:i] + (u[i] + 1,) + u[i + 1 :]
+                    for i, g in enumerate(self.degrees)
+                    if g <= e
+                    for u in cache[e - g].basis_monomials
+                }
+                if e == 0:
+                    candidates = {(0,) * len(self.degrees)}
+                basis = sorted(
+                    (v for v in candidates if not any(_divides(a, v) for a in leads)),
+                    reverse=True,
+                )
+                cache[e] = DegreeBasis(e, tuple(basis), {m: i for i, m in enumerate(basis)})
+        return cache[d]
 
     def coords(self, poly, d: int) -> int:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits."""
-        reduced = self.relation_echelon(d).reduce(self.poly_to_bits(poly, d))
-        basis = self.degree_basis(d)
-        monos = self.monomials(d)
-        out = 0
-        for i in _set_bits(reduced):
-            out ^= 1 << basis.index[monos[i]]
-        return out
+        index = self.degree_basis(d).index
+        return sum(1 << index[mono] for mono in self._normal_form(poly))
 
     # -- Sq1 -----------------------------------------------------------------
 
@@ -271,16 +269,12 @@ class PresentedF2Algebra:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
         if through_degree <= self._sq1_checked_through:
             return
+        self._extend(through_degree)
         for rel in self.relations:
             target = self.monomial_degree(next(iter(rel))) + 1
             if target > through_degree:
                 continue
-            image = self.sq1_poly_free(rel)
-            if not image:
-                continue
-            if not self.relation_echelon(target).contains(
-                self.poly_to_bits(image, target)
-            ):
+            if self._normal_form(self.sq1_poly_free(rel)):
                 raise IllDefinedDerivationError(
                     f"Sq1 of relation {set(rel)} is not in the ideal"
                 )

@@ -20,8 +20,8 @@ def suite_uct(m_range: range) -> VerificationReport:
     for g in GroupId:
         report.extend(uct_mod2_check(g, 2 * max(m_range) + 2))
     for m in m_range:
-        for s in _spaces(m):
-            if m >= 2:
+        if m >= 2:
+            for s in _spaces(m):
                 report.extend(configcoh.global_checks(s))
     return report
 

@@ -63,8 +63,12 @@ def test_page1_sum_rule():
             assert total == 2 * z4 + free, s
 
 
-@pytest.mark.parametrize("m", range(2, 17))
-@pytest.mark.parametrize("kind", ["B", "F"])
+@pytest.mark.parametrize(
+    "kind,m",
+    [(kind, m) for kind in "BF" for m in range(2, 17)]
+    # beyond the CLI's m <= 32
+    + [("B", 48), ("B", 64), ("F", 128)],
+)
 def test_page1_compare_small(kind, m):
     report = page1_compare(SpaceId(kind, m))
     assert report.passed, report.failures()

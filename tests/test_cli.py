@@ -171,6 +171,19 @@ def test_verify_range_cap(capsys):
     assert "m-range capped at 32" in err
 
 
+def test_verify_lower_bound(monkeypatch, capsys):
+    monkeypatch.setattr(cli.suites, "run_suites", lambda *a: pytest.fail("suites ran"))
+    code, out, err = run_cli(capsys, "verify", "--m-range", "0..3")
+    assert (code, out) == (2, "")
+    assert err.strip() == "m-range must start at 1 or above"
+
+
+def test_uct_suite_skips_m_below_two():
+    report = suites.run_suites(["uct"], range(0, 4))
+    assert report.passed
+    assert len(report.checks) == len(suites.run_suites(["uct"], range(2, 4)).checks)
+
+
 def test_verify_top_of_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--m-range", "32")
     assert code == 0

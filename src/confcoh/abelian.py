@@ -13,18 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class NonTwoPrimaryError(ValueError):
     """A presentation produced torsion away from the prime 2."""
-
-
-class GroupStats(NamedTuple):
-    two_rank_tensor: int
-    mult2_kernel_rank: int
-    torsion_order_log2: int
-    z4_count: int
 
 
 @dataclass(frozen=True)
@@ -73,21 +66,21 @@ class AbGroup2:
     def z4_count(self) -> int:
         return sum(1 for e in self.torsion_exponents if e >= 2)
 
+    @property
+    def two_rank_tensor(self) -> int:
+        """Rank of G tensor Z/2."""
+        return self.free_rank + len(self.torsion_exponents)
+
+    @property
+    def mult2_kernel_rank(self) -> int:
+        """Rank of the kernel of multiplication by 2 on G."""
+        return len(self.torsion_exponents)
+
     def torsion_part(self) -> "AbGroup2":
         return AbGroup2(torsion_exponents=self.torsion_exponents)
 
     def free_part(self) -> "AbGroup2":
         return AbGroup2(free_rank=self.free_rank)
-
-    def stats(self) -> GroupStats:
-        """(rank of G tensor Z2, rank of 2-torsion kernel, log2 |T|, #Z4)."""
-        n_torsion = len(self.torsion_exponents)
-        return GroupStats(
-            two_rank_tensor=self.free_rank + n_torsion,
-            mult2_kernel_rank=n_torsion,
-            torsion_order_log2=self.torsion_order_log2,
-            z4_count=self.z4_count,
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -306,10 +299,6 @@ class GradedGroups:
                 raise ValueError(f"degree {d} outside [0, {self.support_bound}]")
         object.__setattr__(self, "groups", cleaned)
 
-    @classmethod
-    def from_dict(cls, support_bound: int, groups: dict[int, AbGroup2]) -> "GradedGroups":
-        return cls(support_bound, groups)
-
     def group(self, degree: int) -> AbGroup2:
         return self.groups.get(degree, ZERO)
 
@@ -325,7 +314,7 @@ def uct_homology(coh: GradedGroups) -> GradedGroups:
     out = {}
     for i in range(coh.support_bound + 1):
         out[i] = coh.group(i).free_part() + coh.group(i + 1).torsion_part()
-    return GradedGroups.from_dict(coh.support_bound, out)
+    return GradedGroups(coh.support_bound, out)
 
 
 def uct_cohomology(hom: GradedGroups) -> GradedGroups:
@@ -336,4 +325,4 @@ def uct_cohomology(hom: GradedGroups) -> GradedGroups:
         if i >= 1:
             g = g + hom.group(i - 1).torsion_part()
         out[i] = g
-    return GradedGroups.from_dict(hom.support_bound, out)
+    return GradedGroups(hom.support_bound, out)

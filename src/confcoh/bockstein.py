@@ -114,7 +114,7 @@ def rank_profile_check(s: SpaceId) -> VerificationReport:
         report.add(
             "bockstein-ranks",
             "recursion vs table",
-            cohomology(s, i).stats().mult2_kernel_rank,
+            cohomology(s, i).mult2_kernel_rank,
             r,
             m=s.m,
             degree=i,

@@ -1,4 +1,4 @@
-"""Chart executors for the covering spectral sequences of the two quotients.
+"""Executors for the covering spectral sequences of the two quotients.
 
 The free action of the dihedral group (or its rank-2 elementary subgroup)
 on the Stiefel manifold V_{m+1,2} gives a first-quadrant spectral sequence
@@ -11,6 +11,9 @@ as its source and target coordinates (a page-r differential maps (p, q) to
 (p + r, q - r + 1)), every round checks the order arithmetic, and the
 resulting abutment is compared against the closed-form tables.
 
+A page is a dict from (p, q) to its entry; a missing key stands for the
+zero group.
+
 The unordered case with m = 3 mod 4 has no general executor (the page-2
 differential pattern is undecided); only the low-degree fragment and both
 fixed m = 3 evolutions are replayed.
@@ -19,11 +22,13 @@ fixed m = 3 evolutions are replayed.
 from __future__ import annotations
 
 from .abelian import AbGroup2, GradedGroups, Z, ZERO
-from .chart import Chart, ChartLine
 from .configcoh import SpaceId, cohomology, cohomology_table
 from .bockstein import RankSequence, rank_recursion
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
+
+
+Page = dict[tuple[int, int], AbGroup2]
 
 
 class RangeError(ValueError):
@@ -38,7 +43,7 @@ def _bg(g: GroupId, c: CoeffId, i: int) -> AbGroup2:
     return classifying_cohomology(g, c, i)
 
 
-def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Chart:
+def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Page:
     """Starting page of the covering spectral sequence for V_{m+1,2}.
 
     Even m: integral lines at q = 0 and q = 2m-1 and a mod-2 line at q = m.
@@ -49,26 +54,25 @@ def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Chart:
         raise RangeError("m must be >= 2")
     if p_max is None:
         p_max = 2 * m + 1
-
-    def line(c: CoeffId) -> ChartLine:
-        return ChartLine.from_dict(
-            c.value, {p: _bg(g, c, p) for p in range(p_max + 1)}
-        )
-
     if m % 2 == 0:
         lines = {
-            0: line(CoeffId.INTEGER_TRIVIAL),
-            m: line(CoeffId.MOD_TWO),
-            2 * m - 1: line(CoeffId.INTEGER_TRIVIAL),
+            0: CoeffId.INTEGER_TRIVIAL,
+            m: CoeffId.MOD_TWO,
+            2 * m - 1: CoeffId.INTEGER_TRIVIAL,
         }
     else:
         lines = {
-            0: line(CoeffId.INTEGER_TRIVIAL),
-            m - 1: line(CoeffId.INTEGER_TWISTED),
-            m: line(CoeffId.INTEGER_TRIVIAL),
-            2 * m - 1: line(CoeffId.INTEGER_TWISTED),
+            0: CoeffId.INTEGER_TRIVIAL,
+            m - 1: CoeffId.INTEGER_TWISTED,
+            m: CoeffId.INTEGER_TRIVIAL,
+            2 * m - 1: CoeffId.INTEGER_TWISTED,
         }
-    return Chart.from_dict(2, lines)
+    return {
+        (p, q): entry
+        for q, c in lines.items()
+        for p in range(p_max + 1)
+        if not (entry := _bg(g, c, p)).is_trivial
+    }
 
 
 def even_cokernel(m: int, ell: int) -> AbGroup2:
@@ -151,7 +155,7 @@ def _check_cokernel(
     if ell >= 2:
         report.add(
             suite, "cokernel 2-rank vs rank recursion", ranks.rank(t),
-            coker.stats().mult2_kernel_rank, m=m, degree=t,
+            coker.mult2_kernel_rank, m=m, degree=t,
         )
 
 
@@ -174,34 +178,28 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
     ranks = rank_recursion(s)
     report = VerificationReport()
     suite = f"clss-even-{group.value}"
-    groups: dict[int, AbGroup2] = {t: e2.entry(t, 0) for t in range(m + 1)}
+    groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m + 1)}
     for ell in range(1, m):
         t = 2 * m - ell
         # d_(m+1): (m - ell - 1, m) -> (t, 0) injects <m - ell>.
         image_rank = m - ell
-        source = e2.entry(m - ell - 1, m)
-        target = e2.entry(t, 0)
+        source = e2.get((m - ell - 1, m), ZERO)
+        target = e2.get((t, 0), ZERO)
         report.add(
-            suite, "source rank", image_rank, source.stats().two_rank_tensor, m=m, degree=t
+            suite, "source rank", image_rank, source.two_rank_tensor, m=m, degree=t
         )
         if ell == 1:
             coker = ZERO
         elif group is GroupId.D8:
             coker = even_cokernel(m, ell)
         else:
-            coker = AbGroup2.elementary(target.stats().two_rank_tensor - image_rank)
+            coker = AbGroup2.elementary(target.two_rank_tensor - image_rank)
         _check_cokernel(report, suite, m, ell, target, image_rank, coker, ranks)
         groups[t] = coker
     groups[2 * m - 1] = Z  # the fibre class at (0, 2m-1) survives
-    abutment = GradedGroups.from_dict(s.support_bound, groups)
+    abutment = GradedGroups(s.support_bound, groups)
     _compare_abutment(report, suite, s, abutment)
     return abutment, report
-
-
-def _halve_line(line: ChartLine) -> ChartLine:
-    return ChartLine.from_dict(
-        line.coefficient, {p: g.halve_z4s() for p, g in line.entries.items()}
-    )
 
 
 def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
@@ -217,17 +215,17 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
     suite = "clss-1mod4"
     # Page 2: d2(kappa^i x_m) = 2 kappa^i alpha2 halves both middle lines;
     # the integral class at (0, m) survives with its generator doubled.
-    lines = dict(e2.lines)
-    lines[m - 1] = _halve_line(e2.line(m - 1))
-    lines[m] = _halve_line(e2.line(m))
-    e3 = Chart.from_dict(3, lines)
-    groups: dict[int, AbGroup2] = {t: e3.entry(t, 0) for t in range(m)}
-    groups[m] = Z + e3.entry(m, 0)  # fibre class at (0, m) plus the base
+    e3 = {
+        (p, q): g.halve_z4s() if q in (m - 1, m) else g
+        for (p, q), g in e2.items()
+    }
+    groups: dict[int, AbGroup2] = {t: e3.get((t, 0), ZERO) for t in range(m)}
+    groups[m] = Z + e3.get((m, 0), ZERO)  # fibre class at (0, m) plus the base
     for ell in range(1, m):
         t = 2 * m - ell
         # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
-        src_mid = e3.entry(m - ell, m - 1)
-        src_top = e3.entry(m - ell - 1, m)
+        src_mid = e3.get((m - ell, m - 1), ZERO)
+        src_top = e3.get((m - ell - 1, m), ZERO)
         report.add_bool(
             suite, "sources elementary after halving",
             src_mid.z4_count == 0 and src_top.z4_count == 0,
@@ -235,11 +233,11 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
         )
         coker = _odd_closed_form(ell)
         _check_cokernel(
-            report, suite, m, ell, e3.entry(t, 0), _image_log2(src_mid, src_top),
+            report, suite, m, ell, e3.get((t, 0), ZERO), _image_log2(src_mid, src_top),
             coker, ranks,
         )
         groups[t] = coker
-    abutment = GradedGroups.from_dict(s.support_bound, groups)
+    abutment = GradedGroups(s.support_bound, groups)
     _compare_abutment(report, suite, s, abutment, torsion_only=True)
     return abutment, report
 
@@ -254,14 +252,14 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
     e2 = build_e2(GroupId.Z2xZ2, m)
     report = VerificationReport()
     suite = "clss-odd-Z2xZ2"
-    groups: dict[int, AbGroup2] = {t: e2.entry(t, 0) for t in range(m)}
-    groups[m] = Z + e2.entry(m, 0)
+    groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m)}
+    groups[m] = Z + e2.get((m, 0), ZERO)
     for ell in range(1, m):
         t = 2 * m - ell
         # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
-        src_mid = e2.entry(m - ell, m - 1)
-        src_top = e2.entry(m - ell - 1, m)
-        target = e2.entry(t, 0)
+        src_mid = e2.get((m - ell, m - 1), ZERO)
+        src_top = e2.get((m - ell - 1, m), ZERO)
+        target = e2.get((t, 0), ZERO)
         if target.z4_count or src_mid.z4_count or src_top.z4_count:
             raise InconsistentOrdersError("unexpected Z/4 in the ordered case")
         coker_log2 = target.torsion_order_log2 - _image_log2(src_mid, src_top)
@@ -270,7 +268,7 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
                 f"sources larger than target in degree {t}"
             )
         groups[t] = AbGroup2.elementary(coker_log2)
-    abutment = GradedGroups.from_dict(s.support_bound, groups)
+    abutment = GradedGroups(s.support_bound, groups)
     _compare_abutment(report, suite, s, abutment)
     return abutment, report
 
@@ -289,26 +287,19 @@ def run_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
 _WINDOW = 13  # filtration window wide enough to exhibit the periodic pattern
 
 
-def _line_groups(chart: Chart, q: int) -> dict[int, AbGroup2]:
-    return {p: chart.entry(p, q) for p in range(_WINDOW + 1)}
-
-
-def _torsion_bits_on_diagonal(lines: dict[int, dict[int, AbGroup2]], t: int) -> tuple[int, int]:
+def _torsion_bits_on_diagonal(page: Page, t: int) -> tuple[int, int]:
     """(total torsion bits, torsion bits off the base line) on p + q = t."""
     total = off_base = 0
-    for q, row in lines.items():
-        p = t - q
-        if p < 0 or p > _WINDOW:
-            continue
-        bits = row.get(p, ZERO).torsion_order_log2
-        total += bits
-        if q > 0:
-            off_base += bits
+    for (p, q), g in page.items():
+        if p + q == t:
+            total += g.torsion_order_log2
+            if q > 0:
+                off_base += g.torsion_order_log2
     return total, off_base
 
 
 def m3_scenarios() -> VerificationReport:
-    """Replay both admissible evolutions of the m = 3 chart.
+    """Replay both admissible evolutions of the m = 3 page.
 
     The page-2 differential out of the integral fibre class is either zero
     (option A) or twice the canonical projection onto the Z/4 above the
@@ -322,22 +313,10 @@ def m3_scenarios() -> VerificationReport:
     e2 = build_e2(GroupId.D8, 3, p_max=_WINDOW)
     table = cohomology_table(s)
 
-    for option in ("A", "B"):
+    for option, run in (("A", _run_m3_option_a), ("B", _run_m3_option_b)):
         suite = f"clss-m3-{option}"
-        base = _line_groups(e2, 0)
-        q2 = _line_groups(e2, 2)
-        q3 = _line_groups(e2, 3)
-        q5 = _line_groups(e2, 5)
-        if option == "B":
-            # Page 2 acts as in the 1 mod 4 case: both middle lines halve.
-            q2 = {p: g.halve_z4s() for p, g in q2.items()}
-            q3 = {p: g.halve_z4s() if p else g for p, g in q3.items()}
-
         try:
-            if option == "A":
-                survivors = _run_m3_option_a(base, q2, q3, q5, report, suite)
-            else:
-                survivors = _run_m3_option_b(base, q2, q3, q5, report, suite)
+            survivors = run(e2, report, suite)
         except (ValueError, InconsistentOrdersError) as exc:
             report.add_bool(suite, f"evolution bookkeeping: {exc}", False, m=3)
             continue
@@ -363,126 +342,98 @@ def m3_scenarios() -> VerificationReport:
     return report
 
 
-def _run_m3_option_a(
-    base: dict[int, AbGroup2],
-    q2: dict[int, AbGroup2],
-    q3: dict[int, AbGroup2],
-    q5: dict[int, AbGroup2],
-    report: VerificationReport,
-    suite: str,
-) -> dict[tuple[int, int], AbGroup2]:
+def _run_m3_option_a(page: Page, report: VerificationReport, suite: str) -> Page:
     """Option A: trivial page-2 differential.  One page-3 round maps the
     twisted lines into the integral lines (injective after tensoring with
     Z/2, kernel exactly the doubled Z/4 part), then a page-4 round of
     isomorphisms clears everything except the known survivors."""
     # Page 3: (p, 2) -> (p+3, 0) and (p, 5) -> (p+3, 3), vertically in step.
-    new_base, new_q3 = dict(base), dict(q3)
-    new_q2 = {p: AbGroup2.elementary(g.z4_count) for p, g in q2.items()}
-    new_q5 = {p: AbGroup2.elementary(g.z4_count) for p, g in q5.items()}
+    new = {
+        (p, q): AbGroup2.elementary(g.z4_count) if q in (2, 5) else g
+        for (p, q), g in page.items()
+    }
     for p in range(_WINDOW + 1):
-        for src_row, dst in ((q2, new_base), (q5, new_q3)):
-            src = src_row.get(p, ZERO)
+        for q in (2, 5):
+            src = page.get((p, q), ZERO)
             if src.is_trivial or p + 3 > _WINDOW:
                 continue
-            image_rank = src.stats().two_rank_tensor
-            target = dst[p + 3]
-            coker = target.without_elementary(image_rank)
+            target = new.get((p + 3, q - 2), ZERO)
+            coker = target.without_elementary(src.two_rank_tensor)
             if coker.z4_count != target.z4_count:
                 raise InconsistentOrdersError("page-3 image hit a Z/4 twice")
-            dst[p + 3] = coker
+            new[p + 3, q - 2] = coker
     # Page 4: (p, 3) -> (p+4, 0) for p >= 2 and (p, 5) -> (p+4, 2) must be
     # isomorphisms; the integral class at (0, 3) maps with image of order 4.
+    # Sources whose target lies beyond the window are just cleared.
     for p in range(2, _WINDOW + 1):
-        if p + 4 > _WINDOW:
-            new_q3[p] = ZERO  # cleared beyond the window
-            continue
-        report.add(
-            suite,
-            "page-4 isomorphism",
-            new_base[p + 4],
-            new_q3[p],
-            m=3,
-            degree=p + 3,
-        )
-        new_base[p + 4] = ZERO
-        new_q3[p] = ZERO
-    for p in range(_WINDOW + 1):
-        if new_q5.get(p, ZERO).is_trivial:
-            continue
+        src = new.pop((p, 3), ZERO)
         if p + 4 <= _WINDOW:
             report.add(
-                suite, "page-4 isomorphism (upper)", new_q2[p + 4], new_q5[p],
+                suite, "page-4 isomorphism", new.pop((p + 4, 0), ZERO), src,
+                m=3, degree=p + 3,
+            )
+    for p in range(_WINDOW + 1):
+        src = new.pop((p, 5), ZERO)
+        if not src.is_trivial and p + 4 <= _WINDOW:
+            report.add(
+                suite, "page-4 isomorphism (upper)", new.pop((p + 4, 2), ZERO), src,
                 m=3, degree=p + 5,
             )
-            new_q2[p + 4] = ZERO
-        new_q5[p] = ZERO
     # d4: (0, 3) -> (4, 0) out of the fibre class, image a Z/4.
-    target = new_base[4]
+    target = new.get((4, 0), ZERO)
     report.add_bool(
         suite, "page-4 image of the fibre class is a Z/4",
         target.z4_count >= 1, m=3, degree=4,
     )
-    new_base[4] = target.without_cyclic(2)
+    new[4, 0] = target.without_cyclic(2)
     report.add(
         suite, "degree-4 extension", 2,
-        new_base[4].torsion_order_log2 + new_q2[2].torsion_order_log2,
+        new[4, 0].torsion_order_log2 + new.get((2, 2), ZERO).torsion_order_log2,
         m=3, degree=4,
     )
-    survivors: dict[tuple[int, int], AbGroup2] = {(0, 3): Z}
-    for p, g in new_base.items():
-        if not g.is_trivial:
-            survivors[(p, 0)] = g
-    for p, g in new_q2.items():
-        if not g.is_trivial:
-            survivors[(p, 2)] = g
-    for p, g in new_q3.items():
-        if not g.is_trivial and p != 0:
-            survivors[(p, 3)] = g
-    for p, g in new_q5.items():
-        if not g.is_trivial:
-            survivors[(p, 5)] = g
-    return survivors
+    return new
 
 
-def _run_m3_option_b(
-    base: dict[int, AbGroup2],
-    q2: dict[int, AbGroup2],
-    q3: dict[int, AbGroup2],
-    q5: dict[int, AbGroup2],
-    report: VerificationReport,
-    suite: str,
-) -> dict[tuple[int, int], AbGroup2]:
-    """Option B: the page-2 differential halves the middle lines (done by
-    the caller).  The low total degrees are then forced one differential at
-    a time; above total degree 5 the elements pair off exactly, which is
-    checked by a torsion-order balance along the diagonals."""
-    new_base = dict(base)
+def _run_m3_option_b(page: Page, report: VerificationReport, suite: str) -> Page:
+    """Option B: the page-2 differential halves the middle lines.  The low
+    total degrees are then forced one differential at a time; above total
+    degree 5 the elements pair off exactly, which is checked by a
+    torsion-order balance along the diagonals."""
+    # Page 2 acts as in the 1 mod 4 case: both middle lines halve.
+    page = {
+        (p, q): g.halve_z4s() if q in (2, 3) else g for (p, q), g in page.items()
+    }
+    new = dict(page)
     # (1,2) -> (4,0) and (2,2) -> (5,0), injectively.
-    new_base[4] = new_base[4].without_elementary(q2[1].stats().two_rank_tensor)
-    new_base[5] = new_base[5].without_elementary(q2[2].stats().two_rank_tensor)
+    for p in (1, 2):
+        new[p + 3, 0] = page.get((p + 3, 0), ZERO).without_elementary(
+            page.get((p, 2), ZERO).two_rank_tensor
+        )
     # (3,2) and (2,3) together exactly clear (6,0).
+    away = (
+        page.get((3, 2), ZERO).torsion_order_log2
+        + page.get((2, 3), ZERO).torsion_order_log2
+    )
     report.add(
         suite,
         "total degree 6 pairing",
-        base[6].torsion_order_log2,
-        q2[3].torsion_order_log2 + q3[2].torsion_order_log2,
+        page.get((6, 0), ZERO).torsion_order_log2,
+        away,
         m=3,
         degree=6,
     )
     # The undecided page-4 differential out of the integral fibre class:
     # its image has order 2, leaving a genuine Z/4 on the base.
     # d4: (0, 3) -> (4, 0) out of the fibre class, kernel 2Z.
-    new_base[4] = new_base[4].without_elementary(1)
+    new[4, 0] = new[4, 0].without_elementary(1)
     report.add(
         suite, "degree-4 cokernel of the fibre differential",
-        AbGroup2.cyclic(2), new_base[4], m=3, degree=4,
+        AbGroup2.cyclic(2), new[4, 0], m=3, degree=4,
     )
     # Diagonal balance above total degree 5: sources on each diagonal must
     # exactly absorb what the previous diagonal left over.
-    lines = {0: base, 2: q2, 3: q3, 5: q5}
-    away = q2[3].torsion_order_log2 + q3[2].torsion_order_log2
     for t in range(6, 11):
-        total, off_base = _torsion_bits_on_diagonal(lines, t)
+        total, off_base = _torsion_bits_on_diagonal(page, t)
         need = total - away
         report.add_bool(
             suite,
@@ -494,18 +445,12 @@ def _run_m3_option_b(
             got=need,
         )
         away = need
-    return {
-        (0, 0): Z,
-        (2, 0): new_base[2],
-        (3, 0): new_base[3],
-        (4, 0): new_base[4],
-        (5, 0): new_base[5],
-        (0, 3): Z,
-    }
+    # The base line up to degree 5 and the fibre class at (0, 3) survive.
+    return {(p, q): g for (p, q), g in new.items() if q == 0 and p <= 5} | {(0, 3): Z}
 
 
 def fragment_check_3mod4(a: int) -> VerificationReport:
-    """Low-degree fragment of the unordered chart for m = 4a + 3.
+    """Low-degree fragment of the unordered page for m = 4a + 3.
 
     Checks the three distinguished base entries, the forced injection on
     page m with cokernel {2a+1}, the 2-rank accounting that forces both
@@ -517,9 +462,9 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     report = VerificationReport()
     suite = "clss-3mod4-fragment"
     e2 = build_e2(GroupId.D8, m)
-    star = e2.entry(m - 1, 0)
-    bullet = e2.entry(m, 0)
-    box = e2.entry(m + 1, 0)
+    star = e2.get((m - 1, 0), ZERO)
+    bullet = e2.get((m, 0), ZERO)
+    box = e2.get((m + 1, 0), ZERO)
     report.add(suite, "base at m-1", AbGroup2.elementary(2 * a + 2), star, m=m, degree=m - 1)
     report.add(suite, "base at m", AbGroup2.elementary(2 * a + 1), bullet, m=m, degree=m)
     report.add(
@@ -527,7 +472,7 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     )
     report.add(
         suite, "twisted entries", (AbGroup2.elementary(1), AbGroup2.cyclic(2)),
-        (e2.entry(1, m - 1), e2.entry(2, m - 1)), m=m,
+        (e2.get((1, m - 1), ZERO), e2.get((2, m - 1), ZERO)), m=m,
     )
     # Torsion of H^(m+1) has 2-rank 2a+1, two less than the box: both the
     # page-m and the page-(m+1) differential must be nonzero.
@@ -542,8 +487,8 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     report.add(
         suite,
         "each differential drops the 2-rank by one",
-        (box.stats().mult2_kernel_rank - 1, box.stats().mult2_kernel_rank - 2),
-        (dm_coker.stats().mult2_kernel_rank, target_rank),
+        (box.mult2_kernel_rank - 1, box.mult2_kernel_rank - 2),
+        (dm_coker.mult2_kernel_rank, target_rank),
         m=m,
         degree=m + 1,
     )

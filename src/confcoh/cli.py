@@ -40,11 +40,11 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
     if coefficients == "Z":
         return configcoh.cohomology_table(s)
     if coefficients == "twisted":
-        return GradedGroups.from_dict(
+        return GradedGroups(
             s.support_bound,
             {j: configcoh.twisted_cohomology(s, j) for j in range(s.support_bound + 1)},
         )
-    return GradedGroups.from_dict(
+    return GradedGroups(
         s.support_bound,
         {
             i: AbGroup2.elementary(configcoh.mod2_dimension(s, i))

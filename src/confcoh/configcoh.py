@@ -159,7 +159,7 @@ def cohomology(s: SpaceId, i: int) -> AbGroup2:
 
 
 def cohomology_table(s: SpaceId) -> GradedGroups:
-    return GradedGroups.from_dict(
+    return GradedGroups(
         s.support_bound,
         {i: cohomology(s, i) for i in range(s.support_bound + 1)},
     )
@@ -317,8 +317,8 @@ def global_checks(s: SpaceId) -> VerificationReport:
     )
     for i in range(2 * m + 2):
         lhs = (
-            cohomology(s, i).stats().two_rank_tensor
-            + cohomology(s, i + 1).stats().mult2_kernel_rank
+            cohomology(s, i).two_rank_tensor
+            + cohomology(s, i + 1).mult2_kernel_rank
         )
         report.add(
             "global", "mod-2 UCT", mod2_dimension(s, i), lhs, m=m, degree=i

@@ -413,21 +413,6 @@ def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra:
 # ---------------------------------------------------------------------------
 
 
-def _restrict_matrix(
-    cols: list[int], src_positions: list[int], dst_positions: list[int]
-) -> list[int]:
-    dst_map = {p: i for i, p in enumerate(dst_positions)}
-    out = []
-    for pos in src_positions:
-        new = 0
-        for i in _set_bits(cols[pos]):
-            if i not in dst_map:
-                raise AssertionError("Sq1 does not preserve the splitting")
-            new ^= 1 << dst_map[i]
-        out.append(new)
-    return out
-
-
 def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
     """Sq1-homology ranks at degree d of the two summands R and x*R of the
     unordered configuration ring, for m = 4a + 3.
@@ -439,26 +424,32 @@ def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
         raise NotApplicableError("splitting is used for m = 3 mod 4 only")
     ring = config_mod2_ring("B", m)
 
-    def positions(degree: int, want_x: int) -> list[int]:
-        basis = ring.degree_basis(degree).basis_monomials
-        for mono in basis:
+    def mask(degree: int, want_x: int) -> int:
+        """Bit mask of the basis positions in degree whose x-exponent is want_x."""
+        bits = 0
+        for i, mono in enumerate(ring.degree_basis(degree).basis_monomials):
             if mono[0] > 1:
                 raise AssertionError("basis monomial with x-exponent above 1")
-        return [i for i, mono in enumerate(basis) if mono[0] == want_x]
+            if mono[0] == want_x:
+                bits |= 1 << i
+        return bits
+
+    def summand_rank(degree: int, src: int, dst: int) -> int:
+        """Rank of Sq1 out of degree on the src positions, which must land
+        in the dst positions; the rank ignores how the bits are numbered."""
+        cols = [c for i, c in enumerate(ring.sq1_matrix(degree)) if src >> i & 1]
+        if any(c & ~dst for c in cols):
+            raise AssertionError("Sq1 does not preserve the splitting")
+        return f2_rank(cols)
 
     ranks = []
     for want_x in (0, 1):
-        here = positions(d, want_x)
-        above = positions(d + 1, want_x)
-        rank_out = (
-            f2_rank(_restrict_matrix(ring.sq1_matrix(d), here, above)) if here else 0
-        )
+        here, above = mask(d, want_x), mask(d + 1, want_x)
+        rank_out = summand_rank(d, here, above) if here else 0
         rank_in = 0
         if d >= 1:
-            below = positions(d - 1, want_x)
+            below = mask(d - 1, want_x)
             if below:
-                rank_in = f2_rank(
-                    _restrict_matrix(ring.sq1_matrix(d - 1), below, here)
-                )
-        ranks.append(len(here) - rank_out - rank_in)
+                rank_in = summand_rank(d - 1, below, here)
+        ranks.append(here.bit_count() - rank_out - rank_in)
     return ranks[0], ranks[1]

@@ -84,10 +84,8 @@ def uct_mod2_check(g: GroupId, i_max: int) -> VerificationReport:
     report = VerificationReport()
     for i in range(i_max + 1):
         lhs = (
-            classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i).stats().two_rank_tensor
-            + classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i + 1)
-            .stats()
-            .mult2_kernel_rank
+            classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i).two_rank_tensor
+            + classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i + 1).mult2_kernel_rank
         )
         dim = len(classifying_cohomology(g, CoeffId.MOD_TWO, i).torsion_exponents)
         report.add(f"uct-mod2-{g.value}", "tensor+tor vs mod-2 dim", dim, lhs, degree=i)

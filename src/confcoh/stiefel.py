@@ -18,7 +18,6 @@ from .abelian import (
     ZERO,
     group_from_presentation,
 )
-from .chart import Chart, ChartLine
 from .groupcoh import GroupId
 
 
@@ -69,33 +68,31 @@ def d8_action_sign(n: int, q: int) -> ActionSign:
     return ActionSign.PLUS
 
 
-def sphere_bundle_sss_e2(n: int) -> tuple[Chart, int]:
-    """Two-row page for the unit tangent bundle of the (n-1)-sphere.
+def sphere_bundle_sss_e2(n: int) -> tuple[dict[tuple[int, int], AbGroup2], int]:
+    """Two-row page for the unit tangent bundle of the (n-1)-sphere, as a
+    dict from (p, q) to its entries.
 
     Four Z entries; the only candidate differential is multiplication by
     the Euler characteristic of the base sphere (0 for even n, 2 for odd).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    base = ChartLine.from_dict("Z", {0: Z, n - 1: Z})
-    fiber = ChartLine.from_dict("Z", {0: Z, n - 1: Z})
-    chart = Chart.from_dict(2, {0: base, n - 2: fiber})
+    page = {(p, q): Z for q in (0, n - 2) for p in (0, n - 1)}
     coefficient = 0 if n % 2 == 0 else 2
-    return chart, coefficient
+    return page, coefficient
 
 
 def sphere_bundle_abutment(n: int) -> GradedGroups:
     """Total cohomology the two-row page converges to."""
-    chart, coefficient = sphere_bundle_sss_e2(n)
+    page, coefficient = sphere_bundle_sss_e2(n)
     groups: dict[int, AbGroup2] = {}
-    for q, line in chart.lines.items():
-        for p, g in line.entries.items():
-            if coefficient and (p, q) == (0, n - 2):
-                continue  # injects into the base row
-            if coefficient and (p, q) == (n - 1, 0):
-                g = AbGroup2.elementary(1)  # cokernel of multiplication by 2
-            groups[p + q] = groups.get(p + q, ZERO) + g
-    return GradedGroups.from_dict(2 * n - 3, groups)
+    for (p, q), g in page.items():
+        if coefficient and (p, q) == (0, n - 2):
+            continue  # injects into the base row
+        if coefficient and (p, q) == (n - 1, 0):
+            g = AbGroup2.elementary(1)  # cokernel of multiplication by 2
+        groups[p + q] = groups.get(p + q, ZERO) + g
+    return GradedGroups(2 * n - 3, groups)
 
 
 def quotient_orientable(n: int, subgroup: Subgroup) -> bool:
@@ -187,4 +184,4 @@ def oriented_grassmannian_groups(n: int) -> GradedGroups:
             groups[d] = group_from_presentation(mat)
         else:
             groups[d] = AbGroup2(free_rank=len(monos))
-    return GradedGroups.from_dict(top, groups)
+    return GradedGroups(top, groups)

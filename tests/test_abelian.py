@@ -151,10 +151,14 @@ def test_canonical_equality():
     assert AbGroup2(0, (1, 2)) != AbGroup2(0, (1, 1))
 
 
+def stats(g):
+    return g.two_rank_tensor, g.mult2_kernel_rank, g.torsion_order_log2, g.z4_count
+
+
 def test_stats_examples():
-    assert brace(2).stats() == (3, 3, 4, 1)
-    assert (Z + elem(2)).stats() == (3, 2, 2, 0)
-    assert brace(4).stats() == (5, 5, 6, 1)
+    assert stats(brace(2)) == (3, 3, 4, 1)
+    assert stats(Z + elem(2)) == (3, 2, 2, 0)
+    assert stats(brace(4)) == (5, 5, 6, 1)
 
 
 def test_shorthand_round_trip():
@@ -185,7 +189,7 @@ def test_json_rejects_non_two_primary():
 
 
 def _table(support, groups):
-    return GradedGroups.from_dict(support, groups)
+    return GradedGroups(support, groups)
 
 
 def test_uct_homology_unordered_p4():

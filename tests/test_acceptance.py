@@ -84,8 +84,8 @@ def test_criterion_03_uct_mod2_consistency():
             s = SpaceId(kind, m)
             for i in range(2 * m + 3):
                 lhs = (
-                    cohomology(s, i).stats().two_rank_tensor
-                    + cohomology(s, i + 1).stats().mult2_kernel_rank
+                    cohomology(s, i).two_rank_tensor
+                    + cohomology(s, i + 1).mult2_kernel_rank
                 )
                 assert lhs == mod2_dimension(s, i), (kind, m, i)
     _announce(3, "mod-2 universal-coefficient count holds degreewise, m <= 12")
@@ -109,7 +109,7 @@ def test_criterion_05_rank_recursions():
             s = SpaceId(kind, m)
             seq = rank_recursion(s)
             for i, r in seq.ranks.items():
-                assert r == cohomology(s, i).stats().mult2_kernel_rank, (s, i)
+                assert r == cohomology(s, i).mult2_kernel_rank, (s, i)
                 want = closed_form_rank(s, i)
                 if want is not None:
                     assert r == want, (s, i)

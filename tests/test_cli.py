@@ -184,6 +184,13 @@ def test_uct_suite_skips_m_below_two():
     assert len(report.checks) == len(suites.run_suites(["uct"], range(2, 4)).checks)
 
 
+def test_sq1_suite_skips_m_below_two():
+    # -1 is 3 mod 4 in Python; the split check must not run for it.
+    report = suites.run_suites(["sq1"], range(-1, 3))
+    assert report.passed
+    assert len(report.checks) == 2
+
+
 def test_verify_top_of_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--m-range", "32")
     assert code == 0

@@ -50,16 +50,16 @@ def test_uct_mod2_consistency_through_degree_40():
 
 def test_uct_examples():
     # degree-4 check for the dihedral group: 3 + 2 = 5 = 4 + 1
-    h4 = g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 4).stats().two_rank_tensor
-    h5 = g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 5).stats().mult2_kernel_rank
+    h4 = g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 4).two_rank_tensor
+    h5 = g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 5).mult2_kernel_rank
     assert (h4, h5) == (3, 2) and h4 + h5 == 5
     # degree-3 check for the elementary group: 1 + 3 = 4
-    h3 = g(GroupId.Z2xZ2, CoeffId.INTEGER_TRIVIAL, 3).stats().two_rank_tensor
-    h4 = g(GroupId.Z2xZ2, CoeffId.INTEGER_TRIVIAL, 4).stats().mult2_kernel_rank
+    h3 = g(GroupId.Z2xZ2, CoeffId.INTEGER_TRIVIAL, 3).two_rank_tensor
+    h4 = g(GroupId.Z2xZ2, CoeffId.INTEGER_TRIVIAL, 4).mult2_kernel_rank
     assert (h3, h4) == (1, 3) and h3 + h4 == 4
     # degree-0 check: 1 + 0 = 1
-    assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 0).stats().two_rank_tensor == 1
-    assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 1).stats().mult2_kernel_rank == 0
+    assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 0).two_rank_tensor == 1
+    assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 1).mult2_kernel_rank == 0
 
 
 def test_dihedral_periodicity():

@@ -38,12 +38,12 @@ def test_action_sign_trivial_on_order_two_groups():
 
 
 def test_sphere_bundle_page():
-    chart, coeff = sphere_bundle_sss_e2(4)
+    page, coeff = sphere_bundle_sss_e2(4)
     assert coeff == 0
-    assert chart.entry(0, 0) == Z and chart.entry(3, 2) == Z
-    chart, coeff = sphere_bundle_sss_e2(5)
+    assert page[0, 0] == Z and page[3, 2] == Z
+    page, coeff = sphere_bundle_sss_e2(5)
     assert coeff == 2
-    assert sorted(chart.line_degrees()) == [0, 3]
+    assert sorted({q for _, q in page}) == [0, 3]
 
 
 @pytest.mark.parametrize("n", range(3, 21))

@@ -190,10 +190,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        i, j = idx
-        return self.entries[i * self.cols + j]
-
 
 def smith_normal_form(mat: IntMatrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of mat, plus the rank r.

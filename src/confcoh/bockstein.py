@@ -14,8 +14,6 @@ Three independent consistency layers on top of the closed forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import AbGroup2
 from .configcoh import SpaceId, cohomology, mod2_dimension
 from .f2algebra import config_mod2_ring, split_sq1_homology
@@ -26,17 +24,6 @@ class InconsistentRecursionError(ValueError):
     """The downward rank solve produced a negative rank."""
 
 
-@dataclass(frozen=True)
-class RankSequence:
-    """2-rank of the torsion of H^i for 2 <= i <= 2m-1."""
-
-    space: SpaceId
-    ranks: dict[int, int]  # degree -> rank, ascending degree
-
-    def rank(self, i: int) -> int:
-        return self.ranks[i]
-
-
 def _free_rank(s: SpaceId, i: int) -> int:
     if i == 0:
         return 1
@@ -45,8 +32,10 @@ def _free_rank(s: SpaceId, i: int) -> int:
     return 1 if i == s.m else 0
 
 
-def rank_recursion(s: SpaceId) -> RankSequence:
-    """Solve coker(2_i) + ker(2_(i+1)) = mod-2 Betti number downwards.
+def rank_recursion(s: SpaceId) -> dict[int, int]:
+    """2-rank of the torsion of H^i for 2 <= i <= 2m-1, ascending in i.
+
+    Solves coker(2_i) + ker(2_(i+1)) = mod-2 Betti number downwards.
 
     Grounded at the top: multiplication by 2 on H^(2m-1) has trivial kernel
     when the space is orientable (even m, H^(2m-1) = Z) and kernel of rank
@@ -62,7 +51,7 @@ def rank_recursion(s: SpaceId) -> RankSequence:
         if r < 0:
             raise InconsistentRecursionError(f"negative rank at degree {i}")
         ranks[i] = r
-    return RankSequence(s, dict(sorted(ranks.items())))
+    return dict(sorted(ranks.items()))
 
 
 def closed_form_rank(s: SpaceId, i: int) -> int | None:
@@ -109,8 +98,7 @@ def page1_compare(s: SpaceId) -> VerificationReport:
 def rank_profile_check(s: SpaceId) -> VerificationReport:
     """rank_recursion against both the closed forms and the tables."""
     report = VerificationReport()
-    seq = rank_recursion(s)
-    for i, r in seq.ranks.items():
+    for i, r in rank_recursion(s).items():
         report.add(
             "bockstein-ranks",
             "recursion vs table",

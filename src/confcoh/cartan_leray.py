@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .abelian import AbGroup2, GradedGroups, Z, ZERO
 from .configcoh import SpaceId, cohomology, cohomology_table
-from .bockstein import RankSequence, rank_recursion
+from .bockstein import rank_recursion
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
 
@@ -37,10 +37,6 @@ class RangeError(ValueError):
 
 class InconsistentOrdersError(ValueError):
     """Order bookkeeping of a differential round failed."""
-
-
-def _bg(g: GroupId, c: CoeffId, i: int) -> AbGroup2:
-    return classifying_cohomology(g, c, i)
 
 
 def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Page:
@@ -71,7 +67,7 @@ def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Page:
         (p, q): entry
         for q, c in lines.items()
         for p in range(p_max + 1)
-        if not (entry := _bg(g, c, p)).is_trivial
+        if not (entry := classifying_cohomology(g, c, p)).is_trivial
     }
 
 
@@ -91,7 +87,7 @@ def even_cokernel(m: int, ell: int) -> AbGroup2:
         coker = AbGroup2.elementary(ell // 2 + 1)
     else:
         coker = AbGroup2.elementary((ell - 1) // 2)
-    target = _bg(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 2 * m - ell)
+    target = classifying_cohomology(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 2 * m - ell)
     if target.torsion_order_log2 != (m - ell) + coker.torsion_order_log2:
         raise InconsistentOrdersError(
             f"order mismatch for (m, ell) = ({m}, {ell})"
@@ -140,7 +136,7 @@ def _check_cokernel(
     target: AbGroup2,
     image_log2: int,
     coker: AbGroup2,
-    ranks: RankSequence,
+    ranks: dict[int, int],
 ) -> None:
     """Bookkeeping of one injection round into the base entry at 2m - ell:
     orders balance, Z/4 counts pass to the cokernel, and the cokernel's
@@ -154,7 +150,7 @@ def _check_cokernel(
     report.add(suite, "Z4 preserved", target.z4_count, coker.z4_count, m=m, degree=t)
     if ell >= 2:
         report.add(
-            suite, "cokernel 2-rank vs rank recursion", ranks.rank(t),
+            suite, "cokernel 2-rank vs rank recursion", ranks[t],
             coker.mult2_kernel_rank, m=m, degree=t,
         )
 
@@ -476,7 +472,7 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     )
     # Torsion of H^(m+1) has 2-rank 2a+1, two less than the box: both the
     # page-m and the page-(m+1) differential must be nonzero.
-    target_rank = rank_recursion(s).rank(m + 1)
+    target_rank = rank_recursion(s)[m + 1]
     report.add(suite, "2-rank of H^(m+1)", 2 * a + 1, target_rank, m=m, degree=m + 1)
     # d_m: (1, m - 1) -> (m + 1, 0) injects <1>.
     dm_coker = box.without_elementary(1)

@@ -52,14 +52,6 @@ class SpaceId:
         return f"{self.kind}(P^{self.m},2)"
 
 
-def ordered(m: int) -> SpaceId:
-    return SpaceId("F", m)
-
-
-def unordered(m: int) -> SpaceId:
-    return SpaceId("B", m)
-
-
 # ---------------------------------------------------------------------------
 # The integral tables
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ R / x*R splitting below relies on.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 Monomial = tuple[int, ...]
@@ -105,18 +104,6 @@ def f2_rank(columns: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeBasis:
-    """Ordered monomial basis of one graded piece of the quotient."""
-
-    degree: int
-    basis_monomials: tuple[Monomial, ...]
-    index: dict  # Monomial -> position in basis_monomials
-
-    def __len__(self) -> int:
-        return len(self.basis_monomials)
-
-
 class PresentedF2Algebra:
     def __init__(
         self,
@@ -146,7 +133,7 @@ class PresentedF2Algebra:
         self._pending: dict[int, list[Poly]] = {}  # degree -> polys to reduce
         for r in self.relations:
             self._pending.setdefault(self.monomial_degree(min(r)), []).append(r)
-        self._basis_cache: dict[int, DegreeBasis] = {}
+        self._basis_cache: dict[int, dict[Monomial, int]] = {}
         self._sq1_matrix_cache: dict[int, list[int]] = {}
 
     # -- monomial bookkeeping ---------------------------------------------
@@ -208,14 +195,15 @@ class PresentedF2Algebra:
     def quotient_dimension(self, d: int) -> int:
         return len(self.degree_basis(d))
 
-    def degree_basis(self, d: int) -> DegreeBasis:
-        """Standard monomials of degree d (divisible by no lead), descending.
+    def degree_basis(self, d: int) -> dict[Monomial, int]:
+        """Standard monomials of degree d (divisible by no lead), descending,
+        each mapped to its position in that order.
 
         Standard monomials are closed under division, so each one is a
         generator times a standard monomial of lower degree.
         """
         if d < 0:
-            return DegreeBasis(d, (), {})
+            return {}
         cache = self._basis_cache
         if d not in cache:
             self._extend(d)
@@ -225,7 +213,7 @@ class PresentedF2Algebra:
                     u[:i] + (u[i] + 1,) + u[i + 1 :]
                     for i, g in enumerate(self.degrees)
                     if g <= e
-                    for u in cache[e - g].basis_monomials
+                    for u in cache[e - g]
                 }
                 if e == 0:
                     candidates = {(0,) * len(self.degrees)}
@@ -233,12 +221,12 @@ class PresentedF2Algebra:
                     (v for v in candidates if not any(_divides(a, v) for a in leads)),
                     reverse=True,
                 )
-                cache[e] = DegreeBasis(e, tuple(basis), {m: i for i, m in enumerate(basis)})
+                cache[e] = {m: i for i, m in enumerate(basis)}
         return cache[d]
 
     def coords(self, poly, d: int) -> int:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits."""
-        index = self.degree_basis(d).index
+        index = self.degree_basis(d)
         return sum(1 << index[mono] for mono in self._normal_form(poly))
 
     # -- Sq1 -----------------------------------------------------------------
@@ -289,23 +277,34 @@ class PresentedF2Algebra:
         if d in self._sq1_matrix_cache:
             return self._sq1_matrix_cache[d]
         self.check_sq1_well_defined(d + 1)
-        cols = [
-            self.coords(self.sq1_free(mono), d + 1)
-            for mono in self.degree_basis(d).basis_monomials
-        ]
+        basis = self.degree_basis(d)
+        cols = [self.coords(self.sq1_free(mono), d + 1) for mono in basis]
         self._sq1_matrix_cache[d] = cols
         return cols
 
     def sq1_homology_rank(self, d: int) -> int:
         """dim ker(Sq1 at d) - rank(Sq1 at d-1)."""
-        if d < 0:
-            return 0
-        dim_d = self.quotient_dimension(d)
-        rank_out = f2_rank(self.sq1_matrix(d)) if dim_d else 0
-        rank_in = 0
-        if d >= 1 and self.quotient_dimension(d - 1):
-            rank_in = f2_rank(self.sq1_matrix(d - 1))
-        return dim_d - rank_out - rank_in
+        return self._summand_sq1_homology_rank(
+            d, lambda e: (1 << self.quotient_dimension(e)) - 1
+        )
+
+    def _summand_sq1_homology_rank(self, d: int, mask: Callable[[int], int]) -> int:
+        """Sq1-homology rank at degree d of a summand that Sq1 maps to itself;
+        its basis positions in degree e are the set bits of mask(e)."""
+
+        def rank_out(e: int, src: int) -> int:
+            """Rank of Sq1 out of degree e on the src positions; the rank
+            ignores how the bits are numbered."""
+            if not src:
+                return 0
+            cols = [c for i, c in enumerate(self.sq1_matrix(e)) if src >> i & 1]
+            dst = mask(e + 1)
+            if any(c & ~dst for c in cols):
+                raise AssertionError("Sq1 does not preserve the splitting")
+            return f2_rank(cols)
+
+        here = mask(d)
+        return here.bit_count() - rank_out(d, here) - rank_out(d - 1, mask(d - 1))
 
     def sq1_square_is_zero(self, d: int) -> bool:
         """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases."""
@@ -427,29 +426,14 @@ def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
     def mask(degree: int, want_x: int) -> int:
         """Bit mask of the basis positions in degree whose x-exponent is want_x."""
         bits = 0
-        for i, mono in enumerate(ring.degree_basis(degree).basis_monomials):
+        for mono, i in ring.degree_basis(degree).items():
             if mono[0] > 1:
                 raise AssertionError("basis monomial with x-exponent above 1")
             if mono[0] == want_x:
                 bits |= 1 << i
         return bits
 
-    def summand_rank(degree: int, src: int, dst: int) -> int:
-        """Rank of Sq1 out of degree on the src positions, which must land
-        in the dst positions; the rank ignores how the bits are numbered."""
-        cols = [c for i, c in enumerate(ring.sq1_matrix(degree)) if src >> i & 1]
-        if any(c & ~dst for c in cols):
-            raise AssertionError("Sq1 does not preserve the splitting")
-        return f2_rank(cols)
-
-    ranks = []
-    for want_x in (0, 1):
-        here, above = mask(d, want_x), mask(d + 1, want_x)
-        rank_out = summand_rank(d, here, above) if here else 0
-        rank_in = 0
-        if d >= 1:
-            below = mask(d - 1, want_x)
-            if below:
-                rank_in = summand_rank(d - 1, below, here)
-        ranks.append(here.bit_count() - rank_out - rank_in)
-    return ranks[0], ranks[1]
+    return (
+        ring._summand_sq1_homology_rank(d, lambda e: mask(e, 0)),
+        ring._summand_sq1_homology_rank(d, lambda e: mask(e, 1)),
+    )

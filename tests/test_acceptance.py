@@ -108,7 +108,7 @@ def test_criterion_05_rank_recursions():
         for kind in ("B", "F"):
             s = SpaceId(kind, m)
             seq = rank_recursion(s)
-            for i, r in seq.ranks.items():
+            for i, r in seq.items():
                 assert r == cohomology(s, i).mult2_kernel_rank, (s, i)
                 want = closed_form_rank(s, i)
                 if want is not None:

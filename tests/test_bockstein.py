@@ -17,16 +17,16 @@ F = lambda m: SpaceId("F", m)
 
 
 def test_rank_recursion_examples():
-    assert rank_recursion(B(6)).rank(10) == 2  # l = 2, even m
-    assert rank_recursion(B(5)).rank(8) == 1  # l = 2, odd m
-    assert rank_recursion(B(7)).rank(8) == 3  # 2a + 1 at degree m + 1
+    assert rank_recursion(B(6))[10] == 2  # l = 2, even m
+    assert rank_recursion(B(5))[8] == 1  # l = 2, odd m
+    assert rank_recursion(B(7))[8] == 3  # 2a + 1 at degree m + 1
 
 
 def test_rank_recursion_against_closed_forms():
     for m in range(2, 13):
         for s in (B(m), F(m)):
             seq = rank_recursion(s)
-            for i, r in seq.ranks.items():
+            for i, r in seq.items():
                 known = closed_form_rank(s, i)
                 if known is not None:
                     assert r == known, (s, i)
@@ -35,7 +35,7 @@ def test_rank_recursion_against_closed_forms():
 def test_rank_recursion_against_tables():
     for m in range(2, 13):
         for s in (B(m), F(m)):
-            for i, r in rank_recursion(s).ranks.items():
+            for i, r in rank_recursion(s).items():
                 assert r == cohomology(s, i).mult2_kernel_rank, (s, i)
 
 

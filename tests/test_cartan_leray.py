@@ -176,6 +176,10 @@ def test_m3_scenarios():
         assert check.expected == "4" and check.got == "4"
     check = by_label[("clss-m3-A", "degree-4 extension", 4)]
     assert check.expected == check.got == "2"
+    # Option B halves the q = 3 line on page 2; without that the diagonal
+    # balances read 4, 8, 5, 9, 7 and still pass.
+    got = [by_label[("clss-m3-B", "diagonal balance", t)].got for t in range(6, 11)]
+    assert got == ["4", "7", "6", "8", "8"]
 
 
 def test_fragment_checks():

@@ -184,11 +184,12 @@ def test_uct_suite_skips_m_below_two():
     assert len(report.checks) == len(suites.run_suites(["uct"], range(2, 4)).checks)
 
 
-def test_sq1_suite_skips_m_below_two():
-    # -1 is 3 mod 4 in Python; the split check must not run for it.
-    report = suites.run_suites(["sq1"], range(-1, 3))
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_suite_skips_m_below_two(name):
+    # -1 is 3 mod 4 in Python; no m = 3 mod 4 check may run for it.
+    report = suites.run_suites([name], range(-1, 3))
     assert report.passed
-    assert len(report.checks) == 2
+    assert report.checks == suites.run_suites([name], range(2, 3)).checks
 
 
 def test_verify_top_of_range(capsys):

@@ -15,7 +15,7 @@ from .abelian import AbGroup2, GradedGroups
 from .configcoh import SpaceId
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..32 takes about 1.6 s and 25 MiB; groups at m = 4096 peaks at 825 MiB
+# 2..32 takes about 1.3 s and 26 MiB; groups at m = 4096 peaks at 825 MiB
 # (json, Z), and m = 100000 ran out of memory.
 MAX_VERIFY_M = 32
 MAX_GROUPS_M = 4096

@@ -1,13 +1,13 @@
 """Degreewise linear algebra for finitely presented graded F2-algebras.
 
 A presentation is a list of generators with degrees and a list of
-homogeneous relation polynomials.  Each ring grows one Groebner basis of
-its relation ideal degree by degree, on demand.  The standard monomials of
-a degree (divisible by no lead) form the quotient basis, and full
-reduction gives coordinates in it.  On top of that sits the
-degree-raising derivation Sq1 (squaring on degree-1 generators, extended
-by the Leibniz rule) and its homology, the first page of the mod-2
-Bockstein tower, with ranks from a pivot map of int bitsets.
+homogeneous relation polynomials.  Each ring grows, one degree at a time
+and on demand, the Groebner basis of its relation ideal and the quotient
+basis of that degree: its standard monomials (divisible by no lead).  Full
+reduction gives coordinates in it.  On top of that sits the degree-raising
+derivation Sq1 (squaring on degree-1 generators, extended by the Leibniz
+rule), checked well defined once per relation, and its homology, the first
+page of the mod-2 Bockstein tower, with ranks from a pivot map of bitsets.
 
 Monomials are exponent tuples, ordered by weighted degree and then
 lexicographically, so the lead of a homogeneous polynomial is its largest
@@ -116,23 +116,23 @@ class PresentedF2Algebra:
         if any(d < 1 for d in self.degrees):
             raise ValueError("generator degrees must be >= 1")
         self.relations = tuple(frozenset(r) for r in relations)
+        self._pending: dict[int, list[Poly]] = {}  # degree -> polys to reduce
+        self._sq1_unchecked: dict[Poly, int] = {}  # relation -> its degree
         for r in self.relations:
             if not r:
                 raise ValueError("zero relation")
             degs = {self.monomial_degree(m) for m in r}
             if len(degs) != 1:
                 raise ValueError(f"relation {set(r)} is not homogeneous")
+            (d,) = degs
+            self._pending.setdefault(d, []).append(r)
+            self._sq1_unchecked[r] = d
         self.sq1_on_generators = dict(sq1_on_generators or {})
         for g, poly in self.sq1_on_generators.items():
             want = self.degrees[g] + 1
             if any(self.monomial_degree(m) != want for m in poly):
                 raise ValueError("Sq1 image of a generator has the wrong degree")
-        self._sq1_checked_through = -1
         self._groebner: list[tuple[Monomial, Poly]] = []  # (lead, polynomial)
-        self._groebner_through = -1
-        self._pending: dict[int, list[Poly]] = {}  # degree -> polys to reduce
-        for r in self.relations:
-            self._pending.setdefault(self.monomial_degree(min(r)), []).append(r)
         self._basis_cache: dict[int, dict[Monomial, int]] = {}
         self._sq1_matrix_cache: dict[int, list[int]] = {}
 
@@ -166,17 +166,24 @@ class PresentedF2Algebra:
                 out.append(mono)
         return frozenset(out)
 
-    def _extend(self, d: int) -> None:
-        """Grow the Groebner basis until it is complete through degree d.
+    def _grow(self, d: int) -> None:
+        """Grow the Groebner basis and the quotient bases through degree d;
+        the frontier is the number of bases built.
 
         Homogeneous Buchberger: degree by degree, keep the nonzero normal
         forms of the relations and S-polynomials of that degree.  A new
         element is reduced, so no older lead divides its lead and its
         S-polynomials lie in higher degrees.  Pairs with coprime leads are
         skipped: their S-polynomials reduce to zero.
+
+        The basis of a degree is its standard monomials (divisible by no
+        lead), descending, each mapped to its position in that order.
+        Standard monomials are closed under division, so each one is a
+        generator times a standard monomial of lower degree.
         """
         gb = self._groebner
-        for e in range(self._groebner_through + 1, d + 1):
+        cache = self._basis_cache
+        for e in range(len(cache), d + 1):
             for poly in self._pending.pop(e, ()):
                 poly = self._normal_form(poly)
                 if not poly:
@@ -190,39 +197,30 @@ class PresentedF2Algebra:
                             ^ self.poly_mul_mono(g, _quotient(lcm, other))
                         )
                 gb.append((lead, poly))
-            self._groebner_through = e
+            candidates = {
+                u[:i] + (u[i] + 1,) + u[i + 1 :]
+                for i, g in enumerate(self.degrees)
+                if g <= e
+                for u in cache[e - g]
+            }
+            if e == 0:
+                candidates = {(0,) * len(self.degrees)}
+            basis = sorted(
+                (v for v in candidates if not any(_divides(a, v) for a, _ in gb)),
+                reverse=True,
+            )
+            cache[e] = {m: i for i, m in enumerate(basis)}
 
     def quotient_dimension(self, d: int) -> int:
         return len(self.degree_basis(d))
 
     def degree_basis(self, d: int) -> dict[Monomial, int]:
-        """Standard monomials of degree d (divisible by no lead), descending,
-        each mapped to its position in that order.
-
-        Standard monomials are closed under division, so each one is a
-        generator times a standard monomial of lower degree.
-        """
+        """Standard monomials of degree d, descending, each mapped to its
+        position in that order."""
         if d < 0:
             return {}
-        cache = self._basis_cache
-        if d not in cache:
-            self._extend(d)
-            leads = [lead for lead, _ in self._groebner]
-            for e in range(len(cache), d + 1):
-                candidates = {
-                    u[:i] + (u[i] + 1,) + u[i + 1 :]
-                    for i, g in enumerate(self.degrees)
-                    if g <= e
-                    for u in cache[e - g]
-                }
-                if e == 0:
-                    candidates = {(0,) * len(self.degrees)}
-                basis = sorted(
-                    (v for v in candidates if not any(_divides(a, v) for a in leads)),
-                    reverse=True,
-                )
-                cache[e] = {m: i for i, m in enumerate(basis)}
-        return cache[d]
+        self._grow(d)
+        return self._basis_cache[d]
 
     def coords(self, poly, d: int) -> int:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits."""
@@ -245,28 +243,23 @@ class PresentedF2Algebra:
                 out ^= {self.mono_mul(lowered, im)}
         return frozenset(out)
 
-    def sq1_poly_free(self, poly: Poly) -> Poly:
-        out: set[Monomial] = set()
-        for mono in poly:
-            out ^= set(self.sq1_free(mono))
-        return frozenset(out)
-
-    def check_sq1_well_defined(self, through_degree: int) -> None:
-        """Verify Sq1(relation) lies in the ideal degreewise, up to a bound."""
+    def _check_sq1_well_defined(self, through_degree: int) -> None:
+        """Verify that Sq1 of each relation of degree below through_degree
+        lies in the ideal, reducing each relation once; one that fails stays
+        unchecked and raises again.  Needs the bases grown that far."""
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
-        if through_degree <= self._sq1_checked_through:
-            return
-        self._extend(through_degree)
-        for rel in self.relations:
-            target = self.monomial_degree(next(iter(rel))) + 1
-            if target > through_degree:
+        for rel, d in list(self._sq1_unchecked.items()):
+            if d >= through_degree:
                 continue
-            if self._normal_form(self.sq1_poly_free(rel)):
+            image: set[Monomial] = set()
+            for mono in rel:
+                image ^= self.sq1_free(mono)
+            if self._normal_form(image):
                 raise IllDefinedDerivationError(
                     f"Sq1 of relation {set(rel)} is not in the ideal"
                 )
-        self._sq1_checked_through = through_degree
+            del self._sq1_unchecked[rel]
 
     def sq1_matrix(self, d: int) -> list[int]:
         """Matrix of Sq1 from the degree-d basis to the degree-(d+1) basis.
@@ -276,7 +269,8 @@ class PresentedF2Algebra:
         """
         if d in self._sq1_matrix_cache:
             return self._sq1_matrix_cache[d]
-        self.check_sq1_well_defined(d + 1)
+        self._grow(d + 1)
+        self._check_sq1_well_defined(d + 1)
         basis = self.degree_basis(d)
         cols = [self.coords(self.sq1_free(mono), d + 1) for mono in basis]
         self._sq1_matrix_cache[d] = cols
@@ -336,17 +330,28 @@ def dihedral_mod2_ring() -> PresentedF2Algebra:
     return PresentedF2Algebra([("x", 1), ("x1", 1), ("x2", 2)], [rel], sq1)
 
 
+def two_variable_poly_ring() -> PresentedF2Algebra:
+    """Free F2[x1, y1] with the squaring Sq1; mod-2 cohomology of a product
+    of two infinite projective spaces."""
+    sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
+    return PresentedF2Algebra([("x1", 1), ("y1", 1)], [], sq1)
+
+
+def _modulo(ring: PresentedF2Algebra, relations: list[Poly]) -> PresentedF2Algebra:
+    """The ring modulo further relations, listed after its own, same Sq1."""
+    return PresentedF2Algebra(
+        list(ring.generators), [*ring.relations, *relations], ring.sq1_on_generators
+    )
+
+
 def unordered_config_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring of the unordered two-point configuration space
-    of P^m: F2[x, x1, x2] modulo
+    of P^m: the dihedral ring modulo the dual classes w_m and w_{m+1},
 
-        x^2 + x*x1,
-        sum_{0 <= i <= m/2}   C(m-i, i)   x1^(m-2i)   x2^i,
-        sum_{0 <= i <= (m+1)/2} C(m+1-i, i) x1^(m+1-2i) x2^i.
+        w_n = sum_{0 <= i <= n/2} C(n-i, i) x1^(n-2i) x2^i.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rel1 = frozenset({(2, 0, 0), (1, 1, 0)})
 
     def dual_class_relation(n: int) -> Poly:
         monos = set()
@@ -355,15 +360,8 @@ def unordered_config_ring(m: int) -> PresentedF2Algebra:
                 monos.add((0, n - 2 * i, i))
         return frozenset(monos)
 
-    sq1 = {
-        0: frozenset({(2, 0, 0)}),
-        1: frozenset({(0, 2, 0)}),
-        2: frozenset({(0, 1, 1)}),
-    }
-    return PresentedF2Algebra(
-        [("x", 1), ("x1", 1), ("x2", 2)],
-        [rel1, dual_class_relation(m), dual_class_relation(m + 1)],
-        sq1,
+    return _modulo(
+        dihedral_mod2_ring(), [dual_class_relation(m), dual_class_relation(m + 1)]
     )
 
 
@@ -372,20 +370,14 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
     P^m: F2[x1, y1] / (x1^(m+1), y1^(m+1), sum_{i+j=m} x1^i y1^j)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    rels = [
-        frozenset({(m + 1, 0)}),
-        frozenset({(0, m + 1)}),
-        frozenset({(i, m - i) for i in range(m + 1)}),
-    ]
-    sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
-    return PresentedF2Algebra([("x1", 1), ("y1", 1)], rels, sq1)
-
-
-def two_variable_poly_ring() -> PresentedF2Algebra:
-    """Free F2[x1, y1] with the squaring Sq1; mod-2 cohomology of a product
-    of two infinite projective spaces."""
-    sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
-    return PresentedF2Algebra([("x1", 1), ("y1", 1)], [], sq1)
+    return _modulo(
+        two_variable_poly_ring(),
+        [
+            frozenset({(m + 1, 0)}),
+            frozenset({(0, m + 1)}),
+            frozenset({(i, m - i) for i in range(m + 1)}),
+        ],
+    )
 
 
 @lru_cache(maxsize=None)

@@ -185,6 +185,19 @@ def test_uct_suite_skips_m_below_two():
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_suite_empty_range(name):
+    report = suites.run_suites([name], range(5, 3))
+    assert report.passed
+    assert not report.checks
+
+
+def test_verify_m_one_checks_classifying_spaces(capsys):
+    # no suite runs for m = 1, but uct checks both classifying spaces
+    code, out, _ = run_cli(capsys, "verify", "--m-range", "1")
+    assert (code, out.strip()) == (0, "10 checks, 0 failures")
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
 def test_suite_skips_m_below_two(name):
     # -1 is 3 mod 4 in Python; no m = 3 mod 4 check may run for it.
     report = suites.run_suites([name], range(-1, 3))

@@ -326,8 +326,15 @@ def test_ill_defined_derivation_detected():
         [frozenset({(0, 1)})],
         {0: frozenset({(2, 0)}), 1: frozenset({(3, 0)})},
     )
-    with pytest.raises(IllDefinedDerivationError):
-        ring.sq1_matrix(2)
+    dims = [ring.quotient_dimension(d) for d in range(5)]
+    assert dims == [1, 1, 1, 1, 1]
+    # Sq1 b lies in degree 3, so the matrix out of degree 1 does not see it
+    assert ring.sq1_matrix(1) == [1]
+    # the failed relation stays unchecked: every later call raises again
+    for _ in range(2):
+        with pytest.raises(IllDefinedDerivationError):
+            ring.sq1_matrix(2)
+    assert [ring.quotient_dimension(d) for d in range(5)] == dims
 
 
 def test_sq1_homology_examples():

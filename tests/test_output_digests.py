@@ -10,6 +10,7 @@ from confcoh import cli
 DIGESTS = [
     ("verify --format json --m-range 2..12", 0, "1e8072123c211196a7ac2da80ca3531e197e81ca233ce1f6a0ab0db7deedec85"),
     ("verify --m-range 2..10 --verbose", 0, "2031df610e5840676baec23309f13e8144f5429089fa798607161de2e4de0a0f"),
+    ("verify --m-range 2..32 --verbose", 0, "c7067559db022e49ac47ef744a596b9a514a8f7c436f2147deb13ae63bc13bcc"),
     ("groups --space B --m 7 --coefficients Z --format table", 0, "485155acdfc16ac2096ed01bbecb3ecdc6338642a7899d1219091f8c17dd5387"),
     ("groups --space B --m 7 --coefficients Z --format csv", 0, "ea94e91aff69353b9cf6b46b0116bdc89329babd3b67c4e01a49a8ad920465f3"),
     ("groups --space B --m 7 --coefficients Z --format json", 0, "ee3d76b07bd71d490b38ce54b0bbfe965f184cdad02aade8347f4b77b7684bed"),

@@ -1,7 +1,8 @@
 """Exact arithmetic for finitely generated abelian groups with 2-primary torsion.
 
 Groups are kept in canonical form: a free rank plus an ascending tuple of
-torsion exponents e, each standing for a cyclic summand Z/2^e.  Equality of
+(exponent e, multiplicity k) pairs, each standing for k cyclic summands
+Z/2^e, so <k> and {k} cost the same whatever k is.  Equality of
 values is equality of groups.  Integer matrices with Smith normal form give
 cokernel computations, and the universal-coefficient helpers convert whole
 cohomology tables into homology tables and back.
@@ -12,7 +13,9 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable
 
 
@@ -20,117 +23,157 @@ class NonTwoPrimaryError(ValueError):
     """A presentation produced torsion away from the prime 2."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class AbGroup2:
-    """Z^free_rank plus one Z/2^e summand per torsion exponent e."""
+    """Z^free_rank plus, for each pair (e, k) in torsion, k summands Z/2^e.
 
-    free_rank: int = 0
-    torsion_exponents: tuple[int, ...] = ()
+    `torsion` is the canonical form: pairs sorted by exponent, each
+    exponent >= 1 and each multiplicity >= 1.  Every operation works on
+    the pairs, so its cost grows with the number of distinct exponents,
+    not with the number of summands.
+    """
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    free_rank: int
+    torsion: tuple[tuple[int, int], ...]
+
+    def __init__(self, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> None:
+        """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents."""
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        if any(e < 1 for e in self.torsion_exponents):
+        counts = Counter(torsion_exponents)
+        if any(e < 1 for e in counts):
             raise ValueError("torsion exponents must be positive")
-        object.__setattr__(
-            self, "torsion_exponents", tuple(sorted(self.torsion_exponents))
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", tuple(sorted(counts.items())))
+
+    @classmethod
+    def _of(cls, free_rank: int, torsion: tuple[tuple[int, int], ...]) -> "AbGroup2":
+        """A value from pairs already in canonical form."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "free_rank", free_rank)
+        object.__setattr__(g, "torsion", torsion)
+        return g
+
+    @classmethod
+    def _of_counts(cls, free_rank: int, counts: dict[int, int]) -> "AbGroup2":
+        """A value from exponent -> multiplicity; zero counts are dropped."""
+        return cls._of(free_rank, tuple(sorted((e, k) for e, k in counts.items() if k)))
+
+    def __repr__(self) -> str:
+        return (
+            f"AbGroup2(free_rank={self.free_rank!r}, "
+            f"torsion_exponents={self.torsion_exponents!r})"
         )
+
+    @property
+    def torsion_exponents(self) -> tuple[int, ...]:
+        """One exponent per cyclic summand, ascending.  It is as long as the
+        group has summands: code that only counts reads the rank properties."""
+        return tuple(chain.from_iterable(repeat(e, k) for e, k in self.torsion))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def elementary(cls, k: int) -> "AbGroup2":
         """<k>: elementary abelian 2-group of rank k."""
-        return cls(torsion_exponents=(1,) * k)
+        return cls._of(0, ((1, k),) if k > 0 else ())
 
     @classmethod
     def elementary_with_z4(cls, k: int) -> "AbGroup2":
         """{k}: <k> plus one Z/4 summand."""
-        return cls(torsion_exponents=(1,) * k + (2,))
+        return cls._of(0, ((1, k), (2, 1)) if k > 0 else ((2, 1),))
 
     @classmethod
     def cyclic(cls, exponent: int) -> "AbGroup2":
-        return cls(torsion_exponents=(exponent,))
+        if exponent < 1:
+            raise ValueError("torsion exponents must be positive")
+        return cls._of(0, ((exponent, 1),))
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_exponents
+        return self.free_rank == 0 and not self.torsion
 
     @property
     def torsion_order_log2(self) -> int:
-        return sum(self.torsion_exponents)
+        return sum(e * k for e, k in self.torsion)
 
     @property
     def z4_count(self) -> int:
-        return sum(1 for e in self.torsion_exponents if e >= 2)
+        return sum(k for e, k in self.torsion if e >= 2)
 
     @property
     def two_rank_tensor(self) -> int:
         """Rank of G tensor Z/2."""
-        return self.free_rank + len(self.torsion_exponents)
+        return self.free_rank + self.mult2_kernel_rank
 
     @property
     def mult2_kernel_rank(self) -> int:
         """Rank of the kernel of multiplication by 2 on G."""
-        return len(self.torsion_exponents)
+        return sum(k for _, k in self.torsion)
 
     def torsion_part(self) -> "AbGroup2":
-        return AbGroup2(torsion_exponents=self.torsion_exponents)
+        return AbGroup2._of(0, self.torsion)
 
     def free_part(self) -> "AbGroup2":
-        return AbGroup2(free_rank=self.free_rank)
+        return AbGroup2._of(self.free_rank, ())
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "AbGroup2") -> "AbGroup2":
         """Direct sum."""
-        return AbGroup2(
-            self.free_rank + other.free_rank,
-            self.torsion_exponents + other.torsion_exponents,
-        )
+        free = self.free_rank + other.free_rank
+        if not other.torsion or not self.torsion:
+            return AbGroup2._of(free, self.torsion or other.torsion)
+        counts = dict(self.torsion)
+        for e, k in other.torsion:
+            counts[e] = counts.get(e, 0) + k
+        return AbGroup2._of_counts(free, counts)
 
     def without_elementary(self, k: int) -> "AbGroup2":
         """Remove k exponent-1 summands (image of an injected <k>)."""
-        ones = sum(1 for e in self.torsion_exponents if e == 1)
+        counts = dict(self.torsion)
+        ones = counts.get(1, 0)
         if k > ones:
             raise ValueError(f"cannot remove <{k}> from {self}")
-        rest = tuple(e for e in self.torsion_exponents if e > 1)
-        return AbGroup2(self.free_rank, (1,) * (ones - k) + rest)
+        counts[1] = ones - k
+        return AbGroup2._of_counts(self.free_rank, counts)
 
     def without_cyclic(self, exponent: int) -> "AbGroup2":
         """Remove one Z/2^exponent summand."""
-        exps = list(self.torsion_exponents)
-        if exponent not in exps:
+        counts = dict(self.torsion)
+        if exponent not in counts:
             raise ValueError(f"no Z/2^{exponent} summand in {self}")
-        exps.remove(exponent)
-        return AbGroup2(self.free_rank, tuple(exps))
+        counts[exponent] -= 1
+        return AbGroup2._of_counts(self.free_rank, counts)
 
     def halve_z4s(self) -> "AbGroup2":
         """Replace every Z/2^e summand with e >= 2 by Z/2^(e-1)."""
-        return AbGroup2(
-            self.free_rank,
-            tuple(max(e - 1, 1) for e in self.torsion_exponents),
-        )
+        counts: dict[int, int] = {}
+        for e, k in self.torsion:
+            e = max(e - 1, 1)
+            counts[e] = counts.get(e, 0) + k
+        return AbGroup2._of_counts(self.free_rank, counts)
 
     # -- encoding ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "free": self.free_rank,
-            "torsion": [2**e for e in self.torsion_exponents],
-        }
+        orders: list[int] = []
+        for e, k in self.torsion:
+            orders += [2**e] * k
+        return {"free": self.free_rank, "torsion": orders}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AbGroup2":
-        exps = []
-        for order in data.get("torsion", []):
+        free = cls(data.get("free", 0)).free_rank  # checked by the constructor
+        counts = {}
+        for order, k in Counter(data.get("torsion", [])).items():
             e = order.bit_length() - 1
             if order <= 1 or 2**e != order:
                 raise NonTwoPrimaryError(f"torsion order {order} is not a 2-power")
-            exps.append(e)
-        return cls(data.get("free", 0), tuple(exps))
+            counts[e] = k
+        return cls._of_counts(free, counts)
 
     def __str__(self) -> str:
         parts = []
@@ -138,15 +181,16 @@ class AbGroup2:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        exps = self.torsion_exponents
-        if exps:
-            ones = sum(1 for e in exps if e == 1)
-            if all(e == 1 for e in exps):
+        if self.torsion:
+            ones = dict(self.torsion).get(1, 0)
+            rest = self.torsion[1:] if ones else self.torsion
+            if not rest:
                 parts.append(f"<{ones}>")
-            elif exps == (1,) * ones + (2,):
+            elif rest == ((2, 1),):
                 parts.append(f"{{{ones}}}")
             else:
-                parts.extend(f"Z{2**e}" for e in exps)
+                for e, k in self.torsion:
+                    parts += [f"Z{2**e}"] * k
         return " + ".join(parts) if parts else "0"
 
 

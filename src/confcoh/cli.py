@@ -9,16 +9,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 
 from . import configcoh, suites
 from .abelian import AbGroup2, GradedGroups
 from .configcoh import SpaceId
+from .report import VerificationReport
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..32 takes about 1.3 s and 26 MiB; groups at m = 4096 peaks at 825 MiB
-# (json, Z), and m = 100000 ran out of memory.
+# 2..32 takes about 1.3 s and 26 MiB.  groups writes one row at a time, so
+# its peak RSS is about 22 MiB at m = 8192; its cost is the output, O(m^2),
+# largest for json F2: 740 MB in about 8 s at m = 8192 (json Z: 370 MB,
+# 4.5 s), and 727 MiB peak for a caller that captures it in memory.
 MAX_VERIFY_M = 32
-MAX_GROUPS_M = 4096
+MAX_GROUPS_M = 8192
 
 
 def _parse_m_range(text: str) -> range:
@@ -53,31 +57,58 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
     )
 
 
-def _render_groups(s: SpaceId, table: GradedGroups, fmt: str, label: str) -> str:
-    rows = [(i, table.group(i)) for i in range(table.support_bound + 1)]
+def _json_flat(obj: list | dict, depth: int) -> str:
+    """json.dumps(obj, indent=2) for a list or dict of scalars nested depth
+    levels deep in the document, written by the C encoder, which
+    json.dumps leaves unused whenever it indents."""
+    pad = "\n" + "  " * (depth + 1)
+    text = json.JSONEncoder(separators=("," + pad, ": ")).encode(obj)
+    if len(text) == 2:  # [] or {}
+        return text
+    return f"{text[0]}{pad}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+
+
+def _render_groups(
+    s: SpaceId, table: GradedGroups, fmt: str, label: str
+) -> Iterator[str]:
+    """The table's text, without its final newline, in pieces of one row
+    each, so that writing it holds one row in memory, not the table."""
+    rows = ((i, table.group(i)) for i in range(table.support_bound + 1))
     if fmt == "json":
-        return json.dumps(
-            {
-                "space": s.kind,
-                "m": s.m,
-                "coefficients": label,
-                "groups": [
-                    {"degree": i, **g.to_json_dict()} for i, g in rows
-                ],
-            },
-            indent=2,
+        # The fixed envelope of json.dumps(..., indent=2), written by hand;
+        # a table always has rows, so "groups" is never the empty list.
+        yield (
+            f'{{\n  "space": {json.dumps(s.kind)},\n  "m": {s.m},\n'
+            f'  "coefficients": {json.dumps(label)},\n  "groups": ['
         )
-    if fmt == "csv":
-        lines = ["degree,free,torsion"]
+        sep = "\n"
         for i, g in rows:
-            torsion = ";".join(str(2**e) for e in g.torsion_exponents)
-            lines.append(f"{i},{g.free_rank},{torsion}")
-        return "\n".join(lines)
-    header = f"{label} groups of {s}"
-    lines = [header, f"{'i':>3}  group"]
-    for i, g in rows:
-        lines.append(f"{i:>3}  {g}")
-    return "\n".join(lines)
+            yield (
+                f'{sep}    {{\n      "degree": {i},\n      "free": {g.free_rank},\n'
+                f'      "torsion": {_json_flat(g.to_json_dict()["torsion"], 3)}\n    }}'
+            )
+            sep = ",\n"
+        yield "\n  ]\n}"
+    elif fmt == "csv":
+        yield "degree,free,torsion"
+        for i, g in rows:
+            torsion = ";".join(";".join([str(2**e)] * k) for e, k in g.torsion)
+            yield f"\n{i},{g.free_rank},{torsion}"
+    else:
+        yield f"{label} groups of {s}\n{'i':>3}  group"
+        for i, g in rows:
+            yield f"\n{i:>3}  {g}"
+
+
+def _render_report_json(report: VerificationReport) -> str:
+    """json.dumps(report.to_json_obj(), indent=2), envelope written by hand."""
+    obj = report.to_json_obj()
+    checks = ",\n    ".join(_json_flat(c, 2) for c in obj["checks"])
+    checks = f"[\n    {checks}\n  ]" if checks else "[]"
+    return (
+        f'{{\n  "passed": {json.dumps(obj["passed"])},\n'
+        f'  "summary": {json.dumps(obj["summary"])},\n  "checks": {checks}\n}}'
+    )
 
 
 def cmd_groups(args: argparse.Namespace) -> int:
@@ -94,7 +125,8 @@ def cmd_groups(args: argparse.Namespace) -> int:
         "F2": "mod-2 H^*",
     }[args.coefficients]
     table = _table_for(s, args.coefficients, args.homology)
-    print(_render_groups(s, table, args.format, label))
+    sys.stdout.writelines(_render_groups(s, table, args.format, label))
+    print()
     return 0
 
 
@@ -163,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     report = suites.run_suites(names, m_range)
     if args.format == "json":
-        print(json.dumps(report.to_json_obj(), indent=2))
+        print(_render_report_json(report))
     else:
         for check in report.checks:
             if not check.passed or check.skipped or args.verbose:

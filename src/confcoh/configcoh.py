@@ -321,7 +321,7 @@ def global_checks(s: SpaceId) -> VerificationReport:
     report.add("global", "Euler characteristic", 0, euler, m=m)
     bound = 2 if s.kind == "B" else 1
     worst = max(
-        (e for i in range(2 * m) for e in cohomology(s, i).torsion_exponents),
+        (e for i in range(2 * m) for e, _ in cohomology(s, i).torsion),
         default=0,
     )
     report.add_bool(

@@ -87,6 +87,6 @@ def uct_mod2_check(g: GroupId, i_max: int) -> VerificationReport:
             classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i).two_rank_tensor
             + classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i + 1).mult2_kernel_rank
         )
-        dim = len(classifying_cohomology(g, CoeffId.MOD_TWO, i).torsion_exponents)
+        dim = classifying_cohomology(g, CoeffId.MOD_TWO, i).mult2_kernel_rank
         report.add(f"uct-mod2-{g.value}", "tensor+tor vs mod-2 dim", dim, lhs, degree=i)
     return report

@@ -1,8 +1,11 @@
 import math
+import pickle
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confcoh.abelian import (
     AbGroup2,
@@ -178,9 +181,147 @@ def test_json_round_trip():
     assert brace(1).to_json_dict() == {"free": 0, "torsion": [2, 4]}
 
 
+def test_repr_text_pinned():
+    # verify output prints tuples of groups, and so their repr
+    assert repr(ZERO) == "AbGroup2(free_rank=0, torsion_exponents=())"
+    assert repr(elem(1)) == "AbGroup2(free_rank=0, torsion_exponents=(1,))"
+    assert repr(AbGroup2.cyclic(2)) == "AbGroup2(free_rank=0, torsion_exponents=(2,))"
+    assert repr(Z + brace(2)) == "AbGroup2(free_rank=1, torsion_exponents=(1, 1, 2))"
+    assert repr(AbGroup2(3, (3, 1, 3))) == "AbGroup2(free_rank=3, torsion_exponents=(1, 3, 3))"
+    assert str((elem(1), AbGroup2.cyclic(2))) == (
+        "(AbGroup2(free_rank=0, torsion_exponents=(1,)), "
+        "AbGroup2(free_rank=0, torsion_exponents=(2,)))"
+    )
+
+
+def test_values_are_immutable():
+    g = brace(2)
+    with pytest.raises(AttributeError):
+        g.free_rank = 1
+    with pytest.raises(AttributeError):
+        del g.torsion
+    assert g == brace(2)
+
+
 def test_json_rejects_non_two_primary():
     with pytest.raises(NonTwoPrimaryError):
         AbGroup2.from_json_dict({"free": 0, "torsion": [6]})
+
+
+# ---------------------------------------------------------------------------
+# The value layer against a reference model
+#
+# The model of a group is a free rank and a plain ascending tuple with one
+# exponent per cyclic summand, the representation the values had before
+# they stored exponent multiplicities.
+# ---------------------------------------------------------------------------
+
+
+def _model(g):
+    return g.free_rank, g.torsion_exponents
+
+
+def _model_str(free, exps):
+    parts = []
+    if free == 1:
+        parts.append("Z")
+    elif free > 1:
+        parts.append(f"Z^{free}")
+    if exps:
+        ones = sum(1 for e in exps if e == 1)
+        if all(e == 1 for e in exps):
+            parts.append(f"<{ones}>")
+        elif exps == (1,) * ones + (2,):
+            parts.append(f"{{{ones}}}")
+        else:
+            parts.extend(f"Z{2**e}" for e in exps)
+    return " + ".join(parts) if parts else "0"
+
+
+# Exponents above 2 come out of Smith normal form; 1 and 2 are the paper's.
+exponent_lists = st.lists(st.sampled_from((1, 1, 1, 2, 2, 3, 5)), max_size=12)
+models = st.tuples(st.integers(0, 3), exponent_lists.map(lambda es: tuple(sorted(es))))
+
+
+def _group(model):
+    return AbGroup2(*model)
+
+
+@given(models)
+def test_model_construction_and_stats(model):
+    free, exps = model
+    g = _group(model)
+    assert _model(g) == model
+    assert AbGroup2(free, exps[::-1]) == g
+    assert g.is_trivial == (free == 0 and not exps)
+    assert g.torsion_order_log2 == sum(exps)
+    assert g.z4_count == sum(1 for e in exps if e >= 2)
+    assert g.two_rank_tensor == free + len(exps)
+    assert g.mult2_kernel_rank == len(exps)
+    assert _model(g.torsion_part()) == (0, exps)
+    assert _model(g.free_part()) == (free, ())
+    assert str(g) == _model_str(free, exps)
+    assert repr(g) == f"AbGroup2(free_rank={free}, torsion_exponents={exps!r})"
+    assert g.to_json_dict() == {"free": free, "torsion": [2**e for e in exps]}
+    assert AbGroup2.from_json_dict(g.to_json_dict()) == g
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+@given(st.integers(0, 20), st.integers(1, 6))
+def test_model_constructors(k, e):
+    assert _model(AbGroup2.elementary(k)) == (0, (1,) * k)
+    assert _model(AbGroup2.elementary_with_z4(k)) == (0, (1,) * k + (2,))
+    assert _model(AbGroup2.cyclic(e)) == (0, (e,))
+
+
+@given(models, models)
+def test_model_sum_and_equality(a, b):
+    g, h = _group(a), _group(b)
+    assert _model(g + h) == (a[0] + b[0], tuple(sorted(a[1] + b[1])))
+    assert (g == h) == (a == b)
+    if a == b:
+        assert hash(g) == hash(h)
+    assert g + h == h + g
+
+
+@given(models, st.integers(0, 12), st.sampled_from((1, 2, 3, 5)))
+def test_model_removals(model, k, e):
+    free, exps = model
+    g = _group(model)
+    ones = exps.count(1)
+    if k > ones:
+        with pytest.raises(ValueError):
+            g.without_elementary(k)
+    else:
+        rest = tuple(x for x in exps if x > 1)
+        assert _model(g.without_elementary(k)) == (free, (1,) * (ones - k) + rest)
+    if e in exps:
+        left = list(exps)
+        left.remove(e)
+        assert _model(g.without_cyclic(e)) == (free, tuple(left))
+    else:
+        with pytest.raises(ValueError):
+            g.without_cyclic(e)
+    halved = tuple(sorted(max(x - 1, 1) for x in exps))
+    assert _model(g.halve_z4s()) == (free, halved)
+
+
+def test_operations_never_expand_the_summands(monkeypatch):
+    # 10^12 summands: any per-summand loop would not return
+    def expanded(self):
+        pytest.fail("torsion_exponents read")
+
+    monkeypatch.setattr(AbGroup2, "torsion_exponents", property(expanded))
+    huge = AbGroup2.elementary(10**12) + AbGroup2.elementary_with_z4(3)
+    assert str(huge) == "{1000000000003}"
+    assert str(Z + huge.without_elementary(10**12)) == "Z + {3}"
+    assert str(huge.without_cyclic(2)) == "<1000000000003>"
+    assert huge.halve_z4s() == AbGroup2.elementary(10**12 + 4)
+    assert huge.torsion_part() == huge and huge.free_part() == ZERO
+    assert (huge.z4_count, huge.mult2_kernel_rank) == (1, 10**12 + 4)
+    assert (huge.two_rank_tensor, huge.torsion_order_log2) == (10**12 + 4, 10**12 + 5)
+    assert not huge.is_trivial
+    assert hash(huge) == hash(huge + ZERO)
 
 
 # ---------------------------------------------------------------------------

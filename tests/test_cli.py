@@ -90,13 +90,62 @@ def test_groups_homology_needs_integral(capsys):
     assert "homology" in err
 
 
-@pytest.mark.parametrize("m", ["4097", "100000"])
+@pytest.mark.parametrize("m", ["8193", "100000"])
 def test_groups_m_bound(monkeypatch, capsys, m):
     # refused before the space, let alone a table, is built
     monkeypatch.setattr(cli, "SpaceId", None)
     code, out, err = run_cli(capsys, "groups", "--space", "B", "--m", m)
     assert code == 2 and out == ""
-    assert "m capped at 4096" in err
+    assert "m capped at 8192" in err
+
+
+GROUP_MODES = {
+    "Z": ("--coefficients", "Z"),
+    "twisted": ("--coefficients", "twisted"),
+    "F2": ("--coefficients", "F2"),
+    "homology": ("--homology",),
+}
+
+
+def _reference_groups(s, mode, fmt):
+    """The groups output as rendered one summand at a time, with
+    json.dumps for json: the renderer's output before it was written
+    from the exponent multiplicities."""
+    table = cli._table_for(s, "Z" if mode == "homology" else mode, mode == "homology")
+    label = {"Z": "H^*", "twisted": "twisted H^*", "F2": "mod-2 H^*", "homology": "H_*"}[mode]
+    rows = [(i, table.group(i)) for i in range(table.support_bound + 1)]
+    if fmt == "json":
+        return json.dumps(
+            {
+                "space": s.kind,
+                "m": s.m,
+                "coefficients": label,
+                "groups": [
+                    {"degree": i, "free": g.free_rank, "torsion": [2**e for e in g.torsion_exponents]}
+                    for i, g in rows
+                ],
+            },
+            indent=2,
+        )
+    if fmt == "csv":
+        lines = ["degree,free,torsion"]
+        for i, g in rows:
+            lines.append(f"{i},{g.free_rank},{';'.join(str(2**e) for e in g.torsion_exponents)}")
+        return "\n".join(lines)
+    return "\n".join([f"{label} groups of {s}", f"{'i':>3}  group"] + [f"{i:>3}  {g}" for i, g in rows])
+
+
+@pytest.mark.parametrize("kind", "BF")
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 300, 301])
+def test_groups_output_matches_reference(capsys, kind, m):
+    # empty torsion lists, the m = 1 tables and rows of hundreds of summands
+    for mode, flags in GROUP_MODES.items():
+        for fmt in ("table", "csv", "json"):
+            code, out, _ = run_cli(
+                capsys, "groups", "--space", kind, "--m", str(m), "--format", fmt, *flags
+            )
+            assert code == 0
+            assert out == _reference_groups(SpaceId(kind, m), mode, fmt) + "\n", (mode, fmt)
 
 
 def test_groups_usage_error(capsys):
@@ -157,6 +206,19 @@ def test_verify_json(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_verify_json_matches_json_dumps():
+    escapes = VerificationReport()
+    escapes.add("fake", 'quote " backslash \\ newline \n tab \t accent \u00e9', "x", "x", m=3)
+    escapes.add_skip("fake", "open", m=7)
+    for report in (
+        suites.run_suites(list(suites.SUITE_NAMES), range(2, 7)),
+        VerificationReport(),
+        escapes,
+    ):
+        want = json.dumps(report.to_json_obj(), indent=2)
+        assert cli._render_report_json(report) == want
 
 
 def test_verify_clss_marks_open_cases(capsys):

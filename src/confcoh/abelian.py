@@ -23,6 +23,11 @@ class NonTwoPrimaryError(ValueError):
     """A presentation produced torsion away from the prime 2."""
 
 
+def _check_rank(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"rank must be non-negative, got {k}")
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class AbGroup2:
     """Z^free_rank plus, for each pair (e, k) in torsion, k summands Z/2^e.
@@ -76,12 +81,14 @@ class AbGroup2:
     @classmethod
     def elementary(cls, k: int) -> "AbGroup2":
         """<k>: elementary abelian 2-group of rank k."""
-        return cls._of(0, ((1, k),) if k > 0 else ())
+        _check_rank(k)
+        return cls._of(0, ((1, k),) if k else ())
 
     @classmethod
     def elementary_with_z4(cls, k: int) -> "AbGroup2":
         """{k}: <k> plus one Z/4 summand."""
-        return cls._of(0, ((1, k), (2, 1)) if k > 0 else ((2, 1),))
+        _check_rank(k)
+        return cls._of(0, ((1, k), (2, 1)) if k else ((2, 1),))
 
     @classmethod
     def cyclic(cls, exponent: int) -> "AbGroup2":
@@ -133,6 +140,7 @@ class AbGroup2:
 
     def without_elementary(self, k: int) -> "AbGroup2":
         """Remove k exponent-1 summands (image of an injected <k>)."""
+        _check_rank(k)
         counts = dict(self.torsion)
         ones = counts.get(1, 0)
         if k > ones:

@@ -21,6 +21,7 @@ fixed m = 3 evolutions are replayed.
 
 from __future__ import annotations
 
+from . import stiefel
 from .abelian import AbGroup2, GradedGroups, Z, ZERO
 from .configcoh import SpaceId, cohomology, cohomology_table
 from .bockstein import rank_recursion
@@ -40,29 +41,25 @@ class InconsistentOrdersError(ValueError):
 
 
 def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Page:
-    """Starting page of the covering spectral sequence for V_{m+1,2}.
+    """Starting page of the covering spectral sequence for V_{m+1,2}:
+    E2^{p,q} = H^p(BG; H^q(V_{m+1,2})), one line per nonzero fibre group.
 
-    Even m: integral lines at q = 0 and q = 2m-1 and a mod-2 line at q = m.
-    Odd m: integral lines at q = 0 and q = m, twisted lines at q = m-1 and
-    q = 2m-1 (the twist is the sign action on the cohomology of the fibre).
+    A Z/2 in the fibre gives a mod-2 line; a Z gives an integral line, twisted
+    where the dihedral action on it has sign MINUS.
     """
     if m < 2:
         raise RangeError("m must be >= 2")
     if p_max is None:
         p_max = 2 * m + 1
-    if m % 2 == 0:
-        lines = {
-            0: CoeffId.INTEGER_TRIVIAL,
-            m: CoeffId.MOD_TWO,
-            2 * m - 1: CoeffId.INTEGER_TRIVIAL,
-        }
-    else:
-        lines = {
-            0: CoeffId.INTEGER_TRIVIAL,
-            m - 1: CoeffId.INTEGER_TWISTED,
-            m: CoeffId.INTEGER_TRIVIAL,
-            2 * m - 1: CoeffId.INTEGER_TWISTED,
-        }
+    n = m + 1
+    lines = {}
+    for q in range(2 * n - 2):
+        fibre = stiefel.stiefel_cohomology(n, q)
+        if fibre == AbGroup2.elementary(1):
+            lines[q] = CoeffId.MOD_TWO
+        elif fibre == Z:
+            plus = stiefel.d8_action_sign(n, q) is stiefel.ActionSign.PLUS
+            lines[q] = CoeffId.INTEGER_TRIVIAL if plus else CoeffId.INTEGER_TWISTED
     return {
         (p, q): entry
         for q, c in lines.items()
@@ -192,7 +189,7 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
             coker = AbGroup2.elementary(target.two_rank_tensor - image_rank)
         _check_cokernel(report, suite, m, ell, target, image_rank, coker, ranks)
         groups[t] = coker
-    groups[2 * m - 1] = Z  # the fibre class at (0, 2m-1) survives
+    groups[2 * m - 1] = e2.get((0, 2 * m - 1), ZERO)  # the fibre class survives
     abutment = GradedGroups(s.support_bound, groups)
     _compare_abutment(report, suite, s, abutment)
     return abutment, report
@@ -216,7 +213,7 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
         for (p, q), g in e2.items()
     }
     groups: dict[int, AbGroup2] = {t: e3.get((t, 0), ZERO) for t in range(m)}
-    groups[m] = Z + e3.get((m, 0), ZERO)  # fibre class at (0, m) plus the base
+    groups[m] = e3.get((0, m), ZERO) + e3.get((m, 0), ZERO)  # fibre class plus base
     for ell in range(1, m):
         t = 2 * m - ell
         # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
@@ -233,6 +230,7 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
             coker, ranks,
         )
         groups[t] = coker
+    groups[2 * m - 1] += e3.get((0, 2 * m - 1), ZERO)
     abutment = GradedGroups(s.support_bound, groups)
     _compare_abutment(report, suite, s, abutment, torsion_only=True)
     return abutment, report
@@ -249,7 +247,7 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
     report = VerificationReport()
     suite = "clss-odd-Z2xZ2"
     groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m)}
-    groups[m] = Z + e2.get((m, 0), ZERO)
+    groups[m] = e2.get((0, m), ZERO) + e2.get((m, 0), ZERO)
     for ell in range(1, m):
         t = 2 * m - ell
         # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
@@ -264,6 +262,7 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
                 f"sources larger than target in degree {t}"
             )
         groups[t] = AbGroup2.elementary(coker_log2)
+    groups[2 * m - 1] += e2.get((0, 2 * m - 1), ZERO)
     abutment = GradedGroups(s.support_bound, groups)
     _compare_abutment(report, suite, s, abutment)
     return abutment, report
@@ -442,7 +441,8 @@ def _run_m3_option_b(page: Page, report: VerificationReport, suite: str) -> Page
         )
         away = need
     # The base line up to degree 5 and the fibre class at (0, 3) survive.
-    return {(p, q): g for (p, q), g in new.items() if q == 0 and p <= 5} | {(0, 3): Z}
+    base = {(p, q): g for (p, q), g in new.items() if q == 0 and p <= 5}
+    return base | {(0, 3): page.get((0, 3), ZERO)}
 
 
 def fragment_check_3mod4(a: int) -> VerificationReport:
@@ -510,6 +510,7 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
         degree=m,
     )
     report.add(
-        suite, "fibre class survives", Z, cohomology(s, m).free_part(), m=m, degree=m
+        suite, "fibre class survives", e2.get((0, m), ZERO),
+        cohomology(s, m).free_part(), m=m, degree=m,
     )
     return report

@@ -380,22 +380,14 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
     )
 
 
-@lru_cache(maxsize=None)
-def _cached_unordered_ring(m: int) -> PresentedF2Algebra:
-    return unordered_config_ring(m)
-
-
-@lru_cache(maxsize=None)
-def _cached_ordered_ring(m: int) -> PresentedF2Algebra:
-    return ordered_config_ring(m)
-
-
+@lru_cache(maxsize=2)
 def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra:
-    """Shared presented ring for the 'F' (ordered) or 'B' (unordered) space."""
+    """Shared presented ring for the 'F' (ordered) or 'B' (unordered) space;
+    the cache holds one m's pair, as run_suites runs all suites m by m."""
     if kind == "B":
-        return _cached_unordered_ring(m)
+        return unordered_config_ring(m)
     if kind == "F":
-        return _cached_ordered_ring(m)
+        return ordered_config_ring(m)
     raise ValueError(f"unknown space kind {kind!r}")
 
 

@@ -1,6 +1,6 @@
 """Named verification suites driven by the command-line runner.
 
-Each suite checks one m >= 2; run_suites loops over the names and then m.
+Each suite checks one m >= 2; run_suites loops over m and then the names.
 """
 
 from __future__ import annotations
@@ -113,17 +113,18 @@ _SUITES = {
 
 
 def run_suites(names: list[str], m_range: range) -> VerificationReport:
-    """Run each named suite for every m >= 2 in m_range, suite by suite.
+    """Run each named suite for every m >= 2 in m_range, m by m, so that each
+    m's rings are built once; each suite's checks are listed in turn.
 
     The uct suite first checks the classifying spaces once, through degree
     2 * max(m_range) + 2, unless m_range is empty.
     """
-    report = VerificationReport()
-    for name in names:
+    parts = [VerificationReport() for _ in names]
+    for name, part in zip(names, parts):
         if name == "uct" and m_range:
             for g in GroupId:
-                report.extend(uct_mod2_check(g, 2 * max(m_range) + 2))
-        for m in m_range:
-            if m >= 2:
-                report.extend(_SUITES[name](m))
-    return report
+                part.extend(uct_mod2_check(g, 2 * max(m_range) + 2))
+    for m in (m for m in m_range if m >= 2):
+        for name, part in zip(names, parts):
+            part.extend(_SUITES[name](m))
+    return VerificationReport([c for part in parts for c in part.checks])

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcoh.abelian import (
@@ -84,16 +84,23 @@ def _minor_gcd_invariant_factors(rows, n, m):
     return factors
 
 
-def test_snf_against_minor_gcd_oracle():
-    rng = random.Random(20240811)
-    for _ in range(500):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 6)
-        rows = [[rng.randint(-8, 8) for _ in range(m)] for _ in range(n)]
-        expected = _minor_gcd_invariant_factors(rows, n, m)
-        got, rank = smith_normal_form(IntMatrix.from_rows(rows, m))
-        assert got == expected
-        assert rank == len(expected)
+# A shape of 0..6 rows by 0..6 columns, empty matrices included, and the rows.
+matrices = st.integers(0, 6).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(st.integers(-8, 8), min_size=cols, max_size=cols), max_size=6),
+        st.just(cols),
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrices)
+def test_snf_against_minor_gcd_oracle(matrix):
+    rows, cols = matrix
+    expected = _minor_gcd_invariant_factors(rows, len(rows), cols)
+    got, rank = smith_normal_form(IntMatrix.from_rows(rows, cols))
+    assert got == expected
+    assert rank == len(expected)
 
 
 def test_snf_idempotent_on_own_diagonal():
@@ -272,6 +279,15 @@ def test_model_constructors(k, e):
     assert _model(AbGroup2.elementary(k)) == (0, (1,) * k)
     assert _model(AbGroup2.elementary_with_z4(k)) == (0, (1,) * k + (2,))
     assert _model(AbGroup2.cyclic(e)) == (0, (e,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [AbGroup2.elementary, AbGroup2.elementary_with_z4, elem(3).without_elementary],
+)
+def test_negative_ranks_refused(build):
+    with pytest.raises(ValueError, match="non-negative"):
+        build(-1)
 
 
 @given(models, models)

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from confcoh import suites
 from confcoh.f2algebra import (
     F2Echelon,
     IllDefinedDerivationError,
@@ -368,3 +369,18 @@ def test_split_sums_to_total(m):
     ring = config_mod2_ring("B", m)
     for d in range(2 * m + 1):
         assert sum(split_sq1_homology(m, d)) == ring.sq1_homology_rank(d), (m, d)
+
+
+# ---------------------------------------------------------------------------
+# Ring lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_rings_live_for_one_m():
+    # run_suites goes m by m, so each of the B and F rings of m = 2..12 is
+    # built once (22 misses) and at most one m's pair is kept.
+    config_mod2_ring.cache_clear()
+    suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
+    info = config_mod2_ring.cache_info()
+    assert info.misses == 22
+    assert info.currsize <= 2

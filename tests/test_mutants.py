@@ -11,14 +11,15 @@ x1^(m+1) + y1^(m+1), so it already lies in the ideal of the other two and
 dropping it changes nothing.
 
 A closed-form mutant changes one group in one degree of a configuration
-space table branch or a classifying-space formula.  Every suite over
+space table branch or a classifying-space formula, or the sign of the
+dihedral action on one degree of the fibre.  Every suite over
 m = 2..12 then runs, and the test pins the check families that fail, or
 the error that stops the run.
 """
 
 import pytest
 
-from confcoh import configcoh, f2algebra, groupcoh, suites
+from confcoh import configcoh, f2algebra, groupcoh, stiefel, suites
 from confcoh.abelian import AbGroup2
 from confcoh.f2algebra import IllDefinedDerivationError, PresentedF2Algebra
 
@@ -65,8 +66,7 @@ BUILDERS = {"B": "unordered_config_ring", "F": "ordered_config_ring"}
 
 
 def clear_ring_caches():
-    f2algebra._cached_unordered_ring.cache_clear()
-    f2algebra._cached_ordered_ring.cache_clear()
+    f2algebra.config_mod2_ring.cache_clear()
 
 
 @pytest.fixture
@@ -197,6 +197,46 @@ CLOSED_FORM_MUTANTS = {
         {"clss-odd-Z2xZ2", "duality"},
     ),
 }
+
+PLUS, MINUS = stiefel.ActionSign.PLUS, stiefel.ActionSign.MINUS
+# The clss families that run for m even, m = 1 mod 4, m = 3 mod 4, m = 3.
+EVEN = {"clss-even-D8", "clss-even-Z2xZ2"}
+ONE_MOD_4 = {"clss-1mod4", "clss-odd-Z2xZ2"}
+THREE_MOD_4 = {"clss-3mod4-fragment", "clss-odd-Z2xZ2"}
+M_IS_3 = {"clss-3mod4-fragment", "clss-m3-A", "clss-m3-B", "clss-odd-Z2xZ2"}
+
+# The dihedral sign on one integral degree q of the fibre V_{n,2}, n = m + 1,
+# flipped, for every such degree with n = 3..8 (m = 2..7, each m mod 4 with
+# and without the m = 3 scenarios).  (n, q) -> (wrong sign, what kills it).
+# The Z/2 degrees (3, 2), (5, 4), (7, 6) give mod-2 lines, which read no
+# sign: those mutants are equivalent.
+SIGN_MUTANTS = {
+    (3, 0): (MINUS, EVEN),
+    (3, 3): (MINUS, EVEN),  # m = 2: the top fibre class survives
+    (4, 0): (MINUS, {"ValueError"}),  # the fragment finds no Z/4 to remove
+    (4, 2): (PLUS, M_IS_3),
+    (4, 3): (MINUS, M_IS_3),  # m = 3: the fibre class at (0, m)
+    (4, 5): (PLUS, {"clss-m3-A", "clss-odd-Z2xZ2"}),
+    (5, 0): (MINUS, EVEN),
+    (5, 7): (MINUS, EVEN),
+    (6, 0): (MINUS, ONE_MOD_4),
+    (6, 4): (PLUS, ONE_MOD_4),
+    (6, 5): (MINUS, ONE_MOD_4),
+    (6, 9): (PLUS, ONE_MOD_4),  # m = 5: no fibre class at (0, 2m-1)
+    (7, 0): (MINUS, EVEN),
+    (7, 11): (MINUS, EVEN),
+    (8, 0): (MINUS, {"ValueError"}),
+    (8, 6): (PLUS, THREE_MOD_4),
+    (8, 7): (MINUS, THREE_MOD_4),
+    # The unordered page for m = 3 mod 4 has no executor above the fragment.
+    (8, 13): (PLUS, {"clss-odd-Z2xZ2"}),
+}
+CLOSED_FORM_MUTANTS.update(
+    {
+        f"sign-V{n},2-H{q}": (stiefel, "d8_action_sign", (n, q), wrong, killers)
+        for (n, q), (wrong, killers) in SIGN_MUTANTS.items()
+    }
+)
 
 
 def killing_families():

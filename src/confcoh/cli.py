@@ -17,11 +17,13 @@ from .configcoh import SpaceId
 from .report import VerificationReport
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..32 takes about 1 s and 20 MiB.  groups writes one row at a time, so
+# 2..80 takes 5.5-8 s with 45 MiB peak RSS (110 MiB with --format json,
+# which renders the whole report as one string), and 2..96 takes 9.5-12 s
+# (151 MiB as json).  groups writes one row at a time, so
 # its peak RSS is about 22 MiB at m = 8192; its cost is the output, O(m^2),
 # largest for json F2: 740 MB in about 8 s at m = 8192 (json Z: 370 MB,
 # 4.5 s), and 727 MiB peak for a caller that captures it in memory.
-MAX_VERIFY_M = 32
+MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
 

@@ -3,8 +3,15 @@
 A presentation is a list of generators with degrees and a list of
 homogeneous relation polynomials.  Each ring grows, one degree at a time
 and on demand, the Groebner basis of its relation ideal and the quotient
-basis of that degree: its standard monomials (divisible by no lead).  Full
-reduction gives coordinates in it.  On top of that sits the degree-raising
+basis of that degree: its standard monomials (divisible by no lead).
+S-pairs wait, as their lcm and the two leads, until their degree is
+reached, and the Gebauer-Moller criteria (J. Symbolic Comput. 6 (1988)
+275-286) drop those whose S-polynomial would reduce to zero.  Leads are
+found through the staircase instead of by a scan of the basis: a monomial
+is non-standard iff it is a lead or one of its immediate divisors (one
+exponent lowered by one) is non-standard, and an immediate divisor lies in
+a lower degree, whose basis is complete.  Full reduction gives
+coordinates in the quotient basis.  On top of that sits the degree-raising
 derivation Sq1 (squaring on degree-1 generators, extended by the Leibniz
 rule), checked well defined once per relation, and its homology, the first
 page of the mod-2 Bockstein tower, with ranks from a pivot map of bitsets.
@@ -19,6 +26,7 @@ R / x*R splitting below relies on.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 
@@ -56,6 +64,10 @@ def _set_bits(v: int) -> Iterator[int]:
 
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
 
 
 def _quotient(a: Monomial, b: Monomial) -> Monomial:
@@ -132,7 +144,10 @@ class PresentedF2Algebra:
             want = self.degrees[g] + 1
             if any(self.monomial_degree(m) != want for m in poly):
                 raise ValueError("Sq1 image of a generator has the wrong degree")
-        self._groebner: list[tuple[Monomial, Poly]] = []  # (lead, polynomial)
+        self._groebner: dict[Monomial, Poly] = {}  # lead -> polynomial
+        # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
+        self._pairs: dict[int, list[tuple[Monomial, Monomial, Monomial]]] = {}
+        self._lead_memo: dict[Monomial, Monomial] = {}  # complete degrees only
         self._basis_cache: dict[int, dict[Monomial, int]] = {}
         self._sq1_matrix_cache: dict[int, list[int]] = {}
 
@@ -150,63 +165,150 @@ class PresentedF2Algebra:
 
     # -- Groebner basis and quotient bases ------------------------------------
 
-    def _normal_form(self, poly) -> Poly:
-        """Full reduction of a homogeneous polynomial by the Groebner basis
-        as grown so far: no monomial of the result is divisible by a lead."""
+    def _lead_dividing(self, mono: Monomial, e: int) -> Monomial | None:
+        """The lead of a Groebner basis element dividing mono, of degree e,
+        or None if mono is standard; e is at most the frontier, so every
+        lower degree has its quotient basis.
+
+        Staircase walk: a non-standard monomial that is not itself a lead has
+        a non-standard immediate divisor, of lower, complete degree, and the
+        lead found there divides it too.  Monomials of complete degrees keep
+        what they found in a memo.
+        """
+        gb = self._groebner
+        cache = self._basis_cache
+        if e < len(cache) and mono in cache[e]:
+            return None
+        memo = self._lead_memo
+        path = []
+        while True:
+            if mono in gb:
+                lead = mono
+                break
+            lead = memo.get(mono)
+            if lead is not None:
+                break
+            for i, g in enumerate(self.degrees):
+                if mono[i]:
+                    below = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+                    if below not in cache[e - g]:
+                        path.append((mono, e))
+                        mono, e = below, e - g
+                        break
+            else:
+                return None
+        complete = len(cache)
+        for mono, e in path:
+            if e < complete:
+                memo[mono] = lead
+        return lead
+
+    def _normal_form(self, poly, e: int) -> Poly:
+        """Full reduction of a polynomial of degree e by the Groebner basis
+        as grown so far: no monomial of the result is divisible by a lead.
+        The largest remaining monomial is reduced by the lead found down the
+        staircase, or moved to the result if it is standard."""
         todo = set(poly)
         out = []
         while todo:
             mono = max(todo)
-            for lead, g in self._groebner:
-                if _divides(lead, mono):
-                    todo ^= self.poly_mul_mono(g, _quotient(mono, lead))
-                    break
-            else:
+            lead = self._lead_dividing(mono, e)
+            if lead is None:
                 todo.remove(mono)
                 out.append(mono)
+            else:
+                todo ^= self.poly_mul_mono(self._groebner[lead], _quotient(mono, lead))
         return frozenset(out)
+
+    def _add_to_groebner(self, poly: Poly) -> None:
+        """Add a nonzero reduced polynomial to the Groebner basis and update
+        the pairs by the Gebauer-Moller criteria.
+
+        B (chain): an older pair (a, b) with lcm L is dropped when the new
+        lead divides L and L is neither lcm(a, lead) nor lcm(b, lead); the
+        two new pairs then have smaller lcms and stand in for it.  Of the
+        new pairs, none is kept whose lcm is properly divided by another new
+        pair's lcm (M), one is kept per lcm (F), and none of an lcm shared
+        with a pair of coprime leads, whose S-polynomial reduces to zero.
+        """
+        lead = max(poly)
+        pairs = self._pairs
+        for deg, queue in pairs.items():
+            pairs[deg] = [
+                (lcm, a, b)
+                for lcm, a, b in queue
+                if not _divides(lead, lcm)
+                or _lcm(a, lead) == lcm
+                or _lcm(b, lead) == lcm
+            ]
+        partner: dict[Monomial, Monomial] = {}  # new lcm -> first older lead
+        coprime: set[Monomial] = set()  # new lcms of a pair with coprime leads
+        for other in self._groebner:
+            lcm = _lcm(other, lead)
+            partner.setdefault(lcm, other)
+            if not any(a and b for a, b in zip(other, lead)):
+                coprime.add(lcm)
+        minimal: list[Monomial] = []  # new lcms divisible by no smaller one
+        for lcm in sorted(partner, key=self.monomial_degree):
+            if any(_divides(low, lcm) for low in minimal):
+                continue
+            minimal.append(lcm)
+            if lcm not in coprime:
+                pairs.setdefault(self.monomial_degree(lcm), []).append(
+                    (lcm, partner[lcm], lead)
+                )
+        self._groebner[lead] = poly
 
     def _grow(self, d: int) -> None:
         """Grow the Groebner basis and the quotient bases through degree d;
         the frontier is the number of bases built.
 
-        Homogeneous Buchberger: degree by degree, keep the nonzero normal
-        forms of the relations and S-polynomials of that degree.  A new
-        element is reduced, so no older lead divides its lead and its
-        S-polynomials lie in higher degrees.  Pairs with coprime leads are
-        skipped: their S-polynomials reduce to zero.
+        Homogeneous Buchberger, degree by degree: the nonzero normal forms
+        of the relations and of the S-polynomials of that degree join the
+        basis.  An S-pair waits as (lcm, a, b), a and b the leads of its two
+        elements, and is pruned by the Gebauer-Moller criteria as elements
+        join; its S-polynomial is formed only when its degree is reached.
+        A new element is reduced, so no older lead divides its lead and its
+        pairs lie in higher degrees.
 
         The basis of a degree is its standard monomials (divisible by no
         lead), descending, each mapped to its position in that order.
         Standard monomials are closed under division, so each one is a
-        generator times a standard monomial of lower degree.
+        generator times a standard monomial of lower degree, and a monomial
+        is standard iff it is not a lead and each immediate divisor is in
+        the basis of its degree.
         """
         gb = self._groebner
         cache = self._basis_cache
+        degrees = self.degrees
         for e in range(len(cache), d + 1):
             for poly in self._pending.pop(e, ()):
-                poly = self._normal_form(poly)
-                if not poly:
-                    continue
-                lead = max(poly)
-                for other, g in gb:
-                    if any(a and b for a, b in zip(lead, other)):
-                        lcm = tuple(map(max, lead, other))
-                        self._pending.setdefault(self.monomial_degree(lcm), []).append(
-                            self.poly_mul_mono(poly, _quotient(lcm, lead))
-                            ^ self.poly_mul_mono(g, _quotient(lcm, other))
-                        )
-                gb.append((lead, poly))
-            candidates = {
+                poly = self._normal_form(poly, e)
+                if poly:
+                    self._add_to_groebner(poly)
+            for lcm, a, b in self._pairs.pop(e, ()):
+                poly = self._normal_form(
+                    self.poly_mul_mono(gb[a], _quotient(lcm, a))
+                    ^ self.poly_mul_mono(gb[b], _quotient(lcm, b)),
+                    e,
+                )
+                if poly:
+                    self._add_to_groebner(poly)
+            # how many immediate divisors of each candidate are standard
+            found = Counter(
                 u[:i] + (u[i] + 1,) + u[i + 1 :]
-                for i, g in enumerate(self.degrees)
+                for i, g in enumerate(degrees)
                 if g <= e
                 for u in cache[e - g]
-            }
+            )
             if e == 0:
-                candidates = {(0,) * len(self.degrees)}
+                found = {(0,) * len(degrees): 0}
             basis = sorted(
-                (v for v in candidates if not any(_divides(a, v) for a, _ in gb)),
+                (
+                    v
+                    for v, n in found.items()
+                    if n == len(v) - v.count(0) and v not in gb
+                ),
                 reverse=True,
             )
             cache[e] = {m: i for i, m in enumerate(basis)}
@@ -225,7 +327,7 @@ class PresentedF2Algebra:
     def coords(self, poly, d: int) -> int:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits."""
         index = self.degree_basis(d)
-        return sum(1 << index[mono] for mono in self._normal_form(poly))
+        return sum(1 << index[mono] for mono in self._normal_form(poly, d))
 
     # -- Sq1 -----------------------------------------------------------------
 
@@ -255,7 +357,7 @@ class PresentedF2Algebra:
             image: set[Monomial] = set()
             for mono in rel:
                 image ^= self.sq1_free(mono)
-            if self._normal_form(image):
+            if self._normal_form(image, d + 1):
                 raise IllDefinedDerivationError(
                     f"Sq1 of relation {set(rel)} is not in the ideal"
                 )

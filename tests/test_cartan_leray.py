@@ -1,5 +1,6 @@
 import pytest
 
+from confcoh import cartan_leray
 from confcoh.abelian import AbGroup2, Z
 from confcoh.cartan_leray import (
     RangeError,
@@ -186,6 +187,17 @@ def test_fragment_checks():
     for a in (0, 1, 2):
         report = fragment_check_3mod4(a)
         assert report.passed, report.failures()
+
+
+def test_fragment_fails_a_box_without_z2(monkeypatch):
+    # a wrong page whose box at (m + 1, 0) has no Z/2 for d_m to inject:
+    # failed checks, not a ValueError from removing a missing summand
+    def wrong_e2(group, m):
+        return build_e2(group, m) | {(m + 1, 0): AbGroup2.cyclic(2)}
+
+    monkeypatch.setattr(cartan_leray, "build_e2", wrong_e2)
+    failed = {c.label for c in fragment_check_3mod4(0).failures()}
+    assert {"base at m+1", "page-m cokernel"} <= failed
 
 
 def test_fragment_range():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -228,9 +229,9 @@ def test_verify_clss_marks_open_cases(capsys):
 
 
 def test_verify_range_cap(capsys):
-    code, _, err = run_cli(capsys, "verify", "--m-range", "2..33")
+    code, _, err = run_cli(capsys, "verify", "--m-range", "2..81")
     assert code == 2
-    assert "m-range capped at 32" in err
+    assert "m-range capped at 80" in err
 
 
 def test_verify_lower_bound(monkeypatch, capsys):
@@ -320,6 +321,31 @@ def test_clss_sq1_suites_beyond_cli_range():
     # m in 13..31
     report = suites.run_suites(["clss", "sq1"], range(13, 32))
     assert report.summary() == "3644 checks, 0 failures, 5 skipped-open"
+
+
+def test_all_suites_on_the_top_cli_range():
+    # every check family over 33..80, the m that the CLI accepts above 32
+    assert cli.MAX_VERIFY_M == 80
+    report = suites.run_suites(list(suites.SUITE_NAMES), range(33, 81))
+    assert report.summary() == "76598 checks, 0 failures, 12 skipped-open"
+    assert Counter(c.suite for c in report.checks) == {
+        "bockstein-page1": 10944,
+        "bockstein-ranks": 15888,
+        "clss": 12,
+        "clss-1mod4": 5220,
+        "clss-3mod4-fragment": 120,
+        "clss-even-D8": 8088,
+        "clss-even-Z2xZ2": 8088,
+        "clss-odd-Z2xZ2": 2688,
+        "duality": 8112,
+        "global": 11424,
+        "sq1": 96,
+        "sq1-split": 24,
+        "stiefel": 5568,
+        "uct-mod2-D8": 163,
+        "uct-mod2-Z2xZ2": 163,
+    }
+    assert Counter(c.suite for c in report.checks if c.skipped) == {"clss": 12}
 
 
 def test_report_compares_values_not_strings():

@@ -213,7 +213,7 @@ M_IS_3 = {"clss-3mod4-fragment", "clss-m3-A", "clss-m3-B", "clss-odd-Z2xZ2"}
 SIGN_MUTANTS = {
     (3, 0): (MINUS, EVEN),
     (3, 3): (MINUS, EVEN),  # m = 2: the top fibre class survives
-    (4, 0): (MINUS, {"ValueError"}),  # the fragment finds no Z/4 to remove
+    (4, 0): (MINUS, M_IS_3),  # the fragment finds no Z/4 to remove
     (4, 2): (PLUS, M_IS_3),
     (4, 3): (MINUS, M_IS_3),  # m = 3: the fibre class at (0, m)
     (4, 5): (PLUS, {"clss-m3-A", "clss-odd-Z2xZ2"}),
@@ -225,7 +225,7 @@ SIGN_MUTANTS = {
     (6, 9): (PLUS, ONE_MOD_4),  # m = 5: no fibre class at (0, 2m-1)
     (7, 0): (MINUS, EVEN),
     (7, 11): (MINUS, EVEN),
-    (8, 0): (MINUS, {"ValueError"}),
+    (8, 0): (MINUS, THREE_MOD_4),
     (8, 6): (PLUS, THREE_MOD_4),
     (8, 7): (MINUS, THREE_MOD_4),
     # The unordered page for m = 3 mod 4 has no executor above the fragment.

@@ -17,12 +17,12 @@ from .configcoh import SpaceId
 from .report import VerificationReport
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..80 takes 5.5-8 s with 45 MiB peak RSS (110 MiB with --format json,
-# which renders the whole report as one string), and 2..96 takes 9.5-12 s
-# (151 MiB as json).  groups writes one row at a time, so
-# its peak RSS is about 22 MiB at m = 8192; its cost is the output, O(m^2),
-# largest for json F2: 740 MB in about 8 s at m = 8192 (json Z: 370 MB,
-# 4.5 s), and 727 MiB peak for a caller that captures it in memory.
+# 2..80 takes 5.5-8 s with 45 MiB peak RSS, as a table or as json (both
+# are written one check at a time), and 2..96 takes 9.5-12 s.  groups
+# writes one row at a time, so its peak RSS is about 22 MiB at m = 8192;
+# its cost is the output, O(m^2), largest for json F2: 740 MB in about 8 s
+# at m = 8192 (json Z: 370 MB, 4.5 s), and 727 MiB peak for a caller that
+# captures it in memory.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
@@ -102,20 +102,37 @@ def _render_groups(
             yield f"\n{i:>3}  {g}"
 
 
-def _render_report_json(report: VerificationReport) -> str:
-    """json.dumps(report.to_json_obj(), indent=2), envelope written by hand."""
-    obj = report.to_json_obj()
-    checks = ",\n    ".join(_json_flat(c, 2) for c in obj["checks"])
-    checks = f"[\n    {checks}\n  ]" if checks else "[]"
-    return (
-        f'{{\n  "passed": {json.dumps(obj["passed"])},\n'
-        f'  "summary": {json.dumps(obj["summary"])},\n  "checks": {checks}\n}}'
+def _render_report_json(report: VerificationReport) -> Iterator[str]:
+    """json.dumps of the report document, indent=2, without its final
+    newline, in pieces of one check each, so that writing it holds one
+    check in memory, not the report."""
+    yield (
+        f'{{\n  "passed": {json.dumps(report.passed)},\n'
+        f'  "summary": {json.dumps(report.summary())},\n  "checks": ['
     )
+    sep = "\n    "
+    for c in report.checks:
+        row = {
+            "suite": c.suite,
+            "m": c.m,
+            "degree": c.degree,
+            "label": c.label,
+            "expected": c.expected,
+            "got": c.got,
+            "passed": c.passed,
+            "skipped": c.skipped,
+        }
+        yield sep + _json_flat(row, 2)
+        sep = ",\n    "
+    yield "\n  ]\n}" if report.checks else "]\n}"
 
 
 def cmd_groups(args: argparse.Namespace) -> int:
     if args.m > MAX_GROUPS_M:
         print(f"m capped at {MAX_GROUPS_M}", file=sys.stderr)
+        return 2
+    if args.m < 1:
+        print("error: m must be >= 1", file=sys.stderr)
         return 2
     s = SpaceId(args.space, args.m)
     if args.homology and args.coefficients != "Z":
@@ -197,7 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     report = suites.run_suites(names, m_range)
     if args.format == "json":
-        print(_render_report_json(report))
+        sys.stdout.writelines(_render_report_json(report))
+        print()
     else:
         for check in report.checks:
             if not check.passed or check.skipped or args.verbose:
@@ -257,11 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

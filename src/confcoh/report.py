@@ -89,21 +89,3 @@ class VerificationReport:
             + (f", {n_skip} skipped-open" if n_skip else "")
         )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "summary": self.summary(),
-            "checks": [
-                {
-                    "suite": c.suite,
-                    "m": c.m,
-                    "degree": c.degree,
-                    "label": c.label,
-                    "expected": c.expected,
-                    "got": c.got,
-                    "passed": c.passed,
-                    "skipped": c.skipped,
-                }
-                for c in self.checks
-            ],
-        }

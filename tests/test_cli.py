@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from confcoh import cli, suites
+from confcoh import cli, groupcoh, suites
+from confcoh.abelian import AbGroup2
 from confcoh.configcoh import SpaceId, cohomology
 from confcoh.report import VerificationReport
 
@@ -152,8 +154,8 @@ def test_groups_output_matches_reference(capsys, kind, m):
 def test_groups_usage_error(capsys):
     code, _, _ = run_cli(capsys, "groups", "--space", "Q", "--m", "4")
     assert code == 2
-    code, _, _ = run_cli(capsys, "groups", "--space", "B", "--m", "0")
-    assert code == 2
+    code, out, err = run_cli(capsys, "groups", "--space", "B", "--m", "0")
+    assert (code, out, err) == (2, "", "error: m must be >= 1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,31 @@ def test_verify_json(capsys):
     assert all(c["passed"] for c in data["checks"])
 
 
+def _reference_report_json(report):
+    """The report document as json.dumps writes it, built here from the
+    checks."""
+    return json.dumps(
+        {
+            "passed": report.passed,
+            "summary": report.summary(),
+            "checks": [
+                {
+                    "suite": c.suite,
+                    "m": c.m,
+                    "degree": c.degree,
+                    "label": c.label,
+                    "expected": c.expected,
+                    "got": c.got,
+                    "passed": c.passed,
+                    "skipped": c.skipped,
+                }
+                for c in report.checks
+            ],
+        },
+        indent=2,
+    )
+
+
 def test_verify_json_matches_json_dumps():
     escapes = VerificationReport()
     escapes.add("fake", 'quote " backslash \\ newline \n tab \t accent \u00e9', "x", "x", m=3)
@@ -218,8 +245,42 @@ def test_verify_json_matches_json_dumps():
         VerificationReport(),
         escapes,
     ):
-        want = json.dumps(report.to_json_obj(), indent=2)
-        assert cli._render_report_json(report) == want
+        want = _reference_report_json(report)
+        assert "".join(cli._render_report_json(report)) == want
+
+
+@pytest.mark.parametrize(
+    "names, m_range, argv",
+    [
+        (list(suites.SUITE_NAMES), range(2, 8), ("--m-range", "2..7")),
+        (["sq1"], range(1, 2), ("--suite", "sq1", "--m-range", "1")),
+    ],
+    ids=["all-2..7", "no-checks"],
+)
+def test_verify_json_output_is_the_reference(capsys, names, m_range, argv):
+    want = _reference_report_json(suites.run_suites(names, m_range)) + "\n"
+    code, out, _ = run_cli(capsys, "verify", "--format", "json", *argv)
+    assert (code, out) == (0, want)
+
+
+def test_verify_json_is_written_one_check_at_a_time():
+    class Discard:
+        def write(self, text):
+            pass
+
+        def writelines(self, pieces):
+            for piece in pieces:
+                self.write(piece)
+
+    report = suites.run_suites(list(suites.SUITE_NAMES), range(2, 17))
+    length = sum(map(len, cli._render_report_json(report)))
+    tracemalloc.start()
+    try:
+        Discard().writelines(cli._render_report_json(report))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 10, (peak, length)
 
 
 def test_verify_clss_marks_open_cases(capsys):
@@ -289,6 +350,20 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "verify", "--m-range", "x..y")[0] == 2
+
+
+def test_engine_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # H^8(BD8) with its Z/4 split: the executors report failed checks
+    # rather than stopping the run.
+    original = groupcoh._d8_integral
+    monkeypatch.setattr(
+        groupcoh,
+        "_d8_integral",
+        lambda i: AbGroup2.elementary(5) if i == 8 else original(i),
+    )
+    code, out, _ = run_cli(capsys, "verify", "--m-range", "2..12")
+    assert code == 1
+    assert "FAIL" in out and "13 failures" in out
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ dropping it changes nothing.
 
 A closed-form mutant changes one group in one degree of a configuration
 space table branch or a classifying-space formula, or the sign of the
-dihedral action on one degree of the fibre.  Every suite over
-m = 2..12 then runs, and the test pins the check families that fail, or
-the error that stops the run.
+dihedral action on one degree of the fibre.  An executor mutant changes
+one step of a spectral-sequence executor.  Every suite over m = 2..12 then
+runs, and the test pins the check families that fail, or the error that
+stops the run.
 """
 
 import pytest
 
-from confcoh import configcoh, f2algebra, groupcoh, stiefel, suites
-from confcoh.abelian import AbGroup2
+from confcoh import cartan_leray, configcoh, f2algebra, groupcoh, stiefel, suites
+from confcoh.abelian import ZERO, AbGroup2
 from confcoh.f2algebra import IllDefinedDerivationError, PresentedF2Algebra
 
 
@@ -173,7 +174,7 @@ CLOSED_FORM_MUTANTS = {
         "_d8_integral",
         (8,),
         E(5),
-        {"InconsistentOrdersError"},
+        {"clss-1mod4", "clss-3mod4-fragment", "clss-even-D8", "clss-m3-A"},
     ),
     "D8-twisted": (  # H^6 = <2> + Z/4 gains a Z/2
         groupcoh,
@@ -260,5 +261,32 @@ def test_closed_form_mutant_is_killed(monkeypatch, name):
     assert original(*args) != wrong
     monkeypatch.setattr(
         module, function, lambda *a: wrong if a == args else original(*a)
+    )
+    assert killing_families() == killers
+
+
+# name -> (cartan_leray function, original -> mutated function, what kills it)
+EXECUTOR_MUTANTS = {
+    "image-ignores-page-m+1-source": (
+        "_image_log2",
+        lambda original: lambda src_mid, src_top: original(src_mid, ZERO),
+        {"clss-1mod4", "clss-odd-Z2xZ2"},
+    ),
+    # Killed by one family only: the closed form is read by run_1mod4 alone.
+    "odd-closed-form-loses-Z4": (  # <ell/2 - 1> in place of {ell/2 - 1}
+        "_odd_closed_form",
+        lambda original: lambda ell: (
+            original(ell).without_cyclic(2) if ell % 4 == 2 else original(ell)
+        ),
+        {"clss-1mod4"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXECUTOR_MUTANTS)
+def test_executor_mutant_is_killed(monkeypatch, name):
+    function, mutate, killers = EXECUTOR_MUTANTS[name]
+    monkeypatch.setattr(
+        cartan_leray, function, mutate(getattr(cartan_leray, function))
     )
     assert killing_families() == killers

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable
 
 
 class NonTwoPrimaryError(ValueError):

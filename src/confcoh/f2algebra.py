@@ -10,11 +10,16 @@ reached, and the Gebauer-Moller criteria (J. Symbolic Comput. 6 (1988)
 found through the staircase instead of by a scan of the basis: a monomial
 is non-standard iff it is a lead or one of its immediate divisors (one
 exponent lowered by one) is non-standard, and an immediate divisor lies in
-a lower degree, whose basis is complete.  Full reduction gives
-coordinates in the quotient basis.  On top of that sits the degree-raising
-derivation Sq1 (squaring on degree-1 generators, extended by the Leibniz
-rule), checked well defined once per relation, and its homology, the first
-page of the mod-2 Bockstein tower, with ranks from a pivot map of bitsets.
+a lower degree, whose basis is complete.  Coordinates in the quotient
+basis are memoised per monomial as bitsets, from lower ones: a standard
+monomial is its own bit, a lead has the bits of the rest of its basis
+element, and any other monomial w those of h*v over the standard v of a
+non-standard immediate divisor w/h.  Polynomials are reduced only while a
+degree grows and to check Sq1 on the relations.  On top of that sits the
+degree-raising derivation Sq1 (squaring on degree-1 generators, extended by
+the Leibniz rule), checked well defined once per relation, whose matrices
+are XORs of those bitsets, and its homology, the first page of the mod-2
+Bockstein tower, with ranks from a pivot map of bitsets.
 
 Monomials are exponent tuples, ordered by weighted degree and then
 lexicographically, so the lead of a homogeneous polynomial is its largest
@@ -29,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
+from operator import add
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -140,15 +146,21 @@ class PresentedF2Algebra:
             self._pending.setdefault(d, []).append(r)
             self._sq1_unchecked[r] = d
         self.sq1_on_generators = dict(sq1_on_generators or {})
+        # (g, one image monomial of Sq1 g with g's exponent lowered by one):
+        # Sq1 of a monomial with an odd power of g has the term monomial + shift
+        self._sq1_shifts: list[tuple[int, tuple[int, ...]]] = []
         for g, poly in self.sq1_on_generators.items():
             want = self.degrees[g] + 1
             if any(self.monomial_degree(m) != want for m in poly):
                 raise ValueError("Sq1 image of a generator has the wrong degree")
+            for m in poly:
+                self._sq1_shifts.append((g, m[:g] + (m[g] - 1,) + m[g + 1 :]))
         self._groebner: dict[Monomial, Poly] = {}  # lead -> polynomial
         # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
         self._pairs: dict[int, list[tuple[Monomial, Monomial, Monomial]]] = {}
-        self._lead_memo: dict[Monomial, Monomial] = {}  # complete degrees only
+        self._coords_memo: dict[Monomial, int] = {}  # complete degrees only
         self._basis_cache: dict[int, dict[Monomial, int]] = {}
+        self._basis_list: list[list[Monomial]] = []  # degree -> basis, in order
         self._sq1_matrix_cache: dict[int, list[int]] = {}
 
     # -- monomial bookkeeping ---------------------------------------------
@@ -165,6 +177,18 @@ class PresentedF2Algebra:
 
     # -- Groebner basis and quotient bases ------------------------------------
 
+    def _step_down(self, mono: Monomial, e: int) -> tuple[int, Monomial, int] | None:
+        """(i, mono / generator i, its degree) for the first generator i
+        whose quotient is non-standard, or None if every immediate divisor
+        of mono is standard; every degree below e must be complete."""
+        cache = self._basis_cache
+        for i, g in enumerate(self.degrees):
+            if mono[i]:
+                below = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+                if below not in cache[e - g]:
+                    return i, below, e - g
+        return None
+
     def _lead_dividing(self, mono: Monomial, e: int) -> Monomial | None:
         """The lead of a Groebner basis element dividing mono, of degree e,
         or None if mono is standard; e is at most the frontier, so every
@@ -172,36 +196,16 @@ class PresentedF2Algebra:
 
         Staircase walk: a non-standard monomial that is not itself a lead has
         a non-standard immediate divisor, of lower, complete degree, and the
-        lead found there divides it too.  Monomials of complete degrees keep
-        what they found in a memo.
+        lead found there divides it too.
         """
-        gb = self._groebner
-        cache = self._basis_cache
-        if e < len(cache) and mono in cache[e]:
+        if e < len(self._basis_cache) and mono in self._basis_cache[e]:
             return None
-        memo = self._lead_memo
-        path = []
-        while True:
-            if mono in gb:
-                lead = mono
-                break
-            lead = memo.get(mono)
-            if lead is not None:
-                break
-            for i, g in enumerate(self.degrees):
-                if mono[i]:
-                    below = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
-                    if below not in cache[e - g]:
-                        path.append((mono, e))
-                        mono, e = below, e - g
-                        break
-            else:
+        while mono not in self._groebner:
+            step = self._step_down(mono, e)
+            if step is None:
                 return None
-        complete = len(cache)
-        for mono, e in path:
-            if e < complete:
-                memo[mono] = lead
-        return lead
+            _, mono, e = step
+        return mono
 
     def _normal_form(self, poly, e: int) -> Poly:
         """Full reduction of a polynomial of degree e by the Groebner basis
@@ -312,6 +316,8 @@ class PresentedF2Algebra:
                 reverse=True,
             )
             cache[e] = {m: i for i, m in enumerate(basis)}
+            self._basis_list.append(basis)
+            self._coords_memo.update((m, 1 << i) for i, m in enumerate(basis))
 
     def quotient_dimension(self, d: int) -> int:
         return len(self.degree_basis(d))
@@ -325,24 +331,67 @@ class PresentedF2Algebra:
         return self._basis_cache[d]
 
     def coords(self, poly, d: int) -> int:
-        """Coordinates of a degree-d polynomial in the quotient basis, as bits."""
-        index = self.degree_basis(d)
-        return sum(1 << index[mono] for mono in self._normal_form(poly, d))
+        """Coordinates of a degree-d polynomial in the quotient basis, as bits:
+        the XOR of the memoised coordinates of its monomials."""
+        self._grow(d)
+        memo = self._coords_memo
+        bits = 0
+        for mono in poly:
+            mono_bits = memo.get(mono)
+            bits ^= self._mono_coords(mono, d) if mono_bits is None else mono_bits
+        return bits
+
+    def _mono_coords(self, mono: Monomial, e: int) -> int:
+        """Coordinates of a monomial of a complete degree e, as bits.
+
+        The memo holds the coordinates of monomials of complete degrees: a
+        standard monomial's own bit from when its basis is built, and the
+        rest as the walk finds them.  A lead has the coordinates of the
+        rest of its Groebner basis element.  Any other non-standard w has a
+        non-standard immediate divisor w/h, found as in the staircase walk,
+        and has the coordinates of the sum of h*v over the standard v set in
+        those of w/h.  Every monomial named on the right is smaller than w,
+        so the walk ends; it runs on an explicit stack, not by recursion.
+        """
+        gb = self._groebner
+        memo = self._coords_memo
+        stack = [(mono, e)]
+        while stack:
+            w, t = stack[-1]
+            if w in memo:
+                stack.pop()
+                continue
+            if w in gb:
+                parts = [v for v in gb[w] if v != w]
+            else:
+                i, u, s = self._step_down(w, t)
+                if u not in memo:
+                    stack.append((u, s))
+                    continue
+                below = self._basis_list[s]
+                parts = [
+                    v[:i] + (v[i] + 1,) + v[i + 1 :]
+                    for v in map(below.__getitem__, _set_bits(memo[u]))
+                ]
+            missing = [(v, t) for v in parts if v not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            bits = 0
+            for v in parts:
+                bits ^= memo[v]
+            memo[w] = bits
+            stack.pop()
+        return memo[mono]
 
     # -- Sq1 -----------------------------------------------------------------
 
     def sq1_free(self, mono: Monomial) -> Poly:
         """Leibniz expansion of Sq1 on a free monomial (char 2)."""
         out: set[Monomial] = set()
-        for i, e in enumerate(mono):
-            if e % 2 == 0:
-                continue
-            image = self.sq1_on_generators.get(i)
-            if not image:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-            for im in image:
-                out ^= {self.mono_mul(lowered, im)}
+        for i, shift in self._sq1_shifts:
+            if mono[i] & 1:
+                out ^= {tuple(map(add, mono, shift))}
         return frozenset(out)
 
     def _check_sq1_well_defined(self, through_degree: int) -> None:
@@ -373,8 +422,21 @@ class PresentedF2Algebra:
             return self._sq1_matrix_cache[d]
         self._grow(d + 1)
         self._check_sq1_well_defined(d + 1)
-        basis = self.degree_basis(d)
-        cols = [self.coords(self.sq1_free(mono), d + 1) for mono in basis]
+        # the terms of sq1_free, XORed as bitsets as they are formed: no
+        # polynomial is built, and a term met twice cancels either way
+        memo = self._coords_memo
+        shifts = self._sq1_shifts
+        cols = []
+        for mono in self.degree_basis(d):
+            bits = 0
+            for i, shift in shifts:
+                if mono[i] & 1:
+                    image = tuple(map(add, mono, shift))
+                    image_bits = memo.get(image)
+                    if image_bits is None:
+                        image_bits = self._mono_coords(image, d + 1)
+                    bits ^= image_bits
+            cols.append(bits)
         self._sq1_matrix_cache[d] = cols
         return cols
 

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +367,17 @@ def test_engine_fault_is_not_a_usage_error(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--m-range", "2..12")
     assert code == 1
     assert "FAIL" in out and "13 failures" in out
+
+
+def test_cli_import_leaves_typing_out():
+    # Annotations are strings (PEP 563) and abstract types come from
+    # collections.abc, so a bare interpreter never loads typing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import confcoh.cli; print('typing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -316,13 +316,28 @@ CHAIN = (
 @settings(max_examples=300, deadline=None)
 def test_engine_on_random_presentations(case):
     # The pair criteria prune by lead shapes that the configuration rings
-    # never produce; random ideals reach them.
+    # never produce; random ideals reach them.  Coordinates come from
+    # per-monomial bitsets (standard, lead tail, or a non-standard immediate
+    # divisor); every free monomial is asked for, the highest degree first
+    # so that each walk starts cold, with degree-2 generators and lead
+    # shapes that the configuration rings lack.
     degrees, relations, d, poly = case
     ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
     oracle = SpanOracle(ring)
+    for e in range(8, -1, -1):
+        for mono in free_monomials(degrees, e):
+            assert ring.coords({mono}, e) == oracle.coords({mono}, e), (e, mono)
     for e in range(9):
         assert tuple(ring.degree_basis(e)) == oracle.basis(e), e
     assert ring.coords(poly, d) == oracle.coords(poly, d)
+
+
+def test_cold_coords_high_up_needs_no_recursion():
+    # In F2[x, y] / (x^2) the bitset of x^1500 is found by walking down x
+    # 1500 times; a recursive walk would exceed the interpreter's limit.
+    ring = PresentedF2Algebra([("x", 1), ("y", 1)], [frozenset({(2, 0)})])
+    assert ring.coords(frozenset({(1500, 0)}), 1500) == 0
+    assert ring.coords(frozenset({(1, 1499), (0, 1500)}), 1500) == 0b11
 
 
 @pytest.mark.parametrize(
@@ -344,6 +359,29 @@ def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
     ring._grow(2 * m + 1)
     assert len(forms) <= most
     assert sum(not f for f in forms) <= most_zero
+
+
+@pytest.mark.parametrize(
+    "kind, m, most",
+    # reducing each Sq1 image as a polynomial took 4163 normal forms at
+    # B m = 64 and 1643 at F m = 40; now only the well-definedness check
+    # reduces, one normal form per relation
+    [("B", 64, 3), ("F", 40, 3)],
+)
+def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m, most):
+    ring = config_mod2_ring.__wrapped__(kind, m)
+    ring._grow(2 * m + 2)
+    calls = []
+    normal_form = PresentedF2Algebra._normal_form
+
+    def counted(self, poly, e):
+        calls.append(e)
+        return normal_form(self, poly, e)
+
+    monkeypatch.setattr(PresentedF2Algebra, "_normal_form", counted)
+    for d in range(2 * m + 2):
+        ring.sq1_matrix(d)
+    assert len(calls) <= most
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ dropping it changes nothing.
 A closed-form mutant changes one group in one degree of a configuration
 space table branch or a classifying-space formula, or the sign of the
 dihedral action on one degree of the fibre.  An executor mutant changes
-one step of a spectral-sequence executor.  Every suite over m = 2..12 then
+one step of a spectral-sequence executor, and an engine mutant one step of
+the F2 engine's per-monomial coordinates.  Every suite over m = 2..12 then
 runs, and the test pins the check families that fail, or the error that
 stops the run.
 """
@@ -290,3 +291,41 @@ def test_executor_mutant_is_killed(monkeypatch, name):
         cartan_leray, function, mutate(getattr(cartan_leray, function))
     )
     assert killing_families() == killers
+
+
+def lead_bitsets_drop_their_tails(original):
+    """_mono_coords with every lead of the asked degree or below worth 0, as
+    if the rest of its Groebner basis element were dropped."""
+
+    def mutant(self, mono, e):
+        for lead in self._groebner:
+            if self.monomial_degree(lead) <= e:
+                self._coords_memo.setdefault(lead, 0)
+        return original(self, mono, e)
+
+    return mutant
+
+
+# name -> (PresentedF2Algebra method, original -> mutated method, what kills it)
+ENGINE_MUTANTS = {
+    # Killed by one family only: Sq1 x = x^2 then reads 0 in B, yet
+    # Sq1^2 = 0 and the R / x*R splitting survive and only page-1 ranks move.
+    "lead-bitset-drops-tail": (
+        "_mono_coords",
+        lead_bitsets_drop_their_tails,
+        {"bockstein-page1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_MUTANTS)
+def test_engine_mutant_is_killed(monkeypatch, name):
+    method, mutate, killers = ENGINE_MUTANTS[name]
+    monkeypatch.setattr(
+        PresentedF2Algebra, method, mutate(getattr(PresentedF2Algebra, method))
+    )
+    clear_ring_caches()
+    try:
+        assert killing_families() == killers
+    finally:
+        clear_ring_caches()

@@ -17,8 +17,9 @@ from .configcoh import SpaceId
 from .report import VerificationReport
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..80 takes 4.5-5.7 s with 46 MiB peak RSS, as a table or as json (both
-# are written one check at a time), and 2..96 takes about 8 s.  groups
+# 2..80 takes about 2.3 s with 46 MiB peak RSS, as a table or as json (both
+# are written one check at a time), and 2..96 about 3.6 s; a busy host
+# takes about twice as long.  groups
 # writes one row at a time, so its peak RSS is about 22 MiB at m = 8192;
 # its cost is the output, O(m^2), largest for json F2: 740 MB in about 8 s
 # at m = 8192 (json Z: 370 MB, 4.5 s), and 727 MiB peak for a caller that

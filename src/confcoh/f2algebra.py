@@ -146,9 +146,9 @@ class PresentedF2Algebra:
             self._pending.setdefault(d, []).append(r)
             self._sq1_unchecked[r] = d
         self.sq1_on_generators = dict(sq1_on_generators or {})
-        # (g, one image monomial of Sq1 g with g's exponent lowered by one):
-        # Sq1 of a monomial with an odd power of g has the term monomial + shift
-        self._sq1_shifts: list[tuple[int, tuple[int, ...]]] = []
+        # (g, a monomial of Sq1 g divided by g): Sq1 of a monomial with an
+        # odd power of g has a term that monomial times the shift
+        self._sq1_shifts: list[tuple[int, Monomial]] = []
         for g, poly in self.sq1_on_generators.items():
             want = self.degrees[g] + 1
             if any(self.monomial_degree(m) != want for m in poly):
@@ -334,11 +334,9 @@ class PresentedF2Algebra:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits:
         the XOR of the memoised coordinates of its monomials."""
         self._grow(d)
-        memo = self._coords_memo
         bits = 0
         for mono in poly:
-            mono_bits = memo.get(mono)
-            bits ^= self._mono_coords(mono, d) if mono_bits is None else mono_bits
+            bits ^= self._mono_coords(mono, d)
         return bits
 
     def _mono_coords(self, mono: Monomial, e: int) -> int:
@@ -353,8 +351,10 @@ class PresentedF2Algebra:
         those of w/h.  Every monomial named on the right is smaller than w,
         so the walk ends; it runs on an explicit stack, not by recursion.
         """
-        gb = self._groebner
         memo = self._coords_memo
+        if mono in memo:
+            return memo[mono]
+        gb = self._groebner
         stack = [(mono, e)]
         while stack:
             w, t = stack[-1]
@@ -386,13 +386,13 @@ class PresentedF2Algebra:
 
     # -- Sq1 -----------------------------------------------------------------
 
-    def sq1_free(self, mono: Monomial) -> Poly:
-        """Leibniz expansion of Sq1 on a free monomial (char 2)."""
-        out: set[Monomial] = set()
-        for i, shift in self._sq1_shifts:
-            if mono[i] & 1:
-                out ^= {tuple(map(add, mono, shift))}
-        return frozenset(out)
+    def sq1_free(self, mono: Monomial) -> Iterator[Monomial]:
+        """Terms of the Leibniz expansion of Sq1 on a free monomial: for each
+        generator g with an odd exponent, mono / g times each monomial of
+        Sq1 g.  Over F2 a term yielded twice cancels."""
+        for g, shift in self._sq1_shifts:
+            if mono[g] & 1:
+                yield tuple(map(add, mono, shift))
 
     def _check_sq1_well_defined(self, through_degree: int) -> None:
         """Verify that Sq1 of each relation of degree below through_degree
@@ -405,7 +405,8 @@ class PresentedF2Algebra:
                 continue
             image: set[Monomial] = set()
             for mono in rel:
-                image ^= self.sq1_free(mono)
+                for term in self.sq1_free(mono):
+                    image ^= {term}
             if self._normal_form(image, d + 1):
                 raise IllDefinedDerivationError(
                     f"Sq1 of relation {set(rel)} is not in the ideal"
@@ -422,21 +423,8 @@ class PresentedF2Algebra:
             return self._sq1_matrix_cache[d]
         self._grow(d + 1)
         self._check_sq1_well_defined(d + 1)
-        # the terms of sq1_free, XORed as bitsets as they are formed: no
-        # polynomial is built, and a term met twice cancels either way
-        memo = self._coords_memo
-        shifts = self._sq1_shifts
-        cols = []
-        for mono in self.degree_basis(d):
-            bits = 0
-            for i, shift in shifts:
-                if mono[i] & 1:
-                    image = tuple(map(add, mono, shift))
-                    image_bits = memo.get(image)
-                    if image_bits is None:
-                        image_bits = self._mono_coords(image, d + 1)
-                    bits ^= image_bits
-            cols.append(bits)
+        basis = self.degree_basis(d)
+        cols = [self.coords(self.sq1_free(mono), d + 1) for mono in basis]
         self._sq1_matrix_cache[d] = cols
         return cols
 

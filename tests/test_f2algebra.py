@@ -208,7 +208,9 @@ class SpanOracle:
 
     def coords(self, poly, d):
         monos, index, rows = self.span(d)
-        v = sum(1 << index[mono] for mono in poly)
+        v = 0
+        for mono in poly:
+            v ^= 1 << index[mono]
         normal = []
         while v:
             p = (v & -v).bit_length() - 1
@@ -399,6 +401,17 @@ def test_sq1_on_free_two_variable_ring():
     assert cols[0] == 1 << basis2[(2, 0)]
     assert cols[1] == 1 << basis2[(0, 2)]
 
+
+
+def test_sq1_terms_met_twice_cancel():
+    # Sq1 a = ab and Sq1 b = b^2: both Leibniz terms of Sq1(ab) are ab^2
+    ring = PresentedF2Algebra(
+        [("a", 1), ("b", 1)], [], {0: frozenset({(1, 1)}), 1: frozenset({(0, 2)})}
+    )
+    assert list(ring.sq1_free((1, 1))) == [(1, 2), (1, 2)]
+    basis2 = ring.degree_basis(2)
+    assert ring.sq1_matrix(1) == [1 << basis2[(1, 1)], 1 << basis2[(0, 2)]]
+    assert ring.sq1_matrix(2)[basis2[(1, 1)]] == 0
 
 def test_sq1_parity_rule_on_unordered_ring():
     # Sq1(x^i x1^i1 x2^i2) is zero for even i+i1+i2 and bumps the middle

@@ -6,20 +6,20 @@ and on demand, the Groebner basis of its relation ideal and the quotient
 basis of that degree: its standard monomials (divisible by no lead).
 S-pairs wait, as their lcm and the two leads, until their degree is
 reached, and the Gebauer-Moller criteria (J. Symbolic Comput. 6 (1988)
-275-286) drop those whose S-polynomial would reduce to zero.  Leads are
-found through the staircase instead of by a scan of the basis: a monomial
-is non-standard iff it is a lead or one of its immediate divisors (one
-exponent lowered by one) is non-standard, and an immediate divisor lies in
-a lower degree, whose basis is complete.  Coordinates in the quotient
-basis are memoised per monomial as bitsets, from lower ones: a standard
-monomial is its own bit, a lead has the bits of the rest of its basis
-element, and any other monomial w those of h*v over the standard v of a
-non-standard immediate divisor w/h.  Polynomials are reduced only while a
-degree grows and to check Sq1 on the relations.  On top of that sits the
-degree-raising derivation Sq1 (squaring on degree-1 generators, extended by
-the Leibniz rule), checked well defined once per relation, whose matrices
-are XORs of those bitsets, and its homology, the first page of the mod-2
-Bockstein tower, with ranks from a pivot map of bitsets.
+275-286) drop those whose S-polynomial would reduce to zero.  No scan of
+the basis is needed: a monomial is non-standard iff it is a lead or one of
+its immediate divisors (one exponent lowered by one) is non-standard, and
+an immediate divisor lies in a lower degree, whose basis is complete.
+Coordinates in the quotient basis are memoised per monomial as bitsets,
+from lower ones: a standard monomial is its own bit, a lead has the bits of
+the rest of its basis element, and any other monomial w those of h*v over
+the standard v of a non-standard immediate divisor w/h.  Polynomials are
+reduced only while a degree grows, by the same rules through the memo.  On
+top of that sits the degree-raising derivation Sq1 (squaring on degree-1
+generators, extended by the Leibniz rule): its matrices are XORs of those
+bitsets, and so is the check, once per relation, that it is well defined.
+Its homology is the first page of the mod-2 Bockstein tower, with each
+matrix ranked once by a pivot map of bitsets.
 
 Monomials are exponent tuples, ordered by weighted degree and then
 lexicographically, so the lead of a homogeneous polynomial is its largest
@@ -134,6 +134,15 @@ class PresentedF2Algebra:
         if any(d < 1 for d in self.degrees):
             raise ValueError("generator degrees must be >= 1")
         self.relations = tuple(frozenset(r) for r in relations)
+        self.sq1_on_generators = dict(sq1_on_generators or {})
+        n = len(self.degrees)
+        for g in self.sq1_on_generators:
+            if not 0 <= g < n:
+                raise ValueError(f"Sq1 declared on generator {g} of {n}")
+        for poly in (*self.relations, *self.sq1_on_generators.values()):
+            for m in poly:
+                if len(m) != n or any(x < 0 for x in m):
+                    raise ValueError(f"{m} is not {n} non-negative exponents")
         self._pending: dict[int, list[Poly]] = {}  # degree -> polys to reduce
         self._sq1_unchecked: dict[Poly, int] = {}  # relation -> its degree
         for r in self.relations:
@@ -145,7 +154,6 @@ class PresentedF2Algebra:
             (d,) = degs
             self._pending.setdefault(d, []).append(r)
             self._sq1_unchecked[r] = d
-        self.sq1_on_generators = dict(sq1_on_generators or {})
         # (g, a monomial of Sq1 g divided by g): Sq1 of a monomial with an
         # odd power of g has a term that monomial times the shift
         self._sq1_shifts: list[tuple[int, Monomial]] = []
@@ -162,6 +170,7 @@ class PresentedF2Algebra:
         self._basis_cache: dict[int, dict[Monomial, int]] = {}
         self._basis_list: list[list[Monomial]] = []  # degree -> basis, in order
         self._sq1_matrix_cache: dict[int, list[int]] = {}
+        self._rank_cache: dict[tuple[int, int, int], int] = {}  # (e, src, dst)
 
     # -- monomial bookkeeping ---------------------------------------------
 
@@ -189,39 +198,37 @@ class PresentedF2Algebra:
                     return i, below, e - g
         return None
 
-    def _lead_dividing(self, mono: Monomial, e: int) -> Monomial | None:
-        """The lead of a Groebner basis element dividing mono, of degree e,
-        or None if mono is standard; e is at most the frontier, so every
-        lower degree has its quotient basis.
-
-        Staircase walk: a non-standard monomial that is not itself a lead has
-        a non-standard immediate divisor, of lower, complete degree, and the
-        lead found there divides it too.
-        """
-        if e < len(self._basis_cache) and mono in self._basis_cache[e]:
-            return None
-        while mono not in self._groebner:
-            step = self._step_down(mono, e)
-            if step is None:
-                return None
-            _, mono, e = step
-        return mono
+    def _lift(self, i: int, s: int, bits: int) -> list[Monomial]:
+        """Generator i times each standard monomial of degree s set in bits."""
+        below = self._basis_list[s]
+        return [
+            v[:i] + (v[i] + 1,) + v[i + 1 :]
+            for v in map(below.__getitem__, _set_bits(bits))
+        ]
 
     def _normal_form(self, poly, e: int) -> Poly:
-        """Full reduction of a polynomial of degree e by the Groebner basis
-        as grown so far: no monomial of the result is divisible by a lead.
-        The largest remaining monomial is reduced by the lead found down the
-        staircase, or moved to the result if it is standard."""
+        """Full reduction of a polynomial of the frontier degree e by the
+        Groebner basis as grown so far.  The largest remaining monomial w
+        becomes the sum of h*v over the standard v in the coordinates of a
+        non-standard immediate divisor w/h, if it has one; else, a lead, the
+        rest of its basis element; else it is standard and moves to the
+        result."""
         todo = set(poly)
         out = []
         while todo:
-            mono = max(todo)
-            lead = self._lead_dividing(mono, e)
-            if lead is None:
-                todo.remove(mono)
-                out.append(mono)
+            w = max(todo)
+            step = self._step_down(w, e)
+            if step is not None:
+                i, u, s = step
+                todo.remove(w)
+                todo.symmetric_difference_update(
+                    self._lift(i, s, self._mono_coords(u, s))
+                )
+            elif w in self._groebner:
+                todo ^= self._groebner[w]
             else:
-                todo ^= self.poly_mul_mono(self._groebner[lead], _quotient(mono, lead))
+                todo.remove(w)
+                out.append(w)
         return frozenset(out)
 
     def _add_to_groebner(self, poly: Poly) -> None:
@@ -346,9 +353,9 @@ class PresentedF2Algebra:
         standard monomial's own bit from when its basis is built, and the
         rest as the walk finds them.  A lead has the coordinates of the
         rest of its Groebner basis element.  Any other non-standard w has a
-        non-standard immediate divisor w/h, found as in the staircase walk,
-        and has the coordinates of the sum of h*v over the standard v set in
-        those of w/h.  Every monomial named on the right is smaller than w,
+        non-standard immediate divisor w/h, found by _step_down, and has
+        the coordinates of the sum of h*v over the standard v set in those
+        of w/h.  Every monomial named on the right is smaller than w,
         so the walk ends; it runs on an explicit stack, not by recursion.
         """
         memo = self._coords_memo
@@ -368,11 +375,7 @@ class PresentedF2Algebra:
                 if u not in memo:
                     stack.append((u, s))
                     continue
-                below = self._basis_list[s]
-                parts = [
-                    v[:i] + (v[i] + 1,) + v[i + 1 :]
-                    for v in map(below.__getitem__, _set_bits(memo[u]))
-                ]
+                parts = self._lift(i, s, memo[u])
             missing = [(v, t) for v in parts if v not in memo]
             if missing:
                 stack.extend(missing)
@@ -396,18 +399,15 @@ class PresentedF2Algebra:
 
     def _check_sq1_well_defined(self, through_degree: int) -> None:
         """Verify that Sq1 of each relation of degree below through_degree
-        lies in the ideal, reducing each relation once; one that fails stays
+        has zero coordinates, once per relation; one that fails stays
         unchecked and raises again.  Needs the bases grown that far."""
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
         for rel, d in list(self._sq1_unchecked.items()):
             if d >= through_degree:
                 continue
-            image: set[Monomial] = set()
-            for mono in rel:
-                for term in self.sq1_free(mono):
-                    image ^= {term}
-            if self._normal_form(image, d + 1):
+            image = (term for mono in rel for term in self.sq1_free(mono))
+            if self.coords(image, d + 1):
                 raise IllDefinedDerivationError(
                     f"Sq1 of relation {set(rel)} is not in the ideal"
                 )
@@ -439,15 +439,19 @@ class PresentedF2Algebra:
         its basis positions in degree e are the set bits of mask(e)."""
 
         def rank_out(e: int, src: int) -> int:
-            """Rank of Sq1 out of degree e on the src positions; the rank
-            ignores how the bits are numbered."""
+            """Rank of Sq1 out of degree e on the src positions, taken and
+            checked to land in the dst positions once per (e, src, dst); the
+            rank ignores how the bits are numbered."""
             if not src:
                 return 0
-            cols = [c for i, c in enumerate(self.sq1_matrix(e)) if src >> i & 1]
             dst = mask(e + 1)
-            if any(c & ~dst for c in cols):
-                raise AssertionError("Sq1 does not preserve the splitting")
-            return f2_rank(cols)
+            key = (e, src, dst)
+            if key not in self._rank_cache:
+                cols = [c for i, c in enumerate(self.sq1_matrix(e)) if src >> i & 1]
+                if any(c & ~dst for c in cols):
+                    raise AssertionError("Sq1 does not preserve the splitting")
+                self._rank_cache[key] = f2_rank(cols)
+            return self._rank_cache[key]
 
         here = mask(d)
         return here.bit_count() - rank_out(d, here) - rank_out(d - 1, mask(d - 1))

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confcoh import suites
+from confcoh import f2algebra, suites
 from confcoh.f2algebra import (
     F2Echelon,
     IllDefinedDerivationError,
@@ -364,13 +364,12 @@ def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
 
 
 @pytest.mark.parametrize(
-    "kind, m, most",
+    "kind, m",
     # reducing each Sq1 image as a polynomial took 4163 normal forms at
-    # B m = 64 and 1643 at F m = 40; now only the well-definedness check
-    # reduces, one normal form per relation
-    [("B", 64, 3), ("F", 40, 3)],
+    # B m = 64 and 1643 at F m = 40; the relation check reads coordinates
+    [("B", 64), ("F", 40)],
 )
-def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m, most):
+def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m):
     ring = config_mod2_ring.__wrapped__(kind, m)
     ring._grow(2 * m + 2)
     calls = []
@@ -383,7 +382,24 @@ def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m, most):
     monkeypatch.setattr(PresentedF2Algebra, "_normal_form", counted)
     for d in range(2 * m + 2):
         ring.sq1_matrix(d)
-    assert len(calls) <= most
+    assert calls == []
+
+
+def test_sq1_sweep_ranks_each_matrix_once(monkeypatch):
+    # B m = 64 has 128 nonzero Sq1 matrices, out of degrees 0..127; each
+    # is the map out of d for one rank and the map into d + 1 for the next
+    ring = config_mod2_ring.__wrapped__("B", 64)
+    calls = []
+    rank = f2algebra.f2_rank
+
+    def counted(columns):
+        calls.append(len(columns))
+        return rank(columns)
+
+    monkeypatch.setattr(f2algebra, "f2_rank", counted)
+    for d in range(2 * 64 + 1):
+        ring.sq1_homology_rank(d)
+    assert len(calls) <= 128
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +477,74 @@ def test_ill_defined_derivation_detected():
         with pytest.raises(IllDefinedDerivationError):
             ring.sq1_matrix(2)
     assert [ring.quotient_dimension(d) for d in range(5)] == dims
+
+
+@st.composite
+def random_sq1_presentations(draw):
+    """Generators and relations as in random_presentations, and on each
+    generator a random Sq1 of one degree higher, possibly zero."""
+    degrees, relations, _, _ = draw(random_presentations())
+    sq1 = {}
+    for g, deg in enumerate(degrees):
+        # degree 3 has no monomial when every generator has degree 2
+        monos = free_monomials(degrees, deg + 1)
+        sq1[g] = frozenset(draw(st.sets(st.sampled_from(monos))) if monos else ())
+    return degrees, relations, sq1
+
+
+@given(random_sq1_presentations())
+@example(  # the dihedral ring: Sq1 is well defined
+    (
+        [1, 1, 2],
+        [frozenset({(2, 0, 0), (1, 1, 0)})],
+        {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 1, 1)})},
+    )
+)
+@example(  # Sq1 of the relation a^2 + b^2 is 0, of b^3 it is b^4, in the ideal
+    (
+        [1, 1],
+        [frozenset({(2, 0), (0, 2)}), frozenset({(0, 3)})],
+        {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})},
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sq1_relation_check_against_span_oracle(case):
+    # sq1_matrix(d) raises exactly when a relation of degree at most d has
+    # a Sq1 image outside the span, and gives the oracle's columns otherwise
+    degrees, relations, sq1 = case
+    ring = PresentedF2Algebra(
+        [(f"g{i}", g) for i, g in enumerate(degrees)], relations, sq1
+    )
+    oracle = SpanOracle(ring)
+    outside = []  # degrees of the relations whose Sq1 image is outside the span
+    for rel in ring.relations:
+        e = ring.monomial_degree(min(rel))
+        if oracle.coords([t for mono in rel for t in ring.sq1_free(mono)], e + 1):
+            outside.append(e)
+    for d in range(7):
+        if any(e <= d for e in outside):
+            with pytest.raises(IllDefinedDerivationError):
+                ring.sq1_matrix(d)
+        else:
+            assert ring.sq1_matrix(d) == oracle.sq1_matrix(d), d
+
+
+@pytest.mark.parametrize(
+    "generators, relations, sq1",
+    [
+        pytest.param([("a", 1), ("b", 1)], [{(2,)}], None, id="short-monomial"),
+        pytest.param([("a", 1), ("b", 1)], [{(3, -1)}], None, id="negative-exponent"),
+        pytest.param([("a", 1)], [], {3: {(2,)}}, id="no-such-generator"),
+        pytest.param([("a", 1), ("b", 1)], [], {-1: {(0, 2)}}, id="negative-generator"),
+        pytest.param([("a", 1), ("b", 1)], [], {0: {(2, 0, 0)}}, id="long-sq1-image"),
+        pytest.param([("a", 0)], [], None, id="degree-zero-generator"),
+        pytest.param([("a", 1), ("b", 1)], [{(2, 0), (0, 1)}], None, id="inhomogeneous"),
+        pytest.param([("a", 1), ("b", 1)], [], {0: {(0, 1)}}, id="sq1-wrong-degree"),
+    ],
+)
+def test_malformed_presentation_rejected(generators, relations, sq1):
+    with pytest.raises(ValueError):
+        PresentedF2Algebra(generators, relations, sq1)
 
 
 def test_sq1_homology_examples():

@@ -14,9 +14,8 @@ A closed-form mutant changes one group in one degree of a configuration
 space table branch or a classifying-space formula, or the sign of the
 dihedral action on one degree of the fibre.  An executor mutant changes
 one step of a spectral-sequence executor, and an engine mutant one step of
-the F2 engine's per-monomial coordinates.  Every suite over m = 2..12 then
-runs, and the test pins the check families that fail, or the error that
-stops the run.
+the F2 engine's Sq1 columns.  Every suite over m = 2..12 then runs, and the
+test pins the check families that fail, or the error that stops the run.
 """
 
 import pytest
@@ -293,15 +292,17 @@ def test_executor_mutant_is_killed(monkeypatch, name):
     assert killing_families() == killers
 
 
-def lead_bitsets_drop_their_tails(original):
-    """_mono_coords with every lead of the asked degree or below worth 0, as
-    if the rest of its Groebner basis element were dropped."""
+def sq1_drops_lead_terms(original):
+    """sq1_matrix with every Sq1 term that is a Groebner lead dropped, as if
+    the coordinates of a lead lost the rest of its basis element where the
+    Sq1 columns read them."""
 
-    def mutant(self, mono, e):
-        for lead in self._groebner:
-            if self.monomial_degree(lead) <= e:
-                self._coords_memo.setdefault(lead, 0)
-        return original(self, mono, e)
+    def mutant(self, d):
+        original(self, d)  # grows the bases and checks Sq1 on the relations
+        return [
+            self.coords((t for t in self.sq1_free(b) if t not in self._groebner), d + 1)
+            for b in self.degree_basis(d)
+        ]
 
     return mutant
 
@@ -311,8 +312,8 @@ ENGINE_MUTANTS = {
     # Killed by one family only: Sq1 x = x^2 then reads 0 in B, yet
     # Sq1^2 = 0 and the R / x*R splitting survive and only page-1 ranks move.
     "lead-bitset-drops-tail": (
-        "_mono_coords",
-        lead_bitsets_drop_their_tails,
+        "sq1_matrix",
+        sq1_drops_lead_terms,
         {"bockstein-page1"},
     ),
 }

@@ -19,11 +19,11 @@ from .report import VerificationReport
 # Input bounds, each set from a measured run on a 2-core host: verify over
 # 2..80 takes about 2.3 s with 46 MiB peak RSS, as a table or as json (both
 # are written one check at a time), and 2..96 about 3.6 s; a busy host
-# takes about twice as long.  groups
-# writes one row at a time, so its peak RSS is about 22 MiB at m = 8192;
-# its cost is the output, O(m^2), largest for json F2: 740 MB in about 8 s
-# at m = 8192 (json Z: 370 MB, 4.5 s), and 727 MiB peak for a caller that
-# captures it in memory.
+# takes about twice as long.  groups writes one row at a time, so its peak
+# RSS is about 22 MiB at m = 8192, where its largest output, json F2
+# (740 MB), goes to /dev/null in about 0.3 s (csv F2: 0.25 s).  The output,
+# O(m^2), not the time, sets that bound: a caller that captures it in
+# memory holds all 740 MB.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
@@ -60,15 +60,11 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
     )
 
 
-def _json_flat(obj: list | dict, depth: int) -> str:
-    """json.dumps(obj, indent=2) for a list or dict of scalars nested depth
-    levels deep in the document, written by the C encoder, which
-    json.dumps leaves unused whenever it indents."""
-    pad = "\n" + "  " * (depth + 1)
-    text = json.JSONEncoder(separators=("," + pad, ": ")).encode(obj)
-    if len(text) == 2:  # [] or {}
-        return text
-    return f"{text[0]}{pad}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+def _orders(g: AbGroup2, sep: str) -> str:
+    """The orders of g's cyclic summands, ascending, separated by sep: one
+    string product per (exponent, multiplicity) pair, not one str per
+    summand."""
+    return "".join(f"{1 << e}{sep}" * k for e, k in g.torsion)[: -len(sep)]
 
 
 def _render_groups(
@@ -84,19 +80,19 @@ def _render_groups(
             f'{{\n  "space": {json.dumps(s.kind)},\n  "m": {s.m},\n'
             f'  "coefficients": {json.dumps(label)},\n  "groups": ['
         )
-        sep = "\n"
+        sep, pad = "\n", "\n        "
         for i, g in rows:
+            torsion = f"[{pad}{_orders(g, ',' + pad)}\n      ]" if g.torsion else "[]"
             yield (
                 f'{sep}    {{\n      "degree": {i},\n      "free": {g.free_rank},\n'
-                f'      "torsion": {_json_flat(g.to_json_dict()["torsion"], 3)}\n    }}'
+                f'      "torsion": {torsion}\n    }}'
             )
             sep = ",\n"
         yield "\n  ]\n}"
     elif fmt == "csv":
         yield "degree,free,torsion"
         for i, g in rows:
-            torsion = ";".join(";".join([str(2**e)] * k) for e, k in g.torsion)
-            yield f"\n{i},{g.free_rank},{torsion}"
+            yield f"\n{i},{g.free_rank},{_orders(g, ';')}"
     else:
         yield f"{label} groups of {s}\n{'i':>3}  group"
         for i, g in rows:
@@ -111,19 +107,17 @@ def _render_report_json(report: VerificationReport) -> Iterator[str]:
         f'{{\n  "passed": {json.dumps(report.passed)},\n'
         f'  "summary": {json.dumps(report.summary())},\n  "checks": ['
     )
+    text = json.encoder.encode_basestring_ascii  # json.dumps's own escaper
     sep = "\n    "
     for c in report.checks:
-        row = {
-            "suite": c.suite,
-            "m": c.m,
-            "degree": c.degree,
-            "label": c.label,
-            "expected": c.expected,
-            "got": c.got,
-            "passed": c.passed,
-            "skipped": c.skipped,
-        }
-        yield sep + _json_flat(row, 2)
+        yield (
+            f'{sep}{{\n      "suite": {text(c.suite)},\n'
+            f'      "m": {"null" if c.m is None else c.m},\n'
+            f'      "degree": {"null" if c.degree is None else c.degree},\n'
+            f'      "label": {text(c.label)},\n      "expected": {text(c.expected)},\n'
+            f'      "got": {text(c.got)},\n      "passed": {"true" if c.passed else "false"},\n'
+            f'      "skipped": {"true" if c.skipped else "false"}\n    }}'
+        )
         sep = ",\n    "
     yield "\n  ]\n}" if report.checks else "]\n}"
 

@@ -61,6 +61,7 @@ class VerificationReport:
         expected: object = "true",
         got: object | None = None,
     ) -> bool:
+        passed = bool(passed)  # the json report writes true/false, never 1/0
         shown = str(got) if got is not None else ("true" if passed else "false")
         self.checks.append(
             CheckResult(suite, label, str(expected), shown, passed, m, degree)

@@ -390,3 +390,11 @@ def test_uct_double_application_is_identity():
         for m in (2, 3, 4, 5, 6, 7):
             table = cohomology_table(SpaceId(kind, m))
             assert uct_cohomology(uct_homology(table)) == table
+
+
+@given(st.integers(0, 3), st.lists(models, max_size=10))
+def test_uct_round_trip_over_drawn_tables(free0, higher):
+    # H^0 must be free: there is no H_(-1) to carry its torsion.
+    groups = {i: _group(model) for i, model in enumerate(higher, 1)}
+    table = GradedGroups(len(higher), {0: AbGroup2(free0), **groups})
+    assert uct_cohomology(uct_homology(table)) == table

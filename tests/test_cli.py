@@ -8,9 +8,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confcoh import cli, groupcoh, suites
-from confcoh.abelian import AbGroup2
+from confcoh.abelian import AbGroup2, GradedGroups
 from confcoh.configcoh import SpaceId, cohomology
 from confcoh.report import VerificationReport
 
@@ -119,6 +121,10 @@ def _reference_groups(s, mode, fmt):
     from the exponent multiplicities."""
     table = cli._table_for(s, "Z" if mode == "homology" else mode, mode == "homology")
     label = {"Z": "H^*", "twisted": "twisted H^*", "F2": "mod-2 H^*", "homology": "H_*"}[mode]
+    return _reference_text(s, table, fmt, label)
+
+
+def _reference_text(s, table, fmt, label):
     rows = [(i, table.group(i)) for i in range(table.support_bound + 1)]
     if fmt == "json":
         return json.dumps(
@@ -141,17 +147,61 @@ def _reference_groups(s, mode, fmt):
     return "\n".join([f"{label} groups of {s}", f"{'i':>3}  group"] + [f"{i:>3}  {g}" for i, g in rows])
 
 
-@pytest.mark.parametrize("kind", "BF")
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 300, 301])
-def test_groups_output_matches_reference(capsys, kind, m):
-    # empty torsion lists, the m = 1 tables and rows of hundreds of summands
-    for mode, flags in GROUP_MODES.items():
-        for fmt in ("table", "csv", "json"):
-            code, out, _ = run_cli(
-                capsys, "groups", "--space", kind, "--m", str(m), "--format", fmt, *flags
-            )
-            assert code == 0
-            assert out == _reference_groups(SpaceId(kind, m), mode, fmt) + "\n", (mode, fmt)
+ALL_OUTPUTS = [(mode, fmt) for mode in GROUP_MODES for fmt in ("table", "csv", "json")]
+# Empty torsion lists, the m = 1 tables and rows of hundreds of summands in
+# every output; at m = 2000 only json Z, the benchmark's largest op, to keep
+# the test fast.
+REFERENCE_CASES = [(m, kind, ALL_OUTPUTS) for m in (1, 2, 3, 4, 5, 300, 301) for kind in "BF"]
+REFERENCE_CASES.append((2000, "F", [("Z", "json")]))
+
+
+@pytest.mark.parametrize(
+    "m, kind, outputs", REFERENCE_CASES, ids=[f"{m}-{kind}" for m, kind, _ in REFERENCE_CASES]
+)
+def test_groups_output_matches_reference(capsys, m, kind, outputs):
+    for mode, fmt in outputs:
+        code, out, _ = run_cli(
+            capsys, "groups", "--space", kind, "--m", str(m), "--format", fmt, *GROUP_MODES[mode]
+        )
+        assert code == 0
+        assert out == _reference_groups(SpaceId(kind, m), mode, fmt) + "\n", (mode, fmt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.dictionaries(st.integers(1, 12), st.integers(1, 10**4), max_size=4),
+)
+def test_torsion_text_matches_reference(free, counts):
+    # empty torsion, one exponent and several, up to 10^4 summands each
+    g = AbGroup2(free, [e for e, k in counts.items() for _ in range(k)])
+    assert cli._orders(g, ", ") == ", ".join(str(2**e) for e in g.torsion_exponents)
+    s, table = SpaceId("B", 2), GradedGroups(0, {0: g})
+    for fmt in ("csv", "json"):
+        want = _reference_text(s, table, fmt, "H^*")
+        assert "".join(cli._render_groups(s, table, fmt, "H^*")) == want
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_groups_json_is_written_one_row_at_a_time():
+    s = SpaceId("F", 2000)
+    table = cli._table_for(s, "Z", False)
+    length = sum(map(len, cli._render_groups(s, table, "json", "H^*")))
+    tracemalloc.start()
+    try:
+        _Discard().writelines(cli._render_groups(s, table, "json", "H^*"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 10, (peak, length)
 
 
 def test_groups_usage_error(capsys):
@@ -243,6 +293,7 @@ def test_verify_json_matches_json_dumps():
     escapes = VerificationReport()
     escapes.add("fake", 'quote " backslash \\ newline \n tab \t accent \u00e9', "x", "x", m=3)
     escapes.add_skip("fake", "open", m=7)
+    escapes.add_bool("fake", "truthy, not a bool", 1, degree=4)  # true, as json.dumps(True)
     for report in (
         suites.run_suites(list(suites.SUITE_NAMES), range(2, 7)),
         VerificationReport(),
@@ -267,19 +318,11 @@ def test_verify_json_output_is_the_reference(capsys, names, m_range, argv):
 
 
 def test_verify_json_is_written_one_check_at_a_time():
-    class Discard:
-        def write(self, text):
-            pass
-
-        def writelines(self, pieces):
-            for piece in pieces:
-                self.write(piece)
-
     report = suites.run_suites(list(suites.SUITE_NAMES), range(2, 17))
     length = sum(map(len, cli._render_report_json(report)))
     tracemalloc.start()
     try:
-        Discard().writelines(cli._render_report_json(report))
+        _Discard().writelines(cli._render_report_json(report))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -164,25 +164,6 @@ class AbGroup2:
             counts[e] = counts.get(e, 0) + k
         return AbGroup2._of_counts(self.free_rank, counts)
 
-    # -- encoding ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        orders: list[int] = []
-        for e, k in self.torsion:
-            orders += [2**e] * k
-        return {"free": self.free_rank, "torsion": orders}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AbGroup2":
-        free = cls(data.get("free", 0)).free_rank  # checked by the constructor
-        counts = {}
-        for order, k in Counter(data.get("torsion", [])).items():
-            e = order.bit_length() - 1
-            if order <= 1 or 2**e != order:
-                raise NonTwoPrimaryError(f"torsion order {order} is not a 2-power")
-            counts[e] = k
-        return cls._of_counts(free, counts)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

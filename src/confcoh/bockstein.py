@@ -82,14 +82,12 @@ def page1_compare(s: SpaceId) -> VerificationReport:
     tables from the ring presentations alone.
     """
     ring = config_mod2_ring(s.kind, s.m)
-    report = VerificationReport()
+    report = VerificationReport("bockstein-page1", s.m)
     for d in range(2 * s.m + 1):
         report.add(
-            "bockstein-page1",
             "Sq1-homology rank",
             page1_expected(s, d),
             ring.sq1_homology_rank(d),
-            m=s.m,
             degree=d,
         )
     return report
@@ -97,26 +95,14 @@ def page1_compare(s: SpaceId) -> VerificationReport:
 
 def rank_profile_check(s: SpaceId) -> VerificationReport:
     """rank_recursion against both the closed forms and the tables."""
-    report = VerificationReport()
+    report = VerificationReport("bockstein-ranks", s.m)
     for i, r in rank_recursion(s).items():
         report.add(
-            "bockstein-ranks",
-            "recursion vs table",
-            cohomology(s, i).mult2_kernel_rank,
-            r,
-            m=s.m,
-            degree=i,
+            "recursion vs table", cohomology(s, i).mult2_kernel_rank, r, degree=i
         )
         known = closed_form_rank(s, i)
         if known is not None:
-            report.add(
-                "bockstein-ranks",
-                "recursion vs closed form",
-                known,
-                r,
-                m=s.m,
-                degree=i,
-            )
+            report.add("recursion vs closed form", known, r, degree=i)
     return report
 
 
@@ -127,21 +113,17 @@ def sq1_split_check(a: int) -> VerificationReport:
     if a < 0:
         raise ValueError("a must be >= 0")
     m = 4 * a + 3
-    report = VerificationReport()
+    report = VerificationReport("sq1-split", m)
     report.add(
-        "sq1-split",
         f"split ranks at degree {m + 1}",
         (1, 0),
         split_sq1_homology(m, m + 1),
-        m=m,
         degree=m + 1,
     )
     report.add(
-        "sq1-split",
         f"H^{m + 1} of the unordered space",
         AbGroup2.elementary_with_z4(2 * a),
         cohomology(SpaceId("B", m), m + 1),
-        m=m,
         degree=m + 1,
     )
     return report

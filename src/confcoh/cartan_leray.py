@@ -97,7 +97,6 @@ def _odd_closed_form(ell: int) -> AbGroup2:
 
 def _compare_abutment(
     report: VerificationReport,
-    suite: str,
     s: SpaceId,
     abutment: GradedGroups,
     torsion_only: bool = False,
@@ -107,20 +106,15 @@ def _compare_abutment(
         want, got = table.group(t), abutment.group(t)
         if torsion_only:
             report.add(
-                suite, "abutment torsion", want.torsion_part(), got.torsion_part(),
-                m=s.m, degree=t,
+                "abutment torsion", want.torsion_part(), got.torsion_part(), degree=t
             )
-            report.add(
-                suite, "abutment free rank", want.free_rank, got.free_rank,
-                m=s.m, degree=t,
-            )
+            report.add("abutment free rank", want.free_rank, got.free_rank, degree=t)
         else:
-            report.add(suite, "abutment group", want, got, m=s.m, degree=t)
+            report.add("abutment group", want, got, degree=t)
 
 
 def _check_cokernel(
     report: VerificationReport,
-    suite: str,
     m: int,
     ell: int,
     target: AbGroup2,
@@ -133,15 +127,15 @@ def _check_cokernel(
     2-rank agrees with the rank recursion."""
     t = 2 * m - ell
     report.add(
-        suite, "order balance", target.torsion_order_log2,
-        image_log2 + coker.torsion_order_log2, m=m, degree=t,
+        "order balance", target.torsion_order_log2,
+        image_log2 + coker.torsion_order_log2, degree=t,
     )
     # A Z/4 generator is never hit twice, so Z/4 counts pass to the cokernel.
-    report.add(suite, "Z4 preserved", target.z4_count, coker.z4_count, m=m, degree=t)
+    report.add("Z4 preserved", target.z4_count, coker.z4_count, degree=t)
     if ell >= 2:
         report.add(
-            suite, "cokernel 2-rank vs rank recursion", ranks[t],
-            coker.mult2_kernel_rank, m=m, degree=t,
+            "cokernel 2-rank vs rank recursion", ranks[t], coker.mult2_kernel_rank,
+            degree=t,
         )
 
 
@@ -162,8 +156,7 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
     s = SpaceId("B" if group is GroupId.D8 else "F", m)
     e2 = build_e2(group, m)
     ranks = rank_recursion(s)
-    report = VerificationReport()
-    suite = f"clss-even-{group.value}"
+    report = VerificationReport(f"clss-even-{group.value}", m)
     groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m + 1)}
     for ell in range(1, m):
         t = 2 * m - ell
@@ -171,20 +164,18 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
         image_rank = m - ell
         source = e2.get((m - ell - 1, m), ZERO)
         target = e2.get((t, 0), ZERO)
-        report.add(
-            suite, "source rank", image_rank, source.two_rank_tensor, m=m, degree=t
-        )
+        report.add("source rank", image_rank, source.two_rank_tensor, degree=t)
         if ell == 1:
             coker = ZERO
         elif group is GroupId.D8:
             coker = even_cokernel(m, ell)
         else:
             coker = AbGroup2.elementary(target.two_rank_tensor - image_rank)
-        _check_cokernel(report, suite, m, ell, target, image_rank, coker, ranks)
+        _check_cokernel(report, m, ell, target, image_rank, coker, ranks)
         groups[t] = coker
     groups[2 * m - 1] = e2.get((0, 2 * m - 1), ZERO)  # the fibre class survives
     abutment = GradedGroups(s.support_bound, groups)
-    _compare_abutment(report, suite, s, abutment)
+    _compare_abutment(report, s, abutment)
     return abutment, report
 
 
@@ -197,8 +188,7 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
     s = SpaceId("B", m)
     e2 = build_e2(GroupId.D8, m)
     ranks = rank_recursion(s)
-    report = VerificationReport()
-    suite = "clss-1mod4"
+    report = VerificationReport("clss-1mod4", m)
     # Page 2: d2(kappa^i x_m) = 2 kappa^i alpha2 halves both middle lines;
     # the integral class at (0, m) survives with its generator doubled.
     e3 = {
@@ -213,19 +203,19 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
         src_mid = e3.get((m - ell, m - 1), ZERO)
         src_top = e3.get((m - ell - 1, m), ZERO)
         report.add_bool(
-            suite, "sources elementary after halving",
+            "sources elementary after halving",
             src_mid.z4_count == 0 and src_top.z4_count == 0,
-            m=m, degree=t,
+            degree=t,
         )
         coker = _odd_closed_form(ell)
         _check_cokernel(
-            report, suite, m, ell, e3.get((t, 0), ZERO), _image_log2(src_mid, src_top),
+            report, m, ell, e3.get((t, 0), ZERO), _image_log2(src_mid, src_top),
             coker, ranks,
         )
         groups[t] = coker
     groups[2 * m - 1] += e3.get((0, 2 * m - 1), ZERO)
     abutment = GradedGroups(s.support_bound, groups)
-    _compare_abutment(report, suite, s, abutment, torsion_only=True)
+    _compare_abutment(report, s, abutment, torsion_only=True)
     return abutment, report
 
 
@@ -237,8 +227,7 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
         raise RangeError("run_odd_ordered needs odd m >= 3")
     s = SpaceId("F", m)
     e2 = build_e2(GroupId.Z2xZ2, m)
-    report = VerificationReport()
-    suite = "clss-odd-Z2xZ2"
+    report = VerificationReport("clss-odd-Z2xZ2", m)
     groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m)}
     groups[m] = e2.get((0, m), ZERO) + e2.get((m, 0), ZERO)
     for ell in range(1, m):
@@ -257,7 +246,7 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
         groups[t] = AbGroup2.elementary(coker_log2)
     groups[2 * m - 1] += e2.get((0, 2 * m - 1), ZERO)
     abutment = GradedGroups(s.support_bound, groups)
-    _compare_abutment(report, suite, s, abutment)
+    _compare_abutment(report, s, abutment)
     return abutment, report
 
 
@@ -296,17 +285,18 @@ def m3_scenarios() -> VerificationReport:
     a nontrivial extension of two Z/2 entries (A) or as a genuine Z/4
     cokernel on the base line (B).
     """
-    report = VerificationReport()
     s = SpaceId("B", 3)
     e2 = build_e2(GroupId.D8, 3, p_max=_WINDOW)
     table = cohomology_table(s)
 
+    parts = []
     for option, run in (("A", _run_m3_option_a), ("B", _run_m3_option_b)):
-        suite = f"clss-m3-{option}"
+        report = VerificationReport(f"clss-m3-{option}", 3)
+        parts.append(report)
         try:
-            survivors = run(e2, report, suite)
+            survivors = run(e2, report)
         except ValueError as exc:
-            report.add_bool(suite, f"evolution bookkeeping: {exc}", False, m=3)
+            report.add_bool(f"evolution bookkeeping: {exc}", False)
             continue
 
         totals: dict[int, int] = {}
@@ -318,19 +308,15 @@ def m3_scenarios() -> VerificationReport:
         for t in range(6):
             want = table.group(t)
             report.add(
-                suite, "torsion order", 2**want.torsion_order_log2,
-                2 ** totals.get(t, 0), m=3, degree=t,
+                "torsion order", 2**want.torsion_order_log2, 2 ** totals.get(t, 0),
+                degree=t,
             )
-            report.add(
-                suite, "free rank", want.free_rank, frees.get(t, 0), m=3, degree=t
-            )
-        report.add(
-            suite, "degree-4 torsion order", 4, 2 ** totals.get(4, 0), m=3, degree=4
-        )
-    return report
+            report.add("free rank", want.free_rank, frees.get(t, 0), degree=t)
+        report.add("degree-4 torsion order", 4, 2 ** totals.get(4, 0), degree=4)
+    return VerificationReport(checks=[c for part in parts for c in part.checks])
 
 
-def _run_m3_option_a(page: Page, report: VerificationReport, suite: str) -> Page:
+def _run_m3_option_a(page: Page, report: VerificationReport) -> Page:
     """Option A: trivial page-2 differential.  One page-3 round maps the
     twisted lines into the integral lines (injective after tensoring with
     Z/2, kernel exactly the doubled Z/4 part), then a page-4 round of
@@ -357,32 +343,30 @@ def _run_m3_option_a(page: Page, report: VerificationReport, suite: str) -> Page
         src = new.pop((p, 3), ZERO)
         if p + 4 <= _WINDOW:
             report.add(
-                suite, "page-4 isomorphism", new.pop((p + 4, 0), ZERO), src,
-                m=3, degree=p + 3,
+                "page-4 isomorphism", new.pop((p + 4, 0), ZERO), src, degree=p + 3
             )
     for p in range(_WINDOW + 1):
         src = new.pop((p, 5), ZERO)
         if not src.is_trivial and p + 4 <= _WINDOW:
             report.add(
-                suite, "page-4 isomorphism (upper)", new.pop((p + 4, 2), ZERO), src,
-                m=3, degree=p + 5,
+                "page-4 isomorphism (upper)", new.pop((p + 4, 2), ZERO), src,
+                degree=p + 5,
             )
     # d4: (0, 3) -> (4, 0) out of the fibre class, image a Z/4.
     target = new.get((4, 0), ZERO)
     report.add_bool(
-        suite, "page-4 image of the fibre class is a Z/4",
-        target.z4_count >= 1, m=3, degree=4,
+        "page-4 image of the fibre class is a Z/4", target.z4_count >= 1, degree=4
     )
     new[4, 0] = target.without_cyclic(2)
     report.add(
-        suite, "degree-4 extension", 2,
+        "degree-4 extension", 2,
         new[4, 0].torsion_order_log2 + new.get((2, 2), ZERO).torsion_order_log2,
-        m=3, degree=4,
+        degree=4,
     )
     return new
 
 
-def _run_m3_option_b(page: Page, report: VerificationReport, suite: str) -> Page:
+def _run_m3_option_b(page: Page, report: VerificationReport) -> Page:
     """Option B: the page-2 differential halves the middle lines.  The low
     total degrees are then forced one differential at a time; above total
     degree 5 the elements pair off exactly, which is checked by a
@@ -403,11 +387,9 @@ def _run_m3_option_b(page: Page, report: VerificationReport, suite: str) -> Page
         + page.get((2, 3), ZERO).torsion_order_log2
     )
     report.add(
-        suite,
         "total degree 6 pairing",
         page.get((6, 0), ZERO).torsion_order_log2,
         away,
-        m=3,
         degree=6,
     )
     # The undecided page-4 differential out of the integral fibre class:
@@ -415,8 +397,8 @@ def _run_m3_option_b(page: Page, report: VerificationReport, suite: str) -> Page
     # d4: (0, 3) -> (4, 0) out of the fibre class, kernel 2Z.
     new[4, 0] = new[4, 0].without_elementary(1)
     report.add(
-        suite, "degree-4 cokernel of the fibre differential",
-        AbGroup2.cyclic(2), new[4, 0], m=3, degree=4,
+        "degree-4 cokernel of the fibre differential", AbGroup2.cyclic(2), new[4, 0],
+        degree=4,
     )
     # Diagonal balance above total degree 5: sources on each diagonal must
     # exactly absorb what the previous diagonal left over.
@@ -424,10 +406,8 @@ def _run_m3_option_b(page: Page, report: VerificationReport, suite: str) -> Page
         total, off_base = _torsion_bits_on_diagonal(page, t)
         need = total - away
         report.add_bool(
-            suite,
             "diagonal balance",
             0 <= need <= off_base,
-            m=3,
             degree=t,
             expected=f"0..{off_base}",
             got=need,
@@ -456,39 +436,34 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     """
     m = 4 * a + 3
     s = SpaceId("B", m)
-    report = VerificationReport()
-    suite = "clss-3mod4-fragment"
+    report = VerificationReport("clss-3mod4-fragment", m)
     e2 = build_e2(GroupId.D8, m)
     star = e2.get((m - 1, 0), ZERO)
     bullet = e2.get((m, 0), ZERO)
     box = e2.get((m + 1, 0), ZERO)
-    report.add(suite, "base at m-1", AbGroup2.elementary(2 * a + 2), star, m=m, degree=m - 1)
-    report.add(suite, "base at m", AbGroup2.elementary(2 * a + 1), bullet, m=m, degree=m)
+    report.add("base at m-1", AbGroup2.elementary(2 * a + 2), star, degree=m - 1)
+    report.add("base at m", AbGroup2.elementary(2 * a + 1), bullet, degree=m)
+    report.add("base at m+1", AbGroup2.elementary_with_z4(2 * a + 2), box, degree=m + 1)
     report.add(
-        suite, "base at m+1", AbGroup2.elementary_with_z4(2 * a + 2), box, m=m, degree=m + 1
-    )
-    report.add(
-        suite, "twisted entries", (AbGroup2.elementary(1), AbGroup2.cyclic(2)),
-        (e2.get((1, m - 1), ZERO), e2.get((2, m - 1), ZERO)), m=m,
+        "twisted entries", (AbGroup2.elementary(1), AbGroup2.cyclic(2)),
+        (e2.get((1, m - 1), ZERO), e2.get((2, m - 1), ZERO)),
     )
     # Torsion of H^(m+1) has 2-rank 2a+1, two less than the box: both the
     # page-m and the page-(m+1) differential must be nonzero.
     target_rank = rank_recursion(s)[m + 1]
-    report.add(suite, "2-rank of H^(m+1)", 2 * a + 1, target_rank, m=m, degree=m + 1)
+    report.add("2-rank of H^(m+1)", 2 * a + 1, target_rank, degree=m + 1)
     # d_m: (1, m - 1) -> (m + 1, 0) injects <1>.  A wrong page may lack the
     # summand a differential removes: that is a failed check, not an error.
     dm_coker = _less_one_summand(box, 1)
     report.add(
-        suite, "page-m cokernel", AbGroup2.elementary_with_z4(2 * a + 1), dm_coker,
-        m=m, degree=m + 1,
+        "page-m cokernel", AbGroup2.elementary_with_z4(2 * a + 1), dm_coker,
+        degree=m + 1,
     )
     if dm_coker is not None:
         report.add(
-            suite,
             "each differential drops the 2-rank by one",
             (box.mult2_kernel_rank - 1, box.mult2_kernel_rank - 2),
             (dm_coker.mult2_kernel_rank, target_rank),
-            m=m,
             degree=m + 1,
         )
         # The two admissible cokernels of the second differential.
@@ -496,10 +471,8 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
             c for c in (_less_one_summand(dm_coker, e) for e in (1, 2)) if c is not None
         }
         report.add_bool(
-            suite,
             "H^(m+1) among the two admissible cokernels",
             cohomology(s, m + 1) in candidates,
-            m=m,
             degree=m + 1,
             expected="|".join(sorted(str(c) for c in candidates)),
             got=cohomology(s, m + 1),
@@ -507,15 +480,13 @@ def fragment_check_3mod4(a: int) -> VerificationReport:
     # Injectivity of the page-m differential empties (1, m-1), so the base
     # entry at p = m is exactly the torsion of H^m.
     report.add(
-        suite,
         "torsion of H^m is the classifying group",
         bullet,
         cohomology(s, m).torsion_part(),
-        m=m,
         degree=m,
     )
     report.add(
-        suite, "fibre class survives", e2.get((0, m), ZERO),
-        cohomology(s, m).free_part(), m=m, degree=m,
+        "fibre class survives", e2.get((0, m), ZERO), cohomology(s, m).free_part(),
+        degree=m,
     )
     return report

@@ -18,8 +18,9 @@ from .report import VerificationReport
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
 # 2..80 takes about 2.3 s with 46 MiB peak RSS, as a table or as json (both
-# are written one check at a time), and 2..96 about 3.6 s; a busy host
-# takes about twice as long.  groups writes one row at a time, so its peak
+# are written one check at a time); a busy host takes about twice as long.
+# One run on a busy host, where 2..80 took 3.6 s, took 5.5 s and 59 MiB
+# over 2..96.  groups writes one row at a time, so its peak
 # RSS is about 22 MiB at m = 8192, where its largest output, json F2
 # (740 MB), goes to /dev/null in about 0.3 s (csv F2: 0.25 s).  The output,
 # O(m^2), not the time, sets that bound: a caller that captures it in

@@ -204,26 +204,22 @@ def duality_symmetry_check(s: SpaceId) -> VerificationReport:
     are the classifying-space ones, so torsion of H^(2m-j) must equal the
     twisted classifying group in degree j for j <= m - 2.
     """
-    report = VerificationReport()
     m = s.m
+    report = VerificationReport("duality", m)
     if is_orientable(s):
         for i in range(2 * m):
             report.add(
-                "duality",
                 f"torsion H^{i} vs H^{2 * m - i}",
                 cohomology(s, i).torsion_part(),
                 cohomology(s, 2 * m - i).torsion_part(),
-                m=m,
                 degree=i,
             )
     else:
         for j in range(m - 1):
             report.add(
-                "duality",
                 f"torsion H^{2 * m - j} vs twisted classifying H^{j}",
                 classifying_cohomology(s.group, CoeffId.INTEGER_TWISTED, j),
                 cohomology(s, 2 * m - j).torsion_part(),
-                m=m,
                 degree=j,
             )
     return report
@@ -290,21 +286,17 @@ def global_checks(s: SpaceId) -> VerificationReport:
     the ordered space)."""
     if s.m < 2:
         raise ValueError("global checks need m >= 2")
-    report = VerificationReport()
     m = s.m
+    report = VerificationReport("global", m)
     free_degree = 2 * m - 1 if m % 2 == 0 else m
     free_profile = {
         i: cohomology(s, i).free_rank for i in range(2 * m) if cohomology(s, i).free_rank
     }
+    report.add("free ranks", {0: 1, free_degree: 1}, free_profile)
     report.add(
-        "global", "free ranks", {0: 1, free_degree: 1}, free_profile, m=m
-    )
-    report.add(
-        "global",
         "top group vs quotient orientability",
         stiefel.top_group_V_quotient(m + 1, s.group),
         cohomology(s, 2 * m - 1),
-        m=m,
         degree=2 * m - 1,
     )
     for i in range(2 * m + 2):
@@ -312,23 +304,19 @@ def global_checks(s: SpaceId) -> VerificationReport:
             cohomology(s, i).two_rank_tensor
             + cohomology(s, i + 1).mult2_kernel_rank
         )
-        report.add(
-            "global", "mod-2 UCT", mod2_dimension(s, i), lhs, m=m, degree=i
-        )
+        report.add("mod-2 UCT", mod2_dimension(s, i), lhs, degree=i)
     euler = sum(
         (-1) ** i * cohomology(s, i).free_rank for i in range(2 * m)
     )
-    report.add("global", "Euler characteristic", 0, euler, m=m)
+    report.add("Euler characteristic", 0, euler)
     bound = 2 if s.kind == "B" else 1
     worst = max(
         (e for i in range(2 * m) for e, _ in cohomology(s, i).torsion),
         default=0,
     )
     report.add_bool(
-        "global",
         f"torsion exponent <= {bound}",
         worst <= bound,
-        m=m,
         expected=f"<= {bound}",
         got=worst,
     )

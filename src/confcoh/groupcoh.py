@@ -81,12 +81,12 @@ def uct_mod2_check(g: GroupId, i_max: int) -> VerificationReport:
     dim(H^i tensor F2) + #(2-torsion of H^(i+1)) must equal the mod-2
     Betti number i + 1 in every degree.
     """
-    report = VerificationReport()
+    report = VerificationReport(f"uct-mod2-{g.value}")
     for i in range(i_max + 1):
         lhs = (
             classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i).two_rank_tensor
             + classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i + 1).mult2_kernel_rank
         )
         dim = classifying_cohomology(g, CoeffId.MOD_TWO, i).mult2_kernel_rank
-        report.add(f"uct-mod2-{g.value}", "tensor+tor vs mod-2 dim", dim, lhs, degree=i)
+        report.add("tensor+tor vs mod-2 dim", dim, lhs, degree=i)
     return report

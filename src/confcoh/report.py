@@ -18,45 +18,38 @@ class CheckResult:
 
     def line(self) -> str:
         status = "SKIPPED-OPEN" if self.skipped else ("ok" if self.passed else "FAIL")
-        where = []
+        head = [f"[{self.suite}]"]
         if self.m is not None:
-            where.append(f"m={self.m}")
+            head.append(f"m={self.m}")
         if self.degree is not None:
-            where.append(f"degree={self.degree}")
-        loc = " ".join(where)
-        return (
-            f"[{self.suite}] {loc} {self.label}: "
-            f"expected={self.expected} got={self.got} {status}"
-        ).replace("  ", " ")
+            head.append(f"degree={self.degree}")
+        head.append(f"{self.label}:")
+        return f"{' '.join(head)} expected={self.expected} got={self.got} {status}"
 
 
 @dataclass
 class VerificationReport:
+    """Checks of one family at one m, stamped on each check as it is added;
+    a report that only collects other reports' checks leaves both unset."""
+
+    suite: str = ""
+    m: int | None = None
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(
-        self,
-        suite: str,
-        label: str,
-        expected: object,
-        got: object,
-        *,
-        m: int | None = None,
-        degree: int | None = None,
+        self, label: str, expected: object, got: object, *, degree: int | None = None
     ) -> bool:
         ok = expected == got  # decided by value; strings are for display
         self.checks.append(
-            CheckResult(suite, label, str(expected), str(got), ok, m, degree)
+            CheckResult(self.suite, label, str(expected), str(got), ok, self.m, degree)
         )
         return ok
 
     def add_bool(
         self,
-        suite: str,
         label: str,
         passed: bool,
         *,
-        m: int | None = None,
         degree: int | None = None,
         expected: object = "true",
         got: object | None = None,
@@ -64,13 +57,13 @@ class VerificationReport:
         passed = bool(passed)  # the json report writes true/false, never 1/0
         shown = str(got) if got is not None else ("true" if passed else "false")
         self.checks.append(
-            CheckResult(suite, label, str(expected), shown, passed, m, degree)
+            CheckResult(self.suite, label, str(expected), shown, passed, self.m, degree)
         )
         return passed
 
-    def add_skip(self, suite: str, label: str, *, m: int | None = None) -> None:
+    def add_skip(self, label: str) -> None:
         self.checks.append(
-            CheckResult(suite, label, "open", "open", True, m, None, skipped=True)
+            CheckResult(self.suite, label, "open", "open", True, self.m, skipped=True)
         )
 
     def extend(self, other: "VerificationReport") -> None:

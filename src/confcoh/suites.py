@@ -41,13 +41,13 @@ def suite_duality(m: int) -> VerificationReport:
 
 
 def suite_clss(m: int) -> VerificationReport:
-    report = VerificationReport()
+    report = VerificationReport("clss", m)
     if m % 2 == 0:
         report.extend(cartan_leray.run_even(m, GroupId.D8)[1])
     elif m % 4 == 1:
         report.extend(cartan_leray.run_1mod4(m)[1])
     else:
-        report.add_skip("clss", "unordered executor (page-2 pattern open)", m=m)
+        report.add_skip("unordered executor (page-2 pattern open)")
         if m == 3:
             report.extend(cartan_leray.m3_scenarios())
         report.extend(cartan_leray.fragment_check_3mod4((m - 3) // 4))
@@ -56,40 +56,31 @@ def suite_clss(m: int) -> VerificationReport:
 
 
 def suite_sq1(m: int) -> VerificationReport:
-    report = VerificationReport()
+    report = VerificationReport("sq1", m)
     if m % 4 == 3:
         report.extend(bockstein.sq1_split_check((m - 3) // 4))
     for s in _spaces(m):
         ring = config_mod2_ring(s.kind, m)
         ok = all(ring.sq1_square_is_zero(d) for d in range(2 * m))
-        report.add_bool("sq1", "Sq1 squares to zero", ok, m=m)
+        report.add_bool("Sq1 squares to zero", ok)
     return report
 
 
 def suite_stiefel(m: int) -> VerificationReport:
-    report = VerificationReport()
+    report = VerificationReport("stiefel", m)
     n = m + 1
     got = stiefel.sphere_bundle_abutment(n)
     for q in range(2 * n - 2):
         want = stiefel.stiefel_cohomology(n, q)
-        report.add("stiefel", "sphere-bundle abutment", want, got.group(q), m=m, degree=q)
+        report.add("sphere-bundle abutment", want, got.group(q), degree=q)
     gr = stiefel.oriented_grassmannian_groups(n)
     ok = all(
         gr.group(d).torsion_order_log2 == 0 for d in range(2 * n - 3)
     ) and all(gr.group(d).is_trivial for d in range(1, 2 * n - 4, 2))
-    report.add_bool(
-        "stiefel", "oriented Grassmannian torsion-free on even degrees", ok, m=m
-    )
+    report.add_bool("oriented Grassmannian torsion-free on even degrees", ok)
     expected_total = n - 1 if n % 2 else n
+    report.add("oriented Grassmannian total rank", expected_total, gr.total_free_rank())
     report.add(
-        "stiefel",
-        "oriented Grassmannian total rank",
-        expected_total,
-        gr.total_free_rank(),
-        m=m,
-    )
-    report.add(
-        "stiefel",
         "orientability",
         (n % 2 == 1, n % 2 == 1, n % 2 == 0),
         (
@@ -97,7 +88,6 @@ def suite_stiefel(m: int) -> VerificationReport:
             stiefel.quotient_orientable(n, stiefel.Subgroup.Z2xZ2),
             stiefel.quotient_orientable(n, stiefel.Subgroup.O2),
         ),
-        m=m,
     )
     return report
 
@@ -127,4 +117,4 @@ def run_suites(names: list[str], m_range: range) -> VerificationReport:
     for m in (m for m in m_range if m >= 2):
         for name, part in zip(names, parts):
             part.extend(_SUITES[name](m))
-    return VerificationReport([c for part in parts for c in part.checks])
+    return VerificationReport(checks=[c for part in parts for c in part.checks])

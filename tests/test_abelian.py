@@ -182,12 +182,6 @@ def test_shorthand_round_trip():
     assert str(ZERO) == "0"
 
 
-def test_json_round_trip():
-    for g in (ZERO, Z, elem(2), brace(3), Z + brace(1), AbGroup2(2, (1, 2))):
-        assert AbGroup2.from_json_dict(g.to_json_dict()) == g
-    assert brace(1).to_json_dict() == {"free": 0, "torsion": [2, 4]}
-
-
 def test_repr_text_pinned():
     # verify output prints tuples of groups, and so their repr
     assert repr(ZERO) == "AbGroup2(free_rank=0, torsion_exponents=())"
@@ -208,11 +202,6 @@ def test_values_are_immutable():
     with pytest.raises(AttributeError):
         del g.torsion
     assert g == brace(2)
-
-
-def test_json_rejects_non_two_primary():
-    with pytest.raises(NonTwoPrimaryError):
-        AbGroup2.from_json_dict({"free": 0, "torsion": [6]})
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +258,6 @@ def test_model_construction_and_stats(model):
     assert _model(g.free_part()) == (free, ())
     assert str(g) == _model_str(free, exps)
     assert repr(g) == f"AbGroup2(free_rank={free}, torsion_exponents={exps!r})"
-    assert g.to_json_dict() == {"free": free, "torsion": [2**e for e in exps]}
-    assert AbGroup2.from_json_dict(g.to_json_dict()) == g
     assert pickle.loads(pickle.dumps(g)) == g
 
 

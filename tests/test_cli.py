@@ -290,10 +290,14 @@ def _reference_report_json(report):
 
 
 def test_verify_json_matches_json_dumps():
-    escapes = VerificationReport()
-    escapes.add("fake", 'quote " backslash \\ newline \n tab \t accent \u00e9', "x", "x", m=3)
-    escapes.add_skip("fake", "open", m=7)
-    escapes.add_bool("fake", "truthy, not a bool", 1, degree=4)  # true, as json.dumps(True)
+    escapes = VerificationReport("fake", 3)
+    escapes.add('quote " backslash \\ newline \n tab \t accent \u00e9', "x", "x")
+    skip = VerificationReport("fake", 7)
+    skip.add_skip("open")
+    escapes.extend(skip)
+    truthy = VerificationReport("fake")
+    truthy.add_bool("truthy, not a bool", 1, degree=4)  # true, as json.dumps(True)
+    escapes.extend(truthy)
     for report in (
         suites.run_suites(list(suites.SUITE_NAMES), range(2, 7)),
         VerificationReport(),
@@ -383,8 +387,8 @@ def test_verify_top_of_range(capsys):
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     def fake(names, m_range):
-        report = VerificationReport()
-        report.add("fake", "forced", 1, 2)
+        report = VerificationReport("fake")
+        report.add("forced", 1, 2)
         return report
 
     monkeypatch.setattr(cli.suites, "run_suites", fake)
@@ -481,8 +485,22 @@ def test_all_suites_on_the_top_cli_range():
 
 
 def test_report_compares_values_not_strings():
-    report = VerificationReport()
-    assert not report.add("fake", "int against str", 1, "1")
+    report = VerificationReport("fake")
+    assert not report.add("int against str", 1, "1")
     check = report.checks[0]
     assert check.expected == check.got == "1"
     assert check.line().endswith("FAIL")
+
+
+def test_check_line_shows_label_and_values_as_stored():
+    report = VerificationReport("fake", 3)
+    report.add("two  spaces", "a  b", "a  b", degree=4)
+    report.add_skip("open  case")
+    unbound = VerificationReport("fake")
+    unbound.add_bool("no  m", False, got="x  y")
+    report.extend(unbound)
+    assert [c.line() for c in report.checks] == [
+        "[fake] m=3 degree=4 two  spaces: expected=a  b got=a  b ok",
+        "[fake] m=3 open  case: expected=open got=open SKIPPED-OPEN",
+        "[fake] no  m: expected=true got=x  y FAIL",
+    ]

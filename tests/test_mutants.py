@@ -280,6 +280,15 @@ EXECUTOR_MUTANTS = {
         ),
         {"clss-1mod4"},
     ),
+    # Killed by one family only: even_cokernel is read by run_even alone,
+    # and only for the dihedral group.
+    "even-cokernel-loses-Z4": (  # <ell/2> in place of {ell/2}
+        "even_cokernel",
+        lambda original: lambda m, ell: (
+            original(m, ell).without_cyclic(2) if ell % 4 == 0 else original(m, ell)
+        ),
+        {"clss-even-D8"},
+    ),
 }
 
 

@@ -57,44 +57,33 @@ class SpaceId:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_even(n: int, i: int) -> AbGroup2:
-    # m = 2n with n > 0
-    if i == 0 or i == 4 * n - 1:
-        return Z
-    if 1 <= i <= 2 * n:
-        if i % 2 == 0:
-            return AbGroup2.elementary(i // 2 + 1)
-        return AbGroup2.elementary((i - 1) // 2)
-    if 2 * n < i < 4 * n - 1:
-        if i % 2 == 0:
-            return AbGroup2.elementary(2 * n + 1 - i // 2)
-        return AbGroup2.elementary(2 * n - (i + 1) // 2)
-    return ZERO
-
-
-def _ordered_odd(n: int, i: int) -> AbGroup2:
-    # m = 2n + 1 with n >= 0
+def _ordered(m: int, i: int) -> AbGroup2:
+    """H^i of F(P^m, 2) for i >= 0."""
     if i == 0:
         return Z
-    if i == 2 * n + 1:
-        return Z + AbGroup2.elementary(n)
-    if 1 <= i <= 2 * n:
+    if i < m or i == m and m % 2 == 0:  # below the middle dimension
         if i % 2 == 0:
             return AbGroup2.elementary(i // 2 + 1)
-        return AbGroup2.elementary((i - 1) // 2)
-    if 2 * n + 1 < i <= 4 * n + 1:
-        if i % 2 == 0:
-            return AbGroup2.elementary(2 * n + 1 - i // 2)
-        return AbGroup2.elementary(2 * n + 1 - (i - 1) // 2)
+        return AbGroup2.elementary(i // 2)
+    if m % 2 == 0:
+        if i < 2 * m - 1:
+            if i % 2 == 0:
+                return AbGroup2.elementary(m + 1 - i // 2)
+            return AbGroup2.elementary(m - 1 - i // 2)
+        return Z if i == 2 * m - 1 else ZERO
+    if i == m:  # odd m: the free class
+        return Z + AbGroup2.elementary(m // 2)
+    if i < 2 * m:
+        return AbGroup2.elementary(m - i // 2)
     return ZERO
 
 
-def _unordered_even(n: int, i: int) -> AbGroup2:
-    # m = 2n with n > 0
-    if i == 0 or i == 4 * n - 1:
+def _unordered(m: int, i: int) -> AbGroup2:
+    """H^i of B(P^m, 2) for i >= 0."""
+    if i == 0:
         return Z
     a, b = divmod(i, 4)
-    if 1 <= i <= 2 * n:
+    if i < m or i == m and m % 2 == 0:  # below the middle dimension
         if b == 0:
             return AbGroup2.elementary_with_z4(2 * a)
         if b == 1:
@@ -102,38 +91,24 @@ def _unordered_even(n: int, i: int) -> AbGroup2:
         if b == 2:
             return AbGroup2.elementary(2 * a + 2)
         return AbGroup2.elementary(2 * a + 1)
-    if 2 * n < i < 4 * n - 1:
+    if m % 2 == 0:
+        if i < 2 * m - 1:
+            if b == 0:
+                return AbGroup2.elementary_with_z4(m - 2 * a)
+            if b == 1:
+                return AbGroup2.elementary(m - 2 * a - 1)
+            if b == 2:
+                return AbGroup2.elementary(m - 2 * a)
+            return AbGroup2.elementary(m - 2 * a - 2)
+        return Z if i == 2 * m - 1 else ZERO
+    if i == m:  # odd m: the free class
+        return Z + AbGroup2.elementary(m // 2)
+    if i < 2 * m:
         if b == 0:
-            return AbGroup2.elementary_with_z4(2 * n - 2 * a)
+            return AbGroup2.elementary_with_z4(m - 1 - 2 * a)
         if b == 1:
-            return AbGroup2.elementary(2 * n - 2 * a - 1)
-        if b == 2:
-            return AbGroup2.elementary(2 * n - 2 * a)
-        return AbGroup2.elementary(2 * n - 2 * a - 2)
-    return ZERO
-
-
-def _unordered_odd(n: int, i: int) -> AbGroup2:
-    # m = 2n + 1 with n >= 0
-    if i == 0:
-        return Z
-    if i == 2 * n + 1:
-        return Z + AbGroup2.elementary(n)
-    a, b = divmod(i, 4)
-    if 1 <= i < 2 * n + 1:
-        if b == 0:
-            return AbGroup2.elementary_with_z4(2 * a)
-        if b == 1:
-            return AbGroup2.elementary(2 * a)
-        if b == 2:
-            return AbGroup2.elementary(2 * a + 2)
-        return AbGroup2.elementary(2 * a + 1)
-    if 2 * n + 1 < i <= 4 * n + 1:
-        if b == 0:
-            return AbGroup2.elementary_with_z4(2 * n - 2 * a)
-        if b == 1:
-            return AbGroup2.elementary(2 * n + 1 - 2 * a)
-        return AbGroup2.elementary(2 * n - 2 * a)
+            return AbGroup2.elementary(m - 2 * a)
+        return AbGroup2.elementary(m - 1 - 2 * a)
     return ZERO
 
 
@@ -141,13 +116,7 @@ def cohomology(s: SpaceId, i: int) -> AbGroup2:
     """Integral cohomology H^i of the configuration space."""
     if i < 0:
         return ZERO
-    if s.kind == "F":
-        if s.m % 2 == 0:
-            return _ordered_even(s.m // 2, i)
-        return _ordered_odd((s.m - 1) // 2, i)
-    if s.m % 2 == 0:
-        return _unordered_even(s.m // 2, i)
-    return _unordered_odd((s.m - 1) // 2, i)
+    return _ordered(s.m, i) if s.kind == "F" else _unordered(s.m, i)
 
 
 def cohomology_table(s: SpaceId) -> GradedGroups:

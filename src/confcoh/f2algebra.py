@@ -232,26 +232,17 @@ class PresentedF2Algebra:
         return frozenset(out)
 
     def _add_to_groebner(self, poly: Poly) -> None:
-        """Add a nonzero reduced polynomial to the Groebner basis and update
-        the pairs by the Gebauer-Moller criteria.
+        """Add a nonzero reduced polynomial to the Groebner basis and queue
+        its pairs, pruned by the Gebauer-Moller criteria.
 
-        B (chain): an older pair (a, b) with lcm L is dropped when the new
-        lead divides L and L is neither lcm(a, lead) nor lcm(b, lead); the
-        two new pairs then have smaller lcms and stand in for it.  Of the
-        new pairs, none is kept whose lcm is properly divided by another new
-        pair's lcm (M), one is kept per lcm (F), and none of an lcm shared
-        with a pair of coprime leads, whose S-polynomial reduces to zero.
+        Of the new pairs, none is kept whose lcm is properly divided by
+        another new pair's lcm (M), one is kept per lcm (F), and none of an
+        lcm shared with a pair of coprime leads, whose S-polynomial reduces
+        to zero.  Older pairs are not revisited (criterion B): elements join
+        at the growth frontier, and the configuration rings never have a
+        pair waiting then, so B would drop nothing.
         """
         lead = max(poly)
-        pairs = self._pairs
-        for deg, queue in pairs.items():
-            pairs[deg] = [
-                (lcm, a, b)
-                for lcm, a, b in queue
-                if not _divides(lead, lcm)
-                or _lcm(a, lead) == lcm
-                or _lcm(b, lead) == lcm
-            ]
         partner: dict[Monomial, Monomial] = {}  # new lcm -> first older lead
         coprime: set[Monomial] = set()  # new lcms of a pair with coprime leads
         for other in self._groebner:
@@ -265,7 +256,7 @@ class PresentedF2Algebra:
                 continue
             minimal.append(lcm)
             if lcm not in coprime:
-                pairs.setdefault(self.monomial_degree(lcm), []).append(
+                self._pairs.setdefault(self.monomial_degree(lcm), []).append(
                     (lcm, partner[lcm], lead)
                 )
         self._groebner[lead] = poly
@@ -277,8 +268,9 @@ class PresentedF2Algebra:
         Homogeneous Buchberger, degree by degree: the nonzero normal forms
         of the relations and of the S-polynomials of that degree join the
         basis.  An S-pair waits as (lcm, a, b), a and b the leads of its two
-        elements, and is pruned by the Gebauer-Moller criteria as elements
-        join; its S-polynomial is formed only when its degree is reached.
+        elements, and is pruned by the Gebauer-Moller criteria when the
+        later element joins; its S-polynomial is formed only when its
+        degree is reached.
         A new element is reduced, so no older lead divides its lead and its
         pairs lie in higher degrees.
 

@@ -11,8 +11,6 @@ from .f2algebra import config_mod2_ring
 from .groupcoh import GroupId, uct_mod2_check
 from .report import VerificationReport
 
-SUITE_NAMES = ("uct", "bockstein", "duality", "clss", "sq1", "stiefel")
-
 
 def _spaces(m: int) -> tuple[SpaceId, SpaceId]:
     return SpaceId("B", m), SpaceId("F", m)
@@ -100,6 +98,7 @@ _SUITES = {
     "sq1": suite_sq1,
     "stiefel": suite_stiefel,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names: list[str], m_range: range) -> VerificationReport:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confcoh.abelian import AbGroup2, Z, ZERO
 from confcoh.configcoh import (
@@ -15,6 +17,7 @@ from confcoh.configcoh import (
     p_star_profile,
     twisted_cohomology,
 )
+from confcoh.bockstein import rank_profile_check
 from confcoh.groupcoh import CoeffId, GroupId, classifying_cohomology
 
 
@@ -244,6 +247,16 @@ def test_p_star_mono_onto_torsion():
 def test_global_checks(kind, m):
     report = global_checks(SpaceId(kind, m))
     assert report.passed, report.failures()
+
+
+# One space at m = 10^4 takes ~0.8 s for the three families.
+@settings(max_examples=5, deadline=None)
+@given(st.integers(2, 10**4))
+def test_table_checks_far_past_the_verify_range(m):
+    for s in (B(m), F(m)):
+        for check in (global_checks, duality_symmetry_check, rank_profile_check):
+            report = check(s)
+            assert report.passed, report.failures()
 
 
 def test_table_support():

@@ -13,9 +13,10 @@ dropping it changes nothing.
 A closed-form mutant changes one group in one degree of a configuration
 space table branch or a classifying-space formula, or the sign of the
 dihedral action on one degree of the fibre.  An executor mutant changes
-one step of a spectral-sequence executor, and an engine mutant one step of
-the F2 engine's Sq1 columns.  Every suite over m = 2..12 then runs, and the
-test pins the check families that fail, or the error that stops the run.
+one step of a spectral-sequence executor or the branch the duality check
+takes, and an engine mutant one step of the F2 engine's Sq1 columns.
+Every suite over m = 2..12 then runs, and the test pins the check
+families that fail, or the error that stops the run.
 """
 
 import pytest
@@ -115,57 +116,57 @@ E, E4 = AbGroup2.elementary, AbGroup2.elementary_with_z4
 CLOSED_FORM_MUTANTS = {
     "B-even-lower": (  # B(P^6, 2), H^4 = <2> + Z/4: the Z/4 split
         configcoh,
-        "_unordered_even",
-        (3, 4),
+        "_unordered",
+        (6, 4),
         E(4),
         {"bockstein-page1", "bockstein-ranks", "clss-even-D8", "duality", "global"},
     ),
     "B-even-upper": (  # B(P^6, 2), H^8 = <2> + Z/4: the Z/4 split
         configcoh,
-        "_unordered_even",
-        (3, 8),
+        "_unordered",
+        (6, 8),
         E(4),
         {"bockstein-page1", "bockstein-ranks", "clss-even-D8", "duality", "global"},
     ),
     "B-odd-lower": (  # B(P^5, 2), H^4 = <2> + Z/4: the Z/4 split
         configcoh,
-        "_unordered_odd",
-        (2, 4),
+        "_unordered",
+        (5, 4),
         E(4),
         {"bockstein-page1", "bockstein-ranks", "clss-1mod4", "global"},
     ),
     "B-odd-upper-open": (  # B(P^7, 2), m = 3 mod 4, H^10 = <2> becomes Z/4
         configcoh,
-        "_unordered_odd",
-        (3, 10),
+        "_unordered",
+        (7, 10),
         E4(0),
         {"bockstein-page1", "bockstein-ranks", "duality", "global"},
     ),
     "F-even-lower": (  # F(P^4, 2), H^2 = <2> gains a Z/2
         configcoh,
-        "_ordered_even",
-        (2, 2),
+        "_ordered",
+        (4, 2),
         E(3),
         {"bockstein-ranks", "clss-even-Z2xZ2", "duality", "global"},
     ),
     "F-even-upper": (  # F(P^8, 2), H^10 = <4> loses a Z/2
         configcoh,
-        "_ordered_even",
-        (4, 10),
+        "_ordered",
+        (8, 10),
         E(3),
         {"bockstein-ranks", "clss-even-Z2xZ2", "duality", "global"},
     ),
     "F-odd-lower": (  # F(P^7, 2), H^5 = <2> gains a Z/2
         configcoh,
-        "_ordered_odd",
-        (3, 5),
+        "_ordered",
+        (7, 5),
         E(3),
         {"bockstein-ranks", "clss-odd-Z2xZ2", "global"},
     ),
     "F-odd-upper": (  # F(P^9, 2), H^12 = <3> loses a Z/2
         configcoh,
-        "_ordered_odd",
-        (4, 12),
+        "_ordered",
+        (9, 12),
         E(2),
         {"bockstein-ranks", "clss-odd-Z2xZ2", "duality", "global"},
     ),
@@ -265,15 +266,17 @@ def test_closed_form_mutant_is_killed(monkeypatch, name):
     assert killing_families() == killers
 
 
-# name -> (cartan_leray function, original -> mutated function, what kills it)
+# name -> (module, function, original -> mutated function, what kills it)
 EXECUTOR_MUTANTS = {
     "image-ignores-page-m+1-source": (
+        cartan_leray,
         "_image_log2",
         lambda original: lambda src_mid, src_top: original(src_mid, ZERO),
         {"clss-1mod4", "clss-odd-Z2xZ2"},
     ),
     # Killed by one family only: the closed form is read by run_1mod4 alone.
     "odd-closed-form-loses-Z4": (  # <ell/2 - 1> in place of {ell/2 - 1}
+        cartan_leray,
         "_odd_closed_form",
         lambda original: lambda ell: (
             original(ell).without_cyclic(2) if ell % 4 == 2 else original(ell)
@@ -283,21 +286,56 @@ EXECUTOR_MUTANTS = {
     # Killed by one family only: even_cokernel is read by run_even alone,
     # and only for the dihedral group.
     "even-cokernel-loses-Z4": (  # <ell/2> in place of {ell/2}
+        cartan_leray,
         "even_cokernel",
         lambda original: lambda m, ell: (
             original(m, ell).without_cyclic(2) if ell % 4 == 0 else original(m, ell)
         ),
         {"clss-even-D8"},
     ),
+    # Killed by one family only: the m = 3 mod 4 fragment is the only
+    # caller.
+    "fragment-dm-removes-Z4": (  # a Z/4 removed where d_m injects a Z/2
+        cartan_leray,
+        "_less_one_summand",
+        lambda original: lambda group, exponent: (
+            original(group, 2 if exponent == 1 else exponent)
+        ),
+        {"clss-3mod4-fragment"},
+    ),
+    # Each m = 3 option is its own family by construction, so the next
+    # two are killed by one family only.
+    "m3-A-loses-fibre-class": (  # (0, 3) does not survive option A
+        cartan_leray,
+        "_run_m3_option_a",
+        lambda original: lambda page, report: {
+            pq: g for pq, g in original(page, report).items() if pq != (0, 3)
+        },
+        {"clss-m3-A"},
+    ),
+    "m3-B-diagonal-extra-bit": (  # one more torsion bit on each diagonal
+        cartan_leray,
+        "_torsion_bits_on_diagonal",
+        lambda original: lambda page, t: (
+            original(page, t)[0] + 1, original(page, t)[1]
+        ),
+        {"clss-m3-B"},
+    ),
+    # Killed by one family only: twisted_cohomology reads the same branch,
+    # but no suite reads twisted_cohomology.
+    "duality-wrong-branch": (  # orientable iff m is odd
+        configcoh,
+        "is_orientable",
+        lambda original: lambda s: not original(s),
+        {"duality"},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", EXECUTOR_MUTANTS)
 def test_executor_mutant_is_killed(monkeypatch, name):
-    function, mutate, killers = EXECUTOR_MUTANTS[name]
-    monkeypatch.setattr(
-        cartan_leray, function, mutate(getattr(cartan_leray, function))
-    )
+    module, function, mutate, killers = EXECUTOR_MUTANTS[name]
+    monkeypatch.setattr(module, function, mutate(getattr(module, function)))
     assert killing_families() == killers
 
 

@@ -35,6 +35,14 @@ DIGESTS = [
     ("groups --space F --m 7 --homology --format table", 0, "bfb4947e8109d52645158502236925ab49315a1aeaecbb0efdfa06ecbd669b15"),
     ("groups --space F --m 7 --homology --format csv", 0, "5d27cd15b2eb430b2fbd5987e7757d9ecc868e4f5c0909b59f7c5bb9b2542386"),
     ("groups --space F --m 7 --homology --format json", 0, "c9e577c475060834ad92916861511af28b1bf4cdca797056e863b37a9a6eacdb"),
+    ("groups --space B --m 301 --format csv", 0, "ae1773031c168941e34d4698b9fd4662d55743d7cc35f49aaf0fdee75c31f771"),
+    ("groups --space B --m 302 --format csv", 0, "5a9fd2ac95c887654b0de76fb5af2796c8b1ae40af0de0194fba1b5b0eafc1f5"),
+    ("groups --space B --m 303 --format csv", 0, "5beffeeaed39c14b4e4a66610b6b082f46f962e54ac6e58beacbfdd8a3d78752"),
+    ("groups --space B --m 304 --format csv", 0, "eb3f8e4cfcc4dae936142df324b2535f72a24607457892d736cae1c61e1df570"),
+    ("groups --space F --m 301 --format csv", 0, "27b164550a4d8bb3bd97f5c58708c6171ae76c13cd916c8dcf44f99b6880eb82"),
+    ("groups --space F --m 302 --format csv", 0, "a4b9c896ebd86bbc4242f8380362ef3736404a24dd391d6ad30aee744b36ed3d"),
+    ("groups --space F --m 303 --format csv", 0, "27d929dc7076d15ced1ef1ad3e46609c9d70a61e0ee741e0d0f3c33e87d23436"),
+    ("groups --space F --m 304 --format csv", 0, "531390cd46a87ad4338aee66e910eab361f2ff386ce3041889223428c0c36080"),
     ("table1", 0, "19a44d9cd565c267daa8ba0e8f7021ce3939665fe0f469d0efa8676b751e5775"),
 ]
 

@@ -13,9 +13,8 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, repeat
 
 
@@ -28,8 +27,25 @@ def _check_rank(k: int) -> None:
         raise ValueError(f"rank must be non-negative, got {k}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class AbGroup2:
+class Value(tuple):
+    """Base of the package's immutable value types, each a namedtuple.
+
+    A value equals only a value of its own class with equal fields, never a
+    plain tuple, and hashes as the tuple of its fields does.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class AbGroup2(Value, namedtuple("AbGroup2", "free_rank torsion")):
     """Z^free_rank plus, for each pair (e, k) in torsion, k summands Z/2^e.
 
     `torsion` is the canonical form: pairs sorted by exponent, each
@@ -38,31 +54,34 @@ class AbGroup2:
     not with the number of summands.
     """
 
-    free_rank: int
-    torsion: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> "AbGroup2":
+        """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents."""
+        return tuple.__new__(cls, (free_rank, tuple(sorted(Counter(torsion_exponents).items()))))
 
     def __init__(self, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> None:
-        """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents."""
+        """Refuse a negative free rank or a non-positive exponent.  The check
+        sits here, not in __new__, so that each public construction runs
+        __init__, which the benchmark's tracer counts (`abelian.groups_built`)."""
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        counts = Counter(torsion_exponents)
-        if any(e < 1 for e in counts):
+        if self.torsion and self.torsion[0][0] < 1:
             raise ValueError("torsion exponents must be positive")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", tuple(sorted(counts.items())))
 
     @classmethod
     def _of(cls, free_rank: int, torsion: tuple[tuple[int, int], ...]) -> "AbGroup2":
         """A value from pairs already in canonical form."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "free_rank", free_rank)
-        object.__setattr__(g, "torsion", torsion)
-        return g
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @classmethod
     def _of_counts(cls, free_rank: int, counts: dict[int, int]) -> "AbGroup2":
         """A value from exponent -> multiplicity; zero counts are dropped."""
         return cls._of(free_rank, tuple(sorted((e, k) for e, k in counts.items() if k)))
+
+    def __reduce__(self) -> tuple:
+        # The fields are the canonical pairs, not the exponents __new__ takes.
+        return AbGroup2._of, tuple(self)
 
     def __repr__(self) -> str:
         return (
@@ -193,20 +212,17 @@ Z4 = AbGroup2.cyclic(2)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value, namedtuple("IntMatrix", "rows cols entries")):
     """Dense integer matrix, row-major, arbitrary-precision entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntMatrix":
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        return tuple.__new__(cls, (rows, cols, tuple(entries)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -312,21 +328,22 @@ def diagonal_presentation(group: AbGroup2) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedGroups:
-    """Partial map degree -> AbGroup2 with a declared support bound."""
+class GradedGroups(Value, namedtuple("GradedGroups", "support_bound groups")):
+    """Partial map degree -> AbGroup2 with a declared support bound; groups
+    holds the nontrivial ones in ascending degree."""
 
-    support_bound: int
-    groups: dict[int, AbGroup2] = field(default_factory=dict)  # ascending degree
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = {
-            d: g for d, g in sorted(dict(self.groups).items()) if not g.is_trivial
-        }
+    def __new__(
+        cls,
+        support_bound: int,
+        groups: Mapping[int, AbGroup2] | Iterable[tuple[int, AbGroup2]] = (),
+    ) -> "GradedGroups":
+        cleaned = {d: g for d, g in sorted(dict(groups).items()) if not g.is_trivial}
         for d in cleaned:
-            if d < 0 or d > self.support_bound:
-                raise ValueError(f"degree {d} outside [0, {self.support_bound}]")
-        object.__setattr__(self, "groups", cleaned)
+            if d < 0 or d > support_bound:
+                raise ValueError(f"degree {d} outside [0, {support_bound}]")
+        return tuple.__new__(cls, (support_bound, cleaned))
 
     def group(self, degree: int) -> AbGroup2:
         return self.groups.get(degree, ZERO)

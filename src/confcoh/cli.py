@@ -17,10 +17,11 @@ from .configcoh import SpaceId
 from .report import VerificationReport
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..80 takes about 2.3 s with 46 MiB peak RSS, as a table or as json (both
-# are written one check at a time); a busy host takes about twice as long.
-# One run on a busy host, where 2..80 took 3.6 s, took 5.5 s and 59 MiB
-# over 2..96.  groups writes one row at a time, so its peak
+# 2..80 peaks at 41 MiB RSS, as a table or as json (both are written one
+# check at a time), and takes about 3.2 s at the benchmark's reference host
+# speed (4.3-5.8 s measured on a busy host running at about half of it).
+# Over 2..96 one run on that busy host took 8.8 s and 50 MiB.  groups
+# writes one row at a time, so its peak
 # RSS is about 22 MiB at m = 8192, where its largest output, json F2
 # (740 MB), goes to /dev/null in about 0.3 s (csv F2: 0.25 s).  The output,
 # O(m^2), not the time, sets that bound: a caller that captures it in

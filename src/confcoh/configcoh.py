@@ -14,10 +14,10 @@ and {k} is <k> plus one Z/4 summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .abelian import AbGroup2, GradedGroups, Z, ZERO, uct_homology
+from .abelian import AbGroup2, GradedGroups, Value, Z, ZERO, uct_homology
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
 from . import stiefel
@@ -27,18 +27,17 @@ class DegreeOutOfRangeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpaceId:
+class SpaceId(Value, namedtuple("SpaceId", "kind m")):
     """kind is "F" (ordered pairs) or "B" (unordered pairs)."""
 
-    kind: str
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("F", "B"):
+    def __new__(cls, kind: str, m: int) -> "SpaceId":
+        if kind not in ("F", "B"):
             raise ValueError("kind must be 'F' or 'B'")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be >= 1")
+        return tuple.__new__(cls, (kind, m))
 
     @property
     def support_bound(self) -> int:
@@ -207,10 +206,13 @@ class PStarBehavior(Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class PStarProfile:
-    behavior: PStarBehavior
-    kernel_rank: int | None = None
+class PStarProfile(
+    Value, namedtuple("PStarProfile", "behavior kernel_rank", defaults=(None,))
+):
+    """The behaviour of the classifying map in one degree, with the rank of
+    its kernel where that is known."""
+
+    __slots__ = ()
 
 
 def p_star_profile(g: GroupId, m: int, i: int) -> PStarProfile:
@@ -257,32 +259,23 @@ def global_checks(s: SpaceId) -> VerificationReport:
         raise ValueError("global checks need m >= 2")
     m = s.m
     report = VerificationReport("global", m)
+    table = [cohomology(s, i) for i in range(2 * m + 3)]  # H^0 .. H^(2m+2)
     free_degree = 2 * m - 1 if m % 2 == 0 else m
-    free_profile = {
-        i: cohomology(s, i).free_rank for i in range(2 * m) if cohomology(s, i).free_rank
-    }
+    free_profile = {i: g.free_rank for i, g in enumerate(table[: 2 * m]) if g.free_rank}
     report.add("free ranks", {0: 1, free_degree: 1}, free_profile)
     report.add(
         "top group vs quotient orientability",
         stiefel.top_group_V_quotient(m + 1, s.group),
-        cohomology(s, 2 * m - 1),
+        table[2 * m - 1],
         degree=2 * m - 1,
     )
     for i in range(2 * m + 2):
-        lhs = (
-            cohomology(s, i).two_rank_tensor
-            + cohomology(s, i + 1).mult2_kernel_rank
-        )
+        lhs = table[i].two_rank_tensor + table[i + 1].mult2_kernel_rank
         report.add("mod-2 UCT", mod2_dimension(s, i), lhs, degree=i)
-    euler = sum(
-        (-1) ** i * cohomology(s, i).free_rank for i in range(2 * m)
-    )
+    euler = sum((-1) ** i * g.free_rank for i, g in enumerate(table[: 2 * m]))
     report.add("Euler characteristic", 0, euler)
     bound = 2 if s.kind == "B" else 1
-    worst = max(
-        (e for i in range(2 * m) for e, _ in cohomology(s, i).torsion),
-        default=0,
-    )
+    worst = max((e for g in table[: 2 * m] for e, _ in g.torsion), default=0)
     report.add_bool(
         f"torsion exponent <= {bound}",
         worst <= bound,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -175,7 +175,7 @@ class PresentedF2Algebra:
     # -- monomial bookkeeping ---------------------------------------------
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     @staticmethod
     def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -250,15 +250,14 @@ class PresentedF2Algebra:
             partner.setdefault(lcm, other)
             if not any(a and b for a, b in zip(other, lead)):
                 coprime.add(lcm)
+        degree = {lcm: self.monomial_degree(lcm) for lcm in partner}
         minimal: list[Monomial] = []  # new lcms divisible by no smaller one
-        for lcm in sorted(partner, key=self.monomial_degree):
+        for lcm in sorted(degree, key=degree.__getitem__):
             if any(_divides(low, lcm) for low in minimal):
                 continue
             minimal.append(lcm)
             if lcm not in coprime:
-                self._pairs.setdefault(self.monomial_degree(lcm), []).append(
-                    (lcm, partner[lcm], lead)
-                )
+                self._pairs.setdefault(degree[lcm], []).append((lcm, partner[lcm], lead))
         self._groebner[lead] = poly
 
     def _grow(self, d: int) -> None:

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+
+from .abelian import Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    label: str
-    expected: str
-    got: str
-    passed: bool
-    m: int | None = None
-    degree: int | None = None
-    skipped: bool = False
+class CheckResult(
+    Value,
+    namedtuple(
+        "CheckResult",
+        "suite label expected got passed m degree skipped",
+        defaults=(None, None, False),
+    ),
+):
+    """One check: suite and label name it, expected and got are the values
+    as shown, m and degree locate it when they apply, and skipped marks an
+    open case, reported but not asserted."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "SKIPPED-OPEN" if self.skipped else ("ok" if self.passed else "FAIL")
@@ -27,14 +32,27 @@ class CheckResult:
         return f"{' '.join(head)} expected={self.expected} got={self.got} {status}"
 
 
-@dataclass
 class VerificationReport:
     """Checks of one family at one m, stamped on each check as it is added;
-    a report that only collects other reports' checks leaves both unset."""
+    a report that only collects other reports' checks leaves both unset.
+    Reports are equal when their suite, m and checks are."""
 
-    suite: str = ""
-    m: int | None = None
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("suite", "m", "checks")
+
+    def __init__(
+        self, suite: str = "", m: int | None = None, checks: list[CheckResult] | None = None
+    ) -> None:
+        self.suite = suite
+        self.m = m
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(suite={self.suite!r}, m={self.m!r}, checks={self.checks!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.suite, self.m, self.checks) == (other.suite, other.m, other.checks)
 
     def add(
         self, label: str, expected: object, got: object, *, degree: int | None = None

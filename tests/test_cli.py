@@ -427,6 +427,20 @@ def test_cli_import_leaves_typing_out():
     assert out == "False\n"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # The value types are namedtuples, so dataclasses and the inspect, ast
+    # and tokenize modules it pulls in stay out of a cold start.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import confcoh.cli; "
+        "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # check counts and verdicts
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confcoh import configcoh
 from confcoh.abelian import AbGroup2, Z, ZERO
 from confcoh.configcoh import (
     DegreeOutOfRangeError,
@@ -247,6 +248,21 @@ def test_p_star_mono_onto_torsion():
 def test_global_checks(kind, m):
     report = global_checks(SpaceId(kind, m))
     assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 11, 1000])
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_global_checks_build_each_group_once(kind, m, monkeypatch):
+    calls = []
+
+    def counted(s, i):
+        calls.append(i)
+        return cohomology(s, i)
+
+    monkeypatch.setattr(configcoh, "cohomology", counted)
+    report = global_checks(SpaceId(kind, m))
+    assert report.passed, report.failures()
+    assert len(calls) <= 2 * m + 3
 
 
 # One space at m = 10^4 takes ~0.8 s for the three families.

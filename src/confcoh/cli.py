@@ -1,15 +1,25 @@
 """Command-line surface: group tables, the torsion summary table, and the
 verification suites.
 
+`COMMANDS` declares the command line once: each subcommand's help, its
+`cmd_*` function and its options.  Two parsers read it.  `_parse` takes argv
+that spells every option as its exact flag and a separate value, which is
+what scripts and the README write, and builds the namespace without
+argparse.  Anything else (help, abbreviations, `--opt=value`, `--`,
+dash-led values, usage errors) goes to the argparse parser that
+`build_parser` builds, so help and error texts are argparse's own.  argparse
+costs a few milliseconds to import and build, more than a small table, and
+a successful canonical call never loads it.
+
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from . import configcoh, suites
 from .abelian import AbGroup2, GradedGroups
@@ -38,6 +48,8 @@ def _parse_m_range(text: str) -> range:
         value = int(text)
         return range(value, value + 1)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected M or LO..HI, got {text!r}"
         ) from None
@@ -124,7 +136,7 @@ def _render_report_json(report: VerificationReport) -> Iterator[str]:
     yield "\n  ]\n}" if report.checks else "]\n}"
 
 
-def cmd_groups(args: argparse.Namespace) -> int:
+def cmd_groups(args: SimpleNamespace) -> int:
     if args.m > MAX_GROUPS_M:
         print(f"m capped at {MAX_GROUPS_M}", file=sys.stderr)
         return 2
@@ -192,12 +204,12 @@ def render_table1(fmt: str = "table") -> str:
     return "\n".join(lines)
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(args: SimpleNamespace) -> int:
     print(render_table1(args.format))
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
     m_range = args.m_range
     if len(m_range) == 0:
@@ -221,7 +233,84 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+_FORMATS = ("table", "json", "csv")
+
+# subcommand -> (help, function, options as (flag, add_argument keywords))
+COMMANDS = {
+    "groups": (
+        "print a graded group table",
+        cmd_groups,
+        (
+            ("--space", {"choices": ("F", "B"), "required": True}),
+            ("--m", {"type": int, "required": True}),
+            ("--coefficients", {"choices": ("Z", "twisted", "F2"), "default": "Z"}),
+            ("--homology", {"action": "store_true"}),
+            ("--format", {"choices": _FORMATS, "default": "table"}),
+        ),
+    ),
+    "table1": (
+        "torsion summary for the unordered spaces, m = 2,4,6,8",
+        cmd_table1,
+        (("--format", {"choices": _FORMATS, "default": "table"}),),
+    ),
+    "verify": (
+        "run verification suites",
+        cmd_verify,
+        (
+            ("--suite", {"choices": ("all",) + suites.SUITE_NAMES, "default": "all"}),
+            (
+                "--m-range",
+                {"type": _parse_m_range, "default": range(2, 11), "dest": "m_range"},
+            ),
+            ("--format", {"choices": ("table", "json"), "default": "table"}),
+            ("--verbose", {"action": "store_true"}),
+        ),
+    ),
+}
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse builds from argv, or None.  argv must be
+    a subcommand and then its declared flags, each spelled in full; a
+    flag that takes a value is followed by a word that does not start with
+    '-', converts, and is one of its choices; every required flag is
+    there.  As in argparse, the last of a repeated flag wins."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    declared = dict(options)
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in declared:
+            return None
+        spec = declared[flag]
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(words, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # argparse converts it again and reports or raises it
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, spec in options:
+        if flag not in given and spec.get("required"):
+            return None
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        dest = spec.get("dest", flag.lstrip("-").replace("-", "_"))
+        setattr(args, dest, given.get(flag, default))
+    return args
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="confcoh",
         description=(
@@ -230,48 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_groups = sub.add_parser("groups", help="print a graded group table")
-    p_groups.add_argument("--space", choices=("F", "B"), required=True)
-    p_groups.add_argument("--m", type=int, required=True)
-    p_groups.add_argument(
-        "--coefficients", choices=("Z", "twisted", "F2"), default="Z"
-    )
-    p_groups.add_argument("--homology", action="store_true")
-    p_groups.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table"
-    )
-    p_groups.set_defaults(func=cmd_groups)
-
-    p_table1 = sub.add_parser(
-        "table1", help="torsion summary for the unordered spaces, m = 2,4,6,8"
-    )
-    p_table1.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table"
-    )
-    p_table1.set_defaults(func=cmd_table1)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite", choices=("all",) + suites.SUITE_NAMES, default="all"
-    )
-    p_verify.add_argument(
-        "--m-range", type=_parse_m_range, default=range(2, 11), dest="m_range"
-    )
-    p_verify.add_argument(
-        "--format", choices=("table", "json"), default="table"
-    )
-    p_verify.add_argument("--verbose", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     return args.func(args)
 
 

@@ -414,8 +414,14 @@ class PresentedF2Algebra:
             return self._sq1_matrix_cache[d]
         self._grow(d + 1)
         self._check_sq1_well_defined(d + 1)
-        basis = self.degree_basis(d)
-        cols = [self.coords(self.sq1_free(mono), d + 1) for mono in basis]
+        memo = self._coords_memo
+        cols = []
+        for mono in self.degree_basis(d):
+            bits = 0
+            for t in self.sq1_free(mono):
+                c = memo.get(t)
+                bits ^= self._mono_coords(t, d + 1) if c is None else c
+            cols.append(bits)
         self._sq1_matrix_cache[d] = cols
         return cols
 

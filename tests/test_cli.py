@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -439,6 +441,147 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
         [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def _cold(code):
+    """stdout of code run by a bare interpreter that imports confcoh from
+    this tree only."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); {code}"
+    return subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_cli_import_leaves_argparse_out():
+    out = _cold(
+        "import confcoh.cli; "
+        "print([name for name in ('argparse', 'gettext') if name in sys.modules])"
+    )
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groups", "--space", "B", "--m", "300", "--format", "json", "--coefficients", "F2"],
+        ["verify", "--suite", "all", "--format", "json", "--m-range", "2..4"],
+    ],
+    ids=["groups", "verify"],
+)
+def test_canonical_call_leaves_argparse_out(argv):
+    # argparse, and the shutil and locale that building a parser loads, are
+    # only for help and errors.
+    out = _cold(
+        "import contextlib, io; from confcoh import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "names = ('argparse', 'gettext', 'shutil', 'locale')\n"
+        "print(code, [name for name in names if name in sys.modules])"
+    )
+    assert out == "0 []\n"
+
+
+def test_help_is_argparse_help(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: confcoh [-h] {groups,table1,verify} ...\n")
+    assert "print a graded group table" in out
+
+
+def _module_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "confcoh.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point_reads_sys_argv():
+    done = _module_cli("groups", "--space", "B", "--m", "4")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("H^* groups of B(P^4,2)\n")
+    done = _module_cli("groups", "--space", "Q", "--m", "4")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: confcoh groups")
+
+
+# Every option as the README and the benchmark write it.
+CANONICAL_ARGV = [
+    "groups --space B --m 4",
+    "groups --space B --m 5 --coefficients twisted --format json",
+    "groups --space F --m 3 --homology --format csv",
+    "table1",
+    "table1 --format json",
+    "verify --suite all --m-range 2..10",
+    "verify --suite duality --m-range 2..12",
+    "verify --suite sq1 --m-range 3..7",
+    "verify --suite all --m-range 2..32",
+    "verify --suite all --m-range 2..80",
+    "verify --m-range 1",
+    *(f"verify --suite all --format json --m-range 2..{h}" for h in range(7, 11)),
+    *(
+        f"groups --space {kind} --m {m} --format {fmt} {mode}"
+        for kind, m in (("B", 300), ("F", 2000))
+        for fmt in ("table", "csv", "json")
+        for mode in ("--homology", "--coefficients Z", "--coefficients twisted", "--coefficients F2")
+    ),
+]
+
+
+def _argparse_vars(argv):
+    """vars() of what argparse parses from argv, or None if it refuses it."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("line", CANONICAL_ARGV)
+def test_canonical_argv_takes_the_fast_path(line):
+    argv = line.split()
+    args = cli._parse(argv)
+    assert args is not None
+    assert vars(args) == _argparse_vars(argv)
+
+
+_GOOD_VALUES = {"--m": ["1", "4", "300"], "--m-range": ["2..7", "3", "0..2"]}
+_ODD_WORDS = [
+    *sorted({flag for _, _, options in cli.COMMANDS.values() for flag, _ in options}),
+    "--coef", "--m", "--m-r", "--form", "--ho", "--verb", "--s", "--format=json",
+    "--m=4", "--space=B", "-h", "--help", "--", "-x", "--bogus", "bogus", "groups",
+    "Q", "x", " 5", "-3", "-", "--x", "", "7..2", "1..2..3", "xml", "9000",
+]
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and its own flags with good values, in any order,
+    repeated or left out; then up to two words replaced by, or preceded by,
+    odd ones: abbreviations, --flag=value, help, --, dash-led values, bad
+    values, foreign flags."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [name]
+    options = [option for option in cli.COMMANDS[name][2] for _ in range(draw(st.integers(0, 2)))]
+    for flag, spec in draw(st.permutations(options)):
+        argv.append(flag)
+        if spec.get("action") != "store_true":
+            good = [*spec.get("choices", ()), *_GOOD_VALUES.get(flag, ())]
+            argv.append(draw(st.sampled_from(good)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv) - 1))
+        argv[i : i + draw(st.integers(0, 1))] = [draw(st.sampled_from(_ODD_WORDS))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_fast_parse_agrees_with_argparse(argv):
+    # Whatever the fast path accepts, argparse accepts, to the same
+    # namespace, defaults and function included.
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors.
 
 from __future__ import annotations
 
-import json
 import sys
+from _json import encode_basestring_ascii as _text  # json.dumps of a str
 from collections.abc import Iterator
 from types import SimpleNamespace
 
@@ -91,8 +91,8 @@ def _render_groups(
         # The fixed envelope of json.dumps(..., indent=2), written by hand;
         # a table always has rows, so "groups" is never the empty list.
         yield (
-            f'{{\n  "space": {json.dumps(s.kind)},\n  "m": {s.m},\n'
-            f'  "coefficients": {json.dumps(label)},\n  "groups": ['
+            f'{{\n  "space": {_text(s.kind)},\n  "m": {s.m},\n'
+            f'  "coefficients": {_text(label)},\n  "groups": ['
         )
         sep, pad = "\n", "\n        "
         for i, g in rows:
@@ -118,18 +118,17 @@ def _render_report_json(report: VerificationReport) -> Iterator[str]:
     newline, in pieces of one check each, so that writing it holds one
     check in memory, not the report."""
     yield (
-        f'{{\n  "passed": {json.dumps(report.passed)},\n'
-        f'  "summary": {json.dumps(report.summary())},\n  "checks": ['
+        f'{{\n  "passed": {"true" if report.passed else "false"},\n'
+        f'  "summary": {_text(report.summary())},\n  "checks": ['
     )
-    text = json.encoder.encode_basestring_ascii  # json.dumps's own escaper
     sep = "\n    "
     for c in report.checks:
         yield (
-            f'{sep}{{\n      "suite": {text(c.suite)},\n'
+            f'{sep}{{\n      "suite": {_text(c.suite)},\n'
             f'      "m": {"null" if c.m is None else c.m},\n'
             f'      "degree": {"null" if c.degree is None else c.degree},\n'
-            f'      "label": {text(c.label)},\n      "expected": {text(c.expected)},\n'
-            f'      "got": {text(c.got)},\n      "passed": {"true" if c.passed else "false"},\n'
+            f'      "label": {_text(c.label)},\n      "expected": {_text(c.expected)},\n'
+            f'      "got": {_text(c.got)},\n      "passed": {"true" if c.passed else "false"},\n'
             f'      "skipped": {"true" if c.skipped else "false"}\n    }}'
         )
         sep = ",\n    "
@@ -179,6 +178,8 @@ def table1_cells() -> dict[int, dict[int, str]]:
 def render_table1(fmt: str = "table") -> str:
     cells = table1_cells()
     if fmt == "json":
+        import json
+
         return json.dumps(
             {
                 f"B(P^{m},2)": {str(i): cells[m][i] for i in TABLE1_COLUMNS}

@@ -21,12 +21,22 @@ bitsets, and so is the check, once per relation, that it is well defined.
 Its homology is the first page of the mod-2 Bockstein tower, with each
 matrix ranked once by a pivot map of bitsets.
 
-Monomials are exponent tuples, ordered by weighted degree and then
+Inside a ring a monomial is one int, in the packed layout of Monagan and
+Pearce (J. Symbolic Comput. 46 (2011) 807-822): each exponent has a field of
+FIELD_BITS bits whose top bit is a guard and stays clear, the first
+generator's field highest, and the weighted degree sits above them all.
+Integer order is then the order by weighted degree and then
 lexicographically, so the lead of a homogeneous polynomial is its largest
-tuple; bases are listed descending, reproducible run to run.  With the relation
-x^2 = x*x1 declared on the leading generator this order also guarantees
-that basis monomials carry x-exponent at most 1, which is what the
-R / x*R splitting below relies on.
+int; bases are listed descending, reproducible run to run.  A product by a
+generator adds its packed unit and an immediate divisor subtracts it;
+divisibility is one subtraction tested against the guard bits.  Exponents
+fit up to MAX_EXPONENT, so every degree up to MAX_DEGREE can be grown; a
+presentation or monomial that does not fit, or a degree past that bound, is
+refused with ValueError rather than wrapped.  Exponent tuples appear only at
+the public boundary: the presentations, degree_basis, coords and sq1_free.
+With the relation x^2 = x*x1 declared on the leading generator this order
+also guarantees that basis monomials carry x-exponent at most 1, which is
+what the R / x*R splitting below relies on.
 """
 
 from __future__ import annotations
@@ -34,10 +44,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
+
+FIELD_BITS = 16  # bits per packed exponent, the top one a guard
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+MAX_DEGREE = MAX_EXPONENT  # no exponent of a monomial exceeds its degree
 
 
 class IllDefinedDerivationError(ValueError):
@@ -66,19 +80,6 @@ def _set_bits(v: int) -> Iterator[int]:
         low = v & -v
         yield low.bit_length() - 1
         v ^= low
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def _quotient(a: Monomial, b: Monomial) -> Monomial:
-    """a / b for a monomial b dividing a."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class F2Echelon:
@@ -139,40 +140,67 @@ class PresentedF2Algebra:
         for g in self.sq1_on_generators:
             if not 0 <= g < n:
                 raise ValueError(f"Sq1 declared on generator {g} of {n}")
-        for poly in (*self.relations, *self.sq1_on_generators.values()):
-            for m in poly:
-                if len(m) != n or any(x < 0 for x in m):
-                    raise ValueError(f"{m} is not {n} non-negative exponents")
-        self._pending: dict[int, list[Poly]] = {}  # degree -> polys to reduce
-        self._sq1_unchecked: dict[Poly, int] = {}  # relation -> its degree
+        # generator i's exponent field starts at bit _shifts[i], the first
+        # generator's highest; the weighted degree starts at _degree_shift
+        self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._degree_shift = FIELD_BITS * n
+        self._units = tuple(
+            g << self._degree_shift | 1 << s for g, s in zip(self.degrees, self._shifts)
+        )
+        self._exponent_bits = sum(MAX_EXPONENT << s for s in self._shifts)
+        self._guards = sum(1 << s + FIELD_BITS - 1 for s in self._shifts)
+        # (exponent field, unit) of each generator, for _step_down
+        self._steps = tuple(
+            (MAX_EXPONENT << s, unit) for s, unit in zip(self._shifts, self._units)
+        )
+        self._pending: dict[int, list[frozenset[int]]] = {}  # degree -> to reduce
+        self._sq1_unchecked: dict[frozenset[int], int] = {}  # relation -> degree
         for r in self.relations:
             if not r:
                 raise ValueError("zero relation")
-            degs = {self.monomial_degree(m) for m in r}
+            packed = frozenset(map(self._pack, r))
+            degs = {v >> self._degree_shift for v in packed}
             if len(degs) != 1:
                 raise ValueError(f"relation {set(r)} is not homogeneous")
             (d,) = degs
-            self._pending.setdefault(d, []).append(r)
-            self._sq1_unchecked[r] = d
-        # (g, a monomial of Sq1 g divided by g): Sq1 of a monomial with an
-        # odd power of g has a term that monomial times the shift
-        self._sq1_shifts: list[tuple[int, Monomial]] = []
+            self._pending.setdefault(d, []).append(packed)
+            self._sq1_unchecked[packed] = d
+        # (parity bit of g, a monomial of Sq1 g over g): Sq1 of a monomial
+        # with an odd power of g has a term that monomial plus the shift
+        self._sq1_shifts: list[tuple[int, int]] = []
         for g, poly in self.sq1_on_generators.items():
-            want = self.degrees[g] + 1
-            if any(self.monomial_degree(m) != want for m in poly):
-                raise ValueError("Sq1 image of a generator has the wrong degree")
+            unit = self._units[g]
             for m in poly:
-                self._sq1_shifts.append((g, m[:g] + (m[g] - 1,) + m[g + 1 :]))
-        self._groebner: dict[Monomial, Poly] = {}  # lead -> polynomial
+                v = self._pack(m)
+                if v >> self._degree_shift != self.degrees[g] + 1:
+                    raise ValueError("Sq1 image of a generator has the wrong degree")
+                self._sq1_shifts.append((1 << self._shifts[g], v - unit))
+        self._groebner: dict[int, frozenset[int]] = {}  # lead -> polynomial
+        self._lead_exponents: dict[int, Monomial] = {}  # lead -> its exponents
         # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
-        self._pairs: dict[int, list[tuple[Monomial, Monomial, Monomial]]] = {}
-        self._coords_memo: dict[Monomial, int] = {}  # complete degrees only
-        self._basis_cache: dict[int, dict[Monomial, int]] = {}
-        self._basis_list: list[list[Monomial]] = []  # degree -> basis, in order
+        self._pairs: dict[int, list[tuple[int, int, int]]] = {}
+        self._coords_memo: dict[int, int] = {}  # complete degrees only
+        self._basis_cache: dict[int, list[int]] = {}  # degree -> basis, descending
+        self._position: dict[int, int] = {}  # standard monomial -> place in basis
         self._sq1_matrix_cache: dict[int, list[int]] = {}
         self._rank_cache: dict[tuple[int, int, int], int] = {}  # (e, src, dst)
 
     # -- monomial bookkeeping ---------------------------------------------
+
+    def _pack(self, mono: Monomial) -> int:
+        """The packed form of an exponent tuple, refused unless it has one
+        exponent per generator, each in 0..MAX_EXPONENT."""
+        if len(mono) != len(self._units) or not (
+            0 <= min(mono, default=0) and max(mono, default=0) <= MAX_EXPONENT
+        ):
+            raise ValueError(
+                f"{mono} is not {len(self._units)} exponents in 0..{MAX_EXPONENT}"
+            )
+        return sum(map(mul, mono, self._units))
+
+    def _unpack(self, v: int) -> Monomial:
+        """The exponent tuple of a packed monomial."""
+        return tuple(v >> s & MAX_EXPONENT for s in self._shifts)
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.degrees))
@@ -181,33 +209,25 @@ class PresentedF2Algebra:
     def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return tuple(x + y for x, y in zip(a, b))
 
-    def poly_mul_mono(self, poly: Poly, mono: Monomial) -> Poly:
-        return frozenset(self.mono_mul(m, mono) for m in poly)
-
     # -- Groebner basis and quotient bases ------------------------------------
 
-    def _step_down(self, mono: Monomial, e: int) -> tuple[int, Monomial, int] | None:
-        """(i, mono / generator i, its degree) for the first generator i
+    def _step_down(self, w: int) -> tuple[int, int] | None:
+        """(unit of generator i, w / generator i) for the first generator i
         whose quotient is non-standard, or None if every immediate divisor
-        of mono is standard; every degree below e must be complete."""
-        cache = self._basis_cache
-        for i, g in enumerate(self.degrees):
-            if mono[i]:
-                below = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
-                if below not in cache[e - g]:
-                    return i, below, e - g
+        of w is standard; every degree below w's must be complete."""
+        position = self._position
+        for field, unit in self._steps:
+            if w & field and (u := w - unit) not in position:
+                return unit, u
         return None
 
-    def _lift(self, i: int, s: int, bits: int) -> list[Monomial]:
-        """Generator i times each standard monomial of degree s set in bits."""
-        below = self._basis_list[s]
-        return [
-            v[:i] + (v[i] + 1,) + v[i + 1 :]
-            for v in map(below.__getitem__, _set_bits(bits))
-        ]
+    def _lift(self, unit: int, u: int, bits: int) -> list[int]:
+        """unit times each standard monomial of u's degree set in bits."""
+        below = self._basis_cache[u >> self._degree_shift]
+        return [below[p] + unit for p in _set_bits(bits)]
 
-    def _normal_form(self, poly, e: int) -> Poly:
-        """Full reduction of a polynomial of the frontier degree e by the
+    def _normal_form(self, poly) -> frozenset[int]:
+        """Full reduction of a polynomial of the frontier degree by the
         Groebner basis as grown so far.  The largest remaining monomial w
         becomes the sum of h*v over the standard v in the coordinates of a
         non-standard immediate divisor w/h, if it has one; else, a lead, the
@@ -217,12 +237,12 @@ class PresentedF2Algebra:
         out = []
         while todo:
             w = max(todo)
-            step = self._step_down(w, e)
+            step = self._step_down(w)
             if step is not None:
-                i, u, s = step
+                unit, u = step
                 todo.remove(w)
                 todo.symmetric_difference_update(
-                    self._lift(i, s, self._mono_coords(u, s))
+                    self._lift(unit, u, self._mono_coords(u))
                 )
             elif w in self._groebner:
                 todo ^= self._groebner[w]
@@ -231,7 +251,7 @@ class PresentedF2Algebra:
                 out.append(w)
         return frozenset(out)
 
-    def _add_to_groebner(self, poly: Poly) -> None:
+    def _add_to_groebner(self, poly: frozenset[int]) -> None:
         """Add a nonzero reduced polynomial to the Groebner basis and queue
         its pairs, pruned by the Gebauer-Moller criteria.
 
@@ -243,22 +263,30 @@ class PresentedF2Algebra:
         pair waiting then, so B would drop nothing.
         """
         lead = max(poly)
-        partner: dict[Monomial, Monomial] = {}  # new lcm -> first older lead
-        coprime: set[Monomial] = set()  # new lcms of a pair with coprime leads
-        for other in self._groebner:
-            lcm = _lcm(other, lead)
+        exponents = self._unpack(lead)
+        units = self._units
+        partner: dict[int, int] = {}  # new lcm -> first older lead
+        coprime: set[int] = set()  # new lcms of a pair with coprime leads
+        for other, other_exponents in self._lead_exponents.items():
+            # packed as _pack does, unchecked: each exponent is a lead's
+            lcm = sum(map(mul, map(max, other_exponents, exponents), units))
             partner.setdefault(lcm, other)
-            if not any(a and b for a, b in zip(other, lead)):
+            if not any(map(min, other_exponents, exponents)):
                 coprime.add(lcm)
-        degree = {lcm: self.monomial_degree(lcm) for lcm in partner}
-        minimal: list[Monomial] = []  # new lcms divisible by no smaller one
-        for lcm in sorted(degree, key=degree.__getitem__):
-            if any(_divides(low, lcm) for low in minimal):
-                continue
-            minimal.append(lcm)
-            if lcm not in coprime:
-                self._pairs.setdefault(degree[lcm], []).append((lcm, partner[lcm], lead))
+        shift, guards = self._degree_shift, self._guards
+        degree = {lcm: lcm >> shift for lcm in partner}
+        minimal: list[int] = []  # new lcms divisible by no smaller one
+        # sorted stably by degree alone, so pairs queue in partner order
+        for lcm in sorted(partner, key=degree.__getitem__):
+            for low in minimal:
+                if not (lcm - low) & guards:  # low divides lcm: no borrow
+                    break
+            else:
+                minimal.append(lcm)
+                if lcm not in coprime:
+                    self._pairs.setdefault(degree[lcm], []).append((lcm, partner[lcm], lead))
         self._groebner[lead] = poly
+        self._lead_exponents[lead] = exponents
 
     def _grow(self, d: int) -> None:
         """Grow the Groebner basis and the quotient bases through degree d;
@@ -278,55 +306,58 @@ class PresentedF2Algebra:
         Standard monomials are closed under division, so each one is a
         generator times a standard monomial of lower degree, and a monomial
         is standard iff it is not a lead and each immediate divisor is in
-        the basis of its degree.
+        the basis of its degree: as many as its nonzero exponents, which
+        are the guard bits set by adding MAX_EXPONENT to every field.
         """
+        if d > MAX_DEGREE:
+            raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
         gb = self._groebner
         cache = self._basis_cache
-        degrees = self.degrees
+        exponents, guards = self._exponent_bits, self._guards
         for e in range(len(cache), d + 1):
             for poly in self._pending.pop(e, ()):
-                poly = self._normal_form(poly, e)
+                poly = self._normal_form(poly)
                 if poly:
                     self._add_to_groebner(poly)
             for lcm, a, b in self._pairs.pop(e, ()):
-                poly = self._normal_form(
-                    self.poly_mul_mono(gb[a], _quotient(lcm, a))
-                    ^ self.poly_mul_mono(gb[b], _quotient(lcm, b)),
-                    e,
-                )
+                qa, qb = lcm - a, lcm - b
+                poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
                 if poly:
                     self._add_to_groebner(poly)
             # how many immediate divisors of each candidate are standard
-            found = Counter(
-                u[:i] + (u[i] + 1,) + u[i + 1 :]
-                for i, g in enumerate(degrees)
-                if g <= e
-                for u in cache[e - g]
-            )
+            found = Counter()
+            for g, unit in zip(self.degrees, self._units):
+                if g <= e:
+                    found.update(map(unit.__add__, cache[e - g]))
             if e == 0:
-                found = {(0,) * len(degrees): 0}
+                found = {0: 0}
             basis = sorted(
                 (
                     v
                     for v, n in found.items()
-                    if n == len(v) - v.count(0) and v not in gb
+                    if n == (((v & exponents) + exponents) & guards).bit_count()
+                    and v not in gb
                 ),
                 reverse=True,
             )
-            cache[e] = {m: i for i, m in enumerate(basis)}
-            self._basis_list.append(basis)
-            self._coords_memo.update((m, 1 << i) for i, m in enumerate(basis))
+            cache[e] = basis
+            self._position.update(zip(basis, range(len(basis))))
+            self._coords_memo.update(zip(basis, map((1).__lshift__, range(len(basis)))))
+
+    def _basis(self, d: int) -> list[int]:
+        """Standard monomials of degree d, packed, descending."""
+        if d < 0:
+            return []
+        self._grow(d)
+        return self._basis_cache[d]
 
     def quotient_dimension(self, d: int) -> int:
-        return len(self.degree_basis(d))
+        return len(self._basis(d))
 
     def degree_basis(self, d: int) -> dict[Monomial, int]:
         """Standard monomials of degree d, descending, each mapped to its
-        position in that order."""
-        if d < 0:
-            return {}
-        self._grow(d)
-        return self._basis_cache[d]
+        position in that order; a new dict on each call."""
+        return {self._unpack(v): i for i, v in enumerate(self._basis(d))}
 
     def coords(self, poly, d: int) -> int:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits:
@@ -334,11 +365,14 @@ class PresentedF2Algebra:
         self._grow(d)
         bits = 0
         for mono in poly:
-            bits ^= self._mono_coords(mono, d)
+            v = self._pack(mono)
+            if v >> self._degree_shift != d:
+                raise ValueError(f"{mono} is not of degree {d}")
+            bits ^= self._mono_coords(v)
         return bits
 
-    def _mono_coords(self, mono: Monomial, e: int) -> int:
-        """Coordinates of a monomial of a complete degree e, as bits.
+    def _mono_coords(self, mono: int) -> int:
+        """Coordinates of a monomial of a complete degree, as bits.
 
         The memo holds the coordinates of monomials of complete degrees: a
         standard monomial's own bit from when its basis is built, and the
@@ -353,21 +387,21 @@ class PresentedF2Algebra:
         if mono in memo:
             return memo[mono]
         gb = self._groebner
-        stack = [(mono, e)]
+        stack = [mono]
         while stack:
-            w, t = stack[-1]
+            w = stack[-1]
             if w in memo:
                 stack.pop()
                 continue
             if w in gb:
                 parts = [v for v in gb[w] if v != w]
             else:
-                i, u, s = self._step_down(w, t)
+                unit, u = self._step_down(w)
                 if u not in memo:
-                    stack.append((u, s))
+                    stack.append(u)
                     continue
-                parts = self._lift(i, s, memo[u])
-            missing = [(v, t) for v in parts if v not in memo]
+                parts = self._lift(unit, u, memo[u])
+            missing = [v for v in parts if v not in memo]
             if missing:
                 stack.extend(missing)
                 continue
@@ -380,13 +414,20 @@ class PresentedF2Algebra:
 
     # -- Sq1 -----------------------------------------------------------------
 
-    def sq1_free(self, mono: Monomial) -> Iterator[Monomial]:
-        """Terms of the Leibniz expansion of Sq1 on a free monomial: for each
-        generator g with an odd exponent, mono / g times each monomial of
-        Sq1 g.  Over F2 a term yielded twice cancels."""
-        for g, shift in self._sq1_shifts:
-            if mono[g] & 1:
-                yield tuple(map(add, mono, shift))
+    def _sq1_terms(self, v: int) -> list[int]:
+        """Terms of the Leibniz expansion of Sq1 on a free packed monomial:
+        for each generator g with an odd exponent, v / g times each
+        monomial of Sq1 g.  Over F2 a term listed twice cancels."""
+        return [v + shift for bit, shift in self._sq1_shifts if v & bit]
+
+    def sq1_free(self, mono: Monomial) -> list[Monomial]:
+        """Terms of the Leibniz expansion of Sq1 on a free monomial, as
+        exponent tuples (see _sq1_terms); refused if one has an exponent
+        past MAX_EXPONENT."""
+        terms = self._sq1_terms(self._pack(mono))
+        if any(t & self._guards for t in terms):
+            raise ValueError(f"Sq1 {mono} has an exponent past {MAX_EXPONENT}")
+        return [self._unpack(t) for t in terms]
 
     def _check_sq1_well_defined(self, through_degree: int) -> None:
         """Verify that Sq1 of each relation of degree below through_degree
@@ -397,10 +438,13 @@ class PresentedF2Algebra:
         for rel, d in list(self._sq1_unchecked.items()):
             if d >= through_degree:
                 continue
-            image = (term for mono in rel for term in self.sq1_free(mono))
-            if self.coords(image, d + 1):
+            bits = 0
+            for v in rel:
+                for t in self._sq1_terms(v):
+                    bits ^= self._mono_coords(t)
+            if bits:
                 raise IllDefinedDerivationError(
-                    f"Sq1 of relation {set(rel)} is not in the ideal"
+                    f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
                 )
             del self._sq1_unchecked[rel]
 
@@ -416,11 +460,11 @@ class PresentedF2Algebra:
         self._check_sq1_well_defined(d + 1)
         memo = self._coords_memo
         cols = []
-        for mono in self.degree_basis(d):
+        for v in self._basis(d):
             bits = 0
-            for t in self.sq1_free(mono):
+            for t in self._sq1_terms(v):
                 c = memo.get(t)
-                bits ^= self._mono_coords(t, d + 1) if c is None else c
+                bits ^= self._mono_coords(t) if c is None else c
             cols.append(bits)
         self._sq1_matrix_cache[d] = cols
         return cols

@@ -462,6 +462,28 @@ def test_cli_import_leaves_argparse_out():
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        "",
+        "cli.main(['groups', '--space', 'F', '--m', '9', '--format', 'json'])",
+        "cli.main(['verify', '--suite', 'sq1', '--format', 'json', '--m-range', '2..4'])",
+    ],
+    ids=["import", "groups-json", "verify-json"],
+)
+def test_cli_leaves_json_and_re_out(call):
+    # The json writers escape with _json's encode_basestring_ascii, the C
+    # escaper json.dumps calls for a str, so json and the re that its
+    # decoder loads stay out; only table1 --format json imports json.
+    out = _cold(
+        "import contextlib, io; from confcoh import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {call or 'pass'}\n"
+        "print([name for name in ('json', 're') if name in sys.modules])"
+    )
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["groups", "--space", "B", "--m", "300", "--format", "json", "--coefficients", "F2"],

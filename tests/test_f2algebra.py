@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from confcoh import f2algebra, suites
 from confcoh.f2algebra import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
     F2Echelon,
     IllDefinedDerivationError,
     NotApplicableError,
@@ -18,6 +21,7 @@ from confcoh.f2algebra import (
     binom_mod2,
     config_mod2_ring,
     dihedral_mod2_ring,
+    ordered_config_ring,
     split_sq1_homology,
     two_variable_poly_ring,
     unordered_config_ring,
@@ -353,8 +357,8 @@ def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
     forms = []
     normal_form = PresentedF2Algebra._normal_form
 
-    def counted(self, poly, e):
-        forms.append(normal_form(self, poly, e))
+    def counted(self, poly):
+        forms.append(normal_form(self, poly))
         return forms[-1]
 
     monkeypatch.setattr(PresentedF2Algebra, "_normal_form", counted)
@@ -375,9 +379,9 @@ def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m):
     calls = []
     normal_form = PresentedF2Algebra._normal_form
 
-    def counted(self, poly, e):
-        calls.append(e)
-        return normal_form(self, poly, e)
+    def counted(self, poly):
+        calls.append(poly)
+        return normal_form(self, poly)
 
     monkeypatch.setattr(PresentedF2Algebra, "_normal_form", counted)
     for d in range(2 * m + 2):
@@ -540,11 +544,93 @@ def test_sq1_relation_check_against_span_oracle(case):
         pytest.param([("a", 0)], [], None, id="degree-zero-generator"),
         pytest.param([("a", 1), ("b", 1)], [{(2, 0), (0, 1)}], None, id="inhomogeneous"),
         pytest.param([("a", 1), ("b", 1)], [], {0: {(0, 1)}}, id="sq1-wrong-degree"),
+        pytest.param(
+            [("a", 1), ("b", 1)], [{(MAX_EXPONENT + 1, 0)}], None, id="exponent-past-field"
+        ),
     ],
 )
 def test_malformed_presentation_rejected(generators, relations, sq1):
     with pytest.raises(ValueError):
         PresentedF2Algebra(generators, relations, sq1)
+
+
+def test_packing_overflow_refused():
+    # An exponent fills its field up to MAX_EXPONENT; past that a monomial,
+    # a Sq1 term or a degree would carry into the next field, so each is
+    # refused before the engine reads it.
+    ring = two_variable_poly_ring()
+    past = (MAX_EXPONENT + 1, 0)
+    with pytest.raises(ValueError, match="exponents in 0.."):
+        ring.coords({past}, 4)
+    with pytest.raises(ValueError, match="exponents in 0.."):
+        ring.sq1_free(past)
+    assert ring.sq1_free((MAX_EXPONENT - 1, 1)) == [(MAX_EXPONENT - 1, 2)]
+    with pytest.raises(ValueError, match="exponent past"):
+        ring.sq1_free((MAX_EXPONENT, 0))  # Sq1 x1 = x1^2
+    for request in (
+        ring.degree_basis,
+        ring.quotient_dimension,
+        lambda d: ring.coords((), d),
+        lambda d: ring.sq1_matrix(d - 1),
+        ring.sq1_homology_rank,
+    ):
+        with pytest.raises(ValueError, match="packing bound"):
+            request(MAX_DEGREE + 1)
+    assert [ring.quotient_dimension(d) for d in range(4)] == [1, 2, 3, 4]
+
+
+def test_coords_refuses_a_monomial_of_another_degree():
+    ring = two_variable_poly_ring()
+    with pytest.raises(ValueError, match="not of degree 3"):
+        ring.coords({(1, 1)}, 3)
+
+
+def test_degree_basis_is_the_callers_own():
+    # Each call decodes a new dict, so a caller that empties it leaves the
+    # engine's bases, Sq1 matrices and ranks as a fresh ring has them.
+    m = 9
+    ring, fresh = unordered_config_ring(m), unordered_config_ring(m)
+    for d in range(2 * m + 2):
+        basis = ring.degree_basis(d)
+        assert basis == fresh.degree_basis(d)
+        basis.clear()
+    for d in range(2 * m + 1):
+        assert ring.sq1_matrix(d) == fresh.sq1_matrix(d), d
+        assert ring.sq1_homology_rank(d) == fresh.sq1_homology_rank(d), d
+    assert ring.degree_basis(m) == fresh.degree_basis(m) != {}
+
+
+# sha256 of the reprs of tuple(degree_basis(d)) and of sq1_matrix(d), each
+# over d = 0..2m+1, as the exponent-tuple engine computed them before
+# monomials were packed; the span oracles above stop at m = 24.
+ENGINE_DIGESTS = {
+    ("B", 40): (
+        "60e0c49e2b90a8b7bc5c369a6ceb1c6dc34742d8ed3fbf4fdc2ca097dc57c6b0",
+        "f9018f619528bb208b3462dc9357223f18ef7c4c361cce7e26469a1922f38ace",
+    ),
+    ("B", 64): (
+        "231ab902153efdbc2734b83672abecf58216816e7fcdd365a4a2a13a23689424",
+        "02697818c2db8515c7adde3f1d3bde8c7433f7e38aa3ffd9489955edbc77d270",
+    ),
+    ("F", 40): (
+        "c39da3624c84db483a762eea448dd079c9ba429a62b82090931415a101ffa1d1",
+        "daf74249314808ae7b1f1a62c98ac60ed7fdfd1d79749d27cff95bfffd9c6538",
+    ),
+    ("F", 64): (
+        "34d76f16300281ef8c36d51d1487e729a67f02233d9764f6554818032333b732",
+        "095a764006de1839cba1c6d6adc7e12669393fc4bb3639d9f6e4e7250809c9c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, m", ENGINE_DIGESTS)
+def test_engine_digests_past_the_span_oracles(kind, m):
+    ring = (unordered_config_ring if kind == "B" else ordered_config_ring)(m)
+    bases, matrices = hashlib.sha256(), hashlib.sha256()
+    for d in range(2 * m + 2):
+        bases.update(repr(tuple(ring.degree_basis(d))).encode())
+        matrices.update(repr(ring.sq1_matrix(d)).encode())
+    assert (bases.hexdigest(), matrices.hexdigest()) == ENGINE_DIGESTS[kind, m]
 
 
 def test_sq1_homology_examples():

@@ -14,10 +14,14 @@ A closed-form mutant changes one group in one degree of a configuration
 space table branch or a classifying-space formula, or the sign of the
 dihedral action on one degree of the fibre.  An executor mutant changes
 one step of a spectral-sequence executor or the branch the duality check
-takes, and an engine mutant one step of the F2 engine's Sq1 columns.
+takes, and an engine mutant one step of the F2 engine's Sq1 columns,
+over its packed monomials.
 Every suite over m = 2..12 then runs, and the test pins the check
 families that fail, or the error that stops the run.
 """
+
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -339,6 +343,15 @@ def test_executor_mutant_is_killed(monkeypatch, name):
     assert killing_families() == killers
 
 
+def sq1_columns(ring, d, terms):
+    """Sq1 columns out of degree d of a ring whose degree d + 1 is grown:
+    for each packed basis monomial v, the XOR of the coordinates of the
+    packed monomials terms(v)."""
+    return [
+        reduce(xor, map(ring._mono_coords, terms(v)), 0) for v in ring._basis(d)
+    ]
+
+
 def sq1_drops_lead_terms(original):
     """sq1_matrix with every Sq1 term that is a Groebner lead dropped, as if
     the coordinates of a lead lost the rest of its basis element where the
@@ -346,10 +359,28 @@ def sq1_drops_lead_terms(original):
 
     def mutant(self, d):
         original(self, d)  # grows the bases and checks Sq1 on the relations
-        return [
-            self.coords((t for t in self.sq1_free(b) if t not in self._groebner), d + 1)
-            for b in self.degree_basis(d)
-        ]
+        return sq1_columns(
+            self, d, lambda v: [t for t in self._sq1_terms(v) if t not in self._groebner]
+        )
+
+    return mutant
+
+
+def sq1_parity_bit_one_high(original):
+    """sq1_matrix with the Leibniz parity of each generator read from the
+    bit above the low bit of its packed exponent field (exponent 2 or 3
+    mod 4, not odd).  The relation check runs first with the right bits:
+    read there as well, Sq1 of x^2 + x*x1 leaves the ideal and the run
+    stops with IllDefinedDerivationError."""
+
+    def mutant(self, d):
+        original(self, d)
+        right = self._sq1_shifts
+        self._sq1_shifts = [(bit << 1, shift) for bit, shift in right]
+        try:
+            return sq1_columns(self, d, self._sq1_terms)
+        finally:
+            self._sq1_shifts = right
 
     return mutant
 
@@ -362,6 +393,11 @@ ENGINE_MUTANTS = {
         "sq1_matrix",
         sq1_drops_lead_terms,
         {"bockstein-page1"},
+    ),
+    "packed-parity-bit-one-high": (
+        "sq1_matrix",
+        sq1_parity_bit_one_high,
+        {"bockstein-page1", "sq1", "sq1-split"},
     ),
 }
 

@@ -10,10 +10,11 @@ reached, and the Gebauer-Moller criteria (J. Symbolic Comput. 6 (1988)
 the basis is needed: a monomial is non-standard iff it is a lead or one of
 its immediate divisors (one exponent lowered by one) is non-standard, and
 an immediate divisor lies in a lower degree, whose basis is complete.
-Coordinates in the quotient basis are memoised per monomial as bitsets,
-from lower ones: a standard monomial is its own bit, a lead has the bits of
-the rest of its basis element, and any other monomial w those of h*v over
-the standard v of a non-standard immediate divisor w/h.  Polynomials are
+A standard monomial's coordinates in the quotient basis are its own bit,
+read from its position; the memo holds only those of non-standard
+monomials, as bitsets found from lower ones: a lead has the bits of the
+rest of its basis element, and any other monomial w those of h*v over the
+standard v of a non-standard immediate divisor w/h.  Polynomials are
 reduced only while a degree grows, by the same rules through the memo.  On
 top of that sits the degree-raising derivation Sq1 (squaring on degree-1
 generators, extended by the Leibniz rule): its matrices are XORs of those
@@ -29,11 +30,14 @@ Integer order is then the order by weighted degree and then
 lexicographically, so the lead of a homogeneous polynomial is its largest
 int; bases are listed descending, reproducible run to run.  A product by a
 generator adds its packed unit and an immediate divisor subtracts it;
-divisibility is one subtraction tested against the guard bits.  Exponents
-fit up to MAX_EXPONENT, so every degree up to MAX_DEGREE can be grown; a
-presentation or monomial that does not fit, or a degree past that bound, is
-refused with ValueError rather than wrapped.  Exponent tuples appear only at
-the public boundary: the presentations, degree_basis, coords and sq1_free.
+divisibility is one subtraction tested against the guard bits.  The S-pair
+criteria run on these ints too: an lcm is a fieldwise max, and two leads
+are coprime iff the guard masks of their nonzero fields are disjoint.
+Exponents fit up to MAX_EXPONENT, so every degree up to MAX_DEGREE can be
+grown; a presentation or monomial that does not fit, or a degree past that
+bound, is refused with ValueError rather than wrapped.  Exponent tuples
+appear only at the public boundary: the presentations, degree_basis, coords
+and sq1_free.
 With the relation x^2 = x*x1 declared on the leading generator this order
 also guarantees that basis monomials carry x-exponent at most 1, which is
 what the R / x*R splitting below relies on.
@@ -43,8 +47,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import mul, or_
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -123,6 +127,24 @@ def f2_rank(columns: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _packed_max(a: int, b: int, guards: int) -> int:
+    """Fieldwise max of two packed exponent parts with their guards clear:
+    a field of a keeps its guard through the subtraction iff it is at least
+    b's, and no field borrows from the next."""
+    sel = ((((a | guards) - b) & guards) >> (FIELD_BITS - 1)) * MAX_EXPONENT
+    return a & sel | b & ~sel
+
+
+def _support(v: int, exponents: int, guards: int) -> int:
+    """The guard bits of the nonzero exponent fields of a packed monomial."""
+    return ((v & exponents) + exponents) & guards
+
+
+def _divides(a: int, b: int, guards: int) -> bool:
+    """Whether packed a divides packed b: no field of b - a borrows."""
+    return not (b - a) & guards
+
+
 class PresentedF2Algebra:
     def __init__(
         self,
@@ -176,10 +198,10 @@ class PresentedF2Algebra:
                     raise ValueError("Sq1 image of a generator has the wrong degree")
                 self._sq1_shifts.append((1 << self._shifts[g], v - unit))
         self._groebner: dict[int, frozenset[int]] = {}  # lead -> polynomial
-        self._lead_exponents: dict[int, Monomial] = {}  # lead -> its exponents
         # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
-        self._coords_memo: dict[int, int] = {}  # complete degrees only
+        # non-standard monomial -> coordinates, complete degrees only
+        self._coords_memo: dict[int, int] = {}
         self._basis_cache: dict[int, list[int]] = {}  # degree -> basis, descending
         self._position: dict[int, int] = {}  # standard monomial -> place in basis
         self._sq1_matrix_cache: dict[int, list[int]] = {}
@@ -224,7 +246,12 @@ class PresentedF2Algebra:
     def _lift(self, unit: int, u: int, bits: int) -> list[int]:
         """unit times each standard monomial of u's degree set in bits."""
         below = self._basis_cache[u >> self._degree_shift]
-        return [below[p] + unit for p in _set_bits(bits)]
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(below[low.bit_length() - 1] + unit)
+            bits ^= low
+        return out
 
     def _normal_form(self, poly) -> frozenset[int]:
         """Full reduction of a polynomial of the frontier degree by the
@@ -261,32 +288,41 @@ class PresentedF2Algebra:
         to zero.  Older pairs are not revisited (criterion B): elements join
         at the growth frontier, and the configuration rings never have a
         pair waiting then, so B would drop nothing.
+
+        The criteria run on packed exponent parts, the degree masked off:
+        an lcm is a fieldwise max, two leads are coprime iff the guard bits
+        of their nonzero fields are disjoint, and a divisor of an lcm is a
+        smaller int, so in ascending order M meets divisors first.  Only a
+        queued lcm gets its degree.  Which pairs of one degree go first
+        does not matter: normal forms and quotient bases with respect to a
+        Groebner basis are unique.
         """
         lead = max(poly)
-        exponents = self._unpack(lead)
-        units = self._units
-        partner: dict[int, int] = {}  # new lcm -> first older lead
+        gb = self._groebner
+        exponents, guards = self._exponent_bits, self._guards
+        e = lead & exponents
+        nonzero = _support(e, exponents, guards)
+        partner: dict[int, int] = {}  # new lcm's exponents -> first older lead
         coprime: set[int] = set()  # new lcms of a pair with coprime leads
-        for other, other_exponents in self._lead_exponents.items():
-            # packed as _pack does, unchecked: each exponent is a lead's
-            lcm = sum(map(mul, map(max, other_exponents, exponents), units))
+        for other in gb:
+            o = other & exponents
+            lcm = _packed_max(e, o, guards)
             partner.setdefault(lcm, other)
-            if not any(map(min, other_exponents, exponents)):
+            if not _support(o, exponents, guards) & nonzero:
                 coprime.add(lcm)
-        shift, guards = self._degree_shift, self._guards
-        degree = {lcm: lcm >> shift for lcm in partner}
+        units, shift = self._units, self._degree_shift
         minimal: list[int] = []  # new lcms divisible by no smaller one
-        # sorted stably by degree alone, so pairs queue in partner order
-        for lcm in sorted(partner, key=degree.__getitem__):
+        for lcm in sorted(partner):
             for low in minimal:
-                if not (lcm - low) & guards:  # low divides lcm: no borrow
+                if _divides(low, lcm, guards):
                     break
             else:
                 minimal.append(lcm)
                 if lcm not in coprime:
-                    self._pairs.setdefault(degree[lcm], []).append((lcm, partner[lcm], lead))
-        self._groebner[lead] = poly
-        self._lead_exponents[lead] = exponents
+                    # packed as _pack does, unchecked: each field is a lead's
+                    full = sum(map(mul, self._unpack(lcm), units))
+                    self._pairs.setdefault(full >> shift, []).append((full, partner[lcm], lead))
+        gb[lead] = poly
 
     def _grow(self, d: int) -> None:
         """Grow the Groebner basis and the quotient bases through degree d;
@@ -302,7 +338,9 @@ class PresentedF2Algebra:
         pairs lie in higher degrees.
 
         The basis of a degree is its standard monomials (divisible by no
-        lead), descending, each mapped to its position in that order.
+        lead), descending, each mapped to its position in that order; that
+        position is their one home, since their coordinates are its bit and
+        the coordinate memo keeps non-standard monomials only.
         Standard monomials are closed under division, so each one is a
         generator times a standard monomial of lower degree, and a monomial
         is standard iff it is not a lead and each immediate divisor is in
@@ -324,7 +362,8 @@ class PresentedF2Algebra:
                 poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
                 if poly:
                     self._add_to_groebner(poly)
-            # how many immediate divisors of each candidate are standard
+            # how many immediate divisors of each candidate are standard; all
+            # are iff that is its count of nonzero fields (_support, inlined)
             found = Counter()
             for g, unit in zip(self.degrees, self._units):
                 if g <= e:
@@ -342,7 +381,6 @@ class PresentedF2Algebra:
             )
             cache[e] = basis
             self._position.update(zip(basis, range(len(basis))))
-            self._coords_memo.update(zip(basis, map((1).__lshift__, range(len(basis)))))
 
     def _basis(self, d: int) -> list[int]:
         """Standard monomials of degree d, packed, descending."""
@@ -374,18 +412,24 @@ class PresentedF2Algebra:
     def _mono_coords(self, mono: int) -> int:
         """Coordinates of a monomial of a complete degree, as bits.
 
-        The memo holds the coordinates of monomials of complete degrees: a
-        standard monomial's own bit from when its basis is built, and the
-        rest as the walk finds them.  A lead has the coordinates of the
-        rest of its Groebner basis element.  Any other non-standard w has a
-        non-standard immediate divisor w/h, found by _step_down, and has
-        the coordinates of the sum of h*v over the standard v set in those
-        of w/h.  Every monomial named on the right is smaller than w,
-        so the walk ends; it runs on an explicit stack, not by recursion.
+        A standard monomial's coordinates are its own bit, at its position;
+        the memo holds those of non-standard monomials only, as the walk
+        finds them.  A lead has the coordinates of the rest of its Groebner
+        basis element.  Any other non-standard w has a non-standard
+        immediate divisor w/h, found by _step_down, and has the coordinates
+        of the sum of h*v over the standard v set in those of w/h.  Every
+        monomial named on the right is smaller than w, so the walk ends; it
+        runs on an explicit stack, not by recursion, and leaves w there
+        until each part it names is known.
         """
+        position = self._position
+        p = position.get(mono)
+        if p is not None:
+            return 1 << p
         memo = self._coords_memo
-        if mono in memo:
-            return memo[mono]
+        bits = memo.get(mono)
+        if bits is not None:
+            return bits
         gb = self._groebner
         stack = [mono]
         while stack:
@@ -393,23 +437,30 @@ class PresentedF2Algebra:
             if w in memo:
                 stack.pop()
                 continue
-            if w in gb:
-                parts = [v for v in gb[w] if v != w]
-            else:
+            parts = gb.get(w)  # w itself among them, skipped below
+            if parts is None:
                 unit, u = self._step_down(w)
-                if u not in memo:
+                bits = memo.get(u)
+                if bits is None:
                     stack.append(u)
                     continue
-                parts = self._lift(unit, u, memo[u])
-            missing = [v for v in parts if v not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
+                parts = self._lift(unit, u, bits)
             bits = 0
+            known = True
             for v in parts:
-                bits ^= memo[v]
-            memo[w] = bits
-            stack.pop()
+                p = position.get(v)
+                if p is not None:
+                    bits ^= 1 << p
+                    continue
+                c = memo.get(v)
+                if c is not None:
+                    bits ^= c
+                elif v != w:
+                    stack.append(v)
+                    known = False
+            if known:
+                memo[w] = bits
+                stack.pop()
         return memo[mono]
 
     # -- Sq1 -----------------------------------------------------------------
@@ -458,13 +509,17 @@ class PresentedF2Algebra:
             return self._sq1_matrix_cache[d]
         self._grow(d + 1)
         self._check_sq1_well_defined(d + 1)
-        memo = self._coords_memo
+        terms, position, memo = self._sq1_terms, self._position, self._coords_memo
         cols = []
         for v in self._basis(d):
             bits = 0
-            for t in self._sq1_terms(v):
-                c = memo.get(t)
-                bits ^= self._mono_coords(t) if c is None else c
+            for t in terms(v):
+                p = position.get(t)
+                if p is not None:
+                    bits ^= 1 << p
+                else:
+                    c = memo.get(t)
+                    bits ^= self._mono_coords(t) if c is None else c
             cols.append(bits)
         self._sq1_matrix_cache[d] = cols
         return cols
@@ -487,12 +542,15 @@ class PresentedF2Algebra:
                 return 0
             dst = mask(e + 1)
             key = (e, src, dst)
-            if key not in self._rank_cache:
-                cols = [c for i, c in enumerate(self.sq1_matrix(e)) if src >> i & 1]
-                if any(c & ~dst for c in cols):
+            rank = self._rank_cache.get(key)
+            if rank is None:
+                cols = self.sq1_matrix(e)
+                if src != (1 << len(cols)) - 1:
+                    cols = [c for i, c in enumerate(cols) if src >> i & 1]
+                if reduce(or_, cols, 0) & ~dst:
                     raise AssertionError("Sq1 does not preserve the splitting")
-                self._rank_cache[key] = f2_rank(cols)
-            return self._rank_cache[key]
+                rank = self._rank_cache[key] = f2_rank(cols)
+            return rank
 
         here = mask(d)
         return here.bit_count() - rank_out(d, here) - rank_out(d - 1, mask(d - 1))
@@ -603,16 +661,20 @@ def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
     if m % 4 != 3:
         raise NotApplicableError("splitting is used for m = 3 mod 4 only")
     ring = config_mod2_ring("B", m)
+    shift = ring._shifts[0]  # of x's exponent field
+    masks: dict[int, list[int]] = {}  # degree -> [R, x*R]
 
     def mask(degree: int, want_x: int) -> int:
         """Bit mask of the basis positions in degree whose x-exponent is want_x."""
-        bits = 0
-        for mono, i in ring.degree_basis(degree).items():
-            if mono[0] > 1:
-                raise AssertionError("basis monomial with x-exponent above 1")
-            if mono[0] == want_x:
-                bits |= 1 << i
-        return bits
+        if degree not in masks:
+            bits = [0, 0]
+            for i, v in enumerate(ring._basis(degree)):
+                x = v >> shift & MAX_EXPONENT
+                if x > 1:
+                    raise AssertionError("basis monomial with x-exponent above 1")
+                bits[x] |= 1 << i
+            masks[degree] = bits
+        return masks[degree][want_x]
 
     return (
         ring._summand_sq1_homology_rank(d, lambda e: mask(e, 0)),

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import operator
+import random
 from functools import reduce
 
 import pytest
@@ -367,6 +368,129 @@ def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
     assert sum(not f for f in forms) <= most_zero
 
 
+# Exponents biased to the ends of a field, where a borrow or a carry would
+# cross into the next one.
+EXPONENTS = st.one_of(st.sampled_from([0, 1, MAX_EXPONENT]), st.integers(0, MAX_EXPONENT))
+
+
+@st.composite
+def exponent_pairs(draw):
+    """1-4 generator degrees and two exponent vectors of that length."""
+    n = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    a = tuple(draw(st.lists(EXPONENTS, min_size=n, max_size=n)))
+    b = tuple(draw(st.lists(EXPONENTS, min_size=n, max_size=n)))
+    return degrees, a, b
+
+
+@given(exponent_pairs())
+@settings(max_examples=300)
+def test_packed_pair_arithmetic_against_tuples(case):
+    degrees, a, b = case
+    ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], [])
+    exponents, guards = ring._exponent_bits, ring._guards
+    pa, pb = ring._pack(a), ring._pack(b)
+    ea, eb = pa & exponents, pb & exponents
+    lcm = ring._pack(tuple(map(max, a, b)))
+    assert f2algebra._packed_max(ea, eb, guards) == lcm & exponents
+    support = functools.partial(f2algebra._support, exponents=exponents, guards=guards)
+    assert support(pa) == support(ea)
+    assert (not support(ea) & support(eb)) == (not any(map(min, a, b)))
+    divides = all(map(operator.le, a, b))
+    assert f2algebra._divides(ea, eb, guards) == divides
+    assert f2algebra._divides(pa, pb, guards) == divides
+
+
+def criteria_reference(ring, older, lead):
+    """(lcms kept, lcms dropped by M) of the new pairs when lead joins the
+    older leads, as exponent tuples: criterion M drops an lcm properly
+    divided by another new one, F keeps one pair per lcm, and no pair is
+    kept of an lcm shared with a pair of coprime leads."""
+    new = ring._unpack(lead)
+    coprime = {}  # lcm -> whether some pair of it has coprime leads
+    for other in older:
+        old = ring._unpack(other)
+        lcm = tuple(map(max, old, new))
+        coprime[lcm] = coprime.get(lcm, False) or not any(map(min, old, new))
+    dropped = {
+        lcm
+        for lcm in coprime
+        if any(low != lcm and all(map(operator.le, low, lcm)) for low in coprime)
+    }
+    return {lcm for lcm in coprime if not coprime[lcm]} - dropped, dropped
+
+
+def grow_checking_pairs(ring, d):
+    """Grow ring through degree d, checking that each insertion into its
+    Groebner basis queues exactly the lcms that criteria_reference keeps;
+    returns how many lcms M dropped at each insertion."""
+    add = ring._add_to_groebner
+    dropped_by_m = []
+
+    def checked(poly):
+        older = list(ring._groebner)
+        before = {e: len(pairs) for e, pairs in ring._pairs.items()}
+        add(poly)
+        lead = max(poly)
+        got = []
+        for e, pairs in ring._pairs.items():
+            for lcm, a, b in pairs[before.get(e, 0) :]:
+                assert b == lead and a in older
+                assert lcm == ring._pack(ring._unpack(lcm)) and lcm >> ring._degree_shift == e
+                assert all(map(operator.le, ring._unpack(a), ring._unpack(lcm)))
+                got.append(ring._unpack(lcm))
+        kept, dropped = criteria_reference(ring, older, lead)
+        assert sorted(got) == sorted(kept)
+        dropped_by_m.append(len(dropped))
+
+    ring._add_to_groebner = checked  # shadows the method for this ring only
+    ring._grow(d)
+    return dropped_by_m
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_queued_pairs_against_tuple_criteria(kind):
+    # Criterion M drops lcms at insertions into the B rings and never finds
+    # one properly divided by another on the F rings.
+    dropped_by_m = []
+    for m in range(2, 13):
+        dropped_by_m += grow_checking_pairs(config_mod2_ring.__wrapped__(kind, m), 2 * m + 1)
+    assert dropped_by_m and (sum(dropped_by_m) > 0) == (kind == "B")
+
+
+@given(random_presentations())
+@example(TRIANGLE)
+@example(CHAIN)
+@settings(max_examples=300, deadline=None)
+def test_queued_pairs_on_random_presentations(case):
+    # Random ideals reach lead shapes where a fault in the criteria changes
+    # which pairs are queued; on the configuration rings many do not.
+    degrees, relations, _, _ = case
+    ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
+    grow_checking_pairs(ring, 8)
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_standard_monomials_have_one_home(kind, m):
+    # After a full sweep the coordinate memo holds non-standard monomials
+    # only: a standard monomial's coordinates are the bit of its position.
+    ring = config_mod2_ring.__wrapped__(kind, m)
+    for d in range(2 * m + 1):
+        ring.sq1_homology_rank(d)
+        ring.sq1_square_is_zero(d)
+    assert not ring._coords_memo.keys() & ring._position.keys()
+    assert all(ring._mono_coords(v) == 1 << p for v, p in ring._position.items())
+    oracle = SpanOracle(ring)
+    rng = random.Random(f"{kind} {m}")
+    for d in range(2 * m + 2):
+        monos = free_monomials(ring.degrees, d)
+        for _ in range(2):
+            poly = frozenset(mono for mono in monos if rng.random() < 0.5)
+            assert ring.coords(poly, d) == oracle.coords(poly, d), (d, poly)
+    assert not ring._coords_memo.keys() & ring._position.keys()
+
+
 @pytest.mark.parametrize(
     "kind, m",
     # reducing each Sq1 image as a polynomial took 4163 normal forms at
@@ -656,6 +780,18 @@ def test_split_examples():
 def test_split_requires_3_mod_4():
     with pytest.raises(NotApplicableError):
         split_sq1_homology(5, 4)
+
+
+def test_split_refuses_a_basis_with_x_squared(monkeypatch):
+    # Without the relation x^2 = x*x1 the degree-2 basis keeps x^2, which
+    # lies in neither R nor x*R.
+    ring = unordered_config_ring(3)
+    loose = PresentedF2Algebra(
+        list(ring.generators), list(ring.relations[1:]), ring.sq1_on_generators
+    )
+    monkeypatch.setattr(f2algebra, "config_mod2_ring", lambda kind, m: loose)
+    with pytest.raises(AssertionError, match="x-exponent above 1"):
+        split_sq1_homology(3, 2)
 
 
 @pytest.mark.parametrize("m", [3, 7, 11, 15, 19])

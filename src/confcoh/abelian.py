@@ -12,10 +12,19 @@ All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, namedtuple
-from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, repeat
+
+try:
+    from _collections import _tuplegetter  # the C field reader of namedtuple
+except ImportError:  # as collections falls back
+    from operator import itemgetter
+
+    def _tuplegetter(index: int, doc: str) -> property:
+        return property(itemgetter(index), doc=doc)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 
 class NonTwoPrimaryError(ValueError):
@@ -28,13 +37,35 @@ def _check_rank(k: int) -> None:
 
 
 class Value(tuple):
-    """Base of the package's immutable value types, each a namedtuple.
+    """Base of the package's immutable value types: tuples whose fields a
+    subclass names, as in `class SpaceId(Value, fields="kind m")`.
 
-    A value equals only a value of its own class with equal fields, never a
-    plain tuple, and hashes as the tuple of its fields does.
+    Each subclass gets `_fields` and `__match_args__`, a C-speed reader per
+    field (the one namedtuple uses) and a keyword `__repr__` unless it
+    writes its own.  `__getnewargs__` makes copy and pickle rebuild a value
+    through its class's `__new__`.  A value equals only a value of its own
+    class with equal fields, never a plain tuple, and hashes as the tuple of
+    its fields does.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, fields: str, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(fields.split())
+        cls._fields = cls.__match_args__ = names
+        for i, name in enumerate(names):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+        if "__repr__" not in vars(cls):
+            shape = f"{cls.__name__}({', '.join(f'{name}=%r' for name in names)})"
+
+            def __repr__(self: Value) -> str:
+                return shape % self
+
+            cls.__repr__ = __repr__
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -45,7 +76,63 @@ class Value(tuple):
     __hash__ = tuple.__hash__
 
 
-class AbGroup2(Value, namedtuple("AbGroup2", "free_rank torsion")):
+class _MembersType(type):
+    """Turns each plain class attribute of a Members subclass (not private,
+    not a method or other descriptor) into an instance of that class."""
+
+    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> _MembersType:
+        namespace.setdefault("__slots__", ())
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._members, cls._by_value = [], {}
+        for key, value in namespace.items():
+            if key.startswith("_") or hasattr(value, "__get__"):
+                continue
+            member = object.__new__(cls)
+            object.__setattr__(member, "name", key)
+            object.__setattr__(member, "value", value)
+            setattr(cls, key, member)
+            cls._members.append(member)
+            cls._by_value[value] = member
+        return cls
+
+    def __iter__(cls) -> Iterator:
+        return iter(cls._members)
+
+    def __len__(cls) -> int:
+        return len(cls._members)
+
+    def __call__(cls, value: object) -> Members:
+        """The member with this value."""
+        try:
+            return cls._by_value[value]
+        except KeyError:
+            raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
+
+
+class Members(metaclass=_MembersType):
+    """Base of the package's named constant sets, which behave as Enum's
+    do: `class GroupId(Members): D8 = "D8"` makes `GroupId.D8` a member
+    with `.name` "D8" and `.value` "D8".  Iterating over the class gives its
+    members in order, `len` counts them, `GroupId("D8")` looks one up by
+    value, repr and str read as Enum's, and copy and pickle return the
+    member itself.  Members are equal only to themselves."""
+
+    __slots__ = ("name", "value")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r} of {self!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.value,)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}.{self.name}"
+
+
+class AbGroup2(Value, fields="free_rank torsion"):
     """Z^free_rank plus, for each pair (e, k) in torsion, k summands Z/2^e.
 
     `torsion` is the canonical form: pairs sorted by exponent, each
@@ -58,7 +145,10 @@ class AbGroup2(Value, namedtuple("AbGroup2", "free_rank torsion")):
 
     def __new__(cls, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> "AbGroup2":
         """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents."""
-        return tuple.__new__(cls, (free_rank, tuple(sorted(Counter(torsion_exponents).items()))))
+        counts: dict[int, int] = {}
+        for e in torsion_exponents:
+            counts[e] = counts.get(e, 0) + 1
+        return tuple.__new__(cls, (free_rank, tuple(sorted(counts.items()))))
 
     def __init__(self, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> None:
         """Refuse a negative free rank or a non-positive exponent.  The check
@@ -212,7 +302,7 @@ Z4 = AbGroup2.cyclic(2)
 # ---------------------------------------------------------------------------
 
 
-class IntMatrix(Value, namedtuple("IntMatrix", "rows cols entries")):
+class IntMatrix(Value, fields="rows cols entries"):
     """Dense integer matrix, row-major, arbitrary-precision entries."""
 
     __slots__ = ()
@@ -292,7 +382,9 @@ def smith_normal_form(mat: IntMatrix) -> tuple[list[int], int]:
         for i in range(len(diag)):
             for j in range(i + 1, len(diag)):
                 if diag[j] % diag[i]:
-                    g = math.gcd(diag[i], diag[j])
+                    g, r = diag[i], diag[j]
+                    while r:  # Euclid's gcd; the pivots are positive
+                        g, r = r, g % r
                     diag[i], diag[j] = g, diag[i] * diag[j] // g
                     changed = True
     return diag, len(diag)
@@ -328,7 +420,7 @@ def diagonal_presentation(group: AbGroup2) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-class GradedGroups(Value, namedtuple("GradedGroups", "support_bound groups")):
+class GradedGroups(Value, fields="support_bound groups"):
     """Partial map degree -> AbGroup2 with a declared support bound; groups
     holds the nontrivial ones in ascending degree."""
 

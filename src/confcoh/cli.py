@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import sys
 from _json import encode_basestring_ascii as _text  # json.dumps of a str
-from collections.abc import Iterator
-from types import SimpleNamespace
 
 from . import configcoh, suites
 from .abelian import AbGroup2, GradedGroups
 from .configcoh import SpaceId
 from .report import VerificationReport
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+SimpleNamespace = type(sys.implementation)  # as the types module defines it
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
 # 2..80 peaks at 40 MiB RSS, as a table or as json (both are written one

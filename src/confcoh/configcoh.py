@@ -14,10 +14,7 @@ and {k} is <k> plus one Z/4 summand.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from enum import Enum
-
-from .abelian import AbGroup2, GradedGroups, Value, Z, ZERO, uct_homology
+from .abelian import AbGroup2, GradedGroups, Members, Value, Z, ZERO, uct_homology
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
 from . import stiefel
@@ -27,7 +24,7 @@ class DegreeOutOfRangeError(ValueError):
     pass
 
 
-class SpaceId(Value, namedtuple("SpaceId", "kind m")):
+class SpaceId(Value, fields="kind m"):
     """kind is "F" (ordered pairs) or "B" (unordered pairs)."""
 
     __slots__ = ()
@@ -198,7 +195,7 @@ def duality_symmetry_check(s: SpaceId) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-class PStarBehavior(Enum):
+class PStarBehavior(Members):
     ISO = "iso"
     EPI_NONZERO_KERNEL = "epi"
     MONO_ONTO_TORSION = "mono-onto-torsion"
@@ -206,13 +203,14 @@ class PStarBehavior(Enum):
     OPEN = "open"
 
 
-class PStarProfile(
-    Value, namedtuple("PStarProfile", "behavior kernel_rank", defaults=(None,))
-):
+class PStarProfile(Value, fields="behavior kernel_rank"):
     """The behaviour of the classifying map in one degree, with the rank of
     its kernel where that is known."""
 
     __slots__ = ()
+
+    def __new__(cls, behavior: PStarBehavior, kernel_rank: int | None = None) -> PStarProfile:
+        return tuple.__new__(cls, (behavior, kernel_rank))
 
 
 def p_star_profile(g: GroupId, m: int, i: int) -> PStarProfile:

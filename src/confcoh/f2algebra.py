@@ -45,10 +45,11 @@ what the R / x*R splitting below relies on.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Iterator
-from functools import lru_cache, reduce
-from operator import mul, or_
+from operator import mul
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -224,13 +225,6 @@ class PresentedF2Algebra:
         """The exponent tuple of a packed monomial."""
         return tuple(v >> s & MAX_EXPONENT for s in self._shifts)
 
-    def monomial_degree(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.degrees))
-
-    @staticmethod
-    def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x + y for x, y in zip(a, b))
-
     # -- Groebner basis and quotient bases ------------------------------------
 
     def _step_down(self, w: int) -> tuple[int, int] | None:
@@ -364,10 +358,11 @@ class PresentedF2Algebra:
                     self._add_to_groebner(poly)
             # how many immediate divisors of each candidate are standard; all
             # are iff that is its count of nonzero fields (_support, inlined)
-            found = Counter()
+            found: dict[int, int] = {}
             for g, unit in zip(self.degrees, self._units):
                 if g <= e:
-                    found.update(map(unit.__add__, cache[e - g]))
+                    for v in map(unit.__add__, cache[e - g]):
+                        found[v] = found.get(v, 0) + 1
             if e == 0:
                 found = {0: 0}
             basis = sorted(
@@ -547,7 +542,10 @@ class PresentedF2Algebra:
                 cols = self.sq1_matrix(e)
                 if src != (1 << len(cols)) - 1:
                     cols = [c for i, c in enumerate(cols) if src >> i & 1]
-                if reduce(or_, cols, 0) & ~dst:
+                spanned = 0
+                for c in cols:
+                    spanned |= c
+                if spanned & ~dst:
                     raise AssertionError("Sq1 does not preserve the splitting")
                 rank = self._rank_cache[key] = f2_rank(cols)
             return rank
@@ -635,15 +633,28 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
     )
 
 
-@lru_cache(maxsize=2)
+_rings: dict[tuple[str, int], PresentedF2Algebra] = {}  # (kind, m) -> ring, one m
+
+
 def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra:
     """Shared presented ring for the 'F' (ordered) or 'B' (unordered) space;
-    the cache holds one m's pair, as run_suites runs all suites m by m."""
-    if kind == "B":
-        return unordered_config_ring(m)
-    if kind == "F":
-        return ordered_config_ring(m)
-    raise ValueError(f"unknown space kind {kind!r}")
+    the cache holds one m's pair, as run_suites runs all suites m by m, and
+    config_mod2_ring.cache_clear() empties it."""
+    ring = _rings.get((kind, m))
+    if ring is None:
+        if kind == "B":
+            ring = unordered_config_ring(m)
+        elif kind == "F":
+            ring = ordered_config_ring(m)
+        else:
+            raise ValueError(f"unknown space kind {kind!r}")
+        if any(held != m for _, held in _rings):
+            _rings.clear()
+        _rings[kind, m] = ring
+    return ring
+
+
+config_mod2_ring.cache_clear = _rings.clear
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,16 @@ or the field with two elements.
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .abelian import AbGroup2, Z, ZERO
+from .abelian import AbGroup2, Members, Z, ZERO
 from .report import VerificationReport
 
 
-class GroupId(Enum):
+class GroupId(Members):
     D8 = "D8"
     Z2xZ2 = "Z2xZ2"
 
 
-class CoeffId(Enum):
+class CoeffId(Members):
     INTEGER_TRIVIAL = "Z"
     INTEGER_TWISTED = "Z_alpha"
     MOD_TWO = "F2"

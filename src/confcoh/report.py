@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .abelian import Value
 
 
-class CheckResult(
-    Value,
-    namedtuple(
-        "CheckResult",
-        "suite label expected got passed m degree skipped",
-        defaults=(None, None, False),
-    ),
-):
+class CheckResult(Value, fields="suite label expected got passed m degree skipped"):
     """One check: suite and label name it, expected and got are the values
     as shown, m and degree locate it when they apply, and skipped marks an
     open case, reported but not asserted."""
 
     __slots__ = ()
+
+    def __new__(
+        cls,
+        suite: str,
+        label: str,
+        expected: str,
+        got: str,
+        passed: bool,
+        m: int | None = None,
+        degree: int | None = None,
+        skipped: bool = False,
+    ) -> CheckResult:
+        return tuple.__new__(cls, (suite, label, expected, got, passed, m, degree, skipped))
 
     def line(self) -> str:
         status = "SKIPPED-OPEN" if self.skipped else ("ok" if self.passed else "FAIL")

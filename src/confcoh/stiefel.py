@@ -8,12 +8,11 @@ oriented Grassmannian of 2-planes computed from its presented ring.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .abelian import (
     AbGroup2,
     GradedGroups,
     IntMatrix,
+    Members,
     Z,
     ZERO,
     group_from_presentation,
@@ -21,7 +20,7 @@ from .abelian import (
 from .groupcoh import GroupId
 
 
-class Subgroup(Enum):
+class Subgroup(Members):
     D8 = "D8"
     Z2xZ2 = "Z2xZ2"
     O2 = "O2"
@@ -31,7 +30,7 @@ class Subgroup(Enum):
         return cls.D8 if g is GroupId.D8 else cls.Z2xZ2
 
 
-class ActionSign(Enum):
+class ActionSign(Members):
     PLUS = 1
     MINUS = -1
 

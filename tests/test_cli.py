@@ -418,31 +418,6 @@ def test_engine_fault_is_not_a_usage_error(monkeypatch, capsys):
     assert "FAIL" in out and "13 failures" in out
 
 
-def test_cli_import_leaves_typing_out():
-    # Annotations are strings (PEP 563) and abstract types come from
-    # collections.abc, so a bare interpreter never loads typing.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import confcoh.cli; print('typing' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "False\n"
-
-
-def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # The value types are namedtuples, so dataclasses and the inspect, ast
-    # and tokenize modules it pulls in stay out of a cold start.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import confcoh.cli; "
-        "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
-
-
 def _cold(code):
     """stdout of code run by a bare interpreter that imports confcoh from
     this tree only."""
@@ -453,53 +428,66 @@ def _cold(code):
     ).stdout
 
 
-def test_cli_import_leaves_argparse_out():
-    out = _cold(
-        "import confcoh.cli; "
-        "print([name for name in ('argparse', 'gettext') if name in sys.modules])"
-    )
-    assert out == "[]\n"
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        "",
-        "cli.main(['groups', '--space', 'F', '--m', '9', '--format', 'json'])",
-        "cli.main(['verify', '--suite', 'sq1', '--format', 'json', '--m-range', '2..4'])",
-    ],
-    ids=["import", "groups-json", "verify-json"],
+# Modules a cold start must not load.  Annotations are strings (PEP 563) and
+# annotation-only imports sit behind TYPE_CHECKING, so typing,
+# collections.abc and types stay out.  The value types declare their fields
+# on Value and the constant sets are Members, so no namedtuple (collections),
+# Enum (enum, functools) or dataclass (dataclasses, inspect).  argparse, and
+# the gettext, shutil and locale that building a parser loads, are only for
+# help and errors.  The json writers escape with _json's
+# encode_basestring_ascii, the C escaper json.dumps calls for a str, so json
+# and the re that its decoder loads stay out; only table1 --format json
+# imports json.
+COLD_START_ABSENT = (
+    "typing",
+    "dataclasses",
+    "inspect",
+    "argparse",
+    "gettext",
+    "shutil",
+    "locale",
+    "json",
+    "re",
+    "enum",
+    "functools",
+    "collections",
+    "types",
 )
-def test_cli_leaves_json_and_re_out(call):
-    # The json writers escape with _json's encode_basestring_ascii, the C
-    # escaper json.dumps calls for a str, so json and the re that its
-    # decoder loads stay out; only table1 --format json imports json.
-    out = _cold(
-        "import contextlib, io; from confcoh import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    {call or 'pass'}\n"
-        "print([name for name in ('json', 're') if name in sys.modules])"
-    )
-    assert out == "[]\n"
+
+# name -> code that sets `code` to the exit code of one cold call
+COLD_CALLS = {
+    "import": "code = 0",
+    "groups-table": "code = cli.main(['groups', '--space', 'F', '--m', '9'])",
+    "groups-json": "code = cli.main(['groups', '--space', 'F', '--m', '9', '--format', 'json'])",
+    "groups-json-F2": (
+        "code = cli.main(['groups', '--space', 'B', '--m', '300', '--format', 'json',"
+        " '--coefficients', 'F2'])"
+    ),
+    "verify-json": (
+        "code = cli.main(['verify', '--suite', 'sq1', '--format', 'json', '--m-range', '2..4'])"
+    ),
+    "verify-all-json": (
+        "code = cli.main(['verify', '--suite', 'all', '--format', 'json', '--m-range', '2..4'])"
+    ),
+    "sq1-sweep": """from confcoh.bockstein import page1_expected
+from confcoh.configcoh import SpaceId
+from confcoh.f2algebra import config_mod2_ring
+ring = config_mod2_ring("B", 9)
+ranks = [ring.sq1_homology_rank(d) for d in range(19)]
+squares = all(ring.sq1_square_is_zero(d) for d in range(17))
+code = 0 if squares and ranks == [page1_expected(SpaceId("B", 9), d) for d in range(19)] else 1""",
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["groups", "--space", "B", "--m", "300", "--format", "json", "--coefficients", "F2"],
-        ["verify", "--suite", "all", "--format", "json", "--m-range", "2..4"],
-    ],
-    ids=["groups", "verify"],
-)
-def test_canonical_call_leaves_argparse_out(argv):
-    # argparse, and the shutil and locale that building a parser loads, are
-    # only for help and errors.
+@pytest.mark.parametrize("name", COLD_CALLS)
+def test_cold_start_leaves_modules_out(name):
+    # io is loaded at start-up; contextlib would load functools and collections
     out = _cold(
-        "import contextlib, io; from confcoh import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
-        "names = ('argparse', 'gettext', 'shutil', 'locale')\n"
-        "print(code, [name for name in names if name in sys.modules])"
+        "import io; from confcoh import cli\n"
+        "shown, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"{COLD_CALLS[name]}\n"
+        "sys.stdout = shown\n"
+        f"print(code, [name for name in {COLD_START_ABSENT!r} if name in sys.modules])"
     )
     assert out == "0 []\n"
 

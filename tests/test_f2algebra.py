@@ -1,9 +1,11 @@
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import operator
 import random
+import weakref
 from functools import reduce
 
 import pytest
@@ -27,6 +29,8 @@ from confcoh.f2algebra import (
     two_variable_poly_ring,
     unordered_config_ring,
 )
+
+FRESH = {"B": unordered_config_ring, "F": ordered_config_ring}  # uncached builders
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,13 @@ class SpanOracle:
     def __init__(self, ring):
         self.ring = ring
 
+    def degree(self, mono):
+        return sum(map(operator.mul, mono, self.ring.degrees))
+
+    @staticmethod
+    def mul(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
     @functools.cache
     def span(self, d):
         """(free monomials of degree d, their positions, pivot map of the span)"""
@@ -202,8 +213,8 @@ class SpanOracle:
         index = {mono: i for i, mono in enumerate(monos)}
         rows = {}
         for rel in ring.relations:
-            for u in free_monomials(ring.degrees, d - ring.monomial_degree(min(rel))):
-                echelon_add(rows, sum(1 << index[ring.mono_mul(mono, u)] for mono in rel))
+            for u in free_monomials(ring.degrees, d - self.degree(min(rel))):
+                echelon_add(rows, sum(1 << index[self.mul(mono, u)] for mono in rel))
         return monos, index, rows
 
     @functools.cache
@@ -354,7 +365,7 @@ def test_cold_coords_high_up_needs_no_recursion():
     [("B", 64, 67, 1), ("F", 40, 3, 1)],
 )
 def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
-    ring = config_mod2_ring.__wrapped__(kind, m)
+    ring = FRESH[kind](m)
     forms = []
     normal_form = PresentedF2Algebra._normal_form
 
@@ -454,7 +465,7 @@ def test_queued_pairs_against_tuple_criteria(kind):
     # one properly divided by another on the F rings.
     dropped_by_m = []
     for m in range(2, 13):
-        dropped_by_m += grow_checking_pairs(config_mod2_ring.__wrapped__(kind, m), 2 * m + 1)
+        dropped_by_m += grow_checking_pairs(FRESH[kind](m), 2 * m + 1)
     assert dropped_by_m and (sum(dropped_by_m) > 0) == (kind == "B")
 
 
@@ -475,7 +486,7 @@ def test_queued_pairs_on_random_presentations(case):
 def test_standard_monomials_have_one_home(kind, m):
     # After a full sweep the coordinate memo holds non-standard monomials
     # only: a standard monomial's coordinates are the bit of its position.
-    ring = config_mod2_ring.__wrapped__(kind, m)
+    ring = FRESH[kind](m)
     for d in range(2 * m + 1):
         ring.sq1_homology_rank(d)
         ring.sq1_square_is_zero(d)
@@ -498,7 +509,7 @@ def test_standard_monomials_have_one_home(kind, m):
     [("B", 64), ("F", 40)],
 )
 def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m):
-    ring = config_mod2_ring.__wrapped__(kind, m)
+    ring = FRESH[kind](m)
     ring._grow(2 * m + 2)
     calls = []
     normal_form = PresentedF2Algebra._normal_form
@@ -516,7 +527,7 @@ def test_sq1_sweep_reduces_no_images(monkeypatch, kind, m):
 def test_sq1_sweep_ranks_each_matrix_once(monkeypatch):
     # B m = 64 has 128 nonzero Sq1 matrices, out of degrees 0..127; each
     # is the map out of d for one rank and the map into d + 1 for the next
-    ring = config_mod2_ring.__wrapped__("B", 64)
+    ring = unordered_config_ring(64)
     calls = []
     rank = f2algebra.f2_rank
 
@@ -646,7 +657,7 @@ def test_sq1_relation_check_against_span_oracle(case):
     oracle = SpanOracle(ring)
     outside = []  # degrees of the relations whose Sq1 image is outside the span
     for rel in ring.relations:
-        e = ring.monomial_degree(min(rel))
+        e = oracle.degree(min(rel))
         if oracle.coords([t for mono in rel for t in ring.sq1_free(mono)], e + 1):
             outside.append(e)
     for d in range(7):
@@ -807,11 +818,20 @@ def test_split_sums_to_total(m):
 # ---------------------------------------------------------------------------
 
 
-def test_rings_live_for_one_m():
+def test_rings_live_for_one_m(monkeypatch):
     # run_suites goes m by m, so each of the B and F rings of m = 2..12 is
-    # built once (22 misses) and at most one m's pair is kept.
+    # built once (22 builds) and at most one m's pair is kept alive.
+    built = []
+    for name in ("unordered_config_ring", "ordered_config_ring"):
+
+        def counted(m, build=getattr(f2algebra, name)):
+            ring = build(m)
+            built.append(weakref.ref(ring))
+            return ring
+
+        monkeypatch.setattr(f2algebra, name, counted)
     config_mod2_ring.cache_clear()
     suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
-    info = config_mod2_ring.cache_info()
-    assert info.misses == 22
-    assert info.currsize <= 2
+    gc.collect()
+    assert len(built) == 22
+    assert sum(ref() is not None for ref in built) <= 2

@@ -2,6 +2,7 @@
 equal fields, hashed alike when equal, immutable, picklable, and shown in
 the keyword repr that the verify output prints."""
 
+import copy
 import pickle
 from collections import namedtuple
 
@@ -9,7 +10,9 @@ import pytest
 
 from confcoh.abelian import AbGroup2, GradedGroups, IntMatrix, Z
 from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId
+from confcoh.groupcoh import CoeffId, GroupId
 from confcoh.report import CheckResult, VerificationReport
+from confcoh.stiefel import ActionSign, Subgroup
 
 
 # name -> (builder of one value, a value that differs in one field)
@@ -158,3 +161,73 @@ def test_defaults_and_keywords():
 def test_validation_errors_unchanged(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# name -> (constant set, its members as (name, value) in declaration order)
+CONSTANT_SETS = {
+    "GroupId": (GroupId, [("D8", "D8"), ("Z2xZ2", "Z2xZ2")]),
+    "CoeffId": (
+        CoeffId,
+        [("INTEGER_TRIVIAL", "Z"), ("INTEGER_TWISTED", "Z_alpha"), ("MOD_TWO", "F2")],
+    ),
+    "Subgroup": (Subgroup, [("D8", "D8"), ("Z2xZ2", "Z2xZ2"), ("O2", "O2")]),
+    "ActionSign": (ActionSign, [("PLUS", 1), ("MINUS", -1)]),
+    "PStarBehavior": (
+        PStarBehavior,
+        [
+            ("ISO", "iso"),
+            ("EPI_NONZERO_KERNEL", "epi"),
+            ("MONO_ONTO_TORSION", "mono-onto-torsion"),
+            ("ZERO", "zero"),
+            ("OPEN", "open"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_SETS)
+def test_constant_sets_behave_as_enums(name):
+    cls, members = CONSTANT_SETS[name]
+    assert [(c.name, c.value) for c in cls] == members
+    assert len(cls) == len(members)
+    for key, value in members:
+        member = getattr(cls, key)
+        assert type(member) is cls and isinstance(member, cls)
+        assert (member.name, member.value) == (key, value)
+        assert repr(member) == f"<{name}.{key}: {value!r}>"
+        assert str(member) == f"{name}.{key}" == f"{member}"
+        assert cls(value) is member
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, proto)) is member
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        with pytest.raises(AttributeError):
+            member.value = None
+    assert [a == b for a in cls for b in cls] == [
+        i == j for i in range(len(members)) for j in range(len(members))
+    ]
+    for unknown in ("unknown", 0, 2):
+        with pytest.raises(ValueError, match=f"{unknown!r} is not a valid {name}"):
+            cls(unknown)
+
+
+def test_constant_set_class_methods_are_not_members():
+    assert Subgroup.from_group(GroupId.D8) is Subgroup.D8
+    assert Subgroup.from_group(GroupId.Z2xZ2) is Subgroup.Z2xZ2
+    assert "from_group" not in [c.name for c in Subgroup]
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_value_fields_and_match_args(name):
+    value = VALUES[name][0]()
+    cls = type(value)
+    fields = tuple(FIELDS[name].split())
+    assert cls._fields == cls.__match_args__ == fields
+    assert tuple(getattr(value, f) for f in fields) == tuple(value)
+
+
+def test_values_match_positional_patterns():
+    match SpaceId("B", 3), PStarProfile(PStarBehavior.ISO):
+        case SpaceId(kind, m), PStarProfile(behavior, kernel_rank):
+            assert (kind, m, behavior, kernel_rank) == ("B", 3, PStarBehavior.ISO, None)
+        case _:
+            pytest.fail("no positional match")

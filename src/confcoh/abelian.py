@@ -16,11 +16,10 @@ from itertools import chain, repeat
 
 try:
     from _collections import _tuplegetter  # the C field reader of namedtuple
-except ImportError:  # as collections falls back
-    from operator import itemgetter
+except ImportError:  # a plain Python reader in its place
 
     def _tuplegetter(index: int, doc: str) -> property:
-        return property(itemgetter(index), doc=doc)
+        return property(lambda self: self[index], doc=doc)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -294,7 +293,6 @@ class AbGroup2(Value, fields="free_rank torsion"):
 
 ZERO = AbGroup2()
 Z = AbGroup2(free_rank=1)
-Z4 = AbGroup2.cyclic(2)
 
 
 # ---------------------------------------------------------------------------

@@ -216,13 +216,13 @@ def cmd_table1(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
     m_range = args.m_range
-    if len(m_range) == 0:
+    if not m_range:
         print("empty m-range", file=sys.stderr)
         return 2
-    if min(m_range) < 1:
+    if m_range[0] < 1:
         print("m-range must start at 1 or above", file=sys.stderr)
         return 2
-    if max(m_range) > MAX_VERIFY_M:
+    if m_range[-1] > MAX_VERIFY_M:
         print(f"m-range capped at {MAX_VERIFY_M}", file=sys.stderr)
         return 2
     report = suites.run_suites(names, m_range)

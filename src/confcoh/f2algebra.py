@@ -17,8 +17,10 @@ rest of its basis element, and any other monomial w those of h*v over the
 standard v of a non-standard immediate divisor w/h.  Polynomials are
 reduced only while a degree grows, by the same rules through the memo.  On
 top of that sits the degree-raising derivation Sq1 (squaring on degree-1
-generators, extended by the Leibniz rule): its matrices are XORs of those
-bitsets, and so is the check, once per relation, that it is well defined.
+generators, extended by the Leibniz rule).  One reader, _coords_of, turns
+packed polynomials into coordinates by XOR of those bits and bitsets; it
+gives coords, the Sq1 matrices and the check, once per relation, that Sq1
+is well defined.
 Its homology is the first page of the mod-2 Bockstein tower, with each
 matrix ranked once by a pivot map of bitsets.
 
@@ -45,11 +47,9 @@ what the R / x*R splitting below relies on.
 
 from __future__ import annotations
 
-from operator import mul
-
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -219,7 +219,7 @@ class PresentedF2Algebra:
             raise ValueError(
                 f"{mono} is not {len(self._units)} exponents in 0..{MAX_EXPONENT}"
             )
-        return sum(map(mul, mono, self._units))
+        return sum(e * unit for e, unit in zip(mono, self._units))
 
     def _unpack(self, v: int) -> Monomial:
         """The exponent tuple of a packed monomial."""
@@ -304,7 +304,7 @@ class PresentedF2Algebra:
             partner.setdefault(lcm, other)
             if not _support(o, exponents, guards) & nonzero:
                 coprime.add(lcm)
-        units, shift = self._units, self._degree_shift
+        shift = self._degree_shift
         minimal: list[int] = []  # new lcms divisible by no smaller one
         for lcm in sorted(partner):
             for low in minimal:
@@ -313,8 +313,7 @@ class PresentedF2Algebra:
             else:
                 minimal.append(lcm)
                 if lcm not in coprime:
-                    # packed as _pack does, unchecked: each field is a lead's
-                    full = sum(map(mul, self._unpack(lcm), units))
+                    full = self._pack(self._unpack(lcm))
                     self._pairs.setdefault(full >> shift, []).append((full, partner[lcm], lead))
         gb[lead] = poly
 
@@ -393,16 +392,35 @@ class PresentedF2Algebra:
         return {self._unpack(v): i for i, v in enumerate(self._basis(d))}
 
     def coords(self, poly, d: int) -> int:
-        """Coordinates of a degree-d polynomial in the quotient basis, as bits:
-        the XOR of the memoised coordinates of its monomials."""
+        """Coordinates of a degree-d polynomial in the quotient basis, as bits
+        (see _coords_of)."""
         self._grow(d)
-        bits = 0
+        packed = []
         for mono in poly:
             v = self._pack(mono)
             if v >> self._degree_shift != d:
                 raise ValueError(f"{mono} is not of degree {d}")
-            bits ^= self._mono_coords(v)
+            packed.append(v)
+        (bits,) = self._coords_of([packed])
         return bits
+
+    def _coords_of(self, polys: Iterable[list[int]]) -> list[int]:
+        """Coordinates of each of some packed polynomials of complete
+        degrees, as bits: the XOR over its terms of a standard term's own
+        bit, else the memoised coordinates, else those _mono_coords walks."""
+        position, memo = self._position, self._coords_memo
+        out = []
+        for poly in polys:
+            bits = 0
+            for t in poly:
+                p = position.get(t)
+                if p is not None:
+                    bits ^= 1 << p
+                else:
+                    c = memo.get(t)
+                    bits ^= self._mono_coords(t) if c is None else c
+            out.append(bits)
+        return out
 
     def _mono_coords(self, mono: int) -> int:
         """Coordinates of a monomial of a complete degree, as bits.
@@ -475,48 +493,30 @@ class PresentedF2Algebra:
             raise ValueError(f"Sq1 {mono} has an exponent past {MAX_EXPONENT}")
         return [self._unpack(t) for t in terms]
 
-    def _check_sq1_well_defined(self, through_degree: int) -> None:
-        """Verify that Sq1 of each relation of degree below through_degree
-        has zero coordinates, once per relation; one that fails stays
-        unchecked and raises again.  Needs the bases grown that far."""
+    def sq1_matrix(self, d: int) -> list[int]:
+        """Matrix of Sq1 from the degree-d basis to the degree-(d+1) basis.
+
+        Returned as one bit-column per degree-d basis monomial, bits indexed
+        by the degree-(d+1) basis.  Sq1 is first checked to be well defined
+        that far: Sq1 of each relation of degree at most d must have zero
+        coordinates.  Each relation passes once; one that fails stays
+        unchecked and raises again.
+        """
+        if d in self._sq1_matrix_cache:
+            return self._sq1_matrix_cache[d]
+        self._grow(d + 1)
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
-        for rel, d in list(self._sq1_unchecked.items()):
-            if d >= through_degree:
+        for rel, e in list(self._sq1_unchecked.items()):
+            if e > d:
                 continue
-            bits = 0
-            for v in rel:
-                for t in self._sq1_terms(v):
-                    bits ^= self._mono_coords(t)
+            (bits,) = self._coords_of([[t for v in rel for t in self._sq1_terms(v)]])
             if bits:
                 raise IllDefinedDerivationError(
                     f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
                 )
             del self._sq1_unchecked[rel]
-
-    def sq1_matrix(self, d: int) -> list[int]:
-        """Matrix of Sq1 from the degree-d basis to the degree-(d+1) basis.
-
-        Returned as one bit-column per degree-d basis monomial, bits indexed
-        by the degree-(d+1) basis.
-        """
-        if d in self._sq1_matrix_cache:
-            return self._sq1_matrix_cache[d]
-        self._grow(d + 1)
-        self._check_sq1_well_defined(d + 1)
-        terms, position, memo = self._sq1_terms, self._position, self._coords_memo
-        cols = []
-        for v in self._basis(d):
-            bits = 0
-            for t in terms(v):
-                p = position.get(t)
-                if p is not None:
-                    bits ^= 1 << p
-                else:
-                    c = memo.get(t)
-                    bits ^= self._mono_coords(t) if c is None else c
-            cols.append(bits)
-        self._sq1_matrix_cache[d] = cols
+        cols = self._sq1_matrix_cache[d] = self._coords_of(map(self._sq1_terms, self._basis(d)))
         return cols
 
     def sq1_homology_rank(self, d: int) -> int:
@@ -541,7 +541,7 @@ class PresentedF2Algebra:
             if rank is None:
                 cols = self.sq1_matrix(e)
                 if src != (1 << len(cols)) - 1:
-                    cols = [c for i, c in enumerate(cols) if src >> i & 1]
+                    cols = [cols[i] for i in _set_bits(src)]
                 spanned = 0
                 for c in cols:
                     spanned |= c
@@ -673,19 +673,17 @@ def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
         raise NotApplicableError("splitting is used for m = 3 mod 4 only")
     ring = config_mod2_ring("B", m)
     shift = ring._shifts[0]  # of x's exponent field
-    masks: dict[int, list[int]] = {}  # degree -> [R, x*R]
 
     def mask(degree: int, want_x: int) -> int:
         """Bit mask of the basis positions in degree whose x-exponent is want_x."""
-        if degree not in masks:
-            bits = [0, 0]
-            for i, v in enumerate(ring._basis(degree)):
-                x = v >> shift & MAX_EXPONENT
-                if x > 1:
-                    raise AssertionError("basis monomial with x-exponent above 1")
-                bits[x] |= 1 << i
-            masks[degree] = bits
-        return masks[degree][want_x]
+        bits = 0
+        for i, v in enumerate(ring._basis(degree)):
+            x = v >> shift & MAX_EXPONENT
+            if x > 1:
+                raise AssertionError("basis monomial with x-exponent above 1")
+            if x == want_x:
+                bits |= 1 << i
+        return bits
 
     return (
         ring._summand_sq1_homology_rank(d, lambda e: mask(e, 0)),

@@ -354,6 +354,21 @@ def test_verify_lower_bound(monkeypatch, capsys):
     assert err.strip() == "m-range must start at 1 or above"
 
 
+@pytest.mark.parametrize(
+    "m_range, message",
+    [
+        ("2..1000000000000000000", "m-range capped at 80"),
+        ("2..100000000000000000000", "m-range capped at 80"),
+        ("0..1000000000000000000", "m-range must start at 1 or above"),
+    ],
+)
+def test_verify_refuses_huge_range_at_once(m_range, message):
+    # the ends are read without walking or sizing the range: a walk would
+    # run for hours and len() overflows past sys.maxsize
+    done = _module_cli("verify", "--m-range", m_range, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", message + "\n")
+
+
 def test_uct_suite_skips_m_below_two():
     report = suites.run_suites(["uct"], range(0, 4))
     assert report.passed
@@ -452,6 +467,8 @@ COLD_START_ABSENT = (
     "functools",
     "collections",
     "types",
+    "operator",
+    "_operator",
 )
 
 # name -> code that sets `code` to the exit code of one cold call
@@ -499,10 +516,14 @@ def test_help_is_argparse_help(capsys):
     assert "print a graded group table" in out
 
 
-def _module_cli(*argv):
+def _module_cli(*argv, timeout=None):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "confcoh.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "confcoh.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 

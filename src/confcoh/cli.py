@@ -32,9 +32,9 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it
 
 # Input bounds, each set from a measured run on a 2-core host: verify over
 # 2..80 peaks at 40 MiB RSS, as a table or as json (both are written one
-# check at a time), and takes 2.9-4.2 s (median 3.8 s of 8 runs) on a
+# check at a time), and takes 1.7-2.8 s (median 2.2 s of 11 runs) on a
 # shared x86-64 host with CPython 3.11.  Over 2..96 one run of the suites
-# on that host took 5.4 s and 49 MiB.  groups writes one row at a time, so
+# on that host took 3.2 s and 50 MiB.  groups writes one row at a time, so
 # its peak RSS is about 22 MiB at m = 8192, where its largest output, json F2
 # (740 MB), goes to /dev/null in about 0.3 s (csv F2: 0.25 s).  The output,
 # O(m^2), not the time, sets that bound: a caller that captures it in

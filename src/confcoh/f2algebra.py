@@ -43,6 +43,13 @@ and sq1_free.
 With the relation x^2 = x*x1 declared on the leading generator this order
 also guarantees that basis monomials carry x-exponent at most 1, which is
 what the R / x*R splitting below relies on.
+
+A ring whose presentation is another's with further relations, all of
+degree at least that ring's frontier, can start from its state: below the
+frontier the two rings agree.  The configuration rings of P^m are the
+classifying-space rings modulo relations of degree m and up, so
+config_mod2_ring keeps one such base per kind, grown and swept below the m
+asked for, and a range of m grows and sweeps those degrees once.
 """
 
 from __future__ import annotations
@@ -199,6 +206,8 @@ class PresentedF2Algebra:
                     raise ValueError("Sq1 image of a generator has the wrong degree")
                 self._sq1_shifts.append((1 << self._shifts[g], v - unit))
         self._groebner: dict[int, frozenset[int]] = {}  # lead -> polynomial
+        # (lead, its exponent part, its _support) of each element, in order
+        self._leads: list[tuple[int, int, int]] = []
         # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
         # non-standard monomial -> coordinates, complete degrees only
@@ -219,6 +228,10 @@ class PresentedF2Algebra:
             raise ValueError(
                 f"{mono} is not {len(self._units)} exponents in 0..{MAX_EXPONENT}"
             )
+        return self._packed(mono)
+
+    def _packed(self, mono: Monomial) -> int:
+        """The packed form of an exponent tuple that fits, unchecked."""
         return sum(e * unit for e, unit in zip(mono, self._units))
 
     def _unpack(self, v: int) -> Monomial:
@@ -292,17 +305,15 @@ class PresentedF2Algebra:
         Groebner basis are unique.
         """
         lead = max(poly)
-        gb = self._groebner
         exponents, guards = self._exponent_bits, self._guards
         e = lead & exponents
         nonzero = _support(e, exponents, guards)
         partner: dict[int, int] = {}  # new lcm's exponents -> first older lead
         coprime: set[int] = set()  # new lcms of a pair with coprime leads
-        for other in gb:
-            o = other & exponents
+        for other, o, support in self._leads:
             lcm = _packed_max(e, o, guards)
             partner.setdefault(lcm, other)
-            if not _support(o, exponents, guards) & nonzero:
+            if not support & nonzero:
                 coprime.add(lcm)
         shift = self._degree_shift
         minimal: list[int] = []  # new lcms divisible by no smaller one
@@ -313,9 +324,10 @@ class PresentedF2Algebra:
             else:
                 minimal.append(lcm)
                 if lcm not in coprime:
-                    full = self._pack(self._unpack(lcm))
+                    full = self._packed(self._unpack(lcm))
                     self._pairs.setdefault(full >> shift, []).append((full, partner[lcm], lead))
-        gb[lead] = poly
+        self._groebner[lead] = poly
+        self._leads.append((lead, e, nonzero))
 
     def _grow(self, d: int) -> None:
         """Grow the Groebner basis and the quotient bases through degree d;
@@ -340,10 +352,12 @@ class PresentedF2Algebra:
         the basis of its degree: as many as its nonzero exponents, which
         are the guard bits set by adding MAX_EXPONENT to every field.
         """
+        cache = self._basis_cache
+        if d < len(cache):
+            return
         if d > MAX_DEGREE:
             raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
         gb = self._groebner
-        cache = self._basis_cache
         exponents, guards = self._exponent_bits, self._guards
         for e in range(len(cache), d + 1):
             for poly in self._pending.pop(e, ()):
@@ -375,6 +389,46 @@ class PresentedF2Algebra:
             )
             cache[e] = basis
             self._position.update(zip(basis, range(len(basis))))
+
+    def _start_from(self, base: PresentedF2Algebra) -> bool:
+        """Take over base's state below its frontier, if base presents this
+        ring there; returns whether it did.
+
+        It does when this ring has grown nothing, has base's generators and
+        Sq1, and lists base's relations first and then only relations of
+        degree at least base's frontier.  The degrees below the frontier
+        depend only on the relations below it, so they are base's; above
+        it, relations and pairs are taken in the order a fresh ring takes
+        them, so every later step is a fresh ring's too.
+        """
+        frontier = len(base._basis_cache)
+        k = len(base.relations)
+        shift = self._degree_shift
+        if (
+            self._basis_cache
+            or self.generators != base.generators
+            or self.sq1_on_generators != base.sq1_on_generators
+            or self.relations[:k] != base.relations
+            or any(self._packed(min(r)) >> shift < frontier for r in self.relations[k:])
+        ):
+            return False
+        # base has reduced its relations below the frontier, and checked Sq1
+        # on some of them (a check at d grows d + 1, so each is below it)
+        self._pending = {e: rels for e, rels in self._pending.items() if e >= frontier}
+        self._sq1_unchecked = {
+            rel: e
+            for rel, e in self._sq1_unchecked.items()
+            if e >= frontier or rel in base._sq1_unchecked
+        }
+        self._groebner = base._groebner.copy()
+        self._leads = base._leads.copy()
+        self._pairs = {e: pairs.copy() for e, pairs in base._pairs.items()}
+        self._coords_memo = base._coords_memo.copy()
+        self._basis_cache = base._basis_cache.copy()
+        self._position = base._position.copy()
+        self._sq1_matrix_cache = base._sq1_matrix_cache.copy()
+        self._rank_cache = base._rank_cache.copy()
+        return True
 
     def _basis(self, d: int) -> list[int]:
         """Standard monomials of degree d, packed, descending."""
@@ -521,37 +575,42 @@ class PresentedF2Algebra:
 
     def sq1_homology_rank(self, d: int) -> int:
         """dim ker(Sq1 at d) - rank(Sq1 at d-1)."""
-        return self._summand_sq1_homology_rank(
-            d, lambda e: (1 << self.quotient_dimension(e)) - 1
-        )
+        return self._summand_sq1_homology_rank(d, self._full_mask)
+
+    def _full_mask(self, e: int) -> int:
+        """Bit mask of every basis position in degree e."""
+        return (1 << self.quotient_dimension(e)) - 1
 
     def _summand_sq1_homology_rank(self, d: int, mask: Callable[[int], int]) -> int:
         """Sq1-homology rank at degree d of a summand that Sq1 maps to itself;
         its basis positions in degree e are the set bits of mask(e)."""
-
-        def rank_out(e: int, src: int) -> int:
-            """Rank of Sq1 out of degree e on the src positions, taken and
-            checked to land in the dst positions once per (e, src, dst); the
-            rank ignores how the bits are numbered."""
-            if not src:
-                return 0
-            dst = mask(e + 1)
-            key = (e, src, dst)
-            rank = self._rank_cache.get(key)
-            if rank is None:
-                cols = self.sq1_matrix(e)
-                if src != (1 << len(cols)) - 1:
-                    cols = [cols[i] for i in _set_bits(src)]
-                spanned = 0
-                for c in cols:
-                    spanned |= c
-                if spanned & ~dst:
-                    raise AssertionError("Sq1 does not preserve the splitting")
-                rank = self._rank_cache[key] = f2_rank(cols)
-            return rank
-
         here = mask(d)
-        return here.bit_count() - rank_out(d, here) - rank_out(d - 1, mask(d - 1))
+        return (
+            here.bit_count()
+            - self._rank_out(d, here, mask)
+            - self._rank_out(d - 1, mask(d - 1), mask)
+        )
+
+    def _rank_out(self, e: int, src: int, mask: Callable[[int], int]) -> int:
+        """Rank of Sq1 out of degree e on the src positions, taken and
+        checked to land in the positions mask(e + 1) once per (e, src, dst);
+        the rank ignores how the bits are numbered."""
+        if not src:
+            return 0
+        dst = mask(e + 1)
+        key = (e, src, dst)
+        rank = self._rank_cache.get(key)
+        if rank is None:
+            cols = self.sq1_matrix(e)
+            if src != (1 << len(cols)) - 1:
+                cols = [cols[i] for i in _set_bits(src)]
+            spanned = 0
+            for c in cols:
+                spanned |= c
+            if spanned & ~dst:
+                raise AssertionError("Sq1 does not preserve the splitting")
+            rank = self._rank_cache[key] = f2_rank(cols)
+        return rank
 
     def sq1_square_is_zero(self, d: int) -> bool:
         """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases."""
@@ -559,8 +618,10 @@ class PresentedF2Algebra:
         second = self.sq1_matrix(d + 1)
         for col in first:
             acc = 0
-            for i in _set_bits(col):
-                acc ^= second[i]
+            while col:
+                low = col & -col
+                acc ^= second[low.bit_length() - 1]
+                col ^= low
             if acc:
                 return False
         return True
@@ -571,30 +632,26 @@ class PresentedF2Algebra:
 # ---------------------------------------------------------------------------
 
 
+# (generators, relations, Sq1 on generators) of the two classifying-space
+# rings that the configuration rings are quotients of
+_DIHEDRAL = (
+    [("x", 1), ("x1", 1), ("x2", 2)],
+    [frozenset({(2, 0, 0), (1, 1, 0)})],
+    {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 1, 1)})},
+)
+_TWO_VARIABLE = ([("x1", 1), ("y1", 1)], [], {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})})
+
+
 def dihedral_mod2_ring() -> PresentedF2Algebra:
     """F2[x, x1, x2] / (x^2 + x*x1): the mod-2 cohomology of the dihedral
     group of order 8, with Sq1 x = x^2, Sq1 x1 = x1^2, Sq1 x2 = x1*x2."""
-    rel = frozenset({(2, 0, 0), (1, 1, 0)})
-    sq1 = {
-        0: frozenset({(2, 0, 0)}),
-        1: frozenset({(0, 2, 0)}),
-        2: frozenset({(0, 1, 1)}),
-    }
-    return PresentedF2Algebra([("x", 1), ("x1", 1), ("x2", 2)], [rel], sq1)
+    return PresentedF2Algebra(*_DIHEDRAL)
 
 
 def two_variable_poly_ring() -> PresentedF2Algebra:
     """Free F2[x1, y1] with the squaring Sq1; mod-2 cohomology of a product
     of two infinite projective spaces."""
-    sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})}
-    return PresentedF2Algebra([("x1", 1), ("y1", 1)], [], sq1)
-
-
-def _modulo(ring: PresentedF2Algebra, relations: list[Poly]) -> PresentedF2Algebra:
-    """The ring modulo further relations, listed after its own, same Sq1."""
-    return PresentedF2Algebra(
-        list(ring.generators), [*ring.relations, *relations], ring.sq1_on_generators
-    )
+    return PresentedF2Algebra(*_TWO_VARIABLE)
 
 
 def unordered_config_ring(m: int) -> PresentedF2Algebra:
@@ -613,8 +670,9 @@ def unordered_config_ring(m: int) -> PresentedF2Algebra:
                 monos.add((0, n - 2 * i, i))
         return frozenset(monos)
 
-    return _modulo(
-        dihedral_mod2_ring(), [dual_class_relation(m), dual_class_relation(m + 1)]
+    generators, relations, sq1 = _DIHEDRAL
+    return PresentedF2Algebra(
+        generators, [*relations, dual_class_relation(m), dual_class_relation(m + 1)], sq1
     )
 
 
@@ -623,38 +681,60 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
     P^m: F2[x1, y1] / (x1^(m+1), y1^(m+1), sum_{i+j=m} x1^i y1^j)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _modulo(
-        two_variable_poly_ring(),
+    generators, relations, sq1 = _TWO_VARIABLE
+    return PresentedF2Algebra(
+        generators,
         [
+            *relations,
             frozenset({(m + 1, 0)}),
             frozenset({(0, m + 1)}),
             frozenset({(i, m - i) for i in range(m + 1)}),
         ],
+        sq1,
     )
 
 
 _rings: dict[tuple[str, int], PresentedF2Algebra] = {}  # (kind, m) -> ring, one m
+_bases: dict[str, PresentedF2Algebra] = {}  # kind -> classifying-space ring
 
 
 def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra:
     """Shared presented ring for the 'F' (ordered) or 'B' (unordered) space;
     the cache holds one m's pair, as run_suites runs all suites m by m, and
-    config_mod2_ring.cache_clear() empties it."""
+    config_mod2_ring.cache_clear() empties it.
+
+    Every relation after the classifying-space ring's own has degree at
+    least m, so below degree m the ring is that one.  One base ring per
+    kind keeps those degrees, grown and swept by Sq1 ranks through m - 1,
+    and each new ring starts from it (see _start_from); the base is built
+    anew when a smaller m than its frontier is asked for.
+    """
     ring = _rings.get((kind, m))
     if ring is None:
         if kind == "B":
-            ring = unordered_config_ring(m)
+            ring, presentation = unordered_config_ring(m), _DIHEDRAL
         elif kind == "F":
-            ring = ordered_config_ring(m)
+            ring, presentation = ordered_config_ring(m), _TWO_VARIABLE
         else:
             raise ValueError(f"unknown space kind {kind!r}")
+        base = _bases.get(kind)
+        if base is None or len(base._basis_cache) > m:
+            base = _bases[kind] = PresentedF2Algebra(*presentation)
+        for d in range(m - 1):
+            base.sq1_homology_rank(d)
+        ring._start_from(base)
         if any(held != m for _, held in _rings):
             _rings.clear()
         _rings[kind, m] = ring
     return ring
 
 
-config_mod2_ring.cache_clear = _rings.clear
+def _cache_clear() -> None:
+    _rings.clear()
+    _bases.clear()
+
+
+config_mod2_ring.cache_clear = _cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confcoh import f2algebra, suites
+from confcoh import bockstein, f2algebra, suites
 from confcoh.f2algebra import (
     MAX_DEGREE,
     MAX_EXPONENT,
@@ -820,7 +820,8 @@ def test_split_sums_to_total(m):
 
 def test_rings_live_for_one_m(monkeypatch):
     # run_suites goes m by m, so each of the B and F rings of m = 2..12 is
-    # built once (22 builds) and at most one m's pair is kept alive.
+    # built once (22 builds) and at most one m's pair is kept alive, besides
+    # at most one base ring per kind.
     built = []
     for name in ("unordered_config_ring", "ordered_config_ring"):
 
@@ -830,8 +831,201 @@ def test_rings_live_for_one_m(monkeypatch):
             return ring
 
         monkeypatch.setattr(f2algebra, name, counted)
+    bases = []
+    start_from = PresentedF2Algebra._start_from
+
+    def recorded(self, base):
+        bases.append(weakref.ref(base))
+        return start_from(self, base)
+
+    monkeypatch.setattr(PresentedF2Algebra, "_start_from", recorded)
     config_mod2_ring.cache_clear()
     suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
     gc.collect()
     assert len(built) == 22
     assert sum(ref() is not None for ref in built) <= 2
+    live = {id(base): base.generators for base in (ref() for ref in bases) if base}
+    assert len(live) == len(set(live.values())) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Rings started from a base ring
+# ---------------------------------------------------------------------------
+
+
+def swept(ring, kind, m):
+    """A configuration ring's bases, Groebner basis, pairs, Sq1 matrices and
+    ranks after a full sweep, and its split check for m = 3 mod 4."""
+    ranks = [ring.sq1_homology_rank(d) for d in range(2 * m + 1)]
+    squares = [ring.sq1_square_is_zero(d) for d in range(2 * m + 1)]
+    split = None
+    if kind == "B" and m % 4 == 3:
+        report = bockstein.sq1_split_check((m - 3) // 4)
+        split = [(c.label, c.expected, c.got, c.passed) for c in report.checks]
+    return (
+        [tuple(ring.degree_basis(d)) for d in range(2 * m + 3)],
+        list(ring._groebner.items()),
+        ring._pairs,
+        [ring.sq1_matrix(d) for d in range(2 * m + 2)],
+        ranks,
+        squares,
+        split,
+    )
+
+
+@functools.cache
+def swept_fresh(kind, m):
+    ring = FRESH[kind](m)
+    with pytest.MonkeyPatch.context() as patch:  # the split check reads this ring
+        patch.setattr(f2algebra, "config_mod2_ring", lambda kind, m: ring)
+        return swept(ring, kind, m)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_shared_rings_equal_fresh_ones(order):
+    # Each ring of config_mod2_ring starts from its kind's base, swept
+    # through degree m - 1 and built anew for a smaller m, and ends as a
+    # fresh ring does.
+    ms = list(range(1, 41))
+    if order == "descending":
+        ms.reverse()
+    elif order == "shuffled":
+        random.Random(0).shuffle(ms)
+    config_mod2_ring.cache_clear()
+    for m in ms:
+        frontier = m if m >= 2 else 0  # m = 1 sweeps no Sq1 rank
+        for kind in "BF":
+            ring = config_mod2_ring(kind, m)
+            base = f2algebra._bases[kind]
+            assert len(base._basis_cache) == frontier
+            if frontier:
+                assert ring._basis_cache[m - 1] is base._basis_cache[m - 1]
+            assert swept(ring, kind, m) == swept_fresh(kind, m), (kind, m)
+            assert len(base._basis_cache) == frontier  # the sweep left base alone
+    config_mod2_ring.cache_clear()
+
+
+def sq1_matrix_or_error(ring, d):
+    try:
+        return ring.sq1_matrix(d)
+    except IllDefinedDerivationError as error:
+        return str(error)
+
+
+@st.composite
+def extended_presentations(draw):
+    """A presentation with Sq1 as in random_sq1_presentations, a frontier
+    0..6, and 0-3 further random relations of degree at least the frontier."""
+    degrees, relations, sq1 = draw(random_sq1_presentations())
+    frontier = draw(st.integers(0, 6))
+    further = []
+    for _ in range(draw(st.integers(0, 3))):
+        high = [d for d in range(max(frontier, 1), frontier + 3) if free_monomials(degrees, d)]
+        monos = free_monomials(degrees, draw(st.sampled_from(high)))
+        further.append(frozenset(draw(st.sets(st.sampled_from(monos), min_size=1))))
+    return degrees, relations, sq1, frontier, further
+
+
+@given(extended_presentations())
+@example(  # base's pair (x^2y, yz^3) waits in degree 6, where x^2z^3 adds one
+    (
+        [1, 1, 1],
+        [frozenset({(2, 1, 0)}), frozenset({(0, 1, 3)})],
+        {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 0, 2)})},
+        5,
+        [frozenset({(2, 0, 3)})],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_started_ring_on_random_presentations(case):
+    # A base grown below its frontier, with the Sq1 matrices below that
+    # taken until one raises, hands its state to the ring with further
+    # relations; that ring then grows and checks Sq1 as a fresh one does,
+    degrees, relations, sq1, frontier, further = case
+    generators = [(f"g{i}", g) for i, g in enumerate(degrees)]
+    base = PresentedF2Algebra(generators, relations, sq1)
+    base._grow(frontier - 1)
+    for d in range(frontier - 1):
+        if isinstance(sq1_matrix_or_error(base, d), str):
+            break
+    ring = PresentedF2Algebra(generators, relations + further, sq1)
+    fresh = PresentedF2Algebra(generators, relations + further, sq1)
+    assert ring._start_from(base)
+    for d in range(8):
+        assert sq1_matrix_or_error(ring, d) == sq1_matrix_or_error(fresh, d), d
+    for e in range(10):
+        assert ring.degree_basis(e) == fresh.degree_basis(e), e
+    assert list(ring._groebner.items()) == list(fresh._groebner.items())
+    assert ring._pairs == fresh._pairs
+    assert list(ring._sq1_unchecked.items()) == list(fresh._sq1_unchecked.items())
+    # and leaves its base to grow on as a ring of base's presentation does
+    assert len(base._basis_cache) == frontier
+    alone = PresentedF2Algebra(generators, relations, sq1)
+    for e in range(10):
+        assert base.degree_basis(e) == alone.degree_basis(e), e
+    assert list(base._groebner.items()) == list(alone._groebner.items())
+
+
+def dihedral_with(relations, sq1=None):
+    generators, _, dihedral_sq1 = f2algebra._DIHEDRAL
+    return PresentedF2Algebra(generators, relations, dihedral_sq1 if sq1 is None else sq1)
+
+
+def grown(ring):
+    ring._grow(0)
+    return ring
+
+
+W8 = unordered_config_ring(8).relations[1:]  # w_8 and w_9
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: grown(unordered_config_ring(8)), id="ring-already-grown"),
+        pytest.param(
+            lambda: PresentedF2Algebra(
+                [("y", 1), ("x1", 1), ("x2", 2)],
+                unordered_config_ring(8).relations,
+                unordered_config_ring(8).sq1_on_generators,
+            ),
+            id="other-generators",
+        ),
+        pytest.param(
+            lambda: dihedral_with(
+                [*dihedral_mod2_ring().relations, *W8],
+                {**dihedral_mod2_ring().sq1_on_generators, 2: frozenset({(1, 0, 1)})},
+            ),
+            id="other-sq1",
+        ),
+        pytest.param(
+            lambda: dihedral_with([frozenset({(2, 0, 0), (0, 2, 0)}), *W8]),
+            id="base-relations-not-a-prefix",
+        ),
+        pytest.param(lambda: unordered_config_ring(3), id="relation-below-the-frontier"),
+    ],
+)
+def test_start_from_refuses(make):
+    # Against the dihedral ring swept through degree 5 (frontier 6), each
+    # ring stays as it is and grows as a fresh one does.
+    base = dihedral_mod2_ring()
+    for d in range(5):
+        base.sq1_homology_rank(d)
+    ring, fresh = make(), make()
+    state = ring.__dict__.copy()
+    assert not ring._start_from(base)
+    assert ring.__dict__ == state
+    for d in range(12):
+        assert ring.degree_basis(d) == fresh.degree_basis(d), d
+        assert sq1_matrix_or_error(ring, d) == sq1_matrix_or_error(fresh, d), d
+    assert list(ring._groebner.items()) == list(fresh._groebner.items())
+
+
+def test_cache_clear_empties_the_bases():
+    config_mod2_ring.cache_clear()
+    config_mod2_ring("B", 6)
+    config_mod2_ring("F", 6)
+    assert set(f2algebra._rings) == {("B", 6), ("F", 6)}
+    assert set(f2algebra._bases) == {"B", "F"}
+    config_mod2_ring.cache_clear()
+    assert not f2algebra._rings and not f2algebra._bases

@@ -40,9 +40,13 @@ grown; a presentation or monomial that does not fit, or a degree past that
 bound, is refused with ValueError rather than wrapped.  Exponent tuples
 appear only at the public boundary: the presentations, degree_basis, coords
 and sq1_free.
-With the relation x^2 = x*x1 declared on the leading generator this order
-also guarantees that basis monomials carry x-exponent at most 1, which is
-what the R / x*R splitting below relies on.
+
+The unordered space's ring is swept as R + x*R.  H*(BD8) = F2[x, x1, x2]/
+(x^2 + x*x1) is H*(BO(2)) + x*H*(BO(2)), H*(BO(2)) = F2[x1, x2], and w_m,
+w_{m+1} do not involve x, so that ring is R + x*R for the Grassmannian ring
+R = F2[x1, x2]/(w_m, w_{m+1}).  As Sq1 x = x^2 = x*x1, Sq1(x*r) = x*(x1*r +
+Sq1 r): R carries Sq1 and, for x*R one degree up, Sq1 + x1 (a twist), and
+(Sq1 + x1)^2 = 0 since Sq1(x1*r) = x1^2*r + x1*Sq1 r.
 
 A ring whose presentation is another's with further relations, all of
 degree at least that ring's frontier, can start from its state: below the
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Iterator
+    from collections.abc import Iterable
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -84,14 +88,6 @@ def binom_mod2(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # GF(2) row reduction on int bitsets
 # ---------------------------------------------------------------------------
-
-
-def _set_bits(v: int) -> Iterator[int]:
-    """Positions of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 class F2Echelon:
@@ -214,8 +210,9 @@ class PresentedF2Algebra:
         self._coords_memo: dict[int, int] = {}
         self._basis_cache: dict[int, list[int]] = {}  # degree -> basis, descending
         self._position: dict[int, int] = {}  # standard monomial -> place in basis
-        self._sq1_matrix_cache: dict[int, list[int]] = {}
-        self._rank_cache: dict[tuple[int, int, int], int] = {}  # (e, src, dst)
+        # (degree, twist) -> Sq1 matrix out of that degree, and its rank
+        self._sq1_matrix_cache: dict[tuple[int, int | None], list[int]] = {}
+        self._rank_cache: dict[tuple[int, int | None], int] = {}
 
     # -- monomial bookkeeping ---------------------------------------------
 
@@ -547,8 +544,10 @@ class PresentedF2Algebra:
             raise ValueError(f"Sq1 {mono} has an exponent past {MAX_EXPONENT}")
         return [self._unpack(t) for t in terms]
 
-    def sq1_matrix(self, d: int) -> list[int]:
-        """Matrix of Sq1 from the degree-d basis to the degree-(d+1) basis.
+    def sq1_matrix(self, d: int, twist: int | None = None) -> list[int]:
+        """Matrix of Sq1 from the degree-d basis to the degree-(d+1) basis,
+        or with twist, the index of a degree-1 generator t, of Sq1 + t:
+        the column of a standard v is then that of Sq1 v plus that of t*v.
 
         Returned as one bit-column per degree-d basis monomial, bits indexed
         by the degree-(d+1) basis.  Sq1 is first checked to be well defined
@@ -556,8 +555,9 @@ class PresentedF2Algebra:
         coordinates.  Each relation passes once; one that fails stays
         unchecked and raises again.
         """
-        if d in self._sq1_matrix_cache:
-            return self._sq1_matrix_cache[d]
+        cols = self._sq1_matrix_cache.get((d, twist))
+        if cols is not None:
+            return cols
         self._grow(d + 1)
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
@@ -570,52 +570,35 @@ class PresentedF2Algebra:
                     f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
                 )
             del self._sq1_unchecked[rel]
-        cols = self._sq1_matrix_cache[d] = self._coords_of(map(self._sq1_terms, self._basis(d)))
+        terms, basis = self._sq1_terms, self._basis(d)
+        if twist is None:
+            cols = self._coords_of(map(terms, basis))
+        else:
+            unit = self._units[twist]
+            cols = self._coords_of([*terms(v), v + unit] for v in basis)
+        self._sq1_matrix_cache[d, twist] = cols
         return cols
 
-    def sq1_homology_rank(self, d: int) -> int:
-        """dim ker(Sq1 at d) - rank(Sq1 at d-1)."""
-        return self._summand_sq1_homology_rank(d, self._full_mask)
+    def sq1_homology_rank(self, d: int, twist: int | None = None) -> int:
+        """dim ker(Sq1 at d) - rank(Sq1 at d-1), or of Sq1 + twist (see
+        sq1_matrix)."""
+        here = self.quotient_dimension(d)
+        return here - self._rank_out(d, twist) - self._rank_out(d - 1, twist)
 
-    def _full_mask(self, e: int) -> int:
-        """Bit mask of every basis position in degree e."""
-        return (1 << self.quotient_dimension(e)) - 1
-
-    def _summand_sq1_homology_rank(self, d: int, mask: Callable[[int], int]) -> int:
-        """Sq1-homology rank at degree d of a summand that Sq1 maps to itself;
-        its basis positions in degree e are the set bits of mask(e)."""
-        here = mask(d)
-        return (
-            here.bit_count()
-            - self._rank_out(d, here, mask)
-            - self._rank_out(d - 1, mask(d - 1), mask)
-        )
-
-    def _rank_out(self, e: int, src: int, mask: Callable[[int], int]) -> int:
-        """Rank of Sq1 out of degree e on the src positions, taken and
-        checked to land in the positions mask(e + 1) once per (e, src, dst);
-        the rank ignores how the bits are numbered."""
-        if not src:
+    def _rank_out(self, e: int, twist: int | None) -> int:
+        """Rank of the matrix out of degree e, taken once per (e, twist)."""
+        if not self.quotient_dimension(e):
             return 0
-        dst = mask(e + 1)
-        key = (e, src, dst)
-        rank = self._rank_cache.get(key)
+        rank = self._rank_cache.get((e, twist))
         if rank is None:
-            cols = self.sq1_matrix(e)
-            if src != (1 << len(cols)) - 1:
-                cols = [cols[i] for i in _set_bits(src)]
-            spanned = 0
-            for c in cols:
-                spanned |= c
-            if spanned & ~dst:
-                raise AssertionError("Sq1 does not preserve the splitting")
-            rank = self._rank_cache[key] = f2_rank(cols)
+            rank = self._rank_cache[e, twist] = f2_rank(self.sq1_matrix(e, twist))
         return rank
 
-    def sq1_square_is_zero(self, d: int) -> bool:
-        """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases."""
-        first = self.sq1_matrix(d)
-        second = self.sq1_matrix(d + 1)
+    def sq1_square_is_zero(self, d: int, twist: int | None = None) -> bool:
+        """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases, or the same
+        of Sq1 + twist (see sq1_matrix)."""
+        first = self.sq1_matrix(d, twist)
+        second = self.sq1_matrix(d + 1, twist)
         for col in first:
             acc = 0
             while col:
@@ -632,14 +615,17 @@ class PresentedF2Algebra:
 # ---------------------------------------------------------------------------
 
 
-# (generators, relations, Sq1 on generators) of the two classifying-space
-# rings that the configuration rings are quotients of
+# (generators, relations, Sq1 on generators) of the classifying-space rings
+# that the configuration rings are quotients of: of the dihedral group of
+# order 8, of O(2), and of Z2 x Z2
 _DIHEDRAL = (
     [("x", 1), ("x1", 1), ("x2", 2)],
     [frozenset({(2, 0, 0), (1, 1, 0)})],
     {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 1, 1)})},
 )
+_ORTHOGONAL = ([("x1", 1), ("x2", 2)], [], {0: frozenset({(2, 0)}), 1: frozenset({(1, 1)})})
 _TWO_VARIABLE = ([("x1", 1), ("y1", 1)], [], {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})})
+_X1 = 0  # x1 in _ORTHOGONAL, the twist of the x*R summand's differential
 
 
 def dihedral_mod2_ring() -> PresentedF2Algebra:
@@ -654,26 +640,30 @@ def two_variable_poly_ring() -> PresentedF2Algebra:
     return PresentedF2Algebra(*_TWO_VARIABLE)
 
 
-def unordered_config_ring(m: int) -> PresentedF2Algebra:
-    """Mod-2 cohomology ring of the unordered two-point configuration space
-    of P^m: the dihedral ring modulo the dual classes w_m and w_{m+1},
+def _dual_class(n: int) -> list[tuple[int, int]]:
+    """Exponents of x1, x2 in w_n = sum_{0 <= i <= n/2} C(n-i, i) x1^(n-2i) x2^i."""
+    return [(n - 2 * i, i) for i in range(n // 2 + 1) if binom_mod2(n - i, i)]
 
-        w_n = sum_{0 <= i <= n/2} C(n-i, i) x1^(n-2i) x2^i.
-    """
+
+def grassmannian_ring(m: int) -> PresentedF2Algebra:
+    """Mod-2 cohomology ring R of the Grassmannian of 2-planes in R^(m+1):
+    F2[x1, x2] modulo the dual classes w_m and w_{m+1} (see SplitRing)."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    generators, relations, sq1 = _ORTHOGONAL
+    dual = [frozenset(_dual_class(n)) for n in (m, m + 1)]
+    return PresentedF2Algebra(generators, [*relations, *dual], sq1)
 
-    def dual_class_relation(n: int) -> Poly:
-        monos = set()
-        for i in range(0, n // 2 + 1):
-            if binom_mod2(n - i, i):
-                monos.add((0, n - 2 * i, i))
-        return frozenset(monos)
 
+def unordered_config_ring(m: int) -> PresentedF2Algebra:
+    """Mod-2 cohomology ring of the unordered two-point configuration space
+    of P^m: the dihedral ring modulo w_m and w_{m+1}.  The suites read it as
+    SplitRing; this is the reference that the split is tested against."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     generators, relations, sq1 = _DIHEDRAL
-    return PresentedF2Algebra(
-        generators, [*relations, dual_class_relation(m), dual_class_relation(m + 1)], sq1
-    )
+    dual = [frozenset((0, *e) for e in _dual_class(n)) for n in (m, m + 1)]
+    return PresentedF2Algebra(generators, [*relations, *dual], sq1)
 
 
 def ordered_config_ring(m: int) -> PresentedF2Algebra:
@@ -694,35 +684,64 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
     )
 
 
-_rings: dict[tuple[str, int], PresentedF2Algebra] = {}  # (kind, m) -> ring, one m
+class SplitRing:
+    """The mod-2 ring of the unordered space as R + x*R over the
+    Grassmannian ring R (see the module docstring): its degree d is R_d
+    plus x times R_(d-1), and its Sq1 is Sq1 on R and Sq1 + x1 on x*R."""
+
+    def __init__(self, grassmannian: PresentedF2Algebra) -> None:
+        self.grassmannian = grassmannian
+
+    def quotient_dimension(self, d: int) -> int:
+        r = self.grassmannian
+        return r.quotient_dimension(d) + r.quotient_dimension(d - 1)
+
+    def split_sq1_homology_rank(self, d: int) -> tuple[int, int]:
+        """Sq1-homology ranks at degree d of the summands R and x*R."""
+        r = self.grassmannian
+        return r.sq1_homology_rank(d), r.sq1_homology_rank(d - 1, _X1)
+
+    def sq1_homology_rank(self, d: int) -> int:
+        return sum(self.split_sq1_homology_rank(d))
+
+    def sq1_square_is_zero(self, d: int) -> bool:
+        r = self.grassmannian
+        return r.sq1_square_is_zero(d) and r.sq1_square_is_zero(d - 1, _X1)
+
+
+_rings: dict[tuple[str, int], PresentedF2Algebra | SplitRing] = {}  # (kind, m) -> ring
 _bases: dict[str, PresentedF2Algebra] = {}  # kind -> classifying-space ring
 
 
-def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra:
-    """Shared presented ring for the 'F' (ordered) or 'B' (unordered) space;
-    the cache holds one m's pair, as run_suites runs all suites m by m, and
-    config_mod2_ring.cache_clear() empties it.
+def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra | SplitRing:
+    """Shared mod-2 ring for the 'F' (ordered) or 'B' (unordered, as a
+    SplitRing) space; the cache holds one m's pair, as run_suites runs all
+    suites m by m, and config_mod2_ring.cache_clear() empties it.
 
     Every relation after the classifying-space ring's own has degree at
-    least m, so below degree m the ring is that one.  One base ring per
-    kind keeps those degrees, grown and swept by Sq1 ranks through m - 1,
-    and each new ring starts from it (see _start_from); the base is built
-    anew when a smaller m than its frontier is asked for.
+    least m, so below degree m the ring (R for B) is that one.  One base
+    ring per kind keeps those degrees, grown and swept by the ranks of each
+    differential through m - 1, and each new ring starts from it (see
+    _start_from); the base is built anew when a smaller m than its frontier
+    is asked for.
     """
     ring = _rings.get((kind, m))
     if ring is None:
         if kind == "B":
-            ring, presentation = unordered_config_ring(m), _DIHEDRAL
+            ring, presentation, twists = grassmannian_ring(m), _ORTHOGONAL, (None, _X1)
         elif kind == "F":
-            ring, presentation = ordered_config_ring(m), _TWO_VARIABLE
+            ring, presentation, twists = ordered_config_ring(m), _TWO_VARIABLE, (None,)
         else:
             raise ValueError(f"unknown space kind {kind!r}")
         base = _bases.get(kind)
         if base is None or len(base._basis_cache) > m:
             base = _bases[kind] = PresentedF2Algebra(*presentation)
         for d in range(m - 1):
-            base.sq1_homology_rank(d)
+            for twist in twists:
+                base.sq1_homology_rank(d, twist)
         ring._start_from(base)
+        if kind == "B":
+            ring = SplitRing(ring)
         if any(held != m for _, held in _rings):
             _rings.clear()
         _rings[kind, m] = ring
@@ -737,35 +756,9 @@ def _cache_clear() -> None:
 config_mod2_ring.cache_clear = _cache_clear
 
 
-# ---------------------------------------------------------------------------
-# Splitting of the unordered ring into R and x*R
-# ---------------------------------------------------------------------------
-
-
 def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
     """Sq1-homology ranks at degree d of the two summands R and x*R of the
-    unordered configuration ring, for m = 4a + 3.
-
-    R is spanned by the basis monomials with x-exponent 0 and x*R by those
-    with x-exponent 1; the leading relation keeps basis exponents below 2.
-    """
+    unordered configuration ring, for m = 4a + 3."""
     if m % 4 != 3:
         raise NotApplicableError("splitting is used for m = 3 mod 4 only")
-    ring = config_mod2_ring("B", m)
-    shift = ring._shifts[0]  # of x's exponent field
-
-    def mask(degree: int, want_x: int) -> int:
-        """Bit mask of the basis positions in degree whose x-exponent is want_x."""
-        bits = 0
-        for i, v in enumerate(ring._basis(degree)):
-            x = v >> shift & MAX_EXPONENT
-            if x > 1:
-                raise AssertionError("basis monomial with x-exponent above 1")
-            if x == want_x:
-                bits |= 1 << i
-        return bits
-
-    return (
-        ring._summand_sq1_homology_rank(d, lambda e: mask(e, 0)),
-        ring._summand_sq1_homology_rank(d, lambda e: mask(e, 1)),
-    )
+    return config_mod2_ring("B", m).split_sq1_homology_rank(d)

@@ -21,9 +21,11 @@ from confcoh.f2algebra import (
     IllDefinedDerivationError,
     NotApplicableError,
     PresentedF2Algebra,
+    SplitRing,
     binom_mod2,
     config_mod2_ring,
     dihedral_mod2_ring,
+    grassmannian_ring,
     ordered_config_ring,
     split_sq1_homology,
     two_variable_poly_ring,
@@ -31,6 +33,16 @@ from confcoh.f2algebra import (
 )
 
 FRESH = {"B": unordered_config_ring, "F": ordered_config_ring}  # uncached builders
+
+
+def engine_ring(kind, m):
+    """The three-generator ring for 'B', and the shared engine rings that
+    config_mod2_ring sweeps: the Grassmannian ring R of B for 'R', F's ring
+    for 'F'."""
+    if kind == "B":
+        return unordered_config_ring(m)
+    ring = config_mod2_ring("B" if kind == "R" else kind, m)
+    return ring.grassmannian if kind == "R" else ring
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +251,49 @@ class SpanOracle:
         return sum(1 << basis.index(mono) for mono in normal)
 
     @functools.cache
-    def sq1_matrix(self, d):
-        return [self.coords(self.ring.sq1_free(m), d + 1) for m in self.basis(d)]
+    def sq1_matrix(self, d, twist=None):
+        """Columns of Sq1, or of Sq1 plus the product by generator twist."""
+        unit = tuple(int(i == twist) for i in range(len(self.ring.degrees)))
+        return [
+            self.coords(self.ring.sq1_free(m) + [self.mul(unit, m)] * (twist is not None), d + 1)
+            for m in self.basis(d)
+        ]
 
-    def homology(self, d, keep=lambda mono: True):
+    def homology(self, d, keep=lambda mono: True, twist=None):
         """Sq1-homology rank at d on the span of the kept basis monomials."""
 
         def columns(e):
             if e < 0:
                 return []
-            return [c for m, c in zip(self.basis(e), self.sq1_matrix(e)) if keep(m)]
+            return [c for m, c in zip(self.basis(e), self.sq1_matrix(e, twist)) if keep(m)]
 
         here = sum(1 for m in self.basis(d) if keep(m))
         return here - span_rank(columns(d)) - span_rank(columns(d - 1))
 
 
 @pytest.mark.parametrize("m", range(2, 25))
-@pytest.mark.parametrize("kind", ["B", "F"])
+@pytest.mark.parametrize("kind", ["B", "R", "F"])
 def test_engine_against_span_oracle(kind, m):
-    ring = config_mod2_ring(kind, m)
+    # R with both of its differentials, Sq1 and Sq1 + x1; B's split against
+    # the three-generator ring's spans of x-exponent 0 and 1
+    ring = engine_ring(kind, m)
     oracle = SpanOracle(ring)
     for d in range(2 * m + 2):
         assert tuple(ring.degree_basis(d)) == oracle.basis(d), d
-        assert ring.sq1_matrix(d) == oracle.sq1_matrix(d), d
-        assert ring.sq1_homology_rank(d) == oracle.homology(d), d
-        if kind == "B" and m % 4 == 3:
+        for twist in (None, 0) if kind == "R" else (None,):
+            assert ring.sq1_matrix(d, twist) == oracle.sq1_matrix(d, twist), (d, twist)
+            assert ring.sq1_homology_rank(d, twist) == oracle.homology(d, twist=twist), d
+        if kind == "B":
             want = tuple(oracle.homology(d, lambda mono: mono[0] == x) for x in (0, 1))
-            assert split_sq1_homology(m, d) == want, d
+            assert config_mod2_ring("B", m).split_sq1_homology_rank(d) == want, d
 
 
-@pytest.mark.parametrize("kind", ["B", "F"])
+@pytest.mark.parametrize("kind", ["B", "R", "F"])
 def test_basis_against_sympy_groebner(kind):
     # The ideals are homogeneous, so sympy's lex leads span the same leading
     # ideal as the engine's order (weighted degree, then lex).
     for m in range(2, 25):
-        ring = config_mod2_ring(kind, m)
+        ring = engine_ring(kind, m)
         gens = sympy.symbols(f"g0:{len(ring.degrees)}")
         rels = [
             sympy.Add(*(sympy.Mul(*(g**e for g, e in zip(gens, mono))) for mono in rel))
@@ -571,7 +591,7 @@ def test_sq1_terms_met_twice_cancel():
 def test_sq1_parity_rule_on_unordered_ring():
     # Sq1(x^i x1^i1 x2^i2) is zero for even i+i1+i2 and bumps the middle
     # exponent for odd totals.
-    ring = config_mod2_ring("B", 5)
+    ring = unordered_config_ring(5)
     for d in range(2, 10):
         basis = ring.degree_basis(d)
         cols = ring.sq1_matrix(d)
@@ -597,7 +617,7 @@ def test_sq1_squares_to_zero_everywhere():
     ]
     for ring, n_degrees in rings:
         for d in range(n_degrees):
-            assert ring.sq1_square_is_zero(d), (ring.generators, d)
+            assert ring.sq1_square_is_zero(d), (ring, d)
 
 
 def test_ill_defined_derivation_detected():
@@ -793,24 +813,37 @@ def test_split_requires_3_mod_4():
         split_sq1_homology(5, 4)
 
 
-def test_split_refuses_a_basis_with_x_squared(monkeypatch):
-    # Without the relation x^2 = x*x1 the degree-2 basis keeps x^2, which
-    # lies in neither R nor x*R.
-    ring = unordered_config_ring(3)
-    loose = PresentedF2Algebra(
-        list(ring.generators), list(ring.relations[1:]), ring.sq1_on_generators
-    )
-    monkeypatch.setattr(f2algebra, "config_mod2_ring", lambda kind, m: loose)
-    with pytest.raises(AssertionError, match="x-exponent above 1"):
-        split_sq1_homology(3, 2)
+@pytest.mark.parametrize("m", range(2, 65))
+def test_split_equals_the_three_generator_ring(m):
+    assert_split_equals_the_three_generator_ring(m)
 
 
-@pytest.mark.parametrize("m", [3, 7, 11, 15, 19])
-def test_split_sums_to_total(m):
-    # Sq1 preserves R + x*R, so the ranks of the two summands add up.
-    ring = config_mod2_ring("B", m)
-    for d in range(2 * m + 1):
-        assert sum(split_sq1_homology(m, d)) == ring.sq1_homology_rank(d), (m, d)
+def assert_split_equals_the_three_generator_ring(m):
+    """The three-generator ring read as R + x*R by the x-exponents of its
+    basis, all below 2: Sq1 keeps the span of each exponent, and the
+    dimensions and the Sq1-homology ranks of the two spans and of the whole
+    ring are the split's."""
+    ring, split = f2algebra.unordered_config_ring(m), config_mod2_ring("B", m)
+    r = split.grassmannian
+    exponents = [[mono[0] for mono in ring.degree_basis(e)] for e in range(2 * m + 3)]
+    assert max(map(max, filter(None, exponents))) == 1
+
+    def rank_out(e, x):
+        if e < 0:
+            return 0
+        columns = [c for c, ex in zip(ring.sq1_matrix(e), exponents[e]) if ex == x]
+        for c in columns:
+            assert all(exponents[e + 1][i] == x for i in range(c.bit_length()) if c >> i & 1)
+        return span_rank(columns)
+
+    for d in range(2 * m + 2):
+        dims = r.quotient_dimension(d), r.quotient_dimension(d - 1)
+        assert [exponents[d].count(x) for x in (0, 1)] == list(dims), d
+        assert ring.quotient_dimension(d) == split.quotient_dimension(d) == sum(dims), d
+        masked = tuple(exponents[d].count(x) - rank_out(d, x) - rank_out(d - 1, x) for x in (0, 1))
+        assert split.split_sq1_homology_rank(d) == masked, d
+        assert ring.sq1_homology_rank(d) == split.sq1_homology_rank(d) == sum(masked), d
+        assert ring.sq1_square_is_zero(d) and split.sq1_square_is_zero(d), d
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +856,7 @@ def test_rings_live_for_one_m(monkeypatch):
     # built once (22 builds) and at most one m's pair is kept alive, besides
     # at most one base ring per kind.
     built = []
-    for name in ("unordered_config_ring", "ordered_config_ring"):
+    for name in ("grassmannian_ring", "ordered_config_ring"):
 
         def counted(m, build=getattr(f2algebra, name)):
             ring = build(m)
@@ -854,10 +887,12 @@ def test_rings_live_for_one_m(monkeypatch):
 
 
 def swept(ring, kind, m):
-    """A configuration ring's bases, Groebner basis, pairs, Sq1 matrices and
-    ranks after a full sweep, and its split check for m = 3 mod 4."""
-    ranks = [ring.sq1_homology_rank(d) for d in range(2 * m + 1)]
-    squares = [ring.sq1_square_is_zero(d) for d in range(2 * m + 1)]
+    """A configuration space's engine ring (R for B) after a full sweep of
+    each differential: its bases, Groebner basis, pairs, Sq1 matrices,
+    ranks and Sq1^2 checks, and B's split check for m = 3 mod 4."""
+    twists = (None, 0) if kind == "B" else (None,)
+    ranks = [ring.sq1_homology_rank(d, t) for t in twists for d in range(2 * m + 1)]
+    squares = [ring.sq1_square_is_zero(d, t) for t in twists for d in range(2 * m + 1)]
     split = None
     if kind == "B" and m % 4 == 3:
         report = bockstein.sq1_split_check((m - 3) // 4)
@@ -866,7 +901,7 @@ def swept(ring, kind, m):
         [tuple(ring.degree_basis(d)) for d in range(2 * m + 3)],
         list(ring._groebner.items()),
         ring._pairs,
-        [ring.sq1_matrix(d) for d in range(2 * m + 2)],
+        [ring.sq1_matrix(d, t) for t in twists for d in range(2 * m + 2)],
         ranks,
         squares,
         split,
@@ -875,9 +910,10 @@ def swept(ring, kind, m):
 
 @functools.cache
 def swept_fresh(kind, m):
-    ring = FRESH[kind](m)
+    ring = (grassmannian_ring if kind == "B" else ordered_config_ring)(m)
+    shared = SplitRing(ring) if kind == "B" else ring
     with pytest.MonkeyPatch.context() as patch:  # the split check reads this ring
-        patch.setattr(f2algebra, "config_mod2_ring", lambda kind, m: ring)
+        patch.setattr(f2algebra, "config_mod2_ring", lambda kind, m: shared)
         return swept(ring, kind, m)
 
 
@@ -895,7 +931,7 @@ def test_shared_rings_equal_fresh_ones(order):
     for m in ms:
         frontier = m if m >= 2 else 0  # m = 1 sweeps no Sq1 rank
         for kind in "BF":
-            ring = config_mod2_ring(kind, m)
+            ring = engine_ring("R" if kind == "B" else kind, m)
             base = f2algebra._bases[kind]
             assert len(base._basis_cache) == frontier
             if frontier:

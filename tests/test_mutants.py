@@ -1,10 +1,13 @@
 """Mutants of the presented mod-2 rings and of the closed forms, each
 killed by the suites.
 
-A ring mutant changes one relation or one Sq1 generator image of the B or F
-presentation.  Running the bockstein and sq1 suites over m = 2..12 on the
-mutated rings must then fail a check or find the presentation broken
-(Sq1 of a relation outside the ideal, or the R / x*R splitting lost).
+A ring mutant changes one relation or one Sq1 generator image of the ring
+that the suites sweep for B (the Grassmannian ring R of B = R + x*R) or of
+F's ring.  Running the bockstein and sq1 suites over m = 2..12 on the
+mutated rings must then fail a check or find the presentation broken (Sq1
+of a relation outside the ideal).  A reference mutant changes the
+three-generator presentation of B, which the suites no longer read; the
+test that compares it with the split must then fail for some m in 2..12.
 
 F's relation y1^(m+1) is not mutated: (x1 + y1) * sum x1^i y1^(m-i) =
 x1^(m+1) + y1^(m+1), so it already lies in the ideal of the other two and
@@ -28,6 +31,7 @@ import pytest
 from confcoh import cartan_leray, configcoh, f2algebra, groupcoh, stiefel, suites
 from confcoh.abelian import ZERO, AbGroup2
 from confcoh.f2algebra import IllDefinedDerivationError, PresentedF2Algebra
+from test_f2algebra import assert_split_equals_the_three_generator_ring
 
 
 def drop_term(rel):
@@ -44,23 +48,19 @@ def replace(items, i, new):
 MUTANTS = {
     "B-drop-term-w_m": (  # w_m: sum C(m-i, i) x1^(m-2i) x2^i
         "B",
-        lambda rels, sq1: (replace(rels, 1, drop_term(rels[1])), sq1),
+        lambda rels, sq1: (replace(rels, 0, drop_term(rels[0])), sq1),
     ),
     "B-drop-term-w_m+1": (
         "B",
-        lambda rels, sq1: (replace(rels, 2, drop_term(rels[2])), sq1),
-    ),
-    "B-x^2+x1^2": (  # in place of x^2 + x*x1
-        "B",
-        lambda rels, sq1: (replace(rels, 0, frozenset({(2, 0, 0), (0, 2, 0)})), sq1),
+        lambda rels, sq1: (replace(rels, 1, drop_term(rels[1])), sq1),
     ),
     "F-drop-term-sum": (  # sum x1^i y1^(m-i)
         "F",
         lambda rels, sq1: (replace(rels, 2, drop_term(rels[2])), sq1),
     ),
-    "B-Sq1-x2=x*x2": (
+    "B-Sq1-x2=0": (  # in place of x1*x2
         "B",
-        lambda rels, sq1: (rels, {**sq1, 2: frozenset({(1, 0, 1)})}),
+        lambda rels, sq1: (rels, {**sq1, 1: frozenset()}),
     ),
     "F-Sq1-y1=x1*y1": (
         "F",
@@ -68,7 +68,19 @@ MUTANTS = {
     ),
 }
 
-BUILDERS = {"B": "unordered_config_ring", "F": "ordered_config_ring"}
+# the same, of the three-generator presentation of B
+REFERENCE_MUTANTS = {
+    "B-x^2+x1^2": (  # in place of x^2 + x*x1
+        "B3",
+        lambda rels, sq1: (replace(rels, 0, frozenset({(2, 0, 0), (0, 2, 0)})), sq1),
+    ),
+    "B-Sq1-x2=x*x2": (
+        "B3",
+        lambda rels, sq1: (rels, {**sq1, 2: frozenset({(1, 0, 1)})}),
+    ),
+}
+
+BUILDERS = {"B": "grassmannian_ring", "B3": "unordered_config_ring", "F": "ordered_config_ring"}
 
 
 def clear_ring_caches():
@@ -112,6 +124,28 @@ def test_unmutated_rings_pass(install, kind):
 def test_mutant_is_killed(install, name):
     install(*MUTANTS[name])
     assert not run_route()
+
+
+def reference_route():
+    """The comparison of the three-generator ring with the split over
+    2..12; False if it fails."""
+    try:
+        for m in range(2, 13):
+            assert_split_equals_the_three_generator_ring(m)
+    except (IllDefinedDerivationError, AssertionError):
+        return False
+    return True
+
+
+def test_unmutated_reference_passes(install):
+    install("B3", lambda rels, sq1: (rels, sq1))
+    assert reference_route()
+
+
+@pytest.mark.parametrize("name", REFERENCE_MUTANTS)
+def test_reference_mutant_is_killed(install, name):
+    install(*REFERENCE_MUTANTS[name])
+    assert not reference_route()
 
 
 E, E4 = AbGroup2.elementary, AbGroup2.elementary_with_z4
@@ -343,25 +377,26 @@ def test_executor_mutant_is_killed(monkeypatch, name):
     assert killing_families() == killers
 
 
-def sq1_columns(ring, d, terms):
-    """Sq1 columns out of degree d of a ring whose degree d + 1 is grown:
-    for each packed basis monomial v, the XOR of the coordinates of the
-    packed monomials terms(v)."""
-    return [
-        reduce(xor, map(ring._mono_coords, terms(v)), 0) for v in ring._basis(d)
-    ]
+def sq1_columns(ring, d, twist, keep=lambda t: True):
+    """Sq1 columns out of degree d, with the product by the generator twist
+    added if it is given, of a ring whose degree d + 1 is grown: for each
+    packed basis monomial v, the XOR of the coordinates of the kept packed
+    terms."""
+    columns = []
+    for v in ring._basis(d):
+        terms = ring._sq1_terms(v) + ([] if twist is None else [v + ring._units[twist]])
+        columns.append(reduce(xor, map(ring._mono_coords, filter(keep, terms)), 0))
+    return columns
 
 
 def sq1_drops_lead_terms(original):
-    """sq1_matrix with every Sq1 term that is a Groebner lead dropped, as if
+    """sq1_matrix with every term that is a Groebner lead dropped, as if
     the coordinates of a lead lost the rest of its basis element where the
     Sq1 columns read them."""
 
-    def mutant(self, d):
-        original(self, d)  # grows the bases and checks Sq1 on the relations
-        return sq1_columns(
-            self, d, lambda v: [t for t in self._sq1_terms(v) if t not in self._groebner]
-        )
+    def mutant(self, d, twist=None):
+        original(self, d, twist)  # grows the bases and checks Sq1 on the relations
+        return sq1_columns(self, d, twist, lambda t: t not in self._groebner)
 
     return mutant
 
@@ -369,35 +404,48 @@ def sq1_drops_lead_terms(original):
 def sq1_parity_bit_one_high(original):
     """sq1_matrix with the Leibniz parity of each generator read from the
     bit above the low bit of its packed exponent field (exponent 2 or 3
-    mod 4, not odd).  The relation check runs first with the right bits:
-    read there as well, Sq1 of x^2 + x*x1 leaves the ideal and the run
-    stops with IllDefinedDerivationError."""
+    mod 4, not odd).  The relation check runs first with the right bits."""
 
-    def mutant(self, d):
-        original(self, d)
+    def mutant(self, d, twist=None):
+        original(self, d, twist)
         right = self._sq1_shifts
         self._sq1_shifts = [(bit << 1, shift) for bit, shift in right]
         try:
-            return sq1_columns(self, d, self._sq1_terms)
+            return sq1_columns(self, d, twist)
         finally:
             self._sq1_shifts = right
 
     return mutant
 
 
+def sq1_untwisted(original):
+    """sq1_matrix with the twist ignored: the x*R summand's differential
+    without its x1 term."""
+    return lambda self, d, twist=None: original(self, d)
+
+
 # name -> (PresentedF2Algebra method, original -> mutated method, what kills it)
 ENGINE_MUTANTS = {
-    # Killed by one family only: Sq1 x = x^2 then reads 0 in B, yet
-    # Sq1^2 = 0 and the R / x*R splitting survive and only page-1 ranks move.
+    # B is swept as R, whose leads w_m and w_{m+1} are Sq1 terms in
+    # degrees m and m + 1, where the split is read too.
     "lead-bitset-drops-tail": (
         "sq1_matrix",
         sq1_drops_lead_terms,
-        {"bockstein-page1"},
+        {"bockstein-page1", "sq1-split"},
     ),
     "packed-parity-bit-one-high": (
         "sq1_matrix",
         sq1_parity_bit_one_high,
         {"bockstein-page1", "sq1", "sq1-split"},
+    ),
+    # Killed by one family only: both differentials square to zero, and
+    # the split is read in degree m + 1 alone, where x*R's Sq1-homology
+    # (R's at m) is 0 either way.  The comparison with the three-generator
+    # ring kills it too (test_untwisted_split_fails_the_reference).
+    "x*R-differential-drops-x1": (
+        "sq1_matrix",
+        sq1_untwisted,
+        {"bockstein-page1"},
     ),
 }
 
@@ -411,5 +459,15 @@ def test_engine_mutant_is_killed(monkeypatch, name):
     clear_ring_caches()
     try:
         assert killing_families() == killers
+    finally:
+        clear_ring_caches()
+
+
+def test_untwisted_split_fails_the_reference(monkeypatch):
+    mutate = ENGINE_MUTANTS["x*R-differential-drops-x1"][1]
+    monkeypatch.setattr(PresentedF2Algebra, "sq1_matrix", mutate(PresentedF2Algebra.sq1_matrix))
+    clear_ring_caches()
+    try:
+        assert not reference_route()
     finally:
         clear_ring_caches()

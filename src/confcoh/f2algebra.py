@@ -48,12 +48,11 @@ R = F2[x1, x2]/(w_m, w_{m+1}).  As Sq1 x = x^2 = x*x1, Sq1(x*r) = x*(x1*r +
 Sq1 r): R carries Sq1 and, for x*R one degree up, Sq1 + x1 (a twist), and
 (Sq1 + x1)^2 = 0 since Sq1(x1*r) = x1^2*r + x1*Sq1 r.
 
-A ring whose presentation is another's with further relations, all of
-degree at least that ring's frontier, can start from its state: below the
-frontier the two rings agree.  The configuration rings of P^m are the
-classifying-space rings modulo relations of degree m and up, so
-config_mod2_ring keeps one such base per kind, grown and swept below the m
-asked for, and a range of m grows and sweeps those degrees once.
+The configuration rings of P^m are the classifying-space rings modulo
+relations of degree m and up, and the two rings swept here, F2[x1, x2] for R
+and F2[x1, y1], are free: below degree m every configuration ring is the free
+ring.  So config_mod2_ring starts each new ring from the last one of its kind
+(see _start_from), and a range of m grows and sweeps those degrees once.
 """
 
 from __future__ import annotations
@@ -387,44 +386,34 @@ class PresentedF2Algebra:
             cache[e] = basis
             self._position.update(zip(basis, range(len(basis))))
 
-    def _start_from(self, base: PresentedF2Algebra) -> bool:
-        """Take over base's state below its frontier, if base presents this
-        ring there; returns whether it did.
+    def _start_from(self, other: PresentedF2Algebra) -> bool:
+        """Take other's bases, and its Sq1 matrices and ranks, below degree
+        low, the lowest degree of any relation of either ring, capped at
+        other's frontier; returns whether it did.  It refuses a ring that
+        has grown, or other generators or another Sq1.
 
-        It does when this ring has grown nothing, has base's generators and
-        Sq1, and lists base's relations first and then only relations of
-        degree at least base's frontier.  The degrees below the frontier
-        depend only on the relations below it, so they are base's; above
-        it, relations and pairs are taken in the order a fresh ring takes
-        them, so every later step is a fresh ring's too.
+        Below low both rings are the free ring: no lead, pair, memo entry
+        or Sq1 relation check lies there, so a basis, and a matrix or rank
+        out of degree d with d + 1 < low, is the same in both, and nothing
+        else is taken.
         """
-        frontier = len(base._basis_cache)
-        k = len(base.relations)
-        shift = self._degree_shift
         if (
             self._basis_cache
-            or self.generators != base.generators
-            or self.sq1_on_generators != base.sq1_on_generators
-            or self.relations[:k] != base.relations
-            or any(self._packed(min(r)) >> shift < frontier for r in self.relations[k:])
+            or self.generators != other.generators
+            or self.sq1_on_generators != other.sq1_on_generators
         ):
             return False
-        # base has reduced its relations below the frontier, and checked Sq1
-        # on some of them (a check at d grows d + 1, so each is below it)
-        self._pending = {e: rels for e, rels in self._pending.items() if e >= frontier}
-        self._sq1_unchecked = {
-            rel: e
-            for rel, e in self._sq1_unchecked.items()
-            if e >= frontier or rel in base._sq1_unchecked
-        }
-        self._groebner = base._groebner.copy()
-        self._leads = base._leads.copy()
-        self._pairs = {e: pairs.copy() for e, pairs in base._pairs.items()}
-        self._coords_memo = base._coords_memo.copy()
-        self._basis_cache = base._basis_cache.copy()
-        self._position = base._position.copy()
-        self._sq1_matrix_cache = base._sq1_matrix_cache.copy()
-        self._rank_cache = base._rank_cache.copy()
+        shift = self._degree_shift
+        relations = self.relations + other.relations
+        low = min([len(other._basis_cache), *(self._packed(min(r)) >> shift for r in relations)])
+        for d in range(low):
+            basis = self._basis_cache[d] = other._basis_cache[d]
+            self._position.update(zip(basis, range(len(basis))))
+        for mine, theirs in (
+            (self._sq1_matrix_cache, other._sq1_matrix_cache),
+            (self._rank_cache, other._rank_cache),
+        ):
+            mine.update((key, v) for key, v in theirs.items() if key[0] + 1 < low)
         return True
 
     def _basis(self, d: int) -> list[int]:
@@ -709,51 +698,36 @@ class SplitRing:
         return r.sq1_square_is_zero(d) and r.sq1_square_is_zero(d - 1, _X1)
 
 
-_rings: dict[tuple[str, int], PresentedF2Algebra | SplitRing] = {}  # (kind, m) -> ring
-_bases: dict[str, PresentedF2Algebra] = {}  # kind -> classifying-space ring
+# kind -> (m, engine ring, the ring config_mod2_ring returns)
+_rings: dict[str, tuple[int, PresentedF2Algebra, PresentedF2Algebra | SplitRing]] = {}
 
 
 def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra | SplitRing:
     """Shared mod-2 ring for the 'F' (ordered) or 'B' (unordered, as a
-    SplitRing) space; the cache holds one m's pair, as run_suites runs all
-    suites m by m, and config_mod2_ring.cache_clear() empties it.
+    SplitRing) space.  The cache holds the last ring of each kind (one
+    m's pair, as run_suites runs all suites m by m), and
+    config_mod2_ring.cache_clear() empties it.
 
-    Every relation after the classifying-space ring's own has degree at
-    least m, so below degree m the ring (R for B) is that one.  One base
-    ring per kind keeps those degrees, grown and swept by the ranks of each
-    differential through m - 1, and each new ring starts from it (see
-    _start_from); the base is built anew when a smaller m than its frontier
-    is asked for.
+    Below degree m, every configuration ring (R for B) is the free ring,
+    so a new ring starts from the last ring of its kind (see _start_from)
+    and a range of m grows and sweeps those degrees once.
     """
-    ring = _rings.get((kind, m))
-    if ring is None:
-        if kind == "B":
-            ring, presentation, twists = grassmannian_ring(m), _ORTHOGONAL, (None, _X1)
-        elif kind == "F":
-            ring, presentation, twists = ordered_config_ring(m), _TWO_VARIABLE, (None,)
-        else:
-            raise ValueError(f"unknown space kind {kind!r}")
-        base = _bases.get(kind)
-        if base is None or len(base._basis_cache) > m:
-            base = _bases[kind] = PresentedF2Algebra(*presentation)
-        for d in range(m - 1):
-            for twist in twists:
-                base.sq1_homology_rank(d, twist)
-        ring._start_from(base)
-        if kind == "B":
-            ring = SplitRing(ring)
-        if any(held != m for _, held in _rings):
-            _rings.clear()
-        _rings[kind, m] = ring
-    return ring
+    held = _rings.get(kind)
+    if held is not None and held[0] == m:
+        return held[2]
+    if kind == "B":
+        ring = grassmannian_ring(m)
+    elif kind == "F":
+        ring = ordered_config_ring(m)
+    else:
+        raise ValueError(f"unknown space kind {kind!r}")
+    if held is not None:
+        ring._start_from(held[1])
+    _rings[kind] = m, ring, SplitRing(ring) if kind == "B" else ring
+    return _rings[kind][2]
 
 
-def _cache_clear() -> None:
-    _rings.clear()
-    _bases.clear()
-
-
-config_mod2_ring.cache_clear = _cache_clear
+config_mod2_ring.cache_clear = _rings.clear
 
 
 def split_sq1_homology(m: int, d: int) -> tuple[int, int]:

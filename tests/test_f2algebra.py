@@ -853,8 +853,7 @@ def assert_split_equals_the_three_generator_ring(m):
 
 def test_rings_live_for_one_m(monkeypatch):
     # run_suites goes m by m, so each of the B and F rings of m = 2..12 is
-    # built once (22 builds) and at most one m's pair is kept alive, besides
-    # at most one base ring per kind.
+    # built once (22 builds) and at most one m's pair is kept alive.
     built = []
     for name in ("grassmannian_ring", "ordered_config_ring"):
 
@@ -864,25 +863,48 @@ def test_rings_live_for_one_m(monkeypatch):
             return ring
 
         monkeypatch.setattr(f2algebra, name, counted)
-    bases = []
-    start_from = PresentedF2Algebra._start_from
-
-    def recorded(self, base):
-        bases.append(weakref.ref(base))
-        return start_from(self, base)
-
-    monkeypatch.setattr(PresentedF2Algebra, "_start_from", recorded)
     config_mod2_ring.cache_clear()
     suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
     gc.collect()
     assert len(built) == 22
     assert sum(ref() is not None for ref in built) <= 2
-    live = {id(base): base.generators for base in (ref() for ref in bases) if base}
-    assert len(live) == len(set(live.values())) <= 2
+
+
+@pytest.mark.parametrize("m", [2, 7, 12])
+def test_one_m_builds_two_rings(monkeypatch, m):
+    # Every suite at one m reads the same B and F rings, and nothing else
+    # builds a ring.
+    built = []
+    init = PresentedF2Algebra.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PresentedF2Algebra, "__init__", counted)
+    config_mod2_ring.cache_clear()
+    suites.run_suites(list(suites.SUITE_NAMES), [m])
+    config_mod2_ring.cache_clear()
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("a", [0, 1, 3, 7])
+def test_split_check_sweeps_no_low_degree(a):
+    # A split check alone reads the ranks at degree m + 1 of R and m of the
+    # twisted complex: no matrix or rank out of a degree below m - 1 is
+    # cached.
+    m = 4 * a + 3
+    config_mod2_ring.cache_clear()
+    report = bockstein.sq1_split_check(a)
+    assert report.checks and all(c.passed for c in report.checks)
+    ring = config_mod2_ring("B", m).grassmannian
+    for cache in (ring._sq1_matrix_cache, ring._rank_cache):
+        assert min(d for d, _ in cache) == m - 1
+    config_mod2_ring.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# Rings started from a base ring
+# Rings started from another ring
 # ---------------------------------------------------------------------------
 
 
@@ -919,25 +941,26 @@ def swept_fresh(kind, m):
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_shared_rings_equal_fresh_ones(order):
-    # Each ring of config_mod2_ring starts from its kind's base, swept
-    # through degree m - 1 and built anew for a smaller m, and ends as a
-    # fresh ring does.
+    # Each ring of config_mod2_ring holds the last swept ring's bases below
+    # the lower of their two m, where both are free, and ends as a fresh
+    # ring does.
     ms = list(range(1, 41))
     if order == "descending":
         ms.reverse()
     elif order == "shuffled":
         random.Random(0).shuffle(ms)
     config_mod2_ring.cache_clear()
+    last = {}
     for m in ms:
-        frontier = m if m >= 2 else 0  # m = 1 sweeps no Sq1 rank
         for kind in "BF":
             ring = engine_ring("R" if kind == "B" else kind, m)
-            base = f2algebra._bases[kind]
-            assert len(base._basis_cache) == frontier
-            if frontier:
-                assert ring._basis_cache[m - 1] is base._basis_cache[m - 1]
             assert swept(ring, kind, m) == swept_fresh(kind, m), (kind, m)
-            assert len(base._basis_cache) == frontier  # the sweep left base alone
+            if kind in last:
+                before, other = last[kind]
+                low = min(m, before)
+                assert all(ring._basis_cache[d] is other._basis_cache[d] for d in range(low))
+                assert ring._basis_cache[low] is not other._basis_cache[low]
+            last[kind] = m, ring
     config_mod2_ring.cache_clear()
 
 
@@ -949,44 +972,55 @@ def sq1_matrix_or_error(ring, d):
 
 
 @st.composite
-def extended_presentations(draw):
-    """A presentation with Sq1 as in random_sq1_presentations, a frontier
-    0..6, and 0-3 further random relations of degree at least the frontier."""
+def two_quotients(draw):
+    """A presentation with Sq1 as in random_sq1_presentations, two lists of
+    0-3 further random relations of degree 1..6, and a degree 0..8 that the
+    first quotient is grown to."""
     degrees, relations, sq1 = draw(random_sq1_presentations())
-    frontier = draw(st.integers(0, 6))
-    further = []
-    for _ in range(draw(st.integers(0, 3))):
-        high = [d for d in range(max(frontier, 1), frontier + 3) if free_monomials(degrees, d)]
-        monos = free_monomials(degrees, draw(st.sampled_from(high)))
-        further.append(frozenset(draw(st.sets(st.sampled_from(monos), min_size=1))))
-    return degrees, relations, sq1, frontier, further
+
+    def further():
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            d = draw(st.sampled_from([d for d in range(1, 7) if free_monomials(degrees, d)]))
+            monos = free_monomials(degrees, d)
+            out.append(frozenset(draw(st.sets(st.sampled_from(monos), min_size=1))))
+        return out
+
+    return degrees, relations, sq1, further(), further(), draw(st.integers(0, 8))
 
 
-@given(extended_presentations())
-@example(  # base's pair (x^2y, yz^3) waits in degree 6, where x^2z^3 adds one
+@given(two_quotients())
+@example(  # the donor holds a pair (x^2y, yz^3) in degree 6; the ring takes degrees 0..2
     (
         [1, 1, 1],
         [frozenset({(2, 1, 0)}), frozenset({(0, 1, 3)})],
         {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 0, 2)})},
-        5,
+        [],
         [frozenset({(2, 0, 3)})],
+        5,
     )
 )
 @settings(max_examples=200, deadline=None)
 def test_started_ring_on_random_presentations(case):
-    # A base grown below its frontier, with the Sq1 matrices below that
-    # taken until one raises, hands its state to the ring with further
-    # relations; that ring then grows and checks Sq1 as a fresh one does,
-    degrees, relations, sq1, frontier, further = case
+    # A quotient grown part way, with its Sq1 matrices taken until one
+    # raises, starts another quotient of the same presentation; that one
+    # then grows and checks Sq1 as a fresh one does, and the donor is left
+    # as it was.
+    degrees, relations, sq1, donor_further, further, depth = case
     generators = [(f"g{i}", g) for i, g in enumerate(degrees)]
-    base = PresentedF2Algebra(generators, relations, sq1)
-    base._grow(frontier - 1)
-    for d in range(frontier - 1):
-        if isinstance(sq1_matrix_or_error(base, d), str):
-            break
+
+    def donor():
+        ring = PresentedF2Algebra(generators, relations + donor_further, sq1)
+        ring._grow(depth)
+        for d in range(depth):
+            if isinstance(sq1_matrix_or_error(ring, d), str):
+                break
+        return ring
+
+    other, twin = donor(), donor()
     ring = PresentedF2Algebra(generators, relations + further, sq1)
     fresh = PresentedF2Algebra(generators, relations + further, sq1)
-    assert ring._start_from(base)
+    assert ring._start_from(other)
     for d in range(8):
         assert sq1_matrix_or_error(ring, d) == sq1_matrix_or_error(fresh, d), d
     for e in range(10):
@@ -994,12 +1028,7 @@ def test_started_ring_on_random_presentations(case):
     assert list(ring._groebner.items()) == list(fresh._groebner.items())
     assert ring._pairs == fresh._pairs
     assert list(ring._sq1_unchecked.items()) == list(fresh._sq1_unchecked.items())
-    # and leaves its base to grow on as a ring of base's presentation does
-    assert len(base._basis_cache) == frontier
-    alone = PresentedF2Algebra(generators, relations, sq1)
-    for e in range(10):
-        assert base.degree_basis(e) == alone.degree_basis(e), e
-    assert list(base._groebner.items()) == list(alone._groebner.items())
+    assert other.__dict__ == twin.__dict__
 
 
 def dihedral_with(relations, sq1=None):
@@ -1034,34 +1063,66 @@ W8 = unordered_config_ring(8).relations[1:]  # w_8 and w_9
             ),
             id="other-sq1",
         ),
-        pytest.param(
-            lambda: dihedral_with([frozenset({(2, 0, 0), (0, 2, 0)}), *W8]),
-            id="base-relations-not-a-prefix",
-        ),
-        pytest.param(lambda: unordered_config_ring(3), id="relation-below-the-frontier"),
     ],
 )
 def test_start_from_refuses(make):
     # Against the dihedral ring swept through degree 5 (frontier 6), each
     # ring stays as it is and grows as a fresh one does.
-    base = dihedral_mod2_ring()
-    for d in range(5):
-        base.sq1_homology_rank(d)
     ring, fresh = make(), make()
     state = ring.__dict__.copy()
-    assert not ring._start_from(base)
+    assert not ring._start_from(swept_dihedral())
     assert ring.__dict__ == state
+    assert_grows_as_fresh(ring, fresh)
+
+
+def swept_dihedral():
+    """The dihedral ring with Sq1 ranks through degree 4: frontier 6."""
+    ring = dihedral_mod2_ring()
+    for d in range(5):
+        ring.sq1_homology_rank(d)
+    return ring
+
+
+def assert_grows_as_fresh(ring, fresh):
     for d in range(12):
         assert ring.degree_basis(d) == fresh.degree_basis(d), d
         assert sq1_matrix_or_error(ring, d) == sq1_matrix_or_error(fresh, d), d
     assert list(ring._groebner.items()) == list(fresh._groebner.items())
+    assert ring._position == fresh._position
 
 
-def test_cache_clear_empties_the_bases():
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: dihedral_with([frozenset({(2, 0, 0), (0, 2, 0)}), *W8]),
+            id="other-relation-in-degree-2",
+        ),
+        pytest.param(lambda: unordered_config_ring(3), id="relation-below-the-frontier"),
+        pytest.param(lambda: unordered_config_ring(8), id="relations-above-the-frontier"),
+    ],
+)
+def test_started_ring_takes_the_free_degrees(make):
+    # The dihedral ring's relation x^2 + x*x1 has degree 2, so from it any
+    # ring takes the bases of degrees 0 and 1 and the Sq1 matrix and rank
+    # out of degree 0, and nothing else, then grows as a fresh one does.
+    other = swept_dihedral()
+    ring, fresh = make(), make()
+    assert ring._start_from(other)
+    assert list(ring._basis_cache) == [0, 1]
+    assert all(ring._basis_cache[d] is other._basis_cache[d] for d in (0, 1))
+    assert set(ring._sq1_matrix_cache) == set(ring._rank_cache) == {(0, None)}
+    assert ring._sq1_matrix_cache[0, None] is other._sq1_matrix_cache[0, None]
+    assert not ring._groebner and not ring._leads and not ring._pairs and not ring._coords_memo
+    assert ring._pending == fresh._pending
+    assert ring._sq1_unchecked == fresh._sq1_unchecked
+    assert_grows_as_fresh(ring, fresh)
+
+
+def test_cache_clear_empties_the_rings():
     config_mod2_ring.cache_clear()
     config_mod2_ring("B", 6)
     config_mod2_ring("F", 6)
-    assert set(f2algebra._rings) == {("B", 6), ("F", 6)}
-    assert set(f2algebra._bases) == {"B", "F"}
+    assert {kind: held[0] for kind, held in f2algebra._rings.items()} == {"B": 6, "F": 6}
     config_mod2_ring.cache_clear()
-    assert not f2algebra._rings and not f2algebra._bases
+    assert not f2algebra._rings

@@ -290,7 +290,8 @@ class PresentedF2Algebra:
         lcm shared with a pair of coprime leads, whose S-polynomial reduces
         to zero.  Older pairs are not revisited (criterion B): elements join
         at the growth frontier, and the configuration rings never have a
-        pair waiting then, so B would drop nothing.
+        pair waiting then (as measured over m = 2..129 for R, the
+        three-generator ring and F's ring), so B would drop nothing.
 
         The criteria run on packed exponent parts, the degree masked off:
         an lcm is a fieldwise max, two leads are coprime iff the guard bits
@@ -607,14 +608,15 @@ class PresentedF2Algebra:
 # (generators, relations, Sq1 on generators) of the classifying-space rings
 # that the configuration rings are quotients of: of the dihedral group of
 # order 8, of O(2), and of Z2 x Z2
+# (x2 is listed before x1: see grassmannian_ring)
 _DIHEDRAL = (
-    [("x", 1), ("x1", 1), ("x2", 2)],
-    [frozenset({(2, 0, 0), (1, 1, 0)})],
-    {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 1, 1)})},
+    [("x", 1), ("x2", 2), ("x1", 1)],
+    [frozenset({(2, 0, 0), (1, 0, 1)})],
+    {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 1, 1)}), 2: frozenset({(0, 0, 2)})},
 )
-_ORTHOGONAL = ([("x1", 1), ("x2", 2)], [], {0: frozenset({(2, 0)}), 1: frozenset({(1, 1)})})
+_ORTHOGONAL = ([("x2", 2), ("x1", 1)], [], {0: frozenset({(1, 1)}), 1: frozenset({(0, 2)})})
 _TWO_VARIABLE = ([("x1", 1), ("y1", 1)], [], {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})})
-_X1 = 0  # x1 in _ORTHOGONAL, the twist of the x*R summand's differential
+_X1 = 1  # x1 in _ORTHOGONAL, the twist of the x*R summand's differential
 
 
 def dihedral_mod2_ring() -> PresentedF2Algebra:
@@ -630,13 +632,22 @@ def two_variable_poly_ring() -> PresentedF2Algebra:
 
 
 def _dual_class(n: int) -> list[tuple[int, int]]:
-    """Exponents of x1, x2 in w_n = sum_{0 <= i <= n/2} C(n-i, i) x1^(n-2i) x2^i."""
-    return [(n - 2 * i, i) for i in range(n // 2 + 1) if binom_mod2(n - i, i)]
+    """Exponents of x2, x1 in w_n = sum_{0 <= i <= n/2} C(n-i, i) x1^(n-2i) x2^i."""
+    return [(i, n - 2 * i) for i in range(n // 2 + 1) if binom_mod2(n - i, i)]
 
 
 def grassmannian_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring R of the Grassmannian of 2-planes in R^(m+1):
-    F2[x1, x2] modulo the dual classes w_m and w_{m+1} (see SplitRing)."""
+    F2[x1, x2] modulo the dual classes w_m and w_{m+1} (see SplitRing).
+
+    x2 is listed before x1, so it is the higher in the monomial order.
+    Listed x1 first, R's Groebner basis is the staircase x1^(m-j) x2^j,
+    j = 0..m: m + 1 elements, each paying the pair scan and an S-pair
+    normal form (514 with x^2 + x*x1 in the three-generator ring at m =
+    512).  Listed x2 first, the same ideal has 2 to 7 elements over m =
+    2..129 and 3 at m = 256 and 512, one more each in the three-generator
+    ring; at m = 9 they are x2^4 x1, x2^5, x2^2 x1^7 and x1^15.  The
+    quotient and its Sq1-homology do not depend on the listing."""
     if m < 1:
         raise ValueError("m must be >= 1")
     generators, relations, sq1 = _ORTHOGONAL

@@ -35,6 +35,41 @@ from confcoh.f2algebra import (
 FRESH = {"B": unordered_config_ring, "F": ordered_config_ring}  # uncached builders
 
 
+def x1_first(ring):
+    """The same presentation with x1 listed before x2, as B's rings were
+    listed until x2 moved first: generators, relation exponents and Sq1
+    images permuted alike."""
+    names = [name for name, _ in ring.generators]
+    order = sorted(range(len(names)), key=lambda i: ("x", "x1", "x2").index(names[i]))
+
+    def mono(e):
+        return tuple(e[i] for i in order)
+
+    images = sorted(
+        (order.index(g), frozenset(map(mono, image)))
+        for g, image in ring.sq1_on_generators.items()
+    )
+    return PresentedF2Algebra(
+        [ring.generators[i] for i in order],
+        [frozenset(map(mono, rel)) for rel in ring.relations],
+        dict(images),
+    )
+
+
+def x1_of(ring):
+    """The index of the generator x1, the twist of x*R's differential."""
+    return [name for name, _ in ring.generators].index("x1")
+
+
+# uncached builders of B's three-generator ring as it was listed ("B", x1
+# first) and as the library lists it (x2 first), and of F's ring
+LISTINGS = {
+    "B": lambda m: x1_first(unordered_config_ring(m)),
+    "B-x2-first": unordered_config_ring,
+    "F": ordered_config_ring,
+}
+
+
 def engine_ring(kind, m):
     """The three-generator ring for 'B', and the shared engine rings that
     config_mod2_ring sweeps: the Grassmannian ring R of B for 'R', F's ring
@@ -280,7 +315,7 @@ def test_engine_against_span_oracle(kind, m):
     oracle = SpanOracle(ring)
     for d in range(2 * m + 2):
         assert tuple(ring.degree_basis(d)) == oracle.basis(d), d
-        for twist in (None, 0) if kind == "R" else (None,):
+        for twist in (None, x1_of(ring)) if kind == "R" else (None,):
             assert ring.sq1_matrix(d, twist) == oracle.sq1_matrix(d, twist), (d, twist)
             assert ring.sq1_homology_rank(d, twist) == oracle.homology(d, twist=twist), d
         if kind == "B":
@@ -380,12 +415,14 @@ def test_cold_coords_high_up_needs_no_recursion():
 
 @pytest.mark.parametrize(
     "kind, m, most, most_zero",
-    # the parent engine, with coprime leads as its only criterion, did 1059
-    # normal forms (993 zero) at B m = 64
-    [("B", 64, 67, 1), ("F", 40, 3, 1)],
+    # B's three-generator ring listed x1 first has m + 2 Groebner elements,
+    # and there the criteria still prune: with coprime leads as its only
+    # criterion, the engine did 1059 normal forms (993 zero) at m = 64.
+    # Listed x2 first, as the library has it, the ring has 4 elements.
+    [("B", 64, 67, 1), ("B-x2-first", 64, 5, 1), ("F", 40, 3, 1)],
 )
 def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
-    ring = FRESH[kind](m)
+    ring = LISTINGS[kind](m)
     forms = []
     normal_form = PresentedF2Algebra._normal_form
 
@@ -589,18 +626,18 @@ def test_sq1_terms_met_twice_cancel():
     assert ring.sq1_matrix(2)[basis2[(1, 1)]] == 0
 
 def test_sq1_parity_rule_on_unordered_ring():
-    # Sq1(x^i x1^i1 x2^i2) is zero for even i+i1+i2 and bumps the middle
-    # exponent for odd totals.
+    # Sq1(x^i x1^i1 x2^i2) is zero for even i+i1+i2 and bumps the exponent
+    # of x1 for odd totals.
     ring = unordered_config_ring(5)
     for d in range(2, 10):
         basis = ring.degree_basis(d)
         cols = ring.sq1_matrix(d)
         for mono, col in zip(basis, cols):
-            i, i1, i2 = mono
+            i, i2, i1 = mono
             if (i + i1 + i2) % 2 == 0:
                 assert col == 0, mono
             else:
-                bumped = (i, i1 + 1, i2)
+                bumped = (i, i2, i1 + 1)
                 want = ring.coords(frozenset({bumped}), d + 1)
                 assert col == want, mono
 
@@ -756,8 +793,11 @@ def test_degree_basis_is_the_callers_own():
 
 
 # sha256 of the reprs of tuple(degree_basis(d)) and of sq1_matrix(d), each
-# over d = 0..2m+1, as the exponent-tuple engine computed them before
-# monomials were packed; the span oracles above stop at m = 24.
+# over d = 0..2m+1; the span oracles above stop at m = 24.  The pins of "B"
+# and "F" are as the exponent-tuple engine computed them before monomials
+# were packed, "B" on the three-generator ring listed x1 first as it was
+# then; "B-x2-first" pins the ring as the library lists it, and
+# test_listings_have_conjugate_sq1 ties the two listings together.
 ENGINE_DIGESTS = {
     ("B", 40): (
         "60e0c49e2b90a8b7bc5c369a6ceb1c6dc34742d8ed3fbf4fdc2ca097dc57c6b0",
@@ -766,6 +806,14 @@ ENGINE_DIGESTS = {
     ("B", 64): (
         "231ab902153efdbc2734b83672abecf58216816e7fcdd365a4a2a13a23689424",
         "02697818c2db8515c7adde3f1d3bde8c7433f7e38aa3ffd9489955edbc77d270",
+    ),
+    ("B-x2-first", 40): (
+        "2105de16866ec245e77d7e89b902d77a761e2238442bc549bd26c5fd73d1a892",
+        "884a9c82f0ac1babc68142b3cb4ed85803e2253248b32a059073fcba121d8368",
+    ),
+    ("B-x2-first", 64): (
+        "f1cee9b05d35ea47f0ab3e7f403b4c1f060d5c44cd7df52464f52043ae83e33d",
+        "2c88a7b5a8e173fbb175a4608b47e916cb64ba2ec01eb1dab57dba45119e44f2",
     ),
     ("F", 40): (
         "c39da3624c84db483a762eea448dd079c9ba429a62b82090931415a101ffa1d1",
@@ -780,12 +828,79 @@ ENGINE_DIGESTS = {
 
 @pytest.mark.parametrize("kind, m", ENGINE_DIGESTS)
 def test_engine_digests_past_the_span_oracles(kind, m):
-    ring = (unordered_config_ring if kind == "B" else ordered_config_ring)(m)
+    ring = LISTINGS[kind](m)
     bases, matrices = hashlib.sha256(), hashlib.sha256()
     for d in range(2 * m + 2):
         bases.update(repr(tuple(ring.degree_basis(d))).encode())
         matrices.update(repr(ring.sq1_matrix(d)).encode())
     assert (bases.hexdigest(), matrices.hexdigest()) == ENGINE_DIGESTS[kind, m]
+
+
+def times(columns, v):
+    """The matrix of the given columns applied to the bitset v."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= columns[low.bit_length() - 1]
+        v ^= low
+    return acc
+
+
+def assert_conjugate_to_x1_first(ring, m):
+    """ring's Sq1 and Sq1 + x1 are those of x1_first(ring) up to a change of
+    basis: column j of T_d holds the coordinates, in x1_first(ring), of
+    ring's j-th basis monomial of degree d.  Each T_d has full rank, and
+    T_(d+1) M(d) = M'(d) T_d for the matrices M of ring and M' of the
+    relisting, for each differential."""
+    old = x1_first(ring)
+    order = [ring.generators.index(g) for g in old.generators]
+    change = []
+    for d in range(2 * m + 3):
+        basis = ring.degree_basis(d)
+        columns = [old.coords({tuple(mono[i] for i in order)}, d) for mono in basis]
+        assert f2algebra.f2_rank(columns) == len(columns) == old.quotient_dimension(d), d
+        change.append(columns)
+    for twist, old_twist in ((None, None), (x1_of(ring), x1_of(old))):
+        for d in range(2 * m + 2):
+            left = [times(change[d + 1], c) for c in ring.sq1_matrix(d, twist)]
+            right = [times(old.sq1_matrix(d, old_twist), c) for c in change[d]]
+            assert left == right, (d, twist)
+
+
+@pytest.mark.parametrize("m", [40, 64])
+@pytest.mark.parametrize("kind", ["R", "B"])
+def test_listings_have_conjugate_sq1(kind, m):
+    # The library lists x2 before x1; the same rings listed x1 first have
+    # other bases but conjugate Sq1 matrices, so the same Sq1-homology.
+    assert_conjugate_to_x1_first((grassmannian_ring if kind == "R" else unordered_config_ring)(m), m)
+
+
+@pytest.mark.parametrize("m", [16, 64, 128])
+def test_groebner_bases_of_b_stay_small(m):
+    # Listed x1 first, R's Groebner basis is the staircase x1^(m-j) x2^j,
+    # j = 0..m: m + 1 elements, and the three-generator ring adds x^2 +
+    # x*x1.  Listed x2 first they have 3 and 4 at these m.
+    for ring in (grassmannian_ring(m), unordered_config_ring(m)):
+        ring._grow(2 * m + 2)
+        assert len(ring._groebner) <= 5, len(ring._groebner)
+
+
+@pytest.mark.parametrize("kind", ["R", "B", "F"])
+def test_no_pair_waits_when_an_element_joins(kind):
+    # _add_to_groebner leaves out criterion B, which drops only older pairs
+    # of a higher degree than the joining element's
+    build = {"R": grassmannian_ring, **FRESH}[kind]
+    for m in range(2, 41):
+        ring = build(m)
+        add, waiting = ring._add_to_groebner, []
+
+        def checked(poly):
+            waiting.append(any(ring._pairs.values()))
+            add(poly)
+
+        ring._add_to_groebner = checked  # shadows the method for this ring only
+        ring._grow(2 * m + 2)
+        assert waiting and not any(waiting), m
 
 
 def test_sq1_homology_examples():
@@ -912,7 +1027,7 @@ def swept(ring, kind, m):
     """A configuration space's engine ring (R for B) after a full sweep of
     each differential: its bases, Groebner basis, pairs, Sq1 matrices,
     ranks and Sq1^2 checks, and B's split check for m = 3 mod 4."""
-    twists = (None, 0) if kind == "B" else (None,)
+    twists = (None, x1_of(ring)) if kind == "B" else (None,)
     ranks = [ring.sq1_homology_rank(d, t) for t in twists for d in range(2 * m + 1)]
     squares = [ring.sq1_square_is_zero(d, t) for t in twists for d in range(2 * m + 1)]
     split = None
@@ -1050,7 +1165,7 @@ W8 = unordered_config_ring(8).relations[1:]  # w_8 and w_9
         pytest.param(lambda: grown(unordered_config_ring(8)), id="ring-already-grown"),
         pytest.param(
             lambda: PresentedF2Algebra(
-                [("y", 1), ("x1", 1), ("x2", 2)],
+                [("y", 1), ("x2", 2), ("x1", 1)],
                 unordered_config_ring(8).relations,
                 unordered_config_ring(8).sq1_on_generators,
             ),
@@ -1059,7 +1174,7 @@ W8 = unordered_config_ring(8).relations[1:]  # w_8 and w_9
         pytest.param(
             lambda: dihedral_with(
                 [*dihedral_mod2_ring().relations, *W8],
-                {**dihedral_mod2_ring().sq1_on_generators, 2: frozenset({(1, 0, 1)})},
+                {**dihedral_mod2_ring().sq1_on_generators, 1: frozenset({(1, 1, 0)})},
             ),
             id="other-sq1",
         ),
@@ -1095,7 +1210,7 @@ def assert_grows_as_fresh(ring, fresh):
     "make",
     [
         pytest.param(
-            lambda: dihedral_with([frozenset({(2, 0, 0), (0, 2, 0)}), *W8]),
+            lambda: dihedral_with([frozenset({(2, 0, 0), (0, 0, 2)}), *W8]),
             id="other-relation-in-degree-2",
         ),
         pytest.param(lambda: unordered_config_ring(3), id="relation-below-the-frontier"),

@@ -36,9 +36,9 @@ FRESH = {"B": unordered_config_ring, "F": ordered_config_ring}  # uncached build
 
 
 def x1_first(ring):
-    """The same presentation with x1 listed before x2, as B's rings were
-    listed until x2 moved first: generators, relation exponents and Sq1
-    images permuted alike."""
+    """The same presentation with x1 listed before x2, the listing that the
+    older pins of B's rings were taken on: generators, relation exponents
+    and Sq1 images permuted alike."""
     names = [name for name, _ in ring.generators]
     order = sorted(range(len(names)), key=lambda i: ("x", "x1", "x2").index(names[i]))
 

@@ -9,7 +9,11 @@ reached, and the Gebauer-Moller criteria (J. Symbolic Comput. 6 (1988)
 275-286) drop those whose S-polynomial would reduce to zero.  No scan of
 the basis is needed: a monomial is non-standard iff it is a lead or one of
 its immediate divisors (one exponent lowered by one) is non-standard, and
-an immediate divisor lies in a lower degree, whose basis is complete.
+an immediate divisor lies in a lower degree, whose basis is complete.  Nor
+is a sort: the standard monomials whose first nonzero exponent is
+generator i's are generator i times the tail of a lower basis that has no
+earlier exponent, so taken generator by generator they come out
+descending, each tested once.
 A standard monomial's coordinates in the quotient basis are its own bit,
 read from its position; the memo holds only those of non-standard
 monomials, as bitsets found from lower ones: a lead has the bits of the
@@ -17,10 +21,12 @@ rest of its basis element, and any other monomial w those of h*v over the
 standard v of a non-standard immediate divisor w/h.  Polynomials are
 reduced only while a degree grows, by the same rules through the memo.  On
 top of that sits the degree-raising derivation Sq1 (squaring on degree-1
-generators, extended by the Leibniz rule).  One reader, _coords_of, turns
-packed polynomials into coordinates by XOR of those bits and bitsets; it
-gives coords, the Sq1 matrices and the check, once per relation, that Sq1
-is well defined.
+generators, extended by the Leibniz rule).  One reader, _coords_of, gives
+each packed monomial v the XOR of those bits and bitsets over v + add for
+each of some shifts (mask, add) whose mask is 0 or meets v: with Sq1's
+shifts (a parity bit, and a monomial of Sq1 g over g) it gives the Sq1
+matrices and the check, once per relation, that Sq1 is well defined, and
+with ((0, 0),) the coordinates that coords adds up.
 Its homology is the first page of the mod-2 Bockstein tower, with each
 matrix ranked once by a pivot map of bitsets.
 
@@ -59,7 +65,7 @@ from __future__ import annotations
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Sequence
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
@@ -174,7 +180,7 @@ class PresentedF2Algebra:
         )
         self._exponent_bits = sum(MAX_EXPONENT << s for s in self._shifts)
         self._guards = sum(1 << s + FIELD_BITS - 1 for s in self._shifts)
-        # (exponent field, unit) of each generator, for _step_down
+        # (exponent field, unit) of each generator
         self._steps = tuple(
             (MAX_EXPONENT << s, unit) for s, unit in zip(self._shifts, self._units)
         )
@@ -236,26 +242,6 @@ class PresentedF2Algebra:
 
     # -- Groebner basis and quotient bases ------------------------------------
 
-    def _step_down(self, w: int) -> tuple[int, int] | None:
-        """(unit of generator i, w / generator i) for the first generator i
-        whose quotient is non-standard, or None if every immediate divisor
-        of w is standard; every degree below w's must be complete."""
-        position = self._position
-        for field, unit in self._steps:
-            if w & field and (u := w - unit) not in position:
-                return unit, u
-        return None
-
-    def _lift(self, unit: int, u: int, bits: int) -> list[int]:
-        """unit times each standard monomial of u's degree set in bits."""
-        below = self._basis_cache[u >> self._degree_shift]
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(below[low.bit_length() - 1] + unit)
-            bits ^= low
-        return out
-
     def _normal_form(self, poly) -> frozenset[int]:
         """Full reduction of a polynomial of the frontier degree by the
         Groebner basis as grown so far.  The largest remaining monomial w
@@ -263,22 +249,29 @@ class PresentedF2Algebra:
         non-standard immediate divisor w/h, if it has one; else, a lead, the
         rest of its basis element; else it is standard and moves to the
         result."""
+        position, gb, cache = self._position, self._groebner, self._basis_cache
         todo = set(poly)
         out = []
         while todo:
             w = max(todo)
-            step = self._step_down(w)
-            if step is not None:
-                unit, u = step
-                todo.remove(w)
-                todo.symmetric_difference_update(
-                    self._lift(unit, u, self._mono_coords(u))
-                )
-            elif w in self._groebner:
-                todo ^= self._groebner[w]
+            for field, unit in self._steps:
+                if w & field and (u := w - unit) not in position:
+                    below = cache[u >> self._degree_shift]
+                    bits = self._mono_coords(u)
+                    todo.remove(w)
+                    lifted = []
+                    while bits:
+                        low = bits & -bits
+                        lifted.append(below[low.bit_length() - 1] + unit)
+                        bits ^= low
+                    todo.symmetric_difference_update(lifted)
+                    break
             else:
-                todo.remove(w)
-                out.append(w)
+                if w in gb:
+                    todo ^= gb[w]
+                else:
+                    todo.remove(w)
+                    out.append(w)
         return frozenset(out)
 
     def _add_to_groebner(self, poly: frozenset[int]) -> None:
@@ -343,19 +336,22 @@ class PresentedF2Algebra:
         lead), descending, each mapped to its position in that order; that
         position is their one home, since their coordinates are its bit and
         the coordinate memo keeps non-standard monomials only.
-        Standard monomials are closed under division, so each one is a
-        generator times a standard monomial of lower degree, and a monomial
-        is standard iff it is not a lead and each immediate divisor is in
-        the basis of its degree: as many as its nonzero exponents, which
-        are the guard bits set by adding MAX_EXPONENT to every field.
+        Standard monomials are closed under division, so those whose first
+        nonzero exponent is generator i's are generator i times the tail of
+        the basis g_i degrees down: its monomials with no earlier field set,
+        the smallest ones, found by bisection.  Group by group in generator
+        order, each in that tail's order, the candidates come out
+        descending, each once.  A candidate is standard iff it is not a lead
+        and, for each later generator it contains, its immediate divisor by
+        that generator is in the basis of its degree.
         """
         cache = self._basis_cache
         if d < len(cache):
             return
         if d > MAX_DEGREE:
             raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
-        gb = self._groebner
-        exponents, guards = self._exponent_bits, self._guards
+        gb, position, steps = self._groebner, self._position, self._steps
+        shift = self._degree_shift
         for e in range(len(cache), d + 1):
             for poly in self._pending.pop(e, ()):
                 poly = self._normal_form(poly)
@@ -366,26 +362,25 @@ class PresentedF2Algebra:
                 poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
                 if poly:
                     self._add_to_groebner(poly)
-            # how many immediate divisors of each candidate are standard; all
-            # are iff that is its count of nonzero fields (_support, inlined)
-            found: dict[int, int] = {}
-            for g, unit in zip(self.degrees, self._units):
-                if g <= e:
-                    for v in map(unit.__add__, cache[e - g]):
-                        found[v] = found.get(v, 0) + 1
-            if e == 0:
-                found = {0: 0}
-            basis = sorted(
-                (
-                    v
-                    for v, n in found.items()
-                    if n == (((v & exponents) + exponents) & guards).bit_count()
-                    and v not in gb
-                ),
-                reverse=True,
-            )
+            basis = [0] if e == 0 else []
+            for i, (g, unit) in enumerate(zip(self.degrees, self._units)):
+                if g > e:
+                    continue
+                below = cache[e - g]
+                limit = ((e - g) << shift) + (1 << (self._shifts[i] + FIELD_BITS))
+                lo, hi = 0, len(below)  # below[lo:] is the tail under limit
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if below[mid] < limit:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                group = [v for v in map(unit.__add__, below[lo:]) if v not in gb]
+                for field, later in steps[i + 1 :]:
+                    group = [v for v in group if not v & field or v - later in position]
+                basis += group
             cache[e] = basis
-            self._position.update(zip(basis, range(len(basis))))
+            position.update(zip(basis, range(len(basis))))
 
     def _start_from(self, other: PresentedF2Algebra) -> bool:
         """Take other's bases, and its Sq1 matrices and ranks, below degree
@@ -442,24 +437,34 @@ class PresentedF2Algebra:
             if v >> self._degree_shift != d:
                 raise ValueError(f"{mono} is not of degree {d}")
             packed.append(v)
-        (bits,) = self._coords_of([packed])
+        bits = 0
+        for c in self._coords_of(packed, ((0, 0),)):
+            bits ^= c
         return bits
 
-    def _coords_of(self, polys: Iterable[list[int]]) -> list[int]:
-        """Coordinates of each of some packed polynomials of complete
-        degrees, as bits: the XOR over its terms of a standard term's own
-        bit, else the memoised coordinates, else those _mono_coords walks."""
+    def _coords_of(
+        self, monomials: Iterable[int], shifts: Sequence[tuple[int, int]]
+    ) -> list[int]:
+        """One bitset per packed monomial v: the XOR of the coordinates of
+        v + add over each (mask, add) of shifts whose mask is 0 or meets v,
+        each in a complete degree.  Those are a standard monomial's own bit,
+        else the memoised coordinates, else those _mono_coords walks.
+
+        With _sq1_shifts it gives Sq1 of v, plus the product by a generator
+        with (0, its unit) added, and with ((0, 0),) v's own coordinates."""
         position, memo = self._position, self._coords_memo
         out = []
-        for poly in polys:
+        for v in monomials:
             bits = 0
-            for t in poly:
-                p = position.get(t)
-                if p is not None:
-                    bits ^= 1 << p
-                else:
-                    c = memo.get(t)
-                    bits ^= self._mono_coords(t) if c is None else c
+            for mask, add in shifts:
+                if v & mask or not mask:
+                    t = v + add
+                    p = position.get(t)
+                    if p is not None:
+                        bits ^= 1 << p
+                    else:
+                        c = memo.get(t)
+                        bits ^= self._mono_coords(t) if c is None else c
             out.append(bits)
         return out
 
@@ -470,11 +475,12 @@ class PresentedF2Algebra:
         the memo holds those of non-standard monomials only, as the walk
         finds them.  A lead has the coordinates of the rest of its Groebner
         basis element.  Any other non-standard w has a non-standard
-        immediate divisor w/h, found by _step_down, and has the coordinates
-        of the sum of h*v over the standard v set in those of w/h.  Every
-        monomial named on the right is smaller than w, so the walk ends; it
-        runs on an explicit stack, not by recursion, and leaves w there
-        until each part it names is known.
+        immediate divisor w/h, h the first generator whose quotient is not
+        in the basis, and has the coordinates of the sum of h*v over the
+        standard v set in those of w/h.  Every monomial named on the right
+        is smaller than w, so the walk ends; it runs on an explicit stack,
+        not by recursion, and leaves w there until each part it names is
+        known.
         """
         position = self._position
         p = position.get(mono)
@@ -484,7 +490,8 @@ class PresentedF2Algebra:
         bits = memo.get(mono)
         if bits is not None:
             return bits
-        gb = self._groebner
+        gb, steps, cache = self._groebner, self._steps, self._basis_cache
+        shift = self._degree_shift
         stack = [mono]
         while stack:
             w = stack[-1]
@@ -493,12 +500,19 @@ class PresentedF2Algebra:
                 continue
             parts = gb.get(w)  # w itself among them, skipped below
             if parts is None:
-                unit, u = self._step_down(w)
+                for field, unit in steps:
+                    if w & field and (u := w - unit) not in position:
+                        break
                 bits = memo.get(u)
                 if bits is None:
                     stack.append(u)
                     continue
-                parts = self._lift(unit, u, bits)
+                below = cache[u >> shift]
+                parts = []
+                while bits:
+                    low = bits & -bits
+                    parts.append(below[low.bit_length() - 1] + unit)
+                    bits ^= low
             bits = 0
             known = True
             for v in parts:
@@ -519,17 +533,13 @@ class PresentedF2Algebra:
 
     # -- Sq1 -----------------------------------------------------------------
 
-    def _sq1_terms(self, v: int) -> list[int]:
-        """Terms of the Leibniz expansion of Sq1 on a free packed monomial:
-        for each generator g with an odd exponent, v / g times each
-        monomial of Sq1 g.  Over F2 a term listed twice cancels."""
-        return [v + shift for bit, shift in self._sq1_shifts if v & bit]
-
     def sq1_free(self, mono: Monomial) -> list[Monomial]:
         """Terms of the Leibniz expansion of Sq1 on a free monomial, as
-        exponent tuples (see _sq1_terms); refused if one has an exponent
-        past MAX_EXPONENT."""
-        terms = self._sq1_terms(self._pack(mono))
+        exponent tuples: for each generator g with an odd exponent, mono / g
+        times each monomial of Sq1 g.  Over F2 a term listed twice cancels.
+        Refused if a term has an exponent past MAX_EXPONENT."""
+        v = self._pack(mono)
+        terms = [v + add for bit, add in self._sq1_shifts if v & bit]
         if any(t & self._guards for t in terms):
             raise ValueError(f"Sq1 {mono} has an exponent past {MAX_EXPONENT}")
         return [self._unpack(t) for t in terms]
@@ -551,21 +561,22 @@ class PresentedF2Algebra:
         self._grow(d + 1)
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
-        for rel, e in list(self._sq1_unchecked.items()):
-            if e > d:
-                continue
-            (bits,) = self._coords_of([[t for v in rel for t in self._sq1_terms(v)]])
-            if bits:
-                raise IllDefinedDerivationError(
-                    f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
-                )
-            del self._sq1_unchecked[rel]
-        terms, basis = self._sq1_terms, self._basis(d)
-        if twist is None:
-            cols = self._coords_of(map(terms, basis))
-        else:
-            unit = self._units[twist]
-            cols = self._coords_of([*terms(v), v + unit] for v in basis)
+        if self._sq1_unchecked:
+            for rel, e in list(self._sq1_unchecked.items()):
+                if e > d:
+                    continue
+                bits = 0
+                for c in self._coords_of(rel, self._sq1_shifts):
+                    bits ^= c
+                if bits:
+                    raise IllDefinedDerivationError(
+                        f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
+                    )
+                del self._sq1_unchecked[rel]
+        shifts = self._sq1_shifts
+        if twist is not None:
+            shifts = [*shifts, (0, self._units[twist])]
+        cols = self._coords_of(self._basis(d), shifts)
         self._sq1_matrix_cache[d, twist] = cols
         return cols
 

@@ -383,9 +383,22 @@ CHAIN = (
 )
 
 
+# F2[a, c, b] with c of degree 3 listed between a and b of degree 1,
+# modulo (a b^2 + c, a^3 + b^3): from degree 3 to 5 a basis joins three tail
+# groups of generators of different degrees, a times degree e - 1, then c
+# times degree e - 3, then b times degree e - 1 (in degree 4: ac, cb, b^4).
+INTERLEAVED = (
+    [1, 3, 1],
+    [frozenset({(1, 0, 2), (0, 1, 0)}), frozenset({(3, 0, 0), (0, 0, 3)})],
+    7,
+    frozenset({(0, 2, 1), (1, 2, 0), (4, 1, 0)}),
+)
+
+
 @given(random_presentations())
 @example(TRIANGLE)
 @example(CHAIN)
+@example(INTERLEAVED)
 @settings(max_examples=300, deadline=None)
 def test_engine_on_random_presentations(case):
     # The pair criteria prune by lead shapes that the configuration rings
@@ -393,7 +406,8 @@ def test_engine_on_random_presentations(case):
     # per-monomial bitsets (standard, lead tail, or a non-standard immediate
     # divisor); every free monomial is asked for, the highest degree first
     # so that each walk starts cold, with degree-2 generators and lead
-    # shapes that the configuration rings lack.
+    # shapes that the configuration rings lack.  Each basis is grown
+    # descending, with no sort.
     degrees, relations, d, poly = case
     ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
     oracle = SpanOracle(ring)
@@ -402,7 +416,26 @@ def test_engine_on_random_presentations(case):
             assert ring.coords({mono}, e) == oracle.coords({mono}, e), (e, mono)
     for e in range(9):
         assert tuple(ring.degree_basis(e)) == oracle.basis(e), e
+    for e, basis in ring._basis_cache.items():
+        assert all(a > b for a, b in zip(basis, basis[1:])), e
     assert ring.coords(poly, d) == oracle.coords(poly, d)
+
+
+@pytest.mark.parametrize("m", [17, 24])
+@pytest.mark.parametrize("kind", ["B", "R", "F"])
+def test_memo_against_span_oracle(kind, m):
+    # After a full sweep (R with both differentials, B the three-generator
+    # ring), each memoised non-standard monomial has the coordinates that
+    # the oracle's reduction of it gives.
+    ring = {"B": unordered_config_ring, "R": grassmannian_ring, "F": ordered_config_ring}[kind](m)
+    for twist in (None, x1_of(ring)) if kind == "R" else (None,):
+        for d in range(2 * m + 1):
+            ring.sq1_homology_rank(d, twist)
+    oracle = SpanOracle(ring)
+    assert ring._coords_memo
+    for v, bits in ring._coords_memo.items():
+        mono, d = ring._unpack(v), v >> ring._degree_shift
+        assert bits == oracle.coords({mono}, d), (d, mono)
 
 
 def test_cold_coords_high_up_needs_no_recursion():

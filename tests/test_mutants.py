@@ -18,13 +18,13 @@ space table branch or a classifying-space formula, or the sign of the
 dihedral action on one degree of the fibre.  An executor mutant changes
 one step of a spectral-sequence executor or the branch the duality check
 takes, and an engine mutant one step of the F2 engine's Sq1 columns,
-over its packed monomials.
+over its packed monomials, or one line of its basis growth.
 Every suite over m = 2..12 then runs, and the test pins the check
 families that fail, or the error that stops the run.
 """
 
-from functools import reduce
-from operator import xor
+import inspect
+import textwrap
 
 import pytest
 
@@ -385,26 +385,30 @@ def test_executor_mutant_is_killed(monkeypatch, name):
     assert killing_families() == killers
 
 
-def sq1_columns(ring, d, twist, keep=lambda t: True):
+def sq1_columns(ring, d, twist):
     """Sq1 columns out of degree d, with the product by the generator twist
-    added if it is given, of a ring whose degree d + 1 is grown: for each
-    packed basis monomial v, the XOR of the coordinates of the kept packed
-    terms."""
-    columns = []
-    for v in ring._basis(d):
-        terms = ring._sq1_terms(v) + ([] if twist is None else [v + ring._units[twist]])
-        columns.append(reduce(xor, map(ring._mono_coords, filter(keep, terms)), 0))
-    return columns
+    added if it is given, of a ring whose degree d + 1 is grown, read
+    through the ring's coordinate reader as it stands."""
+    shifts = ring._sq1_shifts
+    if twist is not None:
+        shifts = [*shifts, (0, ring._units[twist])]
+    return ring._coords_of(ring._basis(d), shifts)
 
 
 def sq1_drops_lead_terms(original):
-    """sq1_matrix with every term that is a Groebner lead dropped, as if
-    the coordinates of a lead lost the rest of its basis element where the
-    Sq1 columns read them."""
+    """sq1_matrix with the coordinates of every Groebner lead read as 0,
+    as if a lead lost the rest of its basis element where the Sq1 columns
+    read it: the same as dropping each lead term of a column, since the
+    right sq1_matrix has memoised every non-standard term first."""
 
     def mutant(self, d, twist=None):
         original(self, d, twist)  # grows the bases and checks Sq1 on the relations
-        return sq1_columns(self, d, twist, lambda t: t not in self._groebner)
+        memo = self._coords_memo
+        self._coords_memo = {**memo, **dict.fromkeys(self._groebner, 0)}
+        try:
+            return sq1_columns(self, d, twist)
+        finally:
+            self._coords_memo = memo
 
     return mutant
 
@@ -424,6 +428,21 @@ def sq1_parity_bit_one_high(original):
             self._sq1_shifts = right
 
     return mutant
+
+
+def recompiled(old, new):
+    """original -> the same method compiled from its source with the one
+    line fragment old replaced by new, in the engine module's globals."""
+
+    def mutate(original):
+        source = textwrap.dedent(inspect.getsource(original))
+        assert source.count(old) == 1, old
+        namespace = {}
+        code = compile(source.replace(old, new), f2algebra.__file__, "exec")
+        exec(code, vars(f2algebra), namespace)
+        return namespace[original.__name__]
+
+    return mutate
 
 
 def sq1_untwisted(original):
@@ -457,6 +476,23 @@ ENGINE_MUTANTS = {
         "sq1_matrix",
         sq1_untwisted,
         {"bockstein-page1"},
+    ),
+    # A candidate is kept without testing its immediate divisors by the
+    # later generators, so non-standard monomials join the bases and Sq1
+    # of w_m has nonzero coordinates at m = 2.
+    "growth-skips-later-divisors": (
+        "_grow",
+        recompiled("for field, later in steps[i + 1 :]:", "for field, later in ():"),
+        {"IllDefinedDerivationError"},
+    ),
+    # The tail bisection keeps a monomial equal to its limit, generator
+    # i - 1 itself when the degree below is its degree, so generator i
+    # times generator i - 1 joins the basis a second time (x2*x1 in R's
+    # degree 3).
+    "growth-tail-takes-its-limit": (
+        "_grow",
+        recompiled("if below[mid] < limit:", "if below[mid] <= limit:"),
+        {"bockstein-page1", "sq1-split"},
     ),
 }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .abelian import AbGroup2
 from .configcoh import SpaceId, cohomology, mod2_dimension
-from .f2algebra import config_mod2_ring, split_sq1_homology
+from .f2algebra import config_mod2_ring
 from .report import VerificationReport
 
 
@@ -117,7 +117,7 @@ def sq1_split_check(a: int) -> VerificationReport:
     report.add(
         f"split ranks at degree {m + 1}",
         (1, 0),
-        split_sq1_homology(m, m + 1),
+        config_mod2_ring("B", m).split_sq1_homology_rank(m + 1),
         degree=m + 1,
     )
     report.add(

@@ -5,15 +5,14 @@ homogeneous relation polynomials.  Each ring grows, one degree at a time
 and on demand, the Groebner basis of its relation ideal and the quotient
 basis of that degree: its standard monomials (divisible by no lead).
 S-pairs wait, as their lcm and the two leads, until their degree is
-reached, and the Gebauer-Moller criteria (J. Symbolic Comput. 6 (1988)
-275-286) drop those whose S-polynomial would reduce to zero.  No scan of
-the basis is needed: a monomial is non-standard iff it is a lead or one of
-its immediate divisors (one exponent lowered by one) is non-standard, and
-an immediate divisor lies in a lower degree, whose basis is complete.  Nor
-is a sort: the standard monomials whose first nonzero exponent is
-generator i's are generator i times the tail of a lower basis that has no
-earlier exponent, so taken generator by generator they come out
-descending, each tested once.
+reached; a pair of coprime leads, whose S-polynomial reduces to zero, is
+never formed.  No scan of the basis is needed: a monomial is non-standard
+iff it is a lead or one of its immediate divisors (one exponent lowered by
+one) is non-standard, and an immediate divisor lies in a lower degree,
+whose basis is complete.  Nor is a sort: the standard monomials whose
+first nonzero exponent is generator i's are generator i times the tail of
+a lower basis that has no earlier exponent, so taken generator by
+generator they come out descending, each tested once.
 A standard monomial's coordinates in the quotient basis are its own bit,
 read from its position; the memo holds only those of non-standard
 monomials, as bitsets found from lower ones: a lead has the bits of the
@@ -37,10 +36,9 @@ generator's field highest, and the weighted degree sits above them all.
 Integer order is then the order by weighted degree and then
 lexicographically, so the lead of a homogeneous polynomial is its largest
 int; bases are listed descending, reproducible run to run.  A product by a
-generator adds its packed unit and an immediate divisor subtracts it;
-divisibility is one subtraction tested against the guard bits.  The S-pair
-criteria run on these ints too: an lcm is a fieldwise max, and two leads
-are coprime iff the guard masks of their nonzero fields are disjoint.
+generator adds its packed unit and an immediate divisor subtracts it.  The
+S-pairs are formed on these ints too: an lcm is a fieldwise max, and two
+leads are coprime iff the guard masks of their nonzero fields are disjoint.
 Exponents fit up to MAX_EXPONENT, so every degree up to MAX_DEGREE can be
 grown; a presentation or monomial that does not fit, or a degree past that
 bound, is refused with ValueError rather than wrapped.  Exponent tuples
@@ -77,10 +75,6 @@ MAX_DEGREE = MAX_EXPONENT  # no exponent of a monomial exceeds its degree
 
 class IllDefinedDerivationError(ValueError):
     """Sq1 of a relation is not in the ideal: no induced derivation."""
-
-
-class NotApplicableError(ValueError):
-    """Operation not defined for these parameters."""
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -149,11 +143,6 @@ def _support(v: int, exponents: int, guards: int) -> int:
     return ((v & exponents) + exponents) & guards
 
 
-def _divides(a: int, b: int, guards: int) -> bool:
-    """Whether packed a divides packed b: no field of b - a borrows."""
-    return not (b - a) & guards
-
-
 class PresentedF2Algebra:
     def __init__(
         self,
@@ -207,8 +196,6 @@ class PresentedF2Algebra:
                     raise ValueError("Sq1 image of a generator has the wrong degree")
                 self._sq1_shifts.append((1 << self._shifts[g], v - unit))
         self._groebner: dict[int, frozenset[int]] = {}  # lead -> polynomial
-        # (lead, its exponent part, its _support) of each element, in order
-        self._leads: list[tuple[int, int, int]] = []
         # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
         # non-standard monomial -> coordinates, complete degrees only
@@ -276,48 +263,26 @@ class PresentedF2Algebra:
 
     def _add_to_groebner(self, poly: frozenset[int]) -> None:
         """Add a nonzero reduced polynomial to the Groebner basis and queue
-        its pairs, pruned by the Gebauer-Moller criteria.
+        a pair with each older element whose lead is not coprime to its
+        lead; an S-polynomial of coprime leads reduces to zero (Buchberger's
+        first criterion).
 
-        Of the new pairs, none is kept whose lcm is properly divided by
-        another new pair's lcm (M), one is kept per lcm (F), and none of an
-        lcm shared with a pair of coprime leads, whose S-polynomial reduces
-        to zero.  Older pairs are not revisited (criterion B): elements join
-        at the growth frontier, and the configuration rings never have a
-        pair waiting then (as measured over m = 2..129 for R, the
-        three-generator ring and F's ring), so B would drop nothing.
-
-        The criteria run on packed exponent parts, the degree masked off:
-        an lcm is a fieldwise max, two leads are coprime iff the guard bits
-        of their nonzero fields are disjoint, and a divisor of an lcm is a
-        smaller int, so in ascending order M meets divisors first.  Only a
-        queued lcm gets its degree.  Which pairs of one degree go first
-        does not matter: normal forms and quotient bases with respect to a
-        Groebner basis are unique.
+        The pairs are formed on packed exponent parts, the degree masked
+        off: an lcm is a fieldwise max, and two leads are coprime iff the
+        guard bits of their nonzero fields are disjoint.  Only a queued lcm
+        gets its degree.  Reducing more pairs than needed, or the pairs of
+        one degree in another order, changes nothing: normal forms and
+        quotient bases with respect to a Groebner basis are unique.
         """
         lead = max(poly)
-        exponents, guards = self._exponent_bits, self._guards
+        exponents, guards, shift = self._exponent_bits, self._guards, self._degree_shift
         e = lead & exponents
         nonzero = _support(e, exponents, guards)
-        partner: dict[int, int] = {}  # new lcm's exponents -> first older lead
-        coprime: set[int] = set()  # new lcms of a pair with coprime leads
-        for other, o, support in self._leads:
-            lcm = _packed_max(e, o, guards)
-            partner.setdefault(lcm, other)
-            if not support & nonzero:
-                coprime.add(lcm)
-        shift = self._degree_shift
-        minimal: list[int] = []  # new lcms divisible by no smaller one
-        for lcm in sorted(partner):
-            for low in minimal:
-                if _divides(low, lcm, guards):
-                    break
-            else:
-                minimal.append(lcm)
-                if lcm not in coprime:
-                    full = self._packed(self._unpack(lcm))
-                    self._pairs.setdefault(full >> shift, []).append((full, partner[lcm], lead))
+        for other in self._groebner:
+            if _support(other, exponents, guards) & nonzero:
+                lcm = self._packed(self._unpack(_packed_max(e, other & exponents, guards)))
+                self._pairs.setdefault(lcm >> shift, []).append((lcm, other, lead))
         self._groebner[lead] = poly
-        self._leads.append((lead, e, nonzero))
 
     def _grow(self, d: int) -> None:
         """Grow the Groebner basis and the quotient bases through degree d;
@@ -325,10 +290,10 @@ class PresentedF2Algebra:
 
         Homogeneous Buchberger, degree by degree: the nonzero normal forms
         of the relations and of the S-polynomials of that degree join the
-        basis.  An S-pair waits as (lcm, a, b), a and b the leads of its two
-        elements, and is pruned by the Gebauer-Moller criteria when the
-        later element joins; its S-polynomial is formed only when its
-        degree is reached.
+        basis.  When an element joins, a pair (lcm, a, b) is queued for each
+        older element whose lead is not coprime to its own, a and b the two
+        leads; the pair waits until its degree is reached, and only then is
+        its S-polynomial formed.
         A new element is reduced, so no older lead divides its lead and its
         pairs lie in higher degrees.
 
@@ -576,7 +541,7 @@ class PresentedF2Algebra:
         shifts = self._sq1_shifts
         if twist is not None:
             shifts = [*shifts, (0, self._units[twist])]
-        cols = self._coords_of(self._basis(d), shifts)
+        cols = self._coords_of(self._basis_cache[d] if d >= 0 else (), shifts)
         self._sq1_matrix_cache[d, twist] = cols
         return cols
 
@@ -588,10 +553,10 @@ class PresentedF2Algebra:
 
     def _rank_out(self, e: int, twist: int | None) -> int:
         """Rank of the matrix out of degree e, taken once per (e, twist)."""
-        if not self.quotient_dimension(e):
-            return 0
         rank = self._rank_cache.get((e, twist))
         if rank is None:
+            if not self.quotient_dimension(e):
+                return 0
             rank = self._rank_cache[e, twist] = f2_rank(self.sq1_matrix(e, twist))
         return rank
 
@@ -653,12 +618,13 @@ def grassmannian_ring(m: int) -> PresentedF2Algebra:
 
     x2 is listed before x1, so it is the higher in the monomial order.
     Listed x1 first, R's Groebner basis is the staircase x1^(m-j) x2^j,
-    j = 0..m: m + 1 elements, each paying the pair scan and an S-pair
-    normal form (514 with x^2 + x*x1 in the three-generator ring at m =
-    512).  Listed x2 first, the same ideal has 2 to 7 elements over m =
-    2..129 and 3 at m = 256 and 512, one more each in the three-generator
-    ring; at m = 9 they are x2^4 x1, x2^5, x2^2 x1^7 and x1^15.  The
-    quotient and its Sq1-homology do not depend on the listing."""
+    j = 0..m: m + 1 elements, any two but x1^m and x2^m a pair (1059
+    normal forms, 993 of them zero, through degree 2m + 1 of the
+    three-generator ring at m = 64).  Listed x2 first, the same ideal has
+    2 to 7 elements over m = 2..129 and 3 at m = 256 and 512, one more each
+    in the three-generator ring; at m = 9 they are x2^4 x1, x2^5, x2^2 x1^7
+    and x1^15.  The quotient and its Sq1-homology do not depend on the
+    listing."""
     if m < 1:
         raise ValueError("m must be >= 1")
     generators, relations, sq1 = _ORTHOGONAL
@@ -750,11 +716,3 @@ def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra | SplitRing:
 
 
 config_mod2_ring.cache_clear = _rings.clear
-
-
-def split_sq1_homology(m: int, d: int) -> tuple[int, int]:
-    """Sq1-homology ranks at degree d of the two summands R and x*R of the
-    unordered configuration ring, for m = 4a + 3."""
-    if m % 4 != 3:
-        raise NotApplicableError("splitting is used for m = 3 mod 4 only")
-    return config_mod2_ring("B", m).split_sq1_homology_rank(d)

@@ -30,7 +30,7 @@ from confcoh.configcoh import (
     mod2_dimension,
     p_star_profile,
 )
-from confcoh.f2algebra import config_mod2_ring, split_sq1_homology
+from confcoh.f2algebra import config_mod2_ring
 from confcoh.groupcoh import CoeffId, GroupId, classifying_cohomology
 from confcoh import stiefel
 
@@ -98,7 +98,7 @@ def test_criterion_04_bockstein_page_one():
             assert report.passed, report.failures()
     for a in (0, 1, 2):
         m = 4 * a + 3
-        assert split_sq1_homology(m, m + 1) == (1, 0), a
+        assert config_mod2_ring("B", m).split_sq1_homology_rank(m + 1) == (1, 0), a
         assert sq1_split_check(a).passed
     _announce(4, "Sq1-homology equals the Bockstein page-1 ranks, m <= 10")
 

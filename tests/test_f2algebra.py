@@ -19,7 +19,6 @@ from confcoh.f2algebra import (
     MAX_EXPONENT,
     F2Echelon,
     IllDefinedDerivationError,
-    NotApplicableError,
     PresentedF2Algebra,
     SplitRing,
     binom_mod2,
@@ -27,7 +26,6 @@ from confcoh.f2algebra import (
     dihedral_mod2_ring,
     grassmannian_ring,
     ordered_config_ring,
-    split_sq1_homology,
     two_variable_poly_ring,
     unordered_config_ring,
 )
@@ -362,19 +360,17 @@ def random_presentations(draw):
     return degrees, relations, d, frozenset(poly)
 
 
-# Two ideals in F2[x, y, z] where the chain criterion must keep an older
-# pair (a, b) with lcm L although the new lead divides L, because L is also
-# lcm(b, new lead); its S-polynomial is then a new element.
-# (xy, xz + y^2, yz): every pair of leads has lcm xyz, and criterion F keeps
-# only one of the two new pairs with yz.
+# Two ideals in F2[x, y, z] whose pairs share lcms, so that one degree
+# reduces several S-polynomials of one lcm, some to zero and some to a new
+# element.  (xy, xz + y^2, yz): every pair of leads has lcm xyz.
 TRIANGLE = (
     [1, 1, 1],
     [frozenset({(1, 1, 0)}), frozenset({(1, 0, 1), (0, 2, 0)}), frozenset({(0, 1, 1)})],
     3,
     frozenset({(0, 3, 0)}),
 )
-# (xy^2, xz^2 + y^3, y^2z): criterion M drops the new pair (xz^2, y^2z),
-# whose lcm xy^2z^2 is the older pair's, for (xy^2, y^2z).
+# (xy^2, xz^2 + y^3, y^2z): the new pair (xz^2, y^2z) has the lcm xy^2z^2
+# of the pair (xy^2, y^2z).
 CHAIN = (
     [1, 1, 1],
     [frozenset({(1, 2, 0)}), frozenset({(1, 0, 2), (0, 3, 0)}), frozenset({(0, 2, 1)})],
@@ -401,13 +397,13 @@ INTERLEAVED = (
 @example(INTERLEAVED)
 @settings(max_examples=300, deadline=None)
 def test_engine_on_random_presentations(case):
-    # The pair criteria prune by lead shapes that the configuration rings
-    # never produce; random ideals reach them.  Coordinates come from
-    # per-monomial bitsets (standard, lead tail, or a non-standard immediate
-    # divisor); every free monomial is asked for, the highest degree first
-    # so that each walk starts cold, with degree-2 generators and lead
-    # shapes that the configuration rings lack.  Each basis is grown
-    # descending, with no sort.
+    # Random ideals reach lead shapes and pairs that the configuration
+    # rings never produce.  Coordinates come from per-monomial bitsets
+    # (standard, lead tail, or a non-standard immediate divisor); every
+    # free monomial is asked for, the highest degree first so that each
+    # walk starts cold, with degree-2 generators and lead shapes that the
+    # configuration rings lack.  Each basis is grown descending, with no
+    # sort.
     degrees, relations, d, poly = case
     ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
     oracle = SpanOracle(ring)
@@ -449,10 +445,9 @@ def test_cold_coords_high_up_needs_no_recursion():
 @pytest.mark.parametrize(
     "kind, m, most, most_zero",
     # B's three-generator ring listed x1 first has m + 2 Groebner elements,
-    # and there the criteria still prune: with coprime leads as its only
-    # criterion, the engine did 1059 normal forms (993 zero) at m = 64.
+    # almost every two of them a pair, so most of its normal forms are zero.
     # Listed x2 first, as the library has it, the ring has 4 elements.
-    [("B", 64, 67, 1), ("B-x2-first", 64, 5, 1), ("F", 40, 3, 1)],
+    [("B", 64, 1059, 993), ("B-x2-first", 64, 5, 1), ("F", 40, 3, 1)],
 )
 def test_pair_criteria_fire(monkeypatch, kind, m, most, most_zero):
     ring = LISTINGS[kind](m)
@@ -497,38 +492,33 @@ def test_packed_pair_arithmetic_against_tuples(case):
     support = functools.partial(f2algebra._support, exponents=exponents, guards=guards)
     assert support(pa) == support(ea)
     assert (not support(ea) & support(eb)) == (not any(map(min, a, b)))
-    divides = all(map(operator.le, a, b))
-    assert f2algebra._divides(ea, eb, guards) == divides
-    assert f2algebra._divides(pa, pb, guards) == divides
 
 
-def criteria_reference(ring, older, lead):
-    """(lcms kept, lcms dropped by M) of the new pairs when lead joins the
-    older leads, as exponent tuples: criterion M drops an lcm properly
-    divided by another new one, F keeps one pair per lcm, and no pair is
-    kept of an lcm shared with a pair of coprime leads."""
+def coprime_reference(ring, older, lead):
+    """The pairs (lcm, older lead) queued when lead joins the older leads,
+    as exponent tuples, and how many older leads are coprime to it: one
+    pair for each older lead that shares a generator with lead."""
     new = ring._unpack(lead)
-    coprime = {}  # lcm -> whether some pair of it has coprime leads
+    pairs, coprime = [], 0
     for other in older:
         old = ring._unpack(other)
-        lcm = tuple(map(max, old, new))
-        coprime[lcm] = coprime.get(lcm, False) or not any(map(min, old, new))
-    dropped = {
-        lcm
-        for lcm in coprime
-        if any(low != lcm and all(map(operator.le, low, lcm)) for low in coprime)
-    }
-    return {lcm for lcm in coprime if not coprime[lcm]} - dropped, dropped
+        if any(map(min, old, new)):
+            pairs.append((tuple(map(max, old, new)), old))
+        else:
+            coprime += 1
+    return pairs, coprime
 
 
 def grow_checking_pairs(ring, d):
     """Grow ring through degree d, checking that each insertion into its
-    Groebner basis queues exactly the lcms that criteria_reference keeps;
-    returns how many lcms M dropped at each insertion."""
+    Groebner basis queues exactly the pairs that coprime_reference names,
+    with the new lead last; returns how many pairs were queued and how
+    many the coprime rule left out."""
     add = ring._add_to_groebner
-    dropped_by_m = []
+    queued = coprime = 0
 
     def checked(poly):
+        nonlocal queued, coprime
         older = list(ring._groebner)
         before = {e: len(pairs) for e, pairs in ring._pairs.items()}
         add(poly)
@@ -536,27 +526,29 @@ def grow_checking_pairs(ring, d):
         got = []
         for e, pairs in ring._pairs.items():
             for lcm, a, b in pairs[before.get(e, 0) :]:
-                assert b == lead and a in older
+                assert b == lead
                 assert lcm == ring._pack(ring._unpack(lcm)) and lcm >> ring._degree_shift == e
-                assert all(map(operator.le, ring._unpack(a), ring._unpack(lcm)))
-                got.append(ring._unpack(lcm))
-        kept, dropped = criteria_reference(ring, older, lead)
-        assert sorted(got) == sorted(kept)
-        dropped_by_m.append(len(dropped))
+                got.append((ring._unpack(lcm), ring._unpack(a)))
+        want, left_out = coprime_reference(ring, older, lead)
+        assert sorted(got) == sorted(want)
+        queued += len(want)
+        coprime += left_out
 
     ring._add_to_groebner = checked  # shadows the method for this ring only
     ring._grow(d)
-    return dropped_by_m
+    return queued, coprime
 
 
 @pytest.mark.parametrize("kind", ["B", "F"])
 def test_queued_pairs_against_tuple_criteria(kind):
-    # Criterion M drops lcms at insertions into the B rings and never finds
-    # one properly divided by another on the F rings.
-    dropped_by_m = []
+    # Both kinds leave out pairs of coprime leads.  F's two leads, x1^m
+    # and y1^(m+1), are coprime, so F queues no pair at all.
+    queued = coprime = 0
     for m in range(2, 13):
-        dropped_by_m += grow_checking_pairs(FRESH[kind](m), 2 * m + 1)
-    assert dropped_by_m and (sum(dropped_by_m) > 0) == (kind == "B")
+        pairs, left_out = grow_checking_pairs(FRESH[kind](m), 2 * m + 1)
+        queued += pairs
+        coprime += left_out
+    assert coprime and (queued > 0) == (kind == "B")
 
 
 @given(random_presentations())
@@ -564,8 +556,7 @@ def test_queued_pairs_against_tuple_criteria(kind):
 @example(CHAIN)
 @settings(max_examples=300, deadline=None)
 def test_queued_pairs_on_random_presentations(case):
-    # Random ideals reach lead shapes where a fault in the criteria changes
-    # which pairs are queued; on the configuration rings many do not.
+    # Random ideals reach lead shapes that the configuration rings do not.
     degrees, relations, _, _ = case
     ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
     grow_checking_pairs(ring, 8)
@@ -629,6 +620,25 @@ def test_sq1_sweep_ranks_each_matrix_once(monkeypatch):
     for d in range(2 * 64 + 1):
         ring.sq1_homology_rank(d)
     assert len(calls) <= 128
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_sq1_sweep_grows_at_most_three_times_per_degree(monkeypatch, kind):
+    # The rank, the matrix and the dimension of each degree ask for growth;
+    # a rank already taken, or a basis already grown, asks for none.
+    ring = FRESH[kind](20)
+    calls = []
+    grow = PresentedF2Algebra._grow
+
+    def counted(self, d):
+        calls.append(d)
+        grow(self, d)
+
+    monkeypatch.setattr(PresentedF2Algebra, "_grow", counted)
+    degrees = range(2 * 20 + 1)
+    for d in degrees:
+        ring.sq1_homology_rank(d)
+    assert len(calls) <= 3 * len(degrees), len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -908,32 +918,20 @@ def test_listings_have_conjugate_sq1(kind, m):
     assert_conjugate_to_x1_first((grassmannian_ring if kind == "R" else unordered_config_ring)(m), m)
 
 
-@pytest.mark.parametrize("m", [16, 64, 128])
-def test_groebner_bases_of_b_stay_small(m):
-    # Listed x1 first, R's Groebner basis is the staircase x1^(m-j) x2^j,
-    # j = 0..m: m + 1 elements, and the three-generator ring adds x^2 +
-    # x*x1.  Listed x2 first they have 3 and 4 at these m.
-    for ring in (grassmannian_ring(m), unordered_config_ring(m)):
-        ring._grow(2 * m + 2)
-        assert len(ring._groebner) <= 5, len(ring._groebner)
-
-
-@pytest.mark.parametrize("kind", ["R", "B", "F"])
-def test_no_pair_waits_when_an_element_joins(kind):
-    # _add_to_groebner leaves out criterion B, which drops only older pairs
-    # of a higher degree than the joining element's
+@pytest.mark.parametrize("kind, most", [("R", 7), ("B", 8), ("F", 2)])
+def test_groebner_bases_stay_small(kind, most):
+    # The pairs are pruned by the coprime rule alone, which is cheap only
+    # while the bases are small.  Listed x1 first, R's Groebner basis is
+    # the staircase x1^(m-j) x2^j, j = 0..m: m + 1 elements, and the
+    # three-generator ring adds x^2 + x*x1.  Listed x2 first, the largest
+    # bases over m = 2..129 have 7 and 8 elements; F's always has 2.
     build = {"R": grassmannian_ring, **FRESH}[kind]
-    for m in range(2, 41):
+    sizes = []
+    for m in range(2, 130):
         ring = build(m)
-        add, waiting = ring._add_to_groebner, []
-
-        def checked(poly):
-            waiting.append(any(ring._pairs.values()))
-            add(poly)
-
-        ring._add_to_groebner = checked  # shadows the method for this ring only
         ring._grow(2 * m + 2)
-        assert waiting and not any(waiting), m
+        sizes.append(len(ring._groebner))
+    assert max(sizes) == most, sizes
 
 
 def test_sq1_homology_examples():
@@ -951,14 +949,9 @@ def test_sq1_homology_examples():
 
 
 def test_split_examples():
-    assert split_sq1_homology(3, 4) == (1, 0)
-    assert split_sq1_homology(3, 0) == (1, 0)
-    assert split_sq1_homology(7, 8) == (1, 0)
-
-
-def test_split_requires_3_mod_4():
-    with pytest.raises(NotApplicableError):
-        split_sq1_homology(5, 4)
+    assert config_mod2_ring("B", 3).split_sq1_homology_rank(4) == (1, 0)
+    assert config_mod2_ring("B", 3).split_sq1_homology_rank(0) == (1, 0)
+    assert config_mod2_ring("B", 7).split_sq1_homology_rank(8) == (1, 0)
 
 
 @pytest.mark.parametrize("m", range(2, 65))
@@ -1261,7 +1254,7 @@ def test_started_ring_takes_the_free_degrees(make):
     assert all(ring._basis_cache[d] is other._basis_cache[d] for d in (0, 1))
     assert set(ring._sq1_matrix_cache) == set(ring._rank_cache) == {(0, None)}
     assert ring._sq1_matrix_cache[0, None] is other._sq1_matrix_cache[0, None]
-    assert not ring._groebner and not ring._leads and not ring._pairs and not ring._coords_memo
+    assert not ring._groebner and not ring._pairs and not ring._coords_memo
     assert ring._pending == fresh._pending
     assert ring._sq1_unchecked == fresh._sq1_unchecked
     assert_grows_as_fresh(ring, fresh)

@@ -622,11 +622,11 @@ def test_sq1_sweep_ranks_each_matrix_once(monkeypatch):
     assert len(calls) <= 128
 
 
-@pytest.mark.parametrize("kind", ["B", "F"])
+@pytest.mark.parametrize("kind", ["R", "B", "F"])
 def test_sq1_sweep_grows_at_most_three_times_per_degree(monkeypatch, kind):
     # The rank, the matrix and the dimension of each degree ask for growth;
     # a rank already taken, or a basis already grown, asks for none.
-    ring = FRESH[kind](20)
+    ring = {"R": grassmannian_ring, **FRESH}[kind](20)
     calls = []
     grow = PresentedF2Algebra._grow
 
@@ -932,6 +932,15 @@ def test_groebner_bases_stay_small(kind, most):
         ring._grow(2 * m + 2)
         sizes.append(len(ring._groebner))
     assert max(sizes) == most, sizes
+
+
+@pytest.mark.parametrize("kind, size", [("R", 3), ("B", 4), ("F", 2)])
+def test_groebner_bases_past_the_cli_bound(kind, size):
+    # The sizes CI asserts at m = 256 and 512: a listing that brings back
+    # R's staircase of m + 1 elements fails here, not only slows down.
+    ring = {"R": grassmannian_ring, **FRESH}[kind](256)
+    ring._grow(2 * 256 + 2)
+    assert len(ring._groebner) == size
 
 
 def test_sq1_homology_examples():

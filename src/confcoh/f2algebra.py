@@ -42,8 +42,8 @@ leads are coprime iff the guard masks of their nonzero fields are disjoint.
 Exponents fit up to MAX_EXPONENT, so every degree up to MAX_DEGREE can be
 grown; a presentation or monomial that does not fit, or a degree past that
 bound, is refused with ValueError rather than wrapped.  Exponent tuples
-appear only at the public boundary: the presentations, degree_basis, coords
-and sq1_free.
+appear only at the public boundary: the presentations, degree_basis and
+coords.
 
 The unordered space's ring is swept as R + x*R.  H*(BD8) = F2[x, x1, x2]/
 (x^2 + x*x1) is H*(BO(2)) + x*H*(BO(2)), H*(BO(2)) = F2[x1, x2], and w_m,
@@ -497,17 +497,6 @@ class PresentedF2Algebra:
         return memo[mono]
 
     # -- Sq1 -----------------------------------------------------------------
-
-    def sq1_free(self, mono: Monomial) -> list[Monomial]:
-        """Terms of the Leibniz expansion of Sq1 on a free monomial, as
-        exponent tuples: for each generator g with an odd exponent, mono / g
-        times each monomial of Sq1 g.  Over F2 a term listed twice cancels.
-        Refused if a term has an exponent past MAX_EXPONENT."""
-        v = self._pack(mono)
-        terms = [v + add for bit, add in self._sq1_shifts if v & bit]
-        if any(t & self._guards for t in terms):
-            raise ValueError(f"Sq1 {mono} has an exponent past {MAX_EXPONENT}")
-        return [self._unpack(t) for t in terms]
 
     def sq1_matrix(self, d: int, twist: int | None = None) -> list[int]:
         """Matrix of Sq1 from the degree-d basis to the degree-(d+1) basis,

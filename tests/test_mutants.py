@@ -18,12 +18,14 @@ space table branch or a classifying-space formula, or the sign of the
 dihedral action on one degree of the fibre.  An executor mutant changes
 one step of a spectral-sequence executor or the branch the duality check
 takes, and an engine mutant one step of the F2 engine's Sq1 columns,
-over its packed monomials, or one line of its basis growth.
+over its packed monomials, one line of its basis growth, or one entry of
+its Sq1 shift table.
 Every suite over m = 2..12 then runs, and the test pins the check
 families that fail, or the error that stops the run.
 """
 
 import inspect
+import sys
 import textwrap
 
 import pytest
@@ -31,7 +33,7 @@ import pytest
 from confcoh import cartan_leray, configcoh, f2algebra, groupcoh, stiefel, suites
 from confcoh.abelian import ZERO, AbGroup2
 from confcoh.f2algebra import IllDefinedDerivationError, PresentedF2Algebra
-from test_f2algebra import assert_split_equals_the_three_generator_ring
+from test_f2algebra import SpanOracle, assert_split_equals_the_three_generator_ring
 
 
 def drop_term(rel, term=min):
@@ -312,6 +314,23 @@ def test_closed_form_mutant_is_killed(monkeypatch, name):
     assert killing_families() == killers
 
 
+def recompiled(old, new):
+    """original -> the same function or method compiled from its source
+    with the one line fragment old replaced by new, in the globals of the
+    module that defines it."""
+
+    def mutate(original):
+        module = sys.modules[original.__module__]
+        source = textwrap.dedent(inspect.getsource(original))
+        assert source.count(old) == 1, old
+        namespace = {}
+        code = compile(source.replace(old, new), module.__file__, "exec")
+        exec(code, vars(module), namespace)
+        return namespace[original.__name__]
+
+    return mutate
+
+
 # name -> (module, function, original -> mutated function, what kills it)
 EXECUTOR_MUTANTS = {
     "image-ignores-page-m+1-source": (
@@ -350,7 +369,7 @@ EXECUTOR_MUTANTS = {
         {"clss-3mod4-fragment"},
     ),
     # Each m = 3 option is its own family by construction, so the next
-    # two are killed by one family only.
+    # four are killed by one family only.
     "m3-A-loses-fibre-class": (  # (0, 3) does not survive option A
         cartan_leray,
         "_run_m3_option_a",
@@ -365,6 +384,18 @@ EXECUTOR_MUTANTS = {
         lambda original: lambda page, t: (
             original(page, t)[0] + 1, original(page, t)[1]
         ),
+        {"clss-m3-B"},
+    ),
+    "m3-A-page-3-differential-zero": (  # the twisted lines hit nothing
+        cartan_leray,
+        "_run_m3_option_a",
+        recompiled("new[p + 3, q - 2] = coker", "new[p + 3, q - 2] = target"),
+        {"clss-m3-A"},
+    ),
+    "m3-B-drops-(2,2)-to-(5,0)": (  # only (1, 2) -> (4, 0) acts
+        cartan_leray,
+        "_run_m3_option_b",
+        recompiled("for p in (1, 2):", "for p in (1,):"),
         {"clss-m3-B"},
     ),
     # Killed by one family only: twisted_cohomology reads the same branch,
@@ -430,21 +461,6 @@ def sq1_parity_bit_one_high(original):
     return mutant
 
 
-def recompiled(old, new):
-    """original -> the same method compiled from its source with the one
-    line fragment old replaced by new, in the engine module's globals."""
-
-    def mutate(original):
-        source = textwrap.dedent(inspect.getsource(original))
-        assert source.count(old) == 1, old
-        namespace = {}
-        code = compile(source.replace(old, new), f2algebra.__file__, "exec")
-        exec(code, vars(f2algebra), namespace)
-        return namespace[original.__name__]
-
-    return mutate
-
-
 def sq1_untwisted(original):
     """sq1_matrix with the twist ignored: the x*R summand's differential
     without its x1 term."""
@@ -494,6 +510,16 @@ ENGINE_MUTANTS = {
         recompiled("if below[mid] < limit:", "if below[mid] <= limit:"),
         {"bockstein-page1", "sq1-split"},
     ),
+    # Killed by one family only.  The first generator's Sq1 shift reads
+    # the last generator's unit, so F's Sq1 x1 becomes x1*y1, while R's
+    # table (Sq1 x2 = x2*x1) is unchanged, and so is the three-generator
+    # ring's (Sq1 x = x*x1, which is x^2 in its quotient).  The span oracle
+    # kills it too (test_span_oracle_rejects_the_shift_table_mutant).
+    "shift-table-Sq1-x1=x1*y1-on-F": (
+        "__init__",
+        recompiled("v - unit))", "v - unit if g else self._units[-1]))"),
+        {"bockstein-page1"},
+    ),
 }
 
 
@@ -528,3 +554,17 @@ def test_untwisted_split_fails_the_reference(monkeypatch):
 
 def test_lead_mutant_fails_the_reference(monkeypatch):
     assert reference_rejects(monkeypatch, "lead-bitset-drops-tail")
+
+
+def test_span_oracle_rejects_the_shift_table_mutant(monkeypatch):
+    # The oracle expands Sq1 from the declared images, not from the
+    # engine's shift table, so it sees F's Sq1 x1 read as x1*y1.
+    method, mutate, _ = ENGINE_MUTANTS["shift-table-Sq1-x1=x1*y1-on-F"]
+    monkeypatch.setattr(
+        PresentedF2Algebra, method, mutate(getattr(PresentedF2Algebra, method))
+    )
+    m = 5
+    ring = f2algebra.ordered_config_ring(m)
+    oracle = SpanOracle(ring)
+    wrong = [d for d in range(2 * m + 1) if ring.sq1_matrix(d) != oracle.sq1_matrix(d)]
+    assert wrong == list(range(1, 2 * m - 1))

@@ -273,22 +273,21 @@ class AbGroup2(Value, fields="free_rank torsion"):
         return AbGroup2._of_counts(self.free_rank, counts)
 
     def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        if self.torsion:
-            ones = dict(self.torsion).get(1, 0)
-            rest = self.torsion[1:] if ones else self.torsion
-            if not rest:
-                parts.append(f"<{ones}>")
-            elif rest == ((2, 1),):
-                parts.append(f"{{{ones}}}")
-            else:
-                for e, k in self.torsion:
-                    parts += [f"Z{2**e}"] * k
-        return " + ".join(parts) if parts else "0"
+        """The free part (Z or Z^r), then <k>, {k} ({0} is a lone Z/4) or, for
+        any other torsion, one Zn per summand, joined by " + "; 0 if trivial."""
+        free, torsion = self
+        head = "Z" if free == 1 else f"Z^{free}" if free else ""
+        if not torsion:
+            return head or "0"
+        ones = torsion[0][1] if torsion[0][0] == 1 else 0
+        rest = torsion[1:] if ones else torsion
+        if not rest:
+            tail = f"<{ones}>"
+        elif rest == ((2, 1),):
+            tail = f"{{{ones}}}"
+        else:
+            tail = " + ".join(chain.from_iterable(repeat(f"Z{1 << e}", k) for e, k in torsion))
+        return f"{head} + {tail}" if head else tail
 
 
 ZERO = AbGroup2()
@@ -429,7 +428,8 @@ class GradedGroups(Value, fields="support_bound groups"):
         support_bound: int,
         groups: Mapping[int, AbGroup2] | Iterable[tuple[int, AbGroup2]] = (),
     ) -> "GradedGroups":
-        cleaned = {d: g for d, g in sorted(dict(groups).items()) if not g.is_trivial}
+        groups = dict(groups)
+        cleaned = {d: g for d in sorted(groups) if (g := groups[d]).free_rank or g.torsion}
         for d in cleaned:
             if d < 0 or d > support_bound:
                 raise ValueError(f"degree {d} outside [0, {support_bound}]")
@@ -447,18 +447,23 @@ def uct_homology(coh: GradedGroups) -> GradedGroups:
 
     H_i has the free rank of H^i and the torsion of H^(i+1).
     """
-    out = {}
-    for i in range(coh.support_bound + 1):
-        out[i] = coh.group(i).free_part() + coh.group(i + 1).torsion_part()
-    return GradedGroups(coh.support_bound, out)
+    get = coh.groups.get
+    return GradedGroups(
+        coh.support_bound,
+        {
+            i: AbGroup2._of(get(i, ZERO).free_rank, get(i + 1, ZERO).torsion)
+            for i in range(coh.support_bound + 1)
+        },
+    )
 
 
 def uct_cohomology(hom: GradedGroups) -> GradedGroups:
     """Inverse of uct_homology: H^i gets free(H_i) and torsion(H_(i-1))."""
-    out = {}
-    for i in range(hom.support_bound + 1):
-        g = hom.group(i).free_part()
-        if i >= 1:
-            g = g + hom.group(i - 1).torsion_part()
-        out[i] = g
-    return GradedGroups(hom.support_bound, out)
+    get = hom.groups.get
+    return GradedGroups(
+        hom.support_bound,
+        {
+            i: AbGroup2._of(get(i, ZERO).free_rank, get(i - 1, ZERO).torsion)
+            for i in range(hom.support_bound + 1)
+        },
+    )

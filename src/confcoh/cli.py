@@ -20,7 +20,7 @@ import sys
 from _json import encode_basestring_ascii as _text  # json.dumps of a str
 
 from . import configcoh, suites
-from .abelian import AbGroup2, GradedGroups
+from .abelian import ZERO, AbGroup2, GradedGroups
 from .configcoh import SpaceId
 from .report import VerificationReport
 
@@ -35,10 +35,11 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it
 # check at a time), and takes 1.7-2.8 s (median 2.2 s of 11 runs) on a
 # shared x86-64 host with CPython 3.11.  Over 2..96 one run of the suites
 # on that host took 3.2 s and 50 MiB.  groups writes one row at a time, so
-# its peak RSS is about 22 MiB at m = 8192, where its largest output, json F2
-# (740 MB), goes to /dev/null in about 0.3 s (csv F2: 0.25 s).  The output,
-# O(m^2), not the time, sets that bound: a caller that captures it in
-# memory holds all 740 MB.
+# at m = 8192 its peak RSS is about 20 MiB (22 MiB with --homology).  There
+# its largest output, json F2 (740 MB), goes to /dev/null in 0.29-0.32 s;
+# csv F2 (134 MB), csv twisted (67 MB) and the homology table take
+# 0.14-0.22 s.  The output, O(m^2), not the time, sets that bound: a
+# caller that captures it in memory holds all 740 MB.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
@@ -64,14 +65,13 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
     if coefficients == "Z":
         return configcoh.cohomology_table(s)
     if coefficients == "twisted":
-        return GradedGroups(
-            s.support_bound,
-            {j: configcoh.twisted_cohomology(s, j) for j in range(s.support_bound + 1)},
-        )
+        return configcoh.twisted_cohomology_table(s)
+    # <k> for the mod-2 Betti number k, which is positive through the support
+    # bound, so the one pair (1, k) is already the canonical torsion
     return GradedGroups(
         s.support_bound,
         {
-            i: AbGroup2.elementary(configcoh.mod2_dimension(s, i))
+            i: AbGroup2._of(0, ((1, configcoh.mod2_dimension(s, i)),))
             for i in range(s.support_bound + 1)
         },
     )
@@ -89,7 +89,8 @@ def _render_groups(
 ) -> Iterator[str]:
     """The table's text, without its final newline, in pieces of one row
     each, so that writing it holds one row in memory, not the table."""
-    rows = ((i, table.group(i)) for i in range(table.support_bound + 1))
+    get = table.groups.get
+    rows = ((i, get(i, ZERO)) for i in range(table.support_bound + 1))
     if fmt == "json":
         # The fixed envelope of json.dumps(..., indent=2), written by hand;
         # a table always has rows, so "groups" is never the empty list.

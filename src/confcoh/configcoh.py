@@ -19,6 +19,10 @@ from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
 from . import stiefel
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
 
 class DegreeOutOfRangeError(ValueError):
     pass
@@ -145,20 +149,45 @@ def is_orientable(s: SpaceId) -> bool:
     )
 
 
+def _twisted_dual(m: int, j: int, h: Callable[[int], AbGroup2]) -> AbGroup2:
+    """Twisted H^j of a non-orientable space, from its integral groups h(i):
+    Poincare duality against the (2m-1)-manifold gives the free rank of
+    H^(2m-1-j), and the torsion linking pairing the torsion of H^(2m-j)."""
+    return AbGroup2._of(h(2 * m - 1 - j).free_rank, h(2 * m - j).torsion)
+
+
 def twisted_cohomology(s: SpaceId, j: int) -> AbGroup2:
     """H^j with coefficients twisted by the orientation character.
 
-    Orientable case: the twist is trivial.  Non-orientable case: Poincare
-    duality against the (2m-1)-manifold gives free part from H^(2m-1-j)
-    and, by the torsion linking pairing, torsion from H^(2m-j).
+    Orientable case: the twist is trivial.  Non-orientable case: see
+    `_twisted_dual`.
     """
     if j < 0 or j > s.support_bound:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{s.support_bound}")
     if is_orientable(s):
         return cohomology(s, j)
-    free = cohomology(s, 2 * s.m - 1 - j).free_part()
-    torsion = cohomology(s, 2 * s.m - j).torsion_part()
-    return free + torsion
+    return _twisted_dual(s.m, j, lambda i: cohomology(s, i))
+
+
+def twisted_cohomology_table(s: SpaceId) -> GradedGroups:
+    """The twisted groups in every degree, with the orientation read once.
+
+    Non-orientable case: row j reads H^(2m-1-j), then H^(2m-j), which row
+    j - 1 read first.  So each integral group is computed once and held
+    only until its second read.
+    """
+    if is_orientable(s):
+        return cohomology_table(s)
+    held = {}
+
+    def h(i: int) -> AbGroup2:
+        g = held.pop(i, None)
+        if g is None:
+            g = held[i] = cohomology(s, i)
+        return g
+
+    degrees = range(s.support_bound + 1)
+    return GradedGroups(s.support_bound, ((j, _twisted_dual(s.m, j, h)) for j in degrees))
 
 
 def duality_symmetry_check(s: SpaceId) -> VerificationReport:

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confcoh.abelian import (
@@ -232,6 +232,37 @@ def _model_str(free, exps):
         else:
             parts.extend(f"Z{2**e}" for e in exps)
     return " + ".join(parts) if parts else "0"
+
+
+def _str_frozen(g):
+    """AbGroup2.__str__ as it read before it wrote the common shapes in one
+    pass: a list of parts, and the exponent-1 count read through a dict."""
+    parts = []
+    if g.free_rank == 1:
+        parts.append("Z")
+    elif g.free_rank > 1:
+        parts.append(f"Z^{g.free_rank}")
+    if g.torsion:
+        ones = dict(g.torsion).get(1, 0)
+        rest = g.torsion[1:] if ones else g.torsion
+        if not rest:
+            parts.append(f"<{ones}>")
+        elif rest == ((2, 1),):
+            parts.append(f"{{{ones}}}")
+        else:
+            for e, k in g.torsion:
+                parts += [f"Z{2**e}"] * k
+    return " + ".join(parts) if parts else "0"
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.dictionaries(st.integers(1, 5), st.integers(0, 6)))
+@example(0, {2: 1})  # a lone Z/4: {0}
+@example(2, {1: 4, 2: 1})  # Z^2 + {4}
+@example(1, {1: 2, 2: 2, 5: 1})  # summand by summand
+def test_str_matches_the_frozen_formatting(free, multiplicities):
+    g = AbGroup2(free, [e for e, k in multiplicities.items() for _ in range(k)])
+    assert str(g) == _str_frozen(g)
 
 
 # Exponents above 2 come out of Smith normal form; 1 and 2 are the paper's.

@@ -10,12 +10,18 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confcoh import cli, groupcoh, suites
-from confcoh.abelian import AbGroup2, GradedGroups
-from confcoh.configcoh import SpaceId, cohomology
+from confcoh.abelian import AbGroup2, GradedGroups, uct_cohomology, uct_homology
+from confcoh.configcoh import (
+    SpaceId,
+    cohomology,
+    cohomology_table,
+    mod2_dimension,
+    twisted_cohomology,
+)
 from confcoh.report import VerificationReport
 
 
@@ -107,6 +113,36 @@ def test_groups_m_bound(monkeypatch, capsys, m):
     code, out, err = run_cli(capsys, "groups", "--space", "B", "--m", m)
     assert code == 2 and out == ""
     assert "m capped at 8192" in err
+
+
+def _per_degree_tables(s):
+    """(coefficients, homology) -> the table as `_table_for` built it one
+    degree at a time, through the per-degree definitions and the group
+    methods, before it built each table in one pass."""
+    degrees = range(s.support_bound + 1)
+    coh = cohomology_table(s)
+    tables = {
+        ("twisted", False): {j: twisted_cohomology(s, j) for j in degrees},
+        ("Z", True): {
+            i: coh.group(i).free_part() + coh.group(i + 1).torsion_part() for i in degrees
+        },
+        ("F2", False): {i: AbGroup2.elementary(mod2_dimension(s, i)) for i in degrees},
+    }
+    return {key: GradedGroups(s.support_bound, groups) for key, groups in tables.items()}
+
+
+# Odd m is non-orientable, even m orientable, for both spaces; m = 8192 is
+# the CLI's bound.
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.integers(1, 3000), st.sampled_from((8191, 8192))), st.sampled_from("BF"))
+@example(8191, "B")
+@example(8192, "F")
+def test_one_pass_tables_match_the_per_degree_definitions(m, kind):
+    s = SpaceId(kind, m)
+    for (coefficients, homology), want in _per_degree_tables(s).items():
+        assert cli._table_for(s, coefficients, homology) == want, (coefficients, homology)
+    table = cli._table_for(s, "Z", False)
+    assert uct_cohomology(uct_homology(table)) == table
 
 
 GROUP_MODES = {

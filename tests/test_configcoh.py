@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confcoh import configcoh
-from confcoh.abelian import AbGroup2, Z, ZERO
+from confcoh import cli, configcoh
+from confcoh.abelian import AbGroup2, GradedGroups, Z, ZERO
 from confcoh.configcoh import (
     DegreeOutOfRangeError,
     PStarBehavior,
@@ -263,6 +263,32 @@ def test_global_checks_build_each_group_once(kind, m, monkeypatch):
     report = global_checks(SpaceId(kind, m))
     assert report.passed, report.failures()
     assert len(calls) <= 2 * m + 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 11, 1000, 1001])
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_twisted_table_builds_each_group_once(kind, m, monkeypatch):
+    # Both are read through the module globals, so a patched is_orientable
+    # (as the duality-wrong-branch mutant is) reaches the CLI's table.
+    calls, orientations = [], []
+
+    def counted(s, i):
+        calls.append(i)
+        return cohomology(s, i)
+
+    def counted_orientation(s):
+        orientations.append(s)
+        return is_orientable(s)
+
+    monkeypatch.setattr(configcoh, "cohomology", counted)
+    monkeypatch.setattr(configcoh, "is_orientable", counted_orientation)
+    s = SpaceId(kind, m)
+    table = cli._table_for(s, "twisted", False)
+    assert len(orientations) == 1
+    assert 2 * m <= len(calls) <= 2 * m + 1 and len(set(calls)) == len(calls)
+    monkeypatch.undo()
+    degrees = range(s.support_bound + 1)
+    assert table == GradedGroups(s.support_bound, {j: twisted_cohomology(s, j) for j in degrees})
 
 
 # One space at m = 10^4 takes ~0.8 s for the three families.

@@ -24,16 +24,19 @@ Every suite over m = 2..12 then runs, and the test pins the check
 families that fail, or the error that stops the run.
 """
 
+import __future__
+import hashlib
 import inspect
 import sys
 import textwrap
 
 import pytest
 
-from confcoh import cartan_leray, configcoh, f2algebra, groupcoh, stiefel, suites
+from confcoh import cartan_leray, cli, configcoh, f2algebra, groupcoh, stiefel, suites
 from confcoh.abelian import ZERO, AbGroup2
 from confcoh.f2algebra import IllDefinedDerivationError, PresentedF2Algebra
 from test_f2algebra import SpanOracle, assert_split_equals_the_three_generator_ring
+from test_output_digests import DIGESTS
 
 
 def drop_term(rel, term=min):
@@ -324,7 +327,9 @@ def recompiled(old, new):
         source = textwrap.dedent(inspect.getsource(original))
         assert source.count(old) == 1, old
         namespace = {}
-        code = compile(source.replace(old, new), module.__file__, "exec")
+        # Annotations stay unevaluated, as in every confcoh module.
+        flags = __future__.annotations.compiler_flag
+        code = compile(source.replace(old, new), module.__file__, "exec", flags)
         exec(code, vars(module), namespace)
         return namespace[original.__name__]
 
@@ -414,6 +419,39 @@ def test_executor_mutant_is_killed(monkeypatch, name):
     module, function, mutate, killers = EXECUTOR_MUTANTS[name]
     monkeypatch.setattr(module, function, mutate(getattr(module, function)))
     assert killing_families() == killers
+
+
+# The pinned m = 7 twisted groups outputs, B and F, as table, csv and json.
+TWISTED_DIGESTS = [(argv, digest) for argv, _, digest in DIGESTS if "twisted" in argv]
+
+# Mutants of the twisted tables: (module, function, original -> mutated).
+TWISTED_MUTANTS = {
+    "duality-wrong-branch": EXECUTOR_MUTANTS["duality-wrong-branch"][:3],
+    # The twisted gap: the non-orientable branch reads the torsion of
+    # H^(2m-j+1), not of H^(2m-j).  No suite reads the twisted tables, so
+    # every family over 2..12 still passes; only the twisted digests catch it.
+    "twisted-gap-torsion-one-up": (
+        configcoh,
+        "_twisted_dual",
+        recompiled("h(2 * m - j).torsion", "h(2 * m - j + 1).torsion"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TWISTED_MUTANTS)
+def test_twisted_mutant_changes_every_twisted_digest(monkeypatch, capsys, name):
+    module, function, mutate = TWISTED_MUTANTS[name]
+    monkeypatch.setattr(module, function, mutate(getattr(module, function)))
+    assert len(TWISTED_DIGESTS) == 6
+    for argv, digest in TWISTED_DIGESTS:
+        assert cli.main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest, argv
+
+
+def test_twisted_gap_mutant_passes_every_suite(monkeypatch):
+    module, function, mutate = TWISTED_MUTANTS["twisted-gap-torsion-one-up"]
+    monkeypatch.setattr(module, function, mutate(getattr(module, function)))
+    assert killing_families() == set()
 
 
 def sq1_columns(ring, d, twist):

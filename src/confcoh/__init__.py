@@ -1,7 +1,7 @@
 """Exact cohomology of two-point configuration spaces of real projective
 spaces, with independent verification machinery."""
 
-from .abelian import AbGroup2, GradedGroups, IntMatrix, group_from_presentation, smith_normal_form
+from .abelian import AbGroup2, GradedGroups, group_from_presentation, smith_normal_form
 from .configcoh import SpaceId, cohomology, cohomology_table, homology, mod2_dimension, twisted_cohomology
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbGroup2",
     "GradedGroups",
-    "IntMatrix",
     "SpaceId",
     "CoeffId",
     "GroupId",

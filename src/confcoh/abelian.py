@@ -3,9 +3,9 @@
 Groups are kept in canonical form: a free rank plus an ascending tuple of
 (exponent e, multiplicity k) pairs, each standing for k cyclic summands
 Z/2^e, so <k> and {k} cost the same whatever k is.  Equality of
-values is equality of groups.  Integer matrices with Smith normal form give
-cokernel computations, and the universal-coefficient helpers convert whole
-cohomology tables into homology tables and back.
+values is equality of groups.  Smith normal form of integer matrices, given
+as lists of rows, gives cokernel computations, and the universal-coefficient
+helpers convert whole cohomology tables into homology tables and back.
 
 All values are immutable and all operations are pure.
 """
@@ -23,7 +23,7 @@ except ImportError:  # a plain Python reader in its place
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator, Mapping, Sequence
+    from collections.abc import Iterable, Iterator, Sequence
 
 
 class NonTwoPrimaryError(ValueError):
@@ -295,46 +295,21 @@ Z = AbGroup2(free_rank=1)
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and Smith normal form
+# Smith normal form of integer matrices
 # ---------------------------------------------------------------------------
 
 
-class IntMatrix(Value, fields="rows cols entries"):
-    """Dense integer matrix, row-major, arbitrary-precision entries."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        return tuple.__new__(cls, (rows, cols, tuple(entries)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(len(rows), cols, tuple(flat))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-
-def smith_normal_form(mat: IntMatrix) -> tuple[list[int], int]:
-    """Invariant factors d1 | d2 | ... | dr of mat, plus the rank r.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Invariant factors d1 | d2 | ... | dr of the matrix with these rows,
+    plus the rank r.
 
     Classic row/column reduction with a minimal-absolute-value pivot;
     divisibility of the diagonal is restored afterwards by gcd/lcm passes.
     """
-    a = [list(mat.row(i)) for i in range(mat.rows)]
-    n_rows, n_cols = mat.rows, mat.cols
+    a = [list(r) for r in rows]
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    if any(len(r) != n_cols for r in a):
+        raise ValueError("ragged rows")
     t = 0
     while True:
         pivot = None
@@ -387,9 +362,10 @@ def smith_normal_form(mat: IntMatrix) -> tuple[list[int], int]:
     return diag, len(diag)
 
 
-def group_from_presentation(mat: IntMatrix) -> AbGroup2:
-    """Cokernel of mat as a map Z^cols -> Z^rows, in canonical form."""
-    diag, rank = smith_normal_form(mat)
+def group_from_presentation(rows: Sequence[Sequence[int]]) -> AbGroup2:
+    """Cokernel of the matrix with these rows as a map Z^cols -> Z^rows,
+    in canonical form."""
+    diag, rank = smith_normal_form(rows)
     exps = []
     for d in diag:
         if d == 1:
@@ -398,18 +374,7 @@ def group_from_presentation(mat: IntMatrix) -> AbGroup2:
         if 2**e != d:
             raise NonTwoPrimaryError(f"invariant factor {d} is not a 2-power")
         exps.append(e)
-    return AbGroup2(mat.rows - rank, tuple(exps))
-
-
-def diagonal_presentation(group: AbGroup2) -> IntMatrix:
-    """A presentation matrix whose cokernel is the given group."""
-    torsion = list(group.torsion_exponents)
-    rows = len(torsion) + group.free_rank
-    cols = len(torsion)
-    entries = [0] * (rows * cols)
-    for i, e in enumerate(torsion):
-        entries[i * cols + i] = 2**e
-    return IntMatrix(rows, cols, tuple(entries))
+    return AbGroup2(len(rows) - rank, tuple(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +382,25 @@ def diagonal_presentation(group: AbGroup2) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-class GradedGroups(Value, fields="support_bound groups"):
-    """Partial map degree -> AbGroup2 with a declared support bound; groups
-    holds the nontrivial ones in ascending degree."""
+class GradedGroups(Value, fields="groups"):
+    """The group of each degree 0..support_bound, in degree order; every
+    other degree holds the zero group."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        support_bound: int,
-        groups: Mapping[int, AbGroup2] | Iterable[tuple[int, AbGroup2]] = (),
-    ) -> "GradedGroups":
-        groups = dict(groups)
-        cleaned = {d: g for d in sorted(groups) if (g := groups[d]).free_rank or g.torsion}
-        for d in cleaned:
-            if d < 0 or d > support_bound:
-                raise ValueError(f"degree {d} outside [0, {support_bound}]")
-        return tuple.__new__(cls, (support_bound, cleaned))
+    def __new__(cls, groups: Iterable[AbGroup2] = ()) -> "GradedGroups":
+        return tuple.__new__(cls, (tuple(groups),))
+
+    @property
+    def support_bound(self) -> int:
+        return len(self.groups) - 1
 
     def group(self, degree: int) -> AbGroup2:
-        return self.groups.get(degree, ZERO)
+        groups = self.groups
+        return groups[degree] if 0 <= degree < len(groups) else ZERO
 
     def total_free_rank(self) -> int:
-        return sum(g.free_rank for g in self.groups.values())
+        return sum(g.free_rank for g in self.groups)
 
 
 def uct_homology(coh: GradedGroups) -> GradedGroups:
@@ -447,23 +408,15 @@ def uct_homology(coh: GradedGroups) -> GradedGroups:
 
     H_i has the free rank of H^i and the torsion of H^(i+1).
     """
-    get = coh.groups.get
+    groups = coh.groups
     return GradedGroups(
-        coh.support_bound,
-        {
-            i: AbGroup2._of(get(i, ZERO).free_rank, get(i + 1, ZERO).torsion)
-            for i in range(coh.support_bound + 1)
-        },
+        AbGroup2._of(g.free_rank, up.torsion) for g, up in zip(groups, groups[1:] + (ZERO,))
     )
 
 
 def uct_cohomology(hom: GradedGroups) -> GradedGroups:
     """Inverse of uct_homology: H^i gets free(H_i) and torsion(H_(i-1))."""
-    get = hom.groups.get
+    groups = hom.groups
     return GradedGroups(
-        hom.support_bound,
-        {
-            i: AbGroup2._of(get(i, ZERO).free_rank, get(i - 1, ZERO).torsion)
-            for i in range(hom.support_bound + 1)
-        },
+        AbGroup2._of(g.free_rank, down.torsion) for down, g in zip((ZERO,) + groups, groups)
     )

@@ -157,7 +157,8 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
     e2 = build_e2(group, m)
     ranks = rank_recursion(s)
     report = VerificationReport(f"clss-even-{group.value}", m)
-    groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m + 1)}
+    groups = [e2.get((t, 0), ZERO) for t in range(m + 1)]
+    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
     for ell in range(1, m):
         t = 2 * m - ell
         # d_(m+1): (m - ell - 1, m) -> (t, 0) injects <m - ell>.
@@ -174,7 +175,7 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
         _check_cokernel(report, m, ell, target, image_rank, coker, ranks)
         groups[t] = coker
     groups[2 * m - 1] = e2.get((0, 2 * m - 1), ZERO)  # the fibre class survives
-    abutment = GradedGroups(s.support_bound, groups)
+    abutment = GradedGroups(groups)
     _compare_abutment(report, s, abutment)
     return abutment, report
 
@@ -195,8 +196,9 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
         (p, q): g.halve_z4s() if q in (m - 1, m) else g
         for (p, q), g in e2.items()
     }
-    groups: dict[int, AbGroup2] = {t: e3.get((t, 0), ZERO) for t in range(m)}
-    groups[m] = e3.get((0, m), ZERO) + e3.get((m, 0), ZERO)  # fibre class plus base
+    groups = [e3.get((t, 0), ZERO) for t in range(m)]
+    groups.append(e3.get((0, m), ZERO) + e3.get((m, 0), ZERO))  # fibre class plus base
+    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
     for ell in range(1, m):
         t = 2 * m - ell
         # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
@@ -214,7 +216,7 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
         )
         groups[t] = coker
     groups[2 * m - 1] += e3.get((0, 2 * m - 1), ZERO)
-    abutment = GradedGroups(s.support_bound, groups)
+    abutment = GradedGroups(groups)
     _compare_abutment(report, s, abutment, torsion_only=True)
     return abutment, report
 
@@ -228,8 +230,9 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
     s = SpaceId("F", m)
     e2 = build_e2(GroupId.Z2xZ2, m)
     report = VerificationReport("clss-odd-Z2xZ2", m)
-    groups: dict[int, AbGroup2] = {t: e2.get((t, 0), ZERO) for t in range(m)}
-    groups[m] = e2.get((0, m), ZERO) + e2.get((m, 0), ZERO)
+    groups = [e2.get((t, 0), ZERO) for t in range(m)]
+    groups.append(e2.get((0, m), ZERO) + e2.get((m, 0), ZERO))
+    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
     for ell in range(1, m):
         t = 2 * m - ell
         # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
@@ -245,7 +248,7 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
             )
         groups[t] = AbGroup2.elementary(coker_log2)
     groups[2 * m - 1] += e2.get((0, 2 * m - 1), ZERO)
-    abutment = GradedGroups(s.support_bound, groups)
+    abutment = GradedGroups(groups)
     _compare_abutment(report, s, abutment)
     return abutment, report
 

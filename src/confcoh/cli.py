@@ -20,7 +20,7 @@ import sys
 from _json import encode_basestring_ascii as _text  # json.dumps of a str
 
 from . import configcoh, suites
-from .abelian import ZERO, AbGroup2, GradedGroups
+from .abelian import AbGroup2, GradedGroups
 from .configcoh import SpaceId
 from .report import VerificationReport
 
@@ -69,11 +69,8 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
     # <k> for the mod-2 Betti number k, which is positive through the support
     # bound, so the one pair (1, k) is already the canonical torsion
     return GradedGroups(
-        s.support_bound,
-        {
-            i: AbGroup2._of(0, ((1, configcoh.mod2_dimension(s, i)),))
-            for i in range(s.support_bound + 1)
-        },
+        AbGroup2._of(0, ((1, configcoh.mod2_dimension(s, i)),))
+        for i in range(s.support_bound + 1)
     )
 
 
@@ -87,10 +84,11 @@ def _orders(g: AbGroup2, sep: str) -> str:
 def _render_groups(
     s: SpaceId, table: GradedGroups, fmt: str, label: str
 ) -> Iterator[str]:
-    """The table's text, without its final newline, in pieces of one row
-    each, so that writing it holds one row in memory, not the table."""
-    get = table.groups.get
-    rows = ((i, get(i, ZERO)) for i in range(table.support_bound + 1))
+    """The table's text, without its final newline, in pieces of at most
+    one row, so that writing it holds one row in memory, not the table.  A
+    json row's torsion list is a piece of its own, so that its text is
+    not copied into the rest of the row."""
+    rows = enumerate(table.groups)
     if fmt == "json":
         # The fixed envelope of json.dumps(..., indent=2), written by hand;
         # a table always has rows, so "groups" is never the empty list.
@@ -100,11 +98,13 @@ def _render_groups(
         )
         sep, pad = "\n", "\n        "
         for i, g in rows:
-            torsion = f"[{pad}{_orders(g, ',' + pad)}\n      ]" if g.torsion else "[]"
-            yield (
-                f'{sep}    {{\n      "degree": {i},\n      "free": {g.free_rank},\n'
-                f'      "torsion": {torsion}\n    }}'
-            )
+            head = f'{sep}    {{\n      "degree": {i},\n      "free": {g.free_rank},\n'
+            if g.torsion:
+                yield f'{head}      "torsion": [{pad}'
+                yield _orders(g, "," + pad)
+                yield "\n      ]\n    }"
+            else:
+                yield f'{head}      "torsion": []\n    }}'
             sep = ",\n"
         yield "\n  ]\n}"
     elif fmt == "csv":

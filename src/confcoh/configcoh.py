@@ -120,10 +120,7 @@ def cohomology(s: SpaceId, i: int) -> AbGroup2:
 
 
 def cohomology_table(s: SpaceId) -> GradedGroups:
-    return GradedGroups(
-        s.support_bound,
-        {i: cohomology(s, i) for i in range(s.support_bound + 1)},
-    )
+    return GradedGroups(cohomology(s, i) for i in range(s.support_bound + 1))
 
 
 def mod2_dimension(s: SpaceId, i: int) -> int:
@@ -144,9 +141,7 @@ def homology(s: SpaceId) -> GradedGroups:
 def is_orientable(s: SpaceId) -> bool:
     """Both spaces retract onto quotients of V_{m+1,2}; orientable iff
     m + 1 is odd."""
-    return stiefel.quotient_orientable(
-        s.m + 1, stiefel.Subgroup.from_group(s.group)
-    )
+    return stiefel.quotient_orientable(s.m + 1, s.group)
 
 
 def _twisted_dual(m: int, j: int, h: Callable[[int], AbGroup2]) -> AbGroup2:
@@ -186,8 +181,7 @@ def twisted_cohomology_table(s: SpaceId) -> GradedGroups:
             g = held[i] = cohomology(s, i)
         return g
 
-    degrees = range(s.support_bound + 1)
-    return GradedGroups(s.support_bound, ((j, _twisted_dual(s.m, j, h)) for j in degrees))
+    return GradedGroups(_twisted_dual(s.m, j, h) for j in range(s.support_bound + 1))
 
 
 def duality_symmetry_check(s: SpaceId) -> VerificationReport:

@@ -8,26 +8,8 @@ oriented Grassmannian of 2-planes computed from its presented ring.
 
 from __future__ import annotations
 
-from .abelian import (
-    AbGroup2,
-    GradedGroups,
-    IntMatrix,
-    Members,
-    Z,
-    ZERO,
-    group_from_presentation,
-)
+from .abelian import AbGroup2, GradedGroups, Members, Z, ZERO, group_from_presentation
 from .groupcoh import GroupId
-
-
-class Subgroup(Members):
-    D8 = "D8"
-    Z2xZ2 = "Z2xZ2"
-    O2 = "O2"
-
-    @classmethod
-    def from_group(cls, g: GroupId) -> "Subgroup":
-        return cls.D8 if g is GroupId.D8 else cls.Z2xZ2
 
 
 class ActionSign(Members):
@@ -84,33 +66,39 @@ def sphere_bundle_sss_e2(n: int) -> tuple[dict[tuple[int, int], AbGroup2], int]:
 def sphere_bundle_abutment(n: int) -> GradedGroups:
     """Total cohomology the two-row page converges to."""
     page, coefficient = sphere_bundle_sss_e2(n)
-    groups: dict[int, AbGroup2] = {}
+    groups = [ZERO] * (2 * n - 2)
     for (p, q), g in page.items():
         if coefficient and (p, q) == (0, n - 2):
             continue  # injects into the base row
         if coefficient and (p, q) == (n - 1, 0):
             g = AbGroup2.elementary(1)  # cokernel of multiplication by 2
-        groups[p + q] = groups.get(p + q, ZERO) + g
-    return GradedGroups(2 * n - 3, groups)
+        groups[p + q] += g
+    return GradedGroups(groups)
 
 
-def quotient_orientable(n: int, subgroup: Subgroup) -> bool:
-    """Is the quotient of V_{n,2} by the subgroup an orientable manifold?"""
+def quotient_orientable(n: int, subgroup: GroupId) -> bool:
+    """Is the quotient of V_{n,2} by the finite subgroup an orientable
+    manifold?  D8 and Z2xZ2 give the same answer."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if subgroup is Subgroup.O2:
-        return n % 2 == 0  # the unoriented Grassmannian of 2-planes
     if n == 2:
         return True  # the quotient is a circle
     return n % 2 == 1
+
+
+def grassmannian_orientable(n: int) -> bool:
+    """Is the quotient of V_{n,2} by O(2), the unoriented Grassmannian of
+    2-planes in R^n, orientable?  Exactly when n is even."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return n % 2 == 0
 
 
 def top_group_V_quotient(n: int, subgroup: GroupId) -> AbGroup2:
     """Top cohomology group (degree 2n-3) of V_{n,2} modulo the subgroup."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    orientable = quotient_orientable(n, Subgroup.from_group(subgroup))
-    return Z if orientable else AbGroup2.elementary(1)
+    return Z if quotient_orientable(n, subgroup) else AbGroup2.elementary(1)
 
 
 def _quadric_ring(n: int) -> tuple[list[int], list[dict[tuple[int, int], int]]]:
@@ -158,10 +146,11 @@ def oriented_grassmannian_groups(n: int) -> GradedGroups:
                 out.append((i, rest // degrees[1]))
         return sorted(out, reverse=True)
 
-    groups: dict[int, AbGroup2] = {}
+    groups = []
     for d in range(top + 1):
         monos = monomials(d)
         if not monos:
+            groups.append(ZERO)
             continue
         index = {mono: k for k, mono in enumerate(monos)}
         rows = []
@@ -176,11 +165,7 @@ def oriented_grassmannian_groups(n: int) -> GradedGroups:
                 rows.append(row)
         if rows:
             # Generators are the monomials, one presentation column per relation.
-            mat = IntMatrix.from_rows(
-                [[rel_vec[g] for rel_vec in rows] for g in range(len(monos))],
-                len(rows),
-            )
-            groups[d] = group_from_presentation(mat)
+            groups.append(group_from_presentation(list(zip(*rows))))
         else:
-            groups[d] = AbGroup2(free_rank=len(monos))
-    return GradedGroups(top, groups)
+            groups.append(AbGroup2(free_rank=len(monos)))
+    return GradedGroups(groups)

@@ -82,9 +82,9 @@ def suite_stiefel(m: int) -> VerificationReport:
         "orientability",
         (n % 2 == 1, n % 2 == 1, n % 2 == 0),
         (
-            stiefel.quotient_orientable(n, stiefel.Subgroup.D8),
-            stiefel.quotient_orientable(n, stiefel.Subgroup.Z2xZ2),
-            stiefel.quotient_orientable(n, stiefel.Subgroup.O2),
+            stiefel.quotient_orientable(n, GroupId.D8),
+            stiefel.quotient_orientable(n, GroupId.Z2xZ2),
+            stiefel.grassmannian_orientable(n),
         ),
     )
     return report

@@ -7,7 +7,7 @@ computations); run with -s to see the per-criterion lines.
 import random
 
 from confcoh import cli
-from confcoh.abelian import IntMatrix, smith_normal_form
+from confcoh.abelian import smith_normal_form
 from confcoh.bockstein import (
     closed_form_rank,
     page1_compare,
@@ -186,9 +186,9 @@ def test_criterion_09_stiefel_suite():
         if n % 2 == 0:
             assert grass.group(n - 2).free_rank == 2
         assert grass.total_free_rank() == (n - 1 if n % 2 == 1 else n)
-        assert stiefel.quotient_orientable(n, stiefel.Subgroup.D8) is (n % 2 == 1)
-        assert stiefel.quotient_orientable(n, stiefel.Subgroup.Z2xZ2) is (n % 2 == 1)
-        assert stiefel.quotient_orientable(n, stiefel.Subgroup.O2) is (n % 2 == 0)
+        assert stiefel.quotient_orientable(n, GroupId.D8) is (n % 2 == 1)
+        assert stiefel.quotient_orientable(n, GroupId.Z2xZ2) is (n % 2 == 1)
+        assert stiefel.grassmannian_orientable(n) is (n % 2 == 0)
     _announce(9, "fibre cohomology, Grassmannian and orientability, 3 <= n <= 20")
 
 
@@ -202,7 +202,7 @@ def test_criterion_10_headless_properties(capsys):
         cols_n = rng.randint(1, 6)
         rows = [[rng.randint(-8, 8) for _ in range(cols_n)] for _ in range(rows_n)]
         want = _minor_gcd_invariant_factors(rows, rows_n, cols_n)
-        got, rank = smith_normal_form(IntMatrix.from_rows(rows, cols_n))
+        got, rank = smith_normal_form(rows)
         assert got == want and rank == len(want)
     for m in (3, 4, 5, 6):
         for kind in ("B", "F"):

@@ -122,13 +122,11 @@ def _per_degree_tables(s):
     degrees = range(s.support_bound + 1)
     coh = cohomology_table(s)
     tables = {
-        ("twisted", False): {j: twisted_cohomology(s, j) for j in degrees},
-        ("Z", True): {
-            i: coh.group(i).free_part() + coh.group(i + 1).torsion_part() for i in degrees
-        },
-        ("F2", False): {i: AbGroup2.elementary(mod2_dimension(s, i)) for i in degrees},
+        ("twisted", False): [twisted_cohomology(s, j) for j in degrees],
+        ("Z", True): [coh.group(i).free_part() + coh.group(i + 1).torsion_part() for i in degrees],
+        ("F2", False): [AbGroup2.elementary(mod2_dimension(s, i)) for i in degrees],
     }
-    return {key: GradedGroups(s.support_bound, groups) for key, groups in tables.items()}
+    return {key: GradedGroups(groups) for key, groups in tables.items()}
 
 
 # Odd m is non-orientable, even m orientable, for both spaces; m = 8192 is
@@ -214,7 +212,7 @@ def test_torsion_text_matches_reference(free, counts):
     # empty torsion, one exponent and several, up to 10^4 summands each
     g = AbGroup2(free, [e for e, k in counts.items() for _ in range(k)])
     assert cli._orders(g, ", ") == ", ".join(str(2**e) for e in g.torsion_exponents)
-    s, table = SpaceId("B", 2), GradedGroups(0, {0: g})
+    s, table = SpaceId("B", 2), GradedGroups((g,))
     for fmt in ("csv", "json"):
         want = _reference_text(s, table, fmt, "H^*")
         assert "".join(cli._render_groups(s, table, fmt, "H^*")) == want

@@ -287,8 +287,7 @@ def test_twisted_table_builds_each_group_once(kind, m, monkeypatch):
     assert len(orientations) == 1
     assert 2 * m <= len(calls) <= 2 * m + 1 and len(set(calls)) == len(calls)
     monkeypatch.undo()
-    degrees = range(s.support_bound + 1)
-    assert table == GradedGroups(s.support_bound, {j: twisted_cohomology(s, j) for j in degrees})
+    assert table == GradedGroups(twisted_cohomology(s, j) for j in range(s.support_bound + 1))
 
 
 # One space at m = 10^4 takes ~0.8 s for the three families.

@@ -4,9 +4,9 @@ from confcoh.abelian import AbGroup2, Z
 from confcoh.groupcoh import GroupId
 from confcoh.stiefel import (
     ActionSign,
-    Subgroup,
     UnsupportedDegreeError,
     d8_action_sign,
+    grassmannian_orientable,
     oriented_grassmannian_groups,
     quotient_orientable,
     sphere_bundle_abutment,
@@ -70,14 +70,14 @@ def test_euler_characteristic_vanishes():
 
 
 def test_orientability_predicates():
-    assert quotient_orientable(5, Subgroup.D8) is True
-    assert quotient_orientable(6, Subgroup.O2) is True
-    assert quotient_orientable(6, Subgroup.Z2xZ2) is False
-    assert quotient_orientable(2, Subgroup.D8) is True
+    assert quotient_orientable(5, GroupId.D8) is True
+    assert grassmannian_orientable(6) is True
+    assert quotient_orientable(6, GroupId.Z2xZ2) is False
+    assert quotient_orientable(2, GroupId.D8) is True
     for n in range(3, 21):
-        assert quotient_orientable(n, Subgroup.D8) is (n % 2 == 1)
-        assert quotient_orientable(n, Subgroup.Z2xZ2) is (n % 2 == 1)
-        assert quotient_orientable(n, Subgroup.O2) is (n % 2 == 0)
+        assert quotient_orientable(n, GroupId.D8) is (n % 2 == 1)
+        assert quotient_orientable(n, GroupId.Z2xZ2) is (n % 2 == 1)
+        assert grassmannian_orientable(n) is (n % 2 == 0)
 
 
 def test_top_group_examples():

@@ -8,11 +8,11 @@ from collections import namedtuple
 
 import pytest
 
-from confcoh.abelian import AbGroup2, GradedGroups, IntMatrix, Z
+from confcoh.abelian import ZERO, AbGroup2, GradedGroups, Members, Z
 from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId
 from confcoh.groupcoh import CoeffId, GroupId
 from confcoh.report import CheckResult, VerificationReport
-from confcoh.stiefel import ActionSign, Subgroup
+from confcoh.stiefel import ActionSign
 
 
 # name -> (builder of one value, a value that differs in one field)
@@ -21,13 +21,9 @@ VALUES = {
         lambda: AbGroup2(free_rank=1, torsion_exponents=(2, 1, 1)),
         AbGroup2(1, (1, 2)),
     ),
-    "IntMatrix": (
-        lambda: IntMatrix(rows=1, cols=2, entries=(2, 0)),
-        IntMatrix(1, 2, (4, 0)),
-    ),
     "GradedGroups": (
-        lambda: GradedGroups(support_bound=3, groups={0: Z, 2: AbGroup2.cyclic(2)}),
-        GradedGroups(3, {0: Z}),
+        lambda: GradedGroups(groups=(Z, ZERO, AbGroup2.cyclic(2))),
+        GradedGroups((Z, ZERO, AbGroup2.cyclic(1))),
     ),
     "SpaceId": (lambda: SpaceId(kind="B", m=3), SpaceId("F", 3)),
     "PStarProfile": (
@@ -46,15 +42,14 @@ VALUES = {
 
 FIELDS = {
     "AbGroup2": "free_rank torsion",
-    "IntMatrix": "rows cols entries",
-    "GradedGroups": "support_bound groups",
+    "GradedGroups": "groups",
     "SpaceId": "kind m",
     "PStarProfile": "behavior kernel_rank",
     "CheckResult": "suite label expected got passed m degree skipped",
     "VerificationReport": "suite m checks",
 }
 FROZEN = [name for name in VALUES if name != "VerificationReport"]
-HASHABLE = ["AbGroup2", "IntMatrix", "SpaceId", "PStarProfile", "CheckResult"]
+HASHABLE = ["AbGroup2", "GradedGroups", "SpaceId", "PStarProfile", "CheckResult"]
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -80,7 +75,7 @@ def test_hash_follows_equality(name):
     if name in HASHABLE:
         assert hash(value) == hash(VALUES[name][0]())
         assert {value: 1}[VALUES[name][0]()] == 1
-    else:  # a dict or a list of checks inside
+    else:  # a list of checks inside
         with pytest.raises(TypeError):
             hash(value)
 
@@ -108,10 +103,10 @@ def test_pickle_round_trip(name):
 def test_reprs_keep_the_keyword_format():
     reprs = {
         "AbGroup2": "AbGroup2(free_rank=1, torsion_exponents=(1, 1, 2))",
-        "IntMatrix": "IntMatrix(rows=1, cols=2, entries=(2, 0))",
         "GradedGroups": (
-            "GradedGroups(support_bound=3, groups={0: AbGroup2(free_rank=1, "
-            "torsion_exponents=()), 2: AbGroup2(free_rank=0, torsion_exponents=(2,))})"
+            "GradedGroups(groups=(AbGroup2(free_rank=1, torsion_exponents=()), "
+            "AbGroup2(free_rank=0, torsion_exponents=()), "
+            "AbGroup2(free_rank=0, torsion_exponents=(2,))))"
         ),
         "SpaceId": "SpaceId(kind='B', m=3)",
         "PStarProfile": (
@@ -136,8 +131,8 @@ def test_reprs_keep_the_keyword_format():
 
 def test_defaults_and_keywords():
     assert AbGroup2() == AbGroup2(0, ()) and AbGroup2(free_rank=1) == Z
-    assert GradedGroups(5).groups == {}
-    assert GradedGroups(3, {3: AbGroup2(), 1: Z}).groups == {1: Z}
+    assert GradedGroups().groups == () and GradedGroups().support_bound == -1
+    assert GradedGroups(iter([Z, ZERO])) == GradedGroups(groups=(Z, ZERO))
     check = CheckResult("s", "l", "e", "g", False)
     assert (check.m, check.degree, check.skipped) == (None, None, False)
     report = VerificationReport()
@@ -150,10 +145,6 @@ def test_defaults_and_keywords():
     [
         (lambda: SpaceId("C", 3), "kind must be 'F' or 'B'"),
         (lambda: SpaceId("B", 0), "m must be >= 1"),
-        (lambda: IntMatrix(2, 2, (1, 2, 3)), "entry count does not match dimensions"),
-        (lambda: IntMatrix(-1, 0, ()), "negative dimensions"),
-        (lambda: GradedGroups(3, {4: Z}), r"degree 4 outside \[0, 3\]"),
-        (lambda: GradedGroups(3, {-1: Z}), r"degree -1 outside \[0, 3\]"),
         (lambda: AbGroup2(-1), "free rank must be non-negative"),
         (lambda: AbGroup2(0, (2, 0)), "torsion exponents must be positive"),
     ],
@@ -170,7 +161,6 @@ CONSTANT_SETS = {
         CoeffId,
         [("INTEGER_TRIVIAL", "Z"), ("INTEGER_TWISTED", "Z_alpha"), ("MOD_TWO", "F2")],
     ),
-    "Subgroup": (Subgroup, [("D8", "D8"), ("Z2xZ2", "Z2xZ2"), ("O2", "O2")]),
     "ActionSign": (ActionSign, [("PLUS", 1), ("MINUS", -1)]),
     "PStarBehavior": (
         PStarBehavior,
@@ -211,9 +201,16 @@ def test_constant_sets_behave_as_enums(name):
 
 
 def test_constant_set_class_methods_are_not_members():
-    assert Subgroup.from_group(GroupId.D8) is Subgroup.D8
-    assert Subgroup.from_group(GroupId.Z2xZ2) is Subgroup.Z2xZ2
-    assert "from_group" not in [c.name for c in Subgroup]
+    class Parity(Members):
+        EVEN = 0
+        ODD = 1
+
+        @classmethod
+        def of(cls, n: int) -> "Parity":
+            return cls(n % 2)
+
+    assert Parity.of(4) is Parity.EVEN and Parity.of(7) is Parity.ODD
+    assert [c.name for c in Parity] == ["EVEN", "ODD"]
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -223,6 +220,14 @@ def test_value_fields_and_match_args(name):
     fields = tuple(FIELDS[name].split())
     assert cls._fields == cls.__match_args__ == fields
     assert tuple(getattr(value, f) for f in fields) == tuple(value)
+
+
+def test_graded_groups_are_zero_outside_their_support():
+    table = GradedGroups((Z, AbGroup2.elementary(2), Z))
+    assert table.support_bound == 2
+    got = [table.group(d) for d in range(-2, 5)]
+    assert got == [ZERO, ZERO, Z, AbGroup2.elementary(2), Z, ZERO, ZERO]
+    assert table.groups[-1] == Z  # a bare index from the end reads the top group
 
 
 def test_values_match_positional_patterns():

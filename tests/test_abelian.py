@@ -51,11 +51,15 @@ def test_snf_empty_matrix():
     assert smith_normal_form([[], [], []]) == ([], 0)
 
 
-def test_snf_rejects_ragged_rows():
+@pytest.mark.parametrize("reader", [smith_normal_form, group_from_presentation])
+@pytest.mark.parametrize(
+    "rows",
+    [[[2, 0], [4]], [[2], [0, 4]], [[2], []], [[], [2]]],
+    ids=["short-row", "long-row", "empty-after-full", "full-after-empty"],
+)
+def test_snf_rejects_ragged_rows(reader, rows):
     with pytest.raises(ValueError, match="ragged rows"):
-        smith_normal_form([[2, 0], [4]])
-    with pytest.raises(ValueError, match="ragged rows"):
-        group_from_presentation([[2], []])
+        reader(rows)
 
 
 def _det_expansion(mat):

@@ -9,7 +9,7 @@ from collections import namedtuple
 import pytest
 
 from confcoh.abelian import ZERO, AbGroup2, GradedGroups, Members, Z
-from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId
+from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId, cohomology_table
 from confcoh.groupcoh import CoeffId, GroupId
 from confcoh.report import CheckResult, VerificationReport
 from confcoh.stiefel import ActionSign
@@ -228,6 +228,24 @@ def test_graded_groups_are_zero_outside_their_support():
     got = [table.group(d) for d in range(-2, 5)]
     assert got == [ZERO, ZERO, Z, AbGroup2.elementary(2), Z, ZERO, ZERO]
     assert table.groups[-1] == Z  # a bare index from the end reads the top group
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        GradedGroups(),
+        GradedGroups((Z,)),
+        GradedGroups((ZERO, AbGroup2.cyclic(3))),
+        cohomology_table(SpaceId("B", 3)),
+    ],
+    ids=["empty", "one-degree", "zero-at-the-bottom", "B-3"],
+)
+def test_graded_groups_read_each_degree_by_index(table):
+    n = len(table.groups)
+    assert table.support_bound == n - 1
+    assert [table.group(d) for d in range(n)] == list(table.groups)
+    assert [table.group(d) for d in (-n - 1, -n, -1, n, n + 1)] == [ZERO] * 5
+    assert hash(table) == hash(GradedGroups(list(table.groups)))
 
 
 def test_values_match_positional_patterns():

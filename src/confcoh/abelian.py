@@ -2,10 +2,13 @@
 
 Groups are kept in canonical form: a free rank plus an ascending tuple of
 (exponent e, multiplicity k) pairs, each standing for k cyclic summands
-Z/2^e, so <k> and {k} cost the same whatever k is.  Equality of
-values is equality of groups.  Smith normal form of integer matrices, given
-as lists of rows, gives cokernel computations, and the universal-coefficient
-helpers convert whole cohomology tables into homology tables and back.
+Z/2^e, so <k> and {k} cost the same whatever k is.  <k> and {k} are
+shared: one instance per rank per process, interned on first use.  Each of
+the two tables grows by one entry per distinct rank asked for and is never
+emptied.  Equality of values is equality of groups.  Smith normal form of
+integer matrices, given as lists of rows, gives cokernel computations, and
+the universal-coefficient helpers convert whole cohomology tables into
+homology tables and back.
 
 All values are immutable and all operations are pure.
 """
@@ -31,6 +34,8 @@ class NonTwoPrimaryError(ValueError):
 
 
 def _check_rank(k: int) -> None:
+    if type(k) is not int:
+        raise TypeError(f"rank must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"rank must be non-negative, got {k}")
 
@@ -67,7 +72,7 @@ class Value(tuple):
         return tuple(self)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        return self is other or (type(other) is type(self) and tuple.__eq__(self, other))
 
     def __ne__(self, other: object) -> bool:
         return not self == other
@@ -143,16 +148,23 @@ class AbGroup2(Value, fields="free_rank torsion"):
     __slots__ = ()
 
     def __new__(cls, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> "AbGroup2":
-        """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents."""
+        """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents.
+        An exponent that is not an int (bool included) is refused here, before
+        counting would merge True or 1.0 into 1."""
         counts: dict[int, int] = {}
         for e in torsion_exponents:
+            if type(e) is not int:
+                raise TypeError(f"torsion exponents must be ints, got {e!r}")
             counts[e] = counts.get(e, 0) + 1
         return tuple.__new__(cls, (free_rank, tuple(sorted(counts.items()))))
 
     def __init__(self, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> None:
-        """Refuse a negative free rank or a non-positive exponent.  The check
-        sits here, not in __new__, so that each public construction runs
-        __init__, which the benchmark's tracer counts (`abelian.groups_built`)."""
+        """Refuse a free rank that is not an int (bool included), a negative
+        free rank or a non-positive exponent.  The check sits here, not in
+        __new__, so that each public construction runs __init__, which the
+        benchmark's tracer counts (`abelian.groups_built`)."""
+        if type(free_rank) is not int:
+            raise TypeError(f"free rank must be an int, got {free_rank!r}")
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         if self.torsion and self.torsion[0][0] < 1:
@@ -188,15 +200,21 @@ class AbGroup2(Value, fields="free_rank torsion"):
 
     @classmethod
     def elementary(cls, k: int) -> "AbGroup2":
-        """<k>: elementary abelian 2-group of rank k."""
-        _check_rank(k)
-        return cls._of(0, ((1, k),) if k else ())
+        """<k>: elementary abelian 2-group of rank k, one shared instance per k."""
+        g = _ELEMENTARY.get(k) if type(k) is int else None
+        if g is None:
+            _check_rank(k)
+            g = _ELEMENTARY[k] = cls._of(0, ((1, k),) if k else ())
+        return g
 
     @classmethod
     def elementary_with_z4(cls, k: int) -> "AbGroup2":
-        """{k}: <k> plus one Z/4 summand."""
-        _check_rank(k)
-        return cls._of(0, ((1, k), (2, 1)) if k else ((2, 1),))
+        """{k}: <k> plus one Z/4 summand, one shared instance per k."""
+        g = _ELEMENTARY_WITH_Z4.get(k) if type(k) is int else None
+        if g is None:
+            _check_rank(k)
+            g = _ELEMENTARY_WITH_Z4[k] = cls._of(0, ((1, k), (2, 1)) if k else ((2, 1),))
+        return g
 
     @classmethod
     def cyclic(cls, exponent: int) -> "AbGroup2":
@@ -210,13 +228,23 @@ class AbGroup2(Value, fields="free_rank torsion"):
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
+    # The rank properties sum their pairs in plain loops: a generator under
+    # sum() costs a frame per call, and the closed forms read these often.
+
     @property
     def torsion_order_log2(self) -> int:
-        return sum(e * k for e, k in self.torsion)
+        n = 0
+        for e, k in self.torsion:
+            n += e * k
+        return n
 
     @property
     def z4_count(self) -> int:
-        return sum(k for e, k in self.torsion if e >= 2)
+        n = 0
+        for e, k in self.torsion:
+            if e >= 2:
+                n += k
+        return n
 
     @property
     def two_rank_tensor(self) -> int:
@@ -226,13 +254,16 @@ class AbGroup2(Value, fields="free_rank torsion"):
     @property
     def mult2_kernel_rank(self) -> int:
         """Rank of the kernel of multiplication by 2 on G."""
-        return sum(k for _, k in self.torsion)
+        n = 0
+        for _, k in self.torsion:
+            n += k
+        return n
 
     def torsion_part(self) -> "AbGroup2":
-        return AbGroup2._of(0, self.torsion)
+        return AbGroup2._of(0, self.torsion) if self.free_rank else self
 
     def free_part(self) -> "AbGroup2":
-        return AbGroup2._of(self.free_rank, ())
+        return AbGroup2._of(self.free_rank, ()) if self.torsion else self
 
     # -- arithmetic --------------------------------------------------------
 
@@ -289,6 +320,10 @@ class AbGroup2(Value, fields="free_rank torsion"):
             tail = " + ".join(chain.from_iterable(repeat(f"Z{1 << e}", k) for e, k in torsion))
         return f"{head} + {tail}" if head else tail
 
+
+# rank -> <rank> and rank -> {rank}, filled by the constructors on first use
+_ELEMENTARY: dict[int, AbGroup2] = {}
+_ELEMENTARY_WITH_Z4: dict[int, AbGroup2] = {}
 
 ZERO = AbGroup2()
 Z = AbGroup2(free_rank=1)

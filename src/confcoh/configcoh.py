@@ -141,7 +141,7 @@ def homology(s: SpaceId) -> GradedGroups:
 def is_orientable(s: SpaceId) -> bool:
     """Both spaces retract onto quotients of V_{m+1,2}; orientable iff
     m + 1 is odd."""
-    return stiefel.quotient_orientable(s.m + 1, s.group)
+    return stiefel.quotient_orientable(s.m + 1)
 
 
 def _twisted_dual(m: int, j: int, h: Callable[[int], AbGroup2]) -> AbGroup2:
@@ -286,7 +286,7 @@ def global_checks(s: SpaceId) -> VerificationReport:
     report.add("free ranks", {0: 1, free_degree: 1}, free_profile)
     report.add(
         "top group vs quotient orientability",
-        stiefel.top_group_V_quotient(m + 1, s.group),
+        stiefel.top_group_V_quotient(m + 1),
         table[2 * m - 1],
         degree=2 * m - 1,
     )

@@ -58,12 +58,19 @@ class VerificationReport:
             return NotImplemented
         return (self.suite, self.m, self.checks) == (other.suite, other.m, other.checks)
 
+    # The add methods build each CheckResult with tuple.__new__ directly, in
+    # the field order CheckResult.__new__ takes, which saves a Python call
+    # per check.
+
     def add(
         self, label: str, expected: object, got: object, *, degree: int | None = None
     ) -> bool:
         ok = expected == got  # decided by value; strings are for display
         self.checks.append(
-            CheckResult(self.suite, label, str(expected), str(got), ok, self.m, degree)
+            tuple.__new__(
+                CheckResult,
+                (self.suite, label, str(expected), str(got), ok, self.m, degree, False),
+            )
         )
         return ok
 
@@ -79,13 +86,18 @@ class VerificationReport:
         passed = bool(passed)  # the json report writes true/false, never 1/0
         shown = str(got) if got is not None else ("true" if passed else "false")
         self.checks.append(
-            CheckResult(self.suite, label, str(expected), shown, passed, self.m, degree)
+            tuple.__new__(
+                CheckResult,
+                (self.suite, label, str(expected), shown, passed, self.m, degree, False),
+            )
         )
         return passed
 
     def add_skip(self, label: str) -> None:
         self.checks.append(
-            CheckResult(self.suite, label, "open", "open", True, self.m, skipped=True)
+            tuple.__new__(
+                CheckResult, (self.suite, label, "open", "open", True, self.m, None, True)
+            )
         )
 
     def extend(self, other: "VerificationReport") -> None:

@@ -9,7 +9,6 @@ oriented Grassmannian of 2-planes computed from its presented ring.
 from __future__ import annotations
 
 from .abelian import AbGroup2, GradedGroups, Members, Z, ZERO, group_from_presentation
-from .groupcoh import GroupId
 
 
 class ActionSign(Members):
@@ -76,9 +75,9 @@ def sphere_bundle_abutment(n: int) -> GradedGroups:
     return GradedGroups(groups)
 
 
-def quotient_orientable(n: int, subgroup: GroupId) -> bool:
-    """Is the quotient of V_{n,2} by the finite subgroup an orientable
-    manifold?  D8 and Z2xZ2 give the same answer."""
+def quotient_orientable(n: int) -> bool:
+    """Is the quotient of V_{n,2} by D8, or by its subgroup Z2xZ2, an
+    orientable manifold?  The two quotients give the same answer."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n == 2:
@@ -94,11 +93,11 @@ def grassmannian_orientable(n: int) -> bool:
     return n % 2 == 0
 
 
-def top_group_V_quotient(n: int, subgroup: GroupId) -> AbGroup2:
-    """Top cohomology group (degree 2n-3) of V_{n,2} modulo the subgroup."""
+def top_group_V_quotient(n: int) -> AbGroup2:
+    """Top cohomology group (degree 2n-3) of V_{n,2} modulo D8 or Z2xZ2."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return Z if quotient_orientable(n, subgroup) else AbGroup2.elementary(1)
+    return Z if quotient_orientable(n) else AbGroup2.elementary(1)
 
 
 def _quadric_ring(n: int) -> tuple[list[int], list[dict[tuple[int, int], int]]]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from confcoh import abelian
 from confcoh.abelian import (
     AbGroup2,
     GradedGroups,
@@ -320,6 +321,104 @@ def test_model_constructors(k, e):
 def test_negative_ranks_refused(build):
     with pytest.raises(ValueError, match="non-negative"):
         build(-1)
+
+
+# ---------------------------------------------------------------------------
+# Interned <k> and {k}, and the loop-summed rank properties
+# ---------------------------------------------------------------------------
+
+INTERNED = {
+    "elementary": (
+        AbGroup2.elementary,
+        "_ELEMENTARY",
+        lambda k: AbGroup2._of(0, ((1, k),) if k else ()),
+    ),
+    "elementary_with_z4": (
+        AbGroup2.elementary_with_z4,
+        "_ELEMENTARY_WITH_Z4",
+        lambda k: AbGroup2._of(0, ((1, k), (2, 1)) if k else ((2, 1),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INTERNED)
+def test_interned_constructors_share_one_instance_per_rank(name):
+    # Only plain values reach the asserts: a failing assert that names a
+    # group makes pytest print its repr, one exponent per summand, and at
+    # rank 2**40 that does not fit in memory.
+    build, _, canonical = INTERNED[name]
+    for k in [*range(65), 10**6, 2**40]:
+        g = build(k)
+        found = (type(g) is AbGroup2, g == canonical(k), build(k) is g)
+        assert found == (True, True, True), k
+
+
+@pytest.mark.parametrize("name", INTERNED)
+def test_negative_rank_refused_on_cold_and_warm_tables(monkeypatch, name):
+    build, table, _ = INTERNED[name]
+    monkeypatch.setattr(abelian, table, {})
+    with pytest.raises(ValueError, match="^rank must be non-negative, got -1$"):
+        build(-1)
+    assert getattr(abelian, table) == {}
+    build(0), build(1), build(2)
+    with pytest.raises(ValueError, match="^rank must be non-negative, got -1$"):
+        build(-1)
+    assert sorted(getattr(abelian, table)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("rank", [True, 1.0, 1.5, "3"], ids=repr)
+@pytest.mark.parametrize("name", INTERNED)
+def test_non_int_ranks_refused_on_cold_and_warm_tables(monkeypatch, name, rank):
+    build, table, _ = INTERNED[name]
+    monkeypatch.setattr(abelian, table, {})
+    with pytest.raises(TypeError, match="rank must be an int"):
+        build(rank)
+    assert getattr(abelian, table) == {}
+    one = build(1)
+    with pytest.raises(TypeError, match="rank must be an int"):
+        build(rank)
+    assert getattr(abelian, table) == {1: one}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "3"], ids=repr)
+def test_non_int_free_ranks_and_exponents_refused(bad):
+    with pytest.raises(TypeError, match="free rank must be an int"):
+        AbGroup2(free_rank=bad)
+    with pytest.raises(TypeError, match="torsion exponents must be ints"):
+        AbGroup2(0, (1, bad))
+    with pytest.raises(TypeError, match="rank must be an int"):
+        elem(3).without_elementary(bad)
+
+
+def _ranks_frozen(g):
+    """torsion_order_log2, z4_count and mult2_kernel_rank as they read
+    before they summed in plain loops: sum() over generators."""
+    return (
+        sum(e * k for e, k in g.torsion),
+        sum(k for e, k in g.torsion if e >= 2),
+        sum(k for _, k in g.torsion),
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.dictionaries(st.integers(1, 9), st.integers(0, 2**40)))
+@example(0, {})
+@example(0, {1: 10**12, 2: 1})  # {10^12}
+def test_rank_properties_match_the_frozen_sums(free, multiplicities):
+    g = AbGroup2._of_counts(free, multiplicities)
+    got = (g.torsion_order_log2, g.z4_count, g.mult2_kernel_rank)
+    want = _ranks_frozen(g)  # apart from the assert, whose report would repr g
+    assert got == want
+
+
+@given(models)
+def test_parts_are_self_exactly_when_nothing_is_dropped(model):
+    g = _group(model)
+    torsion, free = g.torsion_part(), g.free_part()
+    assert torsion == AbGroup2._of(0, g.torsion)
+    assert free == AbGroup2._of(g.free_rank, ())
+    assert (torsion is g) == (g.free_rank == 0)
+    assert (free is g) == (not g.torsion)
 
 
 @given(models, models)

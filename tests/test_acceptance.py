@@ -186,8 +186,7 @@ def test_criterion_09_stiefel_suite():
         if n % 2 == 0:
             assert grass.group(n - 2).free_rank == 2
         assert grass.total_free_rank() == (n - 1 if n % 2 == 1 else n)
-        assert stiefel.quotient_orientable(n, GroupId.D8) is (n % 2 == 1)
-        assert stiefel.quotient_orientable(n, GroupId.Z2xZ2) is (n % 2 == 1)
+        assert stiefel.quotient_orientable(n) is (n % 2 == 1)
         assert stiefel.grassmannian_orientable(n) is (n % 2 == 0)
     _announce(9, "fibre cohomology, Grassmannian and orientability, 3 <= n <= 20")
 

@@ -1,7 +1,6 @@
 import pytest
 
 from confcoh.abelian import AbGroup2, Z
-from confcoh.groupcoh import GroupId
 from confcoh.stiefel import (
     ActionSign,
     UnsupportedDegreeError,
@@ -70,20 +69,19 @@ def test_euler_characteristic_vanishes():
 
 
 def test_orientability_predicates():
-    assert quotient_orientable(5, GroupId.D8) is True
+    assert quotient_orientable(5) is True
     assert grassmannian_orientable(6) is True
-    assert quotient_orientable(6, GroupId.Z2xZ2) is False
-    assert quotient_orientable(2, GroupId.D8) is True
+    assert quotient_orientable(6) is False
+    assert quotient_orientable(2) is True
     for n in range(3, 21):
-        assert quotient_orientable(n, GroupId.D8) is (n % 2 == 1)
-        assert quotient_orientable(n, GroupId.Z2xZ2) is (n % 2 == 1)
+        assert quotient_orientable(n) is (n % 2 == 1)
         assert grassmannian_orientable(n) is (n % 2 == 0)
 
 
 def test_top_group_examples():
-    assert top_group_V_quotient(5, GroupId.D8) == Z
-    assert top_group_V_quotient(6, GroupId.D8) == AbGroup2.elementary(1)
-    assert top_group_V_quotient(4, GroupId.Z2xZ2) == AbGroup2.elementary(1)
+    assert top_group_V_quotient(5) == Z
+    assert top_group_V_quotient(6) == AbGroup2.elementary(1)
+    assert top_group_V_quotient(4) == AbGroup2.elementary(1)
 
 
 def test_oriented_grassmannian_small_cases():

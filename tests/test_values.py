@@ -8,7 +8,7 @@ from collections import namedtuple
 
 import pytest
 
-from confcoh.abelian import ZERO, AbGroup2, GradedGroups, Members, Z
+from confcoh.abelian import ZERO, AbGroup2, GradedGroups, Members, Value, Z
 from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId, cohomology_table
 from confcoh.groupcoh import CoeffId, GroupId
 from confcoh.report import CheckResult, VerificationReport
@@ -67,6 +67,35 @@ def test_equal_only_to_own_class_with_equal_fields(name):
         look_alike = namedtuple(name, FIELDS[name])(*plain)
         assert value != look_alike and not value == look_alike
     assert value != object()
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_identity_shortcut_keeps_values_apart_from_look_alikes(name):
+    # value == value returns on identity before the type test; no other
+    # object with the same fields may take that way
+    value = VALUES[name][0]()
+    assert value == value and not value != value
+    plain = tuple(value)
+    twin = tuple.__new__(type(name, (Value,), {}, fields=FIELDS[name]), plain)
+    assert twin == twin and twin != plain and twin != value
+    for other in (plain, twin, namedtuple(name, FIELDS[name])(*plain)):
+        assert value != other and not value == other
+    shared = AbGroup2.elementary(3)
+    assert shared == AbGroup2.elementary(3) and shared is AbGroup2.elementary(3)
+    assert shared != tuple(shared) and tuple(shared) != shared
+
+
+def test_report_records_equal_checks_built_by_the_constructor():
+    report = VerificationReport("uct", 5)
+    report.add("equal", AbGroup2.elementary(2), AbGroup2.elementary(2), degree=3)
+    report.add_bool("flag", 0, expected="<= 2", got=3)
+    report.add_skip("open case")
+    assert report.checks == [
+        CheckResult("uct", "equal", "<2>", "<2>", True, 5, 3),
+        CheckResult("uct", "flag", "<= 2", "3", False, 5),
+        CheckResult("uct", "open case", "open", "open", True, 5, skipped=True),
+    ]
+    assert all(type(c) is CheckResult for c in report.checks)
 
 
 @pytest.mark.parametrize("name", VALUES)

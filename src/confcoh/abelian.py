@@ -13,10 +13,6 @@ homology tables and back.
 All values are immutable and all operations are pure.
 """
 
-from __future__ import annotations
-
-from itertools import chain, repeat
-
 try:
     from _collections import _tuplegetter  # the C field reader of namedtuple
 except ImportError:  # a plain Python reader in its place
@@ -84,7 +80,7 @@ class _MembersType(type):
     """Turns each plain class attribute of a Members subclass (not private,
     not a method or other descriptor) into an instance of that class."""
 
-    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> _MembersType:
+    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> "_MembersType":
         namespace.setdefault("__slots__", ())
         cls = super().__new__(mcls, name, bases, namespace)
         cls._members, cls._by_value = [], {}
@@ -99,13 +95,13 @@ class _MembersType(type):
             cls._by_value[value] = member
         return cls
 
-    def __iter__(cls) -> Iterator:
+    def __iter__(cls) -> "Iterator":
         return iter(cls._members)
 
     def __len__(cls) -> int:
         return len(cls._members)
 
-    def __call__(cls, value: object) -> Members:
+    def __call__(cls, value: object) -> "Members":
         """The member with this value."""
         try:
             return cls._by_value[value]
@@ -147,7 +143,7 @@ class AbGroup2(Value, fields="free_rank torsion"):
 
     __slots__ = ()
 
-    def __new__(cls, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> "AbGroup2":
+    def __new__(cls, free_rank: int = 0, torsion_exponents: "Iterable[int]" = ()) -> "AbGroup2":
         """The group Z^free_rank plus one Z/2^e per entry e of torsion_exponents.
         An exponent that is not an int (bool included) is refused here, before
         counting would merge True or 1.0 into 1."""
@@ -158,7 +154,7 @@ class AbGroup2(Value, fields="free_rank torsion"):
             counts[e] = counts.get(e, 0) + 1
         return tuple.__new__(cls, (free_rank, tuple(sorted(counts.items()))))
 
-    def __init__(self, free_rank: int = 0, torsion_exponents: Iterable[int] = ()) -> None:
+    def __init__(self, free_rank: int = 0, torsion_exponents: "Iterable[int]" = ()) -> None:
         """Refuse a free rank that is not an int (bool included), a negative
         free rank or a non-positive exponent.  The check sits here, not in
         __new__, so that each public construction runs __init__, which the
@@ -194,7 +190,10 @@ class AbGroup2(Value, fields="free_rank torsion"):
     def torsion_exponents(self) -> tuple[int, ...]:
         """One exponent per cyclic summand, ascending.  It is as long as the
         group has summands: code that only counts reads the rank properties."""
-        return tuple(chain.from_iterable(repeat(e, k) for e, k in self.torsion))
+        exponents = []
+        for e, k in self.torsion:
+            exponents += (e,) * k
+        return tuple(exponents)
 
     # -- constructors ------------------------------------------------------
 
@@ -317,7 +316,10 @@ class AbGroup2(Value, fields="free_rank torsion"):
         elif rest == ((2, 1),):
             tail = f"{{{ones}}}"
         else:
-            tail = " + ".join(chain.from_iterable(repeat(f"Z{1 << e}", k) for e, k in torsion))
+            names = []
+            for e, k in torsion:
+                names += (f"Z{1 << e}",) * k
+            tail = " + ".join(names)
         return f"{head} + {tail}" if head else tail
 
 
@@ -334,7 +336,7 @@ Z = AbGroup2(free_rank=1)
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def smith_normal_form(rows: "Sequence[Sequence[int]]") -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of the matrix with these rows,
     plus the rank r.
 
@@ -397,7 +399,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return diag, len(diag)
 
 
-def group_from_presentation(rows: Sequence[Sequence[int]]) -> AbGroup2:
+def group_from_presentation(rows: "Sequence[Sequence[int]]") -> AbGroup2:
     """Cokernel of the matrix with these rows as a map Z^cols -> Z^rows,
     in canonical form."""
     diag, rank = smith_normal_form(rows)
@@ -423,7 +425,7 @@ class GradedGroups(Value, fields="groups"):
 
     __slots__ = ()
 
-    def __new__(cls, groups: Iterable[AbGroup2] = ()) -> "GradedGroups":
+    def __new__(cls, groups: "Iterable[AbGroup2]" = ()) -> "GradedGroups":
         return tuple.__new__(cls, (tuple(groups),))
 
     @property

@@ -12,8 +12,6 @@ Three independent consistency layers on top of the closed forms:
   single Z/4 summand there.
 """
 
-from __future__ import annotations
-
 from .abelian import AbGroup2
 from .configcoh import SpaceId, cohomology, mod2_dimension
 from .f2algebra import config_mod2_ring

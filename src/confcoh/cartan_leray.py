@@ -19,8 +19,6 @@ differential pattern is undecided); only the low-degree fragment and both
 fixed m = 3 evolutions are replayed.
 """
 
-from __future__ import annotations
-
 from . import stiefel
 from .abelian import AbGroup2, GradedGroups, Z, ZERO
 from .configcoh import SpaceId, cohomology, cohomology_table

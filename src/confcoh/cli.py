@@ -14,10 +14,7 @@ a successful canonical call never loads it.
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors.
 """
 
-from __future__ import annotations
-
 import sys
-from _json import encode_basestring_ascii as _text  # json.dumps of a str
 
 from . import configcoh, suites
 from .abelian import AbGroup2, GradedGroups
@@ -42,6 +39,47 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it
 # caller that captures it in memory holds all 740 MB.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
+
+
+class _Escapes(dict):
+    """The table str.translate reads to escape a string as json.dumps does:
+    code point -> its text in the quotes.  Printable ASCII other than '"'
+    and '\\' stands for itself, those two and \\b \\f \\n \\r \\t take a
+    backslash, any other code point reads \\uXXXX, and one past 0xFFFF the
+    surrogate pair that stands for it."""
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> str:
+        if n < 0x10000:
+            return f"\\u{n:04x}"
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+_ESCAPES = _Escapes({n: n for n in range(0x20, 0x7F)})
+_ESCAPES.update({
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b", ord("\f"): "\\f",
+    ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
+})
+
+
+def _text(s: str) -> str:
+    """json.dumps(s): s in double quotes, escaped to printable ASCII."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return f'"{s.translate(_ESCAPES)}"'
+
+
+class _Quoted(dict):
+    """str -> _text(str), filled on first use: a report repeats few
+    strings many times, and a repeat costs one dict lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = _text(s)
+        return text
 
 
 def _parse_m_range(text: str) -> range:
@@ -83,7 +121,7 @@ def _orders(g: AbGroup2, sep: str) -> str:
 
 def _render_groups(
     s: SpaceId, table: GradedGroups, fmt: str, label: str
-) -> Iterator[str]:
+) -> "Iterator[str]":
     """The table's text, without its final newline, in pieces of at most
     one row, so that writing it holds one row in memory, not the table.  A
     json row's torsion list is a piece of its own, so that its text is
@@ -117,23 +155,30 @@ def _render_groups(
             yield f"\n{i:>3}  {g}"
 
 
-def _render_report_json(report: VerificationReport) -> Iterator[str]:
+def _render_report_json(report: VerificationReport) -> "Iterator[str]":
     """json.dumps of the report document, indent=2, without its final
     newline, in pieces of one check each, so that writing it holds one
-    check in memory, not the report."""
+    check in memory, not the report.  The checks of one family share their
+    suite and m, so that head is written once per family, and the other
+    strings are quoted once per report."""
+    quoted = _Quoted()
     yield (
         f'{{\n  "passed": {"true" if report.passed else "false"},\n'
         f'  "summary": {_text(report.summary())},\n  "checks": ['
     )
-    sep = "\n    "
-    for c in report.checks:
+    sep, family = "\n    ", None
+    for suite, label, expected, got, passed, m, degree, skipped in report.checks:
+        if (suite, m) != family:
+            family = suite, m
+            head = (
+                f'{{\n      "suite": {_text(suite)},\n'
+                f'      "m": {"null" if m is None else m},\n      "degree": '
+            )
         yield (
-            f'{sep}{{\n      "suite": {_text(c.suite)},\n'
-            f'      "m": {"null" if c.m is None else c.m},\n'
-            f'      "degree": {"null" if c.degree is None else c.degree},\n'
-            f'      "label": {_text(c.label)},\n      "expected": {_text(c.expected)},\n'
-            f'      "got": {_text(c.got)},\n      "passed": {"true" if c.passed else "false"},\n'
-            f'      "skipped": {"true" if c.skipped else "false"}\n    }}'
+            f'{sep}{head}{"null" if degree is None else degree},\n'
+            f'      "label": {quoted[label]},\n      "expected": {quoted[expected]},\n'
+            f'      "got": {quoted[got]},\n      "passed": {"true" if passed else "false"},\n'
+            f'      "skipped": {"true" if skipped else "false"}\n    }}'
         )
         sep = ",\n    "
     yield "\n  ]\n}" if report.checks else "]\n}"
@@ -313,7 +358,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -12,8 +12,6 @@ Notation used throughout: <k> is an elementary abelian 2-group of rank k
 and {k} is <k> plus one Z/4 summand.
 """
 
-from __future__ import annotations
-
 from .abelian import AbGroup2, GradedGroups, Members, Value, Z, ZERO, uct_homology
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
@@ -144,7 +142,7 @@ def is_orientable(s: SpaceId) -> bool:
     return stiefel.quotient_orientable(s.m + 1)
 
 
-def _twisted_dual(m: int, j: int, h: Callable[[int], AbGroup2]) -> AbGroup2:
+def _twisted_dual(m: int, j: int, h: "Callable[[int], AbGroup2]") -> AbGroup2:
     """Twisted H^j of a non-orientable space, from its integral groups h(i):
     Poincare duality against the (2m-1)-manifold gives the free rank of
     H^(2m-1-j), and the torsion linking pairing the torsion of H^(2m-j)."""
@@ -232,7 +230,7 @@ class PStarProfile(Value, fields="behavior kernel_rank"):
 
     __slots__ = ()
 
-    def __new__(cls, behavior: PStarBehavior, kernel_rank: int | None = None) -> PStarProfile:
+    def __new__(cls, behavior: PStarBehavior, kernel_rank: int | None = None) -> "PStarProfile":
         return tuple.__new__(cls, (behavior, kernel_rank))
 
 

@@ -59,8 +59,6 @@ ring.  So config_mod2_ring starts each new ring from the last one of its kind
 (see _start_from), and a range of m grows and sweeps those degrees once.
 """
 
-from __future__ import annotations
-
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
@@ -347,7 +345,7 @@ class PresentedF2Algebra:
             cache[e] = basis
             position.update(zip(basis, range(len(basis))))
 
-    def _start_from(self, other: PresentedF2Algebra) -> bool:
+    def _start_from(self, other: "PresentedF2Algebra") -> bool:
         """Take other's bases, and its Sq1 matrices and ranks, below degree
         low, the lowest degree of any relation of either ring, capped at
         other's frontier; returns whether it did.  It refuses a ring that
@@ -408,7 +406,7 @@ class PresentedF2Algebra:
         return bits
 
     def _coords_of(
-        self, monomials: Iterable[int], shifts: Sequence[tuple[int, int]]
+        self, monomials: "Iterable[int]", shifts: "Sequence[tuple[int, int]]"
     ) -> list[int]:
         """One bitset per packed monomial v: the XOR of the coordinates of
         v + add over each (mask, add) of shifts whose mask is 0 or meets v,

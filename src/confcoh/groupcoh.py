@@ -7,8 +7,6 @@ representation twisted by the orientation character (written Z_alpha),
 or the field with two elements.
 """
 
-from __future__ import annotations
-
 from .abelian import AbGroup2, Members, Z, ZERO
 from .report import VerificationReport
 

@@ -1,7 +1,5 @@
 """Structured pass/fail records shared by every verification suite."""
 
-from __future__ import annotations
-
 from .abelian import Value
 
 
@@ -22,7 +20,7 @@ class CheckResult(Value, fields="suite label expected got passed m degree skippe
         m: int | None = None,
         degree: int | None = None,
         skipped: bool = False,
-    ) -> CheckResult:
+    ) -> "CheckResult":
         return tuple.__new__(cls, (suite, label, expected, got, passed, m, degree, skipped))
 
     def line(self) -> str:

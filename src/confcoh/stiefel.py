@@ -6,8 +6,6 @@ sphere, orientability of the quotients, and the graded groups of the
 oriented Grassmannian of 2-planes computed from its presented ring.
 """
 
-from __future__ import annotations
-
 from .abelian import AbGroup2, GradedGroups, Members, Z, ZERO, group_from_presentation
 
 

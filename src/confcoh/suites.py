@@ -3,8 +3,6 @@
 Each suite checks one m >= 2; run_suites loops over m and then the names.
 """
 
-from __future__ import annotations
-
 from . import bockstein, cartan_leray, configcoh, stiefel
 from .configcoh import SpaceId
 from .f2algebra import config_mod2_ring

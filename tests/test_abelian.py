@@ -1,7 +1,7 @@
 import math
 import pickle
 import random
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -409,6 +409,31 @@ def test_rank_properties_match_the_frozen_sums(free, multiplicities):
     got = (g.torsion_order_log2, g.z4_count, g.mult2_kernel_rank)
     want = _ranks_frozen(g)  # apart from the assert, whose report would repr g
     assert got == want
+
+
+def _expanded_frozen(g):
+    """torsion_exponents and the summand-by-summand text of __str__ as they
+    read while they were built with itertools' chain and repeat."""
+    return (
+        tuple(chain.from_iterable(repeat(e, k) for e, k in g.torsion)),
+        " + ".join(chain.from_iterable(repeat(f"Z{1 << e}", k) for e, k in g.torsion)),
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.dictionaries(st.integers(1, 9), st.integers(1, 6)))
+@example(0, {})
+@example(0, {1: 1, 3: 1})  # Z2 + Z8
+@example(2, {2: 3, 5: 2})  # no exponent 1
+@example(1, {1: 6, 2: 1, 9: 6})
+def test_expanded_forms_match_the_frozen_chains(free, multiplicities):
+    g = AbGroup2._of_counts(free, multiplicities)
+    exponents, summands = _expanded_frozen(g)
+    assert g.torsion_exponents == exponents
+    # str writes one Zn per summand unless the torsion is <k> or {k}
+    if set(multiplicities) - {1, 2} or multiplicities.get(2, 1) != 1:
+        head = {0: "", 1: "Z"}.get(free, f"Z^{free}")
+        assert str(g) == (f"{head} + {summands}" if head else summands)
 
 
 @given(models)

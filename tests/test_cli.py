@@ -343,6 +343,48 @@ def test_verify_json_matches_json_dumps():
         assert "".join(cli._render_report_json(report)) == want
 
 
+# Strings json.dumps escapes, one kind each: a control character, DEL, the
+# two characters escaped by a backslash, a line separator, a lone surrogate
+# and an astral character (written as a surrogate pair).
+ESCAPED = ("\x00", "\x7f", '"', "\\", "\u2028", "\ud800", "\U0001f600")
+
+
+@settings(max_examples=500)
+@given(st.text(st.characters(exclude_categories=())))
+@example("")
+@example("plain ascii, quoted only")
+@example("".join(ESCAPED) + "\b\f\n\r\t\x1f \u00e9\udfff")
+def test_text_is_json_dumps(s):
+    assert cli._text(s) == json.dumps(s)
+
+
+@pytest.mark.parametrize("s", ESCAPED + ("plain",))
+def test_quoted_hit_is_the_text_of_its_miss(s):
+    quoted = cli._Quoted()
+    miss = quoted[s]
+    assert (quoted[s], len(quoted)) == (miss, 1)
+    assert miss == json.dumps(s)
+
+
+def test_report_json_escapes_like_json_dumps():
+    """Labels, values and suites that need escaping, in families that
+    repeat a suite under another m and come back to an earlier one."""
+    report = VerificationReport()
+    for suite, m in (('su"ite', 3), ('su"ite', 4), ("plain", 4), ('su"ite', 3), ("\\", None)):
+        family = VerificationReport(suite, m)
+        for i, s in enumerate(ESCAPED):
+            family.add(f"label {s}", s, f"{s}{s}", degree=i)
+        family.add_bool(f"bool {suite}", True)
+        family.add_skip("open \u2028")
+        report.extend(family)
+    text = "".join(cli._render_report_json(report))
+    assert text == _reference_report_json(report)
+    rows = json.loads(text)["checks"]
+    assert [(c["suite"], c["m"], c["label"], c["expected"], c["got"]) for c in rows] == [
+        (c.suite, c.m, c.label, c.expected, c.got) for c in report.checks
+    ]
+
+
 @pytest.mark.parametrize(
     "names, m_range, argv",
     [
@@ -477,16 +519,15 @@ def _cold(code):
     ).stdout
 
 
-# Modules a cold start must not load.  Annotations are strings (PEP 563) and
-# annotation-only imports sit behind TYPE_CHECKING, so typing,
+# Modules a cold start must not load.  Annotation-only imports sit behind
+# TYPE_CHECKING and the annotations that name them are quoted, so typing,
 # collections.abc and types stay out.  The value types declare their fields
 # on Value and the constant sets are Members, so no namedtuple (collections),
 # Enum (enum, functools) or dataclass (dataclasses, inspect).  argparse, and
 # the gettext, shutil and locale that building a parser loads, are only for
-# help and errors.  The json writers escape with _json's
-# encode_basestring_ascii, the C escaper json.dumps calls for a str, so json
-# and the re that its decoder loads stay out; only table1 --format json
-# imports json.
+# help and errors.  The json writers escape with cli._text, so json and the
+# re that its decoder loads stay out; only table1 --format json imports
+# json.
 COLD_START_ABSENT = (
     "typing",
     "dataclasses",
@@ -530,17 +571,38 @@ code = 0 if squares and ranks == [page1_expected(SpaceId("B", 9), d) for d in ra
 }
 
 
+# Every module of the package: bench/run.py's setup_s times `import
+# confcoh.cli` as the import of all of them.
+CONFCOH_MODULES = ["confcoh"] + [
+    f"confcoh.{name}"
+    for name in (
+        "abelian bockstein cartan_leray cli configcoh f2algebra groupcoh report stiefel suites"
+    ).split()
+]
+
+
 @pytest.mark.parametrize("name", COLD_CALLS)
 def test_cold_start_leaves_modules_out(name):
-    # io is loaded at start-up; contextlib would load functools and collections
+    # io is loaded at start-up; contextlib would load functools and
+    # collections.  Beyond what a bare `python -S -E` has loaded, only the
+    # package and the builtin _collections (abelian.Value's C field readers)
+    # may load.
     out = _cold(
+        "bare = set(sys.modules)\n"
         "import io; from confcoh import cli\n"
         "shown, sys.stdout = sys.stdout, io.StringIO()\n"
         f"{COLD_CALLS[name]}\n"
         "sys.stdout = shown\n"
-        f"print(code, [name for name in {COLD_START_ABSENT!r} if name in sys.modules])"
+        f"print(code, [name for name in {COLD_START_ABSENT!r} if name in sys.modules])\n"
+        "added = set(sys.modules) - bare\n"
+        "print(sorted(name for name in added if name.partition('.')[0] != 'confcoh'))\n"
+        "print(sorted(name for name in added if name.partition('.')[0] == 'confcoh'))"
     )
-    assert out == "0 []\n"
+    code_and_absent, others, package = out.splitlines()
+    assert code_and_absent == "0 []"
+    assert others == "['_collections']"
+    if name == "import":
+        assert package == repr(CONFCOH_MODULES)
 
 
 def test_help_is_argparse_help(capsys):

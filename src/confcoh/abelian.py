@@ -22,7 +22,7 @@ except ImportError:  # a plain Python reader in its place
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator, Sequence
+    from collections.abc import Iterable, Sequence
 
 
 class NonTwoPrimaryError(ValueError):
@@ -76,62 +76,6 @@ class Value(tuple):
     __hash__ = tuple.__hash__
 
 
-class _MembersType(type):
-    """Turns each plain class attribute of a Members subclass (not private,
-    not a method or other descriptor) into an instance of that class."""
-
-    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> "_MembersType":
-        namespace.setdefault("__slots__", ())
-        cls = super().__new__(mcls, name, bases, namespace)
-        cls._members, cls._by_value = [], {}
-        for key, value in namespace.items():
-            if key.startswith("_") or hasattr(value, "__get__"):
-                continue
-            member = object.__new__(cls)
-            object.__setattr__(member, "name", key)
-            object.__setattr__(member, "value", value)
-            setattr(cls, key, member)
-            cls._members.append(member)
-            cls._by_value[value] = member
-        return cls
-
-    def __iter__(cls) -> "Iterator":
-        return iter(cls._members)
-
-    def __len__(cls) -> int:
-        return len(cls._members)
-
-    def __call__(cls, value: object) -> "Members":
-        """The member with this value."""
-        try:
-            return cls._by_value[value]
-        except KeyError:
-            raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
-
-
-class Members(metaclass=_MembersType):
-    """Base of the package's named constant sets, which behave as Enum's
-    do: `class GroupId(Members): D8 = "D8"` makes `GroupId.D8` a member
-    with `.name` "D8" and `.value` "D8".  Iterating over the class gives its
-    members in order, `len` counts them, `GroupId("D8")` looks one up by
-    value, repr and str read as Enum's, and copy and pickle return the
-    member itself.  Members are equal only to themselves."""
-
-    __slots__ = ("name", "value")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot set {name!r} of {self!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.value,)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
-
-    def __str__(self) -> str:
-        return f"{type(self).__name__}.{self.name}"
-
-
 class AbGroup2(Value, fields="free_rank torsion"):
     """Z^free_rank plus, for each pair (e, k) in torsion, k summands Z/2^e.
 
@@ -181,6 +125,11 @@ class AbGroup2(Value, fields="free_rank torsion"):
         return AbGroup2._of, tuple(self)
 
     def __repr__(self) -> str:
+        """The exponent list while the group has at most _REPR_SUMMANDS
+        summands; beyond that the canonical pairs, as __reduce__ rebuilds
+        them, so the text stays short whatever the rank."""
+        if self.mult2_kernel_rank > _REPR_SUMMANDS:
+            return f"AbGroup2._of({self.free_rank!r}, {self.torsion!r})"
         return (
             f"AbGroup2(free_rank={self.free_rank!r}, "
             f"torsion_exponents={self.torsion_exponents!r})"
@@ -322,6 +271,9 @@ class AbGroup2(Value, fields="free_rank torsion"):
             tail = " + ".join(names)
         return f"{head} + {tail}" if head else tail
 
+
+# The most summands a repr lists one exponent at a time
+_REPR_SUMMANDS = 16
 
 # rank -> <rank> and rank -> {rank}, filled by the constructors on first use
 _ELEMENTARY: dict[int, AbGroup2] = {}

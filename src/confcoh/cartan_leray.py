@@ -38,7 +38,7 @@ class InconsistentOrdersError(ValueError):
     """Order bookkeeping of a differential round failed."""
 
 
-def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Page:
+def build_e2(g: str, m: int, p_max: int | None = None) -> Page:
     """Starting page of the covering spectral sequence for V_{m+1,2}:
     E2^{p,q} = H^p(BG; H^q(V_{m+1,2})), one line per nonzero fibre group.
 
@@ -56,7 +56,7 @@ def build_e2(g: GroupId, m: int, p_max: int | None = None) -> Page:
         if fibre == AbGroup2.elementary(1):
             lines[q] = CoeffId.MOD_TWO
         elif fibre == Z:
-            plus = stiefel.d8_action_sign(n, q) is stiefel.ActionSign.PLUS
+            plus = stiefel.d8_action_sign(n, q) == stiefel.ActionSign.PLUS
             lines[q] = CoeffId.INTEGER_TRIVIAL if plus else CoeffId.INTEGER_TWISTED
     return {
         (p, q): entry
@@ -145,16 +145,16 @@ def _image_log2(src_mid: AbGroup2, src_top: AbGroup2) -> int:
     )
 
 
-def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, VerificationReport]:
+def run_even(m: int, group: str = GroupId.D8) -> tuple[GradedGroups, VerificationReport]:
     """Replay the even-m collapse: one round of injections off the mod-2
     line into the base line, cokernels by closed form, top degree from the
     surviving integral class of the fibre."""
     if m < 2 or m % 2:
         raise RangeError("run_even needs even m >= 2")
-    s = SpaceId("B" if group is GroupId.D8 else "F", m)
+    s = SpaceId("B" if group == GroupId.D8 else "F", m)
     e2 = build_e2(group, m)
     ranks = rank_recursion(s)
-    report = VerificationReport(f"clss-even-{group.value}", m)
+    report = VerificationReport(f"clss-even-{group}", m)
     groups = [e2.get((t, 0), ZERO) for t in range(m + 1)]
     groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
     for ell in range(1, m):
@@ -166,7 +166,7 @@ def run_even(m: int, group: GroupId = GroupId.D8) -> tuple[GradedGroups, Verific
         report.add("source rank", image_rank, source.two_rank_tensor, degree=t)
         if ell == 1:
             coker = ZERO
-        elif group is GroupId.D8:
+        elif group == GroupId.D8:
             coker = even_cokernel(m, ell)
         else:
             coker = AbGroup2.elementary(target.two_rank_tensor - image_rank)

@@ -12,7 +12,7 @@ Notation used throughout: <k> is an elementary abelian 2-group of rank k
 and {k} is <k> plus one Z/4 summand.
 """
 
-from .abelian import AbGroup2, GradedGroups, Members, Value, Z, ZERO, uct_homology
+from .abelian import AbGroup2, GradedGroups, Value, Z, ZERO, uct_homology
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
 from . import stiefel
@@ -43,7 +43,7 @@ class SpaceId(Value, fields="kind m"):
         return 2 * self.m - 1
 
     @property
-    def group(self) -> GroupId:
+    def group(self) -> str:
         return GroupId.D8 if self.kind == "B" else GroupId.Z2xZ2
 
     def __str__(self) -> str:
@@ -165,21 +165,15 @@ def twisted_cohomology(s: SpaceId, j: int) -> AbGroup2:
 def twisted_cohomology_table(s: SpaceId) -> GradedGroups:
     """The twisted groups in every degree, with the orientation read once.
 
-    Non-orientable case: row j reads H^(2m-1-j), then H^(2m-j), which row
-    j - 1 read first.  So each integral group is computed once and held
-    only until its second read.
+    Non-orientable case: every row reads the integral table, which is
+    built once.
     """
+    table = cohomology_table(s)
     if is_orientable(s):
-        return cohomology_table(s)
-    held = {}
-
-    def h(i: int) -> AbGroup2:
-        g = held.pop(i, None)
-        if g is None:
-            g = held[i] = cohomology(s, i)
-        return g
-
-    return GradedGroups(_twisted_dual(s.m, j, h) for j in range(s.support_bound + 1))
+        return table
+    return GradedGroups(
+        _twisted_dual(s.m, j, table.group) for j in range(s.support_bound + 1)
+    )
 
 
 def duality_symmetry_check(s: SpaceId) -> VerificationReport:
@@ -216,7 +210,7 @@ def duality_symmetry_check(s: SpaceId) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-class PStarBehavior(Members):
+class PStarBehavior:
     ISO = "iso"
     EPI_NONZERO_KERNEL = "epi"
     MONO_ONTO_TORSION = "mono-onto-torsion"
@@ -230,19 +224,19 @@ class PStarProfile(Value, fields="behavior kernel_rank"):
 
     __slots__ = ()
 
-    def __new__(cls, behavior: PStarBehavior, kernel_rank: int | None = None) -> "PStarProfile":
+    def __new__(cls, behavior: str, kernel_rank: int | None = None) -> "PStarProfile":
         return tuple.__new__(cls, (behavior, kernel_rank))
 
 
-def p_star_profile(g: GroupId, m: int, i: int) -> PStarProfile:
+def p_star_profile(g: str, m: int, i: int) -> PStarProfile:
     """Degreewise behaviour of the classifying map on integral cohomology.
 
     For the dihedral group with m = 3 mod 4 the surjectivity above the
     middle dimension is not settled; those degrees come back OPEN and no
     suite asserts anything there.
     """
-    s = SpaceId("B" if g is GroupId.D8 else "F", m)
-    open_band = g is GroupId.D8 and m % 4 == 3 and m > 1
+    s = SpaceId("B" if g == GroupId.D8 else "F", m)
+    open_band = g == GroupId.D8 and m % 4 == 3 and m > 1
 
     def rank_of_kernel() -> int | None:
         bg = classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i)

@@ -7,16 +7,19 @@ representation twisted by the orientation character (written Z_alpha),
 or the field with two elements.
 """
 
-from .abelian import AbGroup2, Members, Z, ZERO
+from .abelian import AbGroup2, Z, ZERO
 from .report import VerificationReport
 
 
-class GroupId(Members):
+class GroupId:
     D8 = "D8"
     Z2xZ2 = "Z2xZ2"
 
 
-class CoeffId(Members):
+GROUPS = (GroupId.D8, GroupId.Z2xZ2)
+
+
+class CoeffId:
     INTEGER_TRIVIAL = "Z"
     INTEGER_TWISTED = "Z_alpha"
     MOD_TWO = "F2"
@@ -60,24 +63,29 @@ def _z2z2_twisted(i: int) -> AbGroup2:
     return AbGroup2.elementary((i + 1) // 2)
 
 
-def classifying_cohomology(g: GroupId, c: CoeffId, i: int) -> AbGroup2:
-    """H^i of the classifying space of g with coefficients c."""
+def classifying_cohomology(g: str, c: str, i: int) -> AbGroup2:
+    """H^i of the classifying space of g with coefficients c; a group
+    outside GROUPS or a coefficient outside CoeffId is refused."""
+    if g not in GROUPS:
+        raise ValueError(f"unknown group {g!r}")
+    if c not in (CoeffId.INTEGER_TRIVIAL, CoeffId.INTEGER_TWISTED, CoeffId.MOD_TWO):
+        raise ValueError(f"unknown coefficients {c!r}")
     if i < 0:
         return ZERO
-    if c is CoeffId.MOD_TWO:
+    if c == CoeffId.MOD_TWO:
         return AbGroup2.elementary(i + 1)
-    if g is GroupId.D8:
-        return _d8_integral(i) if c is CoeffId.INTEGER_TRIVIAL else _d8_twisted(i)
-    return _z2z2_integral(i) if c is CoeffId.INTEGER_TRIVIAL else _z2z2_twisted(i)
+    if g == GroupId.D8:
+        return _d8_integral(i) if c == CoeffId.INTEGER_TRIVIAL else _d8_twisted(i)
+    return _z2z2_integral(i) if c == CoeffId.INTEGER_TRIVIAL else _z2z2_twisted(i)
 
 
-def uct_mod2_check(g: GroupId, i_max: int) -> VerificationReport:
+def uct_mod2_check(g: str, i_max: int) -> VerificationReport:
     """Mod-2 universal-coefficient consistency of the integral closed forms.
 
     dim(H^i tensor F2) + #(2-torsion of H^(i+1)) must equal the mod-2
     Betti number i + 1 in every degree.
     """
-    report = VerificationReport(f"uct-mod2-{g.value}")
+    report = VerificationReport(f"uct-mod2-{g}")
     for i in range(i_max + 1):
         lhs = (
             classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i).two_rank_tensor

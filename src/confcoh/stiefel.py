@@ -6,10 +6,10 @@ sphere, orientability of the quotients, and the graded groups of the
 oriented Grassmannian of 2-planes computed from its presented ring.
 """
 
-from .abelian import AbGroup2, GradedGroups, Members, Z, ZERO, group_from_presentation
+from .abelian import AbGroup2, GradedGroups, Z, ZERO, group_from_presentation
 
 
-class ActionSign(Members):
+class ActionSign:
     PLUS = 1
     MINUS = -1
 
@@ -35,7 +35,7 @@ def stiefel_cohomology(n: int, q: int) -> AbGroup2:
     return ZERO
 
 
-def d8_action_sign(n: int, q: int) -> ActionSign:
+def d8_action_sign(n: int, q: int) -> int:
     """Common sign of the three reflection-type generators on H^q(V_{n,2})."""
     if n < 3:
         raise ValueError("n must be >= 3")

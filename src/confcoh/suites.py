@@ -6,7 +6,7 @@ Each suite checks one m >= 2; run_suites loops over m and then the names.
 from . import bockstein, cartan_leray, configcoh, stiefel
 from .configcoh import SpaceId
 from .f2algebra import config_mod2_ring
-from .groupcoh import GroupId, uct_mod2_check
+from .groupcoh import GROUPS, GroupId, uct_mod2_check
 from .report import VerificationReport
 
 
@@ -107,7 +107,7 @@ def run_suites(names: list[str], m_range: range) -> VerificationReport:
     parts = [VerificationReport() for _ in names]
     for name, part in zip(names, parts):
         if name == "uct" and m_range:
-            for g in GroupId:
+            for g in GROUPS:
                 part.extend(uct_mod2_check(g, 2 * max(m_range) + 2))
     for m in (m for m in m_range if m >= 2):
         for name, part in zip(names, parts):

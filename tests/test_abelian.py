@@ -210,6 +210,24 @@ def test_repr_text_pinned():
     )
 
 
+def test_repr_of_a_huge_group_is_short():
+    # Past abelian._REPR_SUMMANDS summands the repr writes the canonical
+    # pairs, so it costs the same whatever the rank.
+    text = repr(AbGroup2.elementary(2**40))
+    assert text == "AbGroup2._of(0, ((1, 1099511627776),))"
+    assert repr(Z + brace(2**40)) == "AbGroup2._of(1, ((1, 1099511627776), (2, 1)))"
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_repr_rebuilds_the_group_on_both_sides_of_the_bound(extra):
+    n = abelian._REPR_SUMMANDS + extra
+    for g in (elem(n), Z + brace(n - 1), AbGroup2(2, [1, 3] * (n // 2) + [5] * (n % 2))):
+        assert g.mult2_kernel_rank == n
+        text = repr(g)
+        assert text.startswith("AbGroup2(free_rank=" if extra <= 0 else "AbGroup2._of(")
+        assert eval(text, {"AbGroup2": AbGroup2}) == g
+
+
 def test_values_are_immutable():
     g = brace(2)
     with pytest.raises(AttributeError):

@@ -31,7 +31,7 @@ from confcoh.configcoh import (
     p_star_profile,
 )
 from confcoh.f2algebra import config_mod2_ring
-from confcoh.groupcoh import CoeffId, GroupId, classifying_cohomology
+from confcoh.groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology
 from confcoh import stiefel
 
 from test_abelian import _minor_gcd_invariant_factors
@@ -152,20 +152,20 @@ def test_criterion_07_chart_executors():
 
 def test_criterion_08_classifying_map_profiles():
     for m in range(2, 13):
-        for g in GroupId:
-            s = SpaceId("B" if g is GroupId.D8 else "F", m)
-            open_band = g is GroupId.D8 and m % 4 == 3
+        for g in GROUPS:
+            s = SpaceId("B" if g == GroupId.D8 else "F", m)
+            open_band = g == GroupId.D8 and m % 4 == 3
             for i in range(m + 1, 2 * m):
                 prof = p_star_profile(g, m, i)
                 if open_band:
-                    assert prof.behavior is PStarBehavior.OPEN, (g, m, i)
+                    assert prof.behavior == PStarBehavior.OPEN, (g, m, i)
                     assert prof.kernel_rank is None
                 elif m % 2 == 0:
                     assert prof.kernel_rank == i - m, (g, m, i)
                 else:
                     assert prof.kernel_rank == i - m + (-1) ** i, (g, m, i)
             for i in range(0, m - 1):
-                assert p_star_profile(g, m, i).behavior is PStarBehavior.ISO
+                assert p_star_profile(g, m, i).behavior == PStarBehavior.ISO
                 assert cohomology(s, i) == classifying_cohomology(
                     g, CoeffId.INTEGER_TRIVIAL, i
                 ), (g, m, i)

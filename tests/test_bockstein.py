@@ -1,7 +1,9 @@
 import pytest
 
+from confcoh import bockstein
 from confcoh.abelian import AbGroup2
 from confcoh.bockstein import (
+    InconsistentRecursionError,
     closed_form_rank,
     page1_compare,
     page1_expected,
@@ -20,6 +22,40 @@ def test_rank_recursion_examples():
     assert rank_recursion(B(6))[10] == 2  # l = 2, even m
     assert rank_recursion(B(5))[8] == 1  # l = 2, odd m
     assert rank_recursion(B(7))[8] == 3  # 2a + 1 at degree m + 1
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_rank_recursion_refuses_m_below_2(kind):
+    with pytest.raises(ValueError, match="^rank recursion needs m >= 2$"):
+        rank_recursion(SpaceId(kind, 1))
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_rank_recursion_refuses_a_negative_rank(monkeypatch, kind):
+    # One mod-2 Betti number too small in degree 5 makes the downward
+    # solve go negative there.
+    true_dimension = bockstein.mod2_dimension
+
+    def short(s, i):
+        return true_dimension(s, i) - (i == 5) * 10
+
+    monkeypatch.setattr(bockstein, "mod2_dimension", short)
+    with pytest.raises(InconsistentRecursionError, match="^negative rank at degree 5$"):
+        rank_recursion(SpaceId(kind, 6))
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_page1_expected_refuses_degrees_outside_0_to_2m(kind):
+    s = SpaceId(kind, 4)
+    for d in (-1, 9):
+        with pytest.raises(ValueError, match=f"^degree {d} outside 0..8$"):
+            page1_expected(s, d)
+    assert page1_expected(s, 0) == 1 and page1_expected(s, 8) == 0
+
+
+def test_sq1_split_check_refuses_negative_a():
+    with pytest.raises(ValueError, match="^a must be >= 0$"):
+        sq1_split_check(-1)
 
 
 def test_rank_recursion_against_closed_forms():

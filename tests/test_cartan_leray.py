@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from confcoh import cartan_leray
 from confcoh.abelian import AbGroup2, Z
 from confcoh.cartan_leray import (
+    InconsistentOrdersError,
     RangeError,
     build_e2,
     even_cokernel,
@@ -14,7 +17,7 @@ from confcoh.cartan_leray import (
     run_ordered,
 )
 from confcoh.configcoh import SpaceId, cohomology, cohomology_table
-from confcoh.groupcoh import GroupId
+from confcoh.groupcoh import GROUPS, GroupId
 
 
 def elem(k):
@@ -57,9 +60,32 @@ def test_build_e2_ordered_m4():
     assert line_degrees(e2) == [0, 4, 7]
 
 
+@pytest.mark.parametrize("m", [3, 5, 7])
+@pytest.mark.parametrize("case", ["z4", "sources-too-large"])
+def test_run_odd_ordered_refuses_inconsistent_orders(monkeypatch, m, case):
+    # Both at ell = 1: the target (2m - 1, 0) gains a Z/4, or the page-m
+    # source (m - 1, m - 1) outgrows it.
+    if case == "z4":
+        key, group = (2 * m - 1, 0), AbGroup2.cyclic(2)
+        text = "unexpected Z/4 in the ordered case"
+    else:
+        key, group = (m - 1, m - 1), AbGroup2.elementary(m + 10)
+        text = f"sources larger than target in degree {2 * m - 1}"
+    true_build = cartan_leray.build_e2
+
+    def tampered(g, m, p_max=None):
+        e2 = true_build(g, m, p_max)
+        e2[key] = group
+        return e2
+
+    monkeypatch.setattr(cartan_leray, "build_e2", tampered)
+    with pytest.raises(InconsistentOrdersError, match=f"^{re.escape(text)}$"):
+        run_odd_ordered(m)
+
+
 def test_line_invariants():
     for m in (2, 3, 4, 5, 6, 7):
-        for g in GroupId:
+        for g in GROUPS:
             e2 = build_e2(g, m)
             assert all(p >= 0 and not e.is_trivial for (p, _), e in e2.items())
             if m % 2 == 0:

@@ -522,12 +522,12 @@ def _cold(code):
 # Modules a cold start must not load.  Annotation-only imports sit behind
 # TYPE_CHECKING and the annotations that name them are quoted, so typing,
 # collections.abc and types stay out.  The value types declare their fields
-# on Value and the constant sets are Members, so no namedtuple (collections),
-# Enum (enum, functools) or dataclass (dataclasses, inspect).  argparse, and
-# the gettext, shutil and locale that building a parser loads, are only for
-# help and errors.  The json writers escape with cli._text, so json and the
-# re that its decoder loads stay out; only table1 --format json imports
-# json.
+# on Value and the constant sets are plain classes of strings and ints, so no
+# namedtuple (collections), Enum (enum, functools) or dataclass (dataclasses,
+# inspect).  argparse, and the gettext, shutil and locale that building a
+# parser loads, are only for help and errors.  The json writers escape with
+# cli._text, so json and the re that its decoder loads stay out; only table1
+# --format json imports json.
 COLD_START_ABSENT = (
     "typing",
     "dataclasses",

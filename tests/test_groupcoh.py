@@ -1,5 +1,37 @@
+import re
+
+import pytest
+
 from confcoh.abelian import AbGroup2, Z
-from confcoh.groupcoh import CoeffId, GroupId, classifying_cohomology, uct_mod2_check
+from confcoh.groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology, uct_mod2_check
+
+
+@pytest.mark.parametrize(
+    "gid, cid, message",
+    [
+        ("Q8", CoeffId.INTEGER_TRIVIAL, "unknown group 'Q8'"),
+        ("Q8", "bogus", "unknown group 'Q8'"),
+        (None, CoeffId.MOD_TWO, "unknown group None"),
+        (GroupId.D8, "bogus", "unknown coefficients 'bogus'"),
+        (GroupId.Z2xZ2, "Z/2", "unknown coefficients 'Z/2'"),
+        (GroupId.D8, 1, "unknown coefficients 1"),
+    ],
+    ids=["Q8-Z", "Q8-bogus", "None-F2", "D8-bogus", "Z2xZ2-Z/2", "D8-1"],
+)
+@pytest.mark.parametrize("i", [-1, 0, 4])
+def test_unknown_group_or_coefficients_refused(gid, cid, message, i):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classifying_cohomology(gid, cid, i)
+
+
+def test_groups_and_coefficients_given_as_their_strings():
+    # The constants are the strings themselves: "D8" with "Z" is the
+    # dihedral integral group, not the twisted one, and "D8" is not Z2xZ2.
+    assert g("D8", "Z", 4) == g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 4)
+    assert g(GroupId.D8, "Z", 4) == AbGroup2.elementary_with_z4(2)
+    assert g("D8", CoeffId.INTEGER_TRIVIAL, 4) == AbGroup2.elementary_with_z4(2)
+    assert g("Z2xZ2", "Z_alpha", 4) == AbGroup2.elementary(2)
+    assert g("D8", "F2", 4) == g("Z2xZ2", "F2", 4) == AbGroup2.elementary(5)
 
 
 def g(gid, cid, i):
@@ -31,19 +63,19 @@ def test_product_of_projective_spaces_values():
 
 
 def test_mod2_dimension_is_linear():
-    for gid in GroupId:
+    for gid in GROUPS:
         for i in range(30):
             got = g(gid, CoeffId.MOD_TWO, i)
             assert got == AbGroup2.elementary(i + 1)
 
 
 def test_twisted_vanishes_in_degree_zero():
-    for gid in GroupId:
+    for gid in GROUPS:
         assert g(gid, CoeffId.INTEGER_TWISTED, 0).is_trivial
 
 
 def test_uct_mod2_consistency_through_degree_40():
-    for gid in GroupId:
+    for gid in GROUPS:
         report = uct_mod2_check(gid, 40)
         assert report.passed, report.failures()
 

@@ -24,16 +24,16 @@ def test_stiefel_cohomology_examples():
 
 
 def test_action_sign_examples():
-    assert d8_action_sign(4, 2) is ActionSign.MINUS
-    assert d8_action_sign(4, 3) is ActionSign.PLUS
-    assert d8_action_sign(5, 7) is ActionSign.PLUS
+    assert d8_action_sign(4, 2) == ActionSign.MINUS
+    assert d8_action_sign(4, 3) == ActionSign.PLUS
+    assert d8_action_sign(5, 7) == ActionSign.PLUS
     with pytest.raises(UnsupportedDegreeError):
         d8_action_sign(6, 1)
 
 
 def test_action_sign_trivial_on_order_two_groups():
     for n in range(3, 21, 2):
-        assert d8_action_sign(n, n - 1) is ActionSign.PLUS
+        assert d8_action_sign(n, n - 1) == ActionSign.PLUS
 
 
 def test_sphere_bundle_page():

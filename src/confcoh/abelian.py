@@ -265,10 +265,7 @@ class AbGroup2(Value, fields="free_rank torsion"):
         elif rest == ((2, 1),):
             tail = f"{{{ones}}}"
         else:
-            names = []
-            for e, k in torsion:
-                names += (f"Z{1 << e}",) * k
-            tail = " + ".join(names)
+            tail = "".join(f"Z{1 << e} + " * k for e, k in torsion)[:-3]
         return f"{head} + {tail}" if head else tail
 
 

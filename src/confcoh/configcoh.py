@@ -13,7 +13,7 @@ and {k} is <k> plus one Z/4 summand.
 """
 
 from .abelian import AbGroup2, GradedGroups, Value, Z, ZERO, uct_homology
-from .groupcoh import CoeffId, GroupId, classifying_cohomology
+from .groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
 from . import stiefel
 
@@ -233,8 +233,11 @@ def p_star_profile(g: str, m: int, i: int) -> PStarProfile:
 
     For the dihedral group with m = 3 mod 4 the surjectivity above the
     middle dimension is not settled; those degrees come back OPEN and no
-    suite asserts anything there.
+    suite asserts anything there.  A group outside GROUPS is refused in
+    every degree, as classifying_cohomology refuses it.
     """
+    if g not in GROUPS:
+        raise ValueError(f"unknown group {g!r}")
     s = SpaceId("B" if g == GroupId.D8 else "F", m)
     open_band = g == GroupId.D8 and m % 4 == 3 and m > 1
 

@@ -12,7 +12,9 @@ one) is non-standard, and an immediate divisor lies in a lower degree,
 whose basis is complete.  Nor is a sort: the standard monomials whose
 first nonzero exponent is generator i's are generator i times the tail of
 a lower basis that has no earlier exponent, so taken generator by
-generator they come out descending, each tested once.
+generator they come out descending, each tested once.  Nor is a search:
+each basis is stored with the running lengths of its groups, which are
+where its tails start.
 A standard monomial's coordinates in the quotient basis are its own bit,
 read from its position; the memo holds only those of non-standard
 monomials, as bitsets found from lower ones: a lead has the bits of the
@@ -117,9 +119,11 @@ class F2Echelon:
 
 
 def f2_rank(columns: list[int]) -> int:
+    """Rank of the span of the columns; a zero column is not offered."""
     ech = F2Echelon()
     for c in columns:
-        ech.add(c)
+        if c:
+            ech.add(c)
     return ech.rank
 
 
@@ -160,16 +164,20 @@ class PresentedF2Algebra:
                 raise ValueError(f"Sq1 declared on generator {g} of {n}")
         # generator i's exponent field starts at bit _shifts[i], the first
         # generator's highest; the weighted degree starts at _degree_shift
-        self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
-        self._degree_shift = FIELD_BITS * n
-        self._units = tuple(
-            g << self._degree_shift | 1 << s for g, s in zip(self.degrees, self._shifts)
-        )
-        self._exponent_bits = sum(MAX_EXPONENT << s for s in self._shifts)
-        self._guards = sum(1 << s + FIELD_BITS - 1 for s in self._shifts)
-        # (exponent field, unit) of each generator
-        self._steps = tuple(
-            (MAX_EXPONENT << s, unit) for s, unit in zip(self._shifts, self._units)
+        shift = self._degree_shift = FIELD_BITS * n
+        self._shifts = tuple(range(shift - FIELD_BITS, -1, -FIELD_BITS))
+        units, steps = [], []  # (exponent field, unit) of each generator
+        self._exponent_bits = self._guards = 0
+        for g, s in zip(self.degrees, self._shifts):
+            unit = g << shift | 1 << s
+            units.append(unit)
+            steps.append((MAX_EXPONENT << s, unit))
+            self._exponent_bits |= MAX_EXPONENT << s
+            self._guards |= 1 << s + FIELD_BITS - 1
+        self._units, self._steps = tuple(units), tuple(steps)
+        # (degree, unit, steps of the later generators) of each generator
+        self._growth = tuple(
+            (g, unit, self._steps[i + 1 :]) for i, (g, unit) in enumerate(zip(self.degrees, units))
         )
         self._pending: dict[int, list[frozenset[int]]] = {}  # degree -> to reduce
         self._sq1_unchecked: dict[frozenset[int], int] = {}  # relation -> degree
@@ -177,12 +185,14 @@ class PresentedF2Algebra:
             if not r:
                 raise ValueError("zero relation")
             packed = frozenset(map(self._pack, r))
-            degs = {v >> self._degree_shift for v in packed}
+            degs = {v >> shift for v in packed}
             if len(degs) != 1:
                 raise ValueError(f"relation {set(r)} is not homogeneous")
             (d,) = degs
             self._pending.setdefault(d, []).append(packed)
             self._sq1_unchecked[packed] = d
+        # sq1_matrix(d) checks Sq1 on the relations only from this degree up
+        self._sq1_unchecked_low = min(self._sq1_unchecked.values(), default=MAX_DEGREE + 1)
         # (parity bit of g, a monomial of Sq1 g over g): Sq1 of a monomial
         # with an odd power of g has a term that monomial plus the shift
         self._sq1_shifts: list[tuple[int, int]] = []
@@ -199,6 +209,8 @@ class PresentedF2Algebra:
         # non-standard monomial -> coordinates, complete degrees only
         self._coords_memo: dict[int, int] = {}
         self._basis_cache: dict[int, list[int]] = {}  # degree -> basis, descending
+        # degree -> where each generator's group starts in that basis
+        self._starts: dict[int, tuple[int, ...]] = {}
         self._position: dict[int, int] = {}  # standard monomial -> place in basis
         # (degree, twist) -> Sq1 matrix out of that degree, and its rank
         self._sq1_matrix_cache: dict[tuple[int, int | None], list[int]] = {}
@@ -209,13 +221,16 @@ class PresentedF2Algebra:
     def _pack(self, mono: Monomial) -> int:
         """The packed form of an exponent tuple, refused unless it has one
         exponent per generator, each in 0..MAX_EXPONENT."""
-        if len(mono) != len(self._units) or not (
-            0 <= min(mono, default=0) and max(mono, default=0) <= MAX_EXPONENT
-        ):
-            raise ValueError(
-                f"{mono} is not {len(self._units)} exponents in 0..{MAX_EXPONENT}"
-            )
-        return self._packed(mono)
+        units = self._units
+        v = 0
+        if len(mono) == len(units):
+            for e, unit in zip(mono, units):
+                if not 0 <= e <= MAX_EXPONENT:
+                    break
+                v += e * unit
+            else:
+                return v
+        raise ValueError(f"{mono} is not {len(units)} exponents in 0..{MAX_EXPONENT}")
 
     def _packed(self, mono: Monomial) -> int:
         """The packed form of an exponent tuple that fits, unchecked."""
@@ -235,14 +250,17 @@ class PresentedF2Algebra:
         rest of its basis element; else it is standard and moves to the
         result."""
         position, gb, cache = self._position, self._groebner, self._basis_cache
+        memo, steps, shift = self._coords_memo, self._steps, self._degree_shift
         todo = set(poly)
         out = []
         while todo:
             w = max(todo)
-            for field, unit in self._steps:
+            for field, unit in steps:
                 if w & field and (u := w - unit) not in position:
-                    below = cache[u >> self._degree_shift]
-                    bits = self._mono_coords(u)
+                    below = cache[u >> shift]
+                    bits = memo.get(u)
+                    if bits is None:
+                        bits = self._walk(u)
                     todo.remove(w)
                     lifted = []
                     while bits:
@@ -302,54 +320,59 @@ class PresentedF2Algebra:
         Standard monomials are closed under division, so those whose first
         nonzero exponent is generator i's are generator i times the tail of
         the basis g_i degrees down: its monomials with no earlier field set,
-        the smallest ones, found by bisection.  Group by group in generator
-        order, each in that tail's order, the candidates come out
-        descending, each once.  A candidate is standard iff it is not a lead
-        and, for each later generator it contains, its immediate divisor by
-        that generator is in the basis of its degree.
+        the smallest ones.  Group by group in generator order, each in that
+        tail's order, the candidates come out descending, each once, and
+        the running lengths of the groups are where the tails start: the
+        basis of each degree is stored with the start of each generator's
+        group.  A candidate is standard iff it is not a lead (only a lead
+        of its degree, one that joined as that degree grew, can match) and,
+        for each later generator it contains, its immediate divisor by that
+        generator is in the basis of its degree.
         """
         cache = self._basis_cache
         if d < len(cache):
             return
         if d > MAX_DEGREE:
             raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
-        gb, position, steps = self._groebner, self._position, self._steps
-        shift = self._degree_shift
+        gb, position, starts = self._groebner, self._position, self._starts
+        pending, pairs = self._pending, self._pairs
         for e in range(len(cache), d + 1):
-            for poly in self._pending.pop(e, ()):
-                poly = self._normal_form(poly)
-                if poly:
-                    self._add_to_groebner(poly)
-            for lcm, a, b in self._pairs.pop(e, ()):
-                qa, qb = lcm - a, lcm - b
-                poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
-                if poly:
-                    self._add_to_groebner(poly)
-            basis = [0] if e == 0 else []
-            for i, (g, unit) in enumerate(zip(self.degrees, self._units)):
+            leads = len(gb)
+            if e in pending:
+                for poly in pending.pop(e):
+                    poly = self._normal_form(poly)
+                    if poly:
+                        self._add_to_groebner(poly)
+            if e in pairs:
+                for lcm, a, b in pairs.pop(e):
+                    qa, qb = lcm - a, lcm - b
+                    poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
+                    if poly:
+                        self._add_to_groebner(poly)
+            if e == 0:
+                cache[0], starts[0] = [0], (0,) * len(self._growth)
+                position[0] = 0
+                continue
+            basis, heads = [], []
+            fresh = len(gb) > leads  # a lead of degree e joined
+            for i, (g, unit, later) in enumerate(self._growth):
+                heads.append(len(basis))
                 if g > e:
                     continue
-                below = cache[e - g]
-                limit = ((e - g) << shift) + (1 << (self._shifts[i] + FIELD_BITS))
-                lo, hi = 0, len(below)  # below[lo:] is the tail under limit
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if below[mid] < limit:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                group = [v for v in map(unit.__add__, below[lo:]) if v not in gb]
-                for field, later in steps[i + 1 :]:
-                    group = [v for v in group if not v & field or v - later in position]
+                group = map(unit.__add__, cache[e - g][starts[e - g][i] :])
+                if fresh:
+                    group = [v for v in group if v not in gb]
+                for field, step in later:
+                    group = [v for v in group if not v & field or v - step in position]
                 basis += group
-            cache[e] = basis
+            cache[e], starts[e] = basis, tuple(heads)
             position.update(zip(basis, range(len(basis))))
 
     def _start_from(self, other: "PresentedF2Algebra") -> bool:
-        """Take other's bases, and its Sq1 matrices and ranks, below degree
-        low, the lowest degree of any relation of either ring, capped at
-        other's frontier; returns whether it did.  It refuses a ring that
-        has grown, or other generators or another Sq1.
+        """Take other's bases with their starts, and its Sq1 matrices and
+        ranks, below degree low, the lowest degree of any relation of either
+        ring, capped at other's frontier; returns whether it did.  It
+        refuses a ring that has grown, or other generators or another Sq1.
 
         Below low both rings are the free ring: no lead, pair, memo entry
         or Sq1 relation check lies there, so a basis, and a matrix or rank
@@ -367,6 +390,7 @@ class PresentedF2Algebra:
         low = min([len(other._basis_cache), *(self._packed(min(r)) >> shift for r in relations)])
         for d in range(low):
             basis = self._basis_cache[d] = other._basis_cache[d]
+            self._starts[d] = other._starts[d]
             self._position.update(zip(basis, range(len(basis))))
         for mine, theirs in (
             (self._sq1_matrix_cache, other._sq1_matrix_cache),
@@ -411,11 +435,11 @@ class PresentedF2Algebra:
         """One bitset per packed monomial v: the XOR of the coordinates of
         v + add over each (mask, add) of shifts whose mask is 0 or meets v,
         each in a complete degree.  Those are a standard monomial's own bit,
-        else the memoised coordinates, else those _mono_coords walks.
+        else the memoised coordinates, else those _walk finds.
 
         With _sq1_shifts it gives Sq1 of v, plus the product by a generator
         with (0, its unit) added, and with ((0, 0),) v's own coordinates."""
-        position, memo = self._position, self._coords_memo
+        position, memo, walk = self._position, self._coords_memo, self._walk
         out = []
         for v in monomials:
             bits = 0
@@ -427,17 +451,17 @@ class PresentedF2Algebra:
                         bits ^= 1 << p
                     else:
                         c = memo.get(t)
-                        bits ^= self._mono_coords(t) if c is None else c
+                        bits ^= walk(t) if c is None else c
             out.append(bits)
         return out
 
-    def _mono_coords(self, mono: int) -> int:
-        """Coordinates of a monomial of a complete degree, as bits.
+    def _walk(self, mono: int) -> int:
+        """Coordinates of a non-standard monomial of a complete degree that
+        the memo does not hold yet, as bits; the caller has looked.
 
-        A standard monomial's coordinates are its own bit, at its position;
-        the memo holds those of non-standard monomials only, as the walk
-        finds them.  A lead has the coordinates of the rest of its Groebner
-        basis element.  Any other non-standard w has a non-standard
+        The memo holds the coordinates of non-standard monomials only, as
+        the walk finds them.  A lead has the coordinates of the rest of its
+        Groebner basis element.  Any other non-standard w has a non-standard
         immediate divisor w/h, h the first generator whose quotient is not
         in the basis, and has the coordinates of the sum of h*v over the
         standard v set in those of w/h.  Every monomial named on the right
@@ -445,14 +469,7 @@ class PresentedF2Algebra:
         not by recursion, and leaves w there until each part it names is
         known.
         """
-        position = self._position
-        p = position.get(mono)
-        if p is not None:
-            return 1 << p
-        memo = self._coords_memo
-        bits = memo.get(mono)
-        if bits is not None:
-            return bits
+        position, memo = self._position, self._coords_memo
         gb, steps, cache = self._groebner, self._steps, self._basis_cache
         shift = self._degree_shift
         stack = [mono]
@@ -513,8 +530,9 @@ class PresentedF2Algebra:
         self._grow(d + 1)
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
-        if self._sq1_unchecked:
-            for rel, e in list(self._sq1_unchecked.items()):
+        if d >= self._sq1_unchecked_low:
+            unchecked = self._sq1_unchecked
+            for rel, e in list(unchecked.items()):
                 if e > d:
                     continue
                 bits = 0
@@ -524,7 +542,8 @@ class PresentedF2Algebra:
                     raise IllDefinedDerivationError(
                         f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
                     )
-                del self._sq1_unchecked[rel]
+                del unchecked[rel]
+            self._sq1_unchecked_low = min(unchecked.values(), default=MAX_DEGREE + 1)
         shifts = self._sq1_shifts
         if twist is not None:
             shifts = [*shifts, (0, self._units[twist])]
@@ -535,16 +554,23 @@ class PresentedF2Algebra:
     def sq1_homology_rank(self, d: int, twist: int | None = None) -> int:
         """dim ker(Sq1 at d) - rank(Sq1 at d-1), or of Sq1 + twist (see
         sq1_matrix)."""
-        here = self.quotient_dimension(d)
-        return here - self._rank_out(d, twist) - self._rank_out(d - 1, twist)
+        ranks = self._rank_cache
+        out = ranks.get((d, twist))
+        if out is None:
+            out = self._rank_out(d, twist)
+        into = ranks.get((d - 1, twist))
+        if into is None:
+            into = self._rank_out(d - 1, twist)
+        # degree d is grown: its rank out is cached or has just been taken
+        return len(self._basis_cache.get(d, ())) - out - into
 
     def _rank_out(self, e: int, twist: int | None) -> int:
-        """Rank of the matrix out of degree e, taken once per (e, twist)."""
-        rank = self._rank_cache.get((e, twist))
-        if rank is None:
-            if not self.quotient_dimension(e):
-                return 0
-            rank = self._rank_cache[e, twist] = f2_rank(self.sq1_matrix(e, twist))
+        """Rank of the matrix out of degree e, which the rank cache does not
+        hold yet; the caller has looked.  It is kept unless degree e is
+        empty."""
+        if not self.quotient_dimension(e):
+            return 0
+        rank = self._rank_cache[e, twist] = f2_rank(self.sq1_matrix(e, twist))
         return rank
 
     def sq1_square_is_zero(self, d: int, twist: int | None = None) -> bool:
@@ -552,7 +578,7 @@ class PresentedF2Algebra:
         of Sq1 + twist (see sq1_matrix)."""
         first = self.sq1_matrix(d, twist)
         second = self.sq1_matrix(d + 1, twist)
-        for col in first:
+        for col in filter(None, first):
             acc = 0
             while col:
                 low = col & -col

@@ -4,7 +4,7 @@ import random
 from itertools import chain, combinations, repeat
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from confcoh import abelian
@@ -452,6 +452,31 @@ def test_expanded_forms_match_the_frozen_chains(free, multiplicities):
     if set(multiplicities) - {1, 2} or multiplicities.get(2, 1) != 1:
         head = {0: "", 1: "Z"}.get(free, f"Z^{free}")
         assert str(g) == (f"{head} + {summands}" if head else summands)
+
+
+def _mixed_tail_frozen(torsion):
+    """AbGroup2.__str__'s summand-by-summand tail as it was: one name per
+    summand, then joined."""
+    names = []
+    for e, k in torsion:
+        names += (f"Z{1 << e}",) * k
+    return " + ".join(names)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.dictionaries(st.integers(1, 12), st.integers(1, 200)))
+@example(0, {1: 1, 3: 1})  # Z2 + Z8
+@example(0, {2: 2})  # two Z4, no Z2
+@example(3, {1: 200, 2: 1, 12: 200})
+def test_mixed_torsion_str_matches_the_frozen_tail(free, multiplicities):
+    # Torsion other than <k> and {k}: something past exponent 1 that is
+    # not a lone Z/4.
+    rest = {e: k for e, k in multiplicities.items() if e != 1}
+    assume(rest and rest != {2: 1})
+    g = AbGroup2._of_counts(free, multiplicities)
+    head = {0: "", 1: "Z"}.get(free, f"Z^{free}")
+    tail = _mixed_tail_frozen(g.torsion)
+    assert str(g) == (f"{head} + {tail}" if head else tail)
 
 
 @given(models)

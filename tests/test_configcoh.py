@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,28 @@ def test_p_star_mono_onto_torsion():
             assert cohomology(s, m).torsion_part() == classifying_cohomology(
                 g, CoeffId.INTEGER_TRIVIAL, m
             ).torsion_part()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+@pytest.mark.parametrize("g", ["Q8", "bogus", "d8"])
+def test_p_star_profile_refuses_an_unknown_group_in_every_degree(g, m):
+    # Degrees that read no classifying group (i <= m, i >= 2m - 1) are
+    # refused too, with the error that classifying_cohomology raises.
+    with pytest.raises(ValueError) as want:
+        classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, 0)
+    for i in range(2 * m + 2):
+        with pytest.raises(ValueError) as got:
+            p_star_profile(g, m, i)
+        assert str(got.value) == str(want.value) == f"unknown group {g!r}", i
+
+
+def test_p_star_profiles_of_the_known_groups_are_unchanged():
+    # Every profile of D8 and Z2xZ2 over m = 2..12 and degrees 0..2m+1,
+    # as their reprs, pinned before unknown groups were refused.
+    cases = [(g, m, i) for g in GROUPS for m in range(2, 13) for i in range(2 * m + 2)]
+    text = repr([(*case, p_star_profile(*case)) for case in cases])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "d81af445598aace16fb9de98cb4852348ef88e98f77b2b9d39b31470a67323c7"
 
 
 # ---------------------------------------------------------------------------

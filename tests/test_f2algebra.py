@@ -202,6 +202,23 @@ def test_echelon_against_span_oracle(vectors):
     assert set(ech.rows) == {(w & -w).bit_length() - 1 for w in span if w}
 
 
+@given(st.lists(BITS12, max_size=8), st.lists(st.integers(0, 8), max_size=4))
+def test_rank_is_the_same_with_and_without_zero_columns(vectors, places):
+    padded = list(vectors)
+    for k in places:
+        padded.insert(min(k, len(padded)), 0)
+    nonzero = [v for v in vectors if v]
+    assert f2algebra.f2_rank(padded) == f2algebra.f2_rank(nonzero) == span_rank(vectors)
+
+
+def test_rank_offers_no_zero_column(monkeypatch):
+    offered = []
+    add = F2Echelon.add
+    monkeypatch.setattr(F2Echelon, "add", lambda self, v: offered.append(v) or add(self, v))
+    assert f2algebra.f2_rank([0, 6, 0, 3, 5, 0]) == 2
+    assert offered == [6, 3, 5]
+
+
 # ---------------------------------------------------------------------------
 # Groebner engine against the relation span and against sympy
 # ---------------------------------------------------------------------------
@@ -429,6 +446,42 @@ def test_engine_on_random_presentations(case):
     assert ring.coords(poly, d) == oracle.coords(poly, d)
 
 
+def scanned_starts(ring, basis):
+    """For each generator i, the first index in basis whose monomial has no
+    exponent below generator i's set, or len(basis): a scan, not the
+    running lengths that _grow stores."""
+    exponents = [ring._unpack(v) for v in basis]
+    return tuple(
+        next((k for k, e in enumerate(exponents) if not any(e[:i])), len(basis))
+        for i in range(len(ring.degrees))
+    )
+
+
+def assert_starts_match_a_scan(ring):
+    assert ring._starts.keys() == ring._basis_cache.keys()
+    for d, basis in ring._basis_cache.items():
+        assert ring._starts[d] == scanned_starts(ring, basis), d
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+@pytest.mark.parametrize("kind", ["R", "B", "F"])
+def test_stored_starts_match_a_scan(kind, m):
+    ring = {"R": grassmannian_ring, **FRESH}[kind](m)
+    ring._grow(2 * m + 2)
+    assert_starts_match_a_scan(ring)
+
+
+@given(random_presentations())
+@example(TRIANGLE)
+@example(INTERLEAVED)
+@settings(max_examples=100, deadline=None)
+def test_stored_starts_on_random_presentations(case):
+    degrees, relations, _, _ = case
+    ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
+    ring._grow(8)
+    assert_starts_match_a_scan(ring)
+
+
 @pytest.mark.parametrize("m", [17, 24])
 @pytest.mark.parametrize("kind", ["B", "R", "F"])
 def test_memo_against_span_oracle(kind, m):
@@ -584,7 +637,7 @@ def test_standard_monomials_have_one_home(kind, m):
         ring.sq1_homology_rank(d)
         ring.sq1_square_is_zero(d)
     assert not ring._coords_memo.keys() & ring._position.keys()
-    assert all(ring._mono_coords(v) == 1 << p for v, p in ring._position.items())
+    assert ring._coords_of(ring._position, ((0, 0),)) == [1 << p for p in ring._position.values()]
     oracle = SpanOracle(ring)
     rng = random.Random(f"{kind} {m}")
     for d in range(2 * m + 2):
@@ -727,6 +780,28 @@ def test_ill_defined_derivation_detected():
         with pytest.raises(IllDefinedDerivationError):
             ring.sq1_matrix(2)
     assert [ring.quotient_dimension(d) for d in range(5)] == dims
+
+
+@pytest.mark.parametrize("e", [2, 3, 5, 8])
+def test_a_bad_relation_gates_sq1_from_its_degree(e):
+    # F2[a, b] / (b), b of degree e, with Sq1 a = a^2 and Sq1 b = a^(e+1),
+    # which is not in the ideal: below degree e the matrices are those of
+    # F2[a] (Sq1 a^d = d a^(d+1)), and from degree e on every one raises,
+    # whatever was asked before, and again when asked again.
+    def make():
+        sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(e + 1, 0)})}
+        return PresentedF2Algebra([("a", 1), ("b", e)], [frozenset({(0, 1)})], sq1)
+
+    high_first = make()
+    for d in range(e + 3, e - 1, -1):
+        with pytest.raises(IllDefinedDerivationError):
+            high_first.sq1_matrix(d)
+    for ring in (make(), high_first):
+        for d in range(e):
+            assert ring.sq1_matrix(d) == [d % 2], d
+        for d in [*range(e, e + 4), e]:
+            with pytest.raises(IllDefinedDerivationError):
+                ring.sq1_matrix(d)
 
 
 @st.composite
@@ -1115,7 +1190,9 @@ def test_shared_rings_equal_fresh_ones(order):
                 before, other = last[kind]
                 low = min(m, before)
                 assert all(ring._basis_cache[d] is other._basis_cache[d] for d in range(low))
+                assert all(ring._starts[d] is other._starts[d] for d in range(low))
                 assert ring._basis_cache[low] is not other._basis_cache[low]
+                assert_starts_match_a_scan(ring)
             last[kind] = m, ring
     config_mod2_ring.cache_clear()
 
@@ -1245,6 +1322,7 @@ def assert_grows_as_fresh(ring, fresh):
         assert sq1_matrix_or_error(ring, d) == sq1_matrix_or_error(fresh, d), d
     assert list(ring._groebner.items()) == list(fresh._groebner.items())
     assert ring._position == fresh._position
+    assert ring._starts == fresh._starts
 
 
 @pytest.mark.parametrize(
@@ -1265,8 +1343,9 @@ def test_started_ring_takes_the_free_degrees(make):
     other = swept_dihedral()
     ring, fresh = make(), make()
     assert ring._start_from(other)
-    assert list(ring._basis_cache) == [0, 1]
+    assert list(ring._basis_cache) == list(ring._starts) == [0, 1]
     assert all(ring._basis_cache[d] is other._basis_cache[d] for d in (0, 1))
+    assert all(ring._starts[d] is other._starts[d] for d in (0, 1))
     assert set(ring._sq1_matrix_cache) == set(ring._rank_cache) == {(0, None)}
     assert ring._sq1_matrix_cache[0, None] is other._sq1_matrix_cache[0, None]
     assert not ring._groebner and not ring._pairs and not ring._coords_memo

@@ -552,17 +552,18 @@ ENGINE_MUTANTS = {
     # of w_m has nonzero coordinates at m = 2.
     "growth-skips-later-divisors": (
         "_grow",
-        recompiled("for field, later in steps[i + 1 :]:", "for field, later in ():"),
+        recompiled("for field, step in later:", "for field, step in ():"),
         {"IllDefinedDerivationError"},
     ),
-    # The tail bisection keeps a monomial equal to its limit, generator
-    # i - 1 itself when the degree below is its degree, so generator i
-    # times generator i - 1 joins the basis a second time (x2*x1 in R's
-    # degree 3).
-    "growth-tail-takes-its-limit": (
+    # Each tail after the first starts one monomial early, on the last
+    # monomial of the group before, so generator i times that monomial
+    # joins the basis a second time (x2*x1 in R's degree 3).  The bockstein
+    # suite fails at m = 2, and at m = 3 Sq1 of w_4 has nonzero
+    # coordinates, which stops the run.
+    "growth-tail-starts-one-early": (
         "_grow",
-        recompiled("if below[mid] < limit:", "if below[mid] <= limit:"),
-        {"bockstein-page1", "sq1-split"},
+        recompiled("[starts[e - g][i] :]", "[max(starts[e - g][i] - 1, 0) :]"),
+        {"IllDefinedDerivationError"},
     ),
     # Killed by one family only.  The first generator's Sq1 shift reads
     # the last generator's unit, so F's Sq1 x1 becomes x1*y1, while R's

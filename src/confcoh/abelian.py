@@ -166,6 +166,8 @@ class AbGroup2(Value, fields="free_rank torsion"):
 
     @classmethod
     def cyclic(cls, exponent: int) -> "AbGroup2":
+        if type(exponent) is not int:
+            raise TypeError(f"torsion exponents must be ints, got {exponent!r}")
         if exponent < 1:
             raise ValueError("torsion exponents must be positive")
         return cls._of(0, ((exponent, 1),))

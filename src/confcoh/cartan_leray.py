@@ -145,6 +145,13 @@ def _image_log2(src_mid: AbGroup2, src_top: AbGroup2) -> int:
     )
 
 
+def _halve_middle_lines(page: Page, m: int) -> Page:
+    """The page after d2(kappa^i x_m) = 2 kappa^i alpha2: every Z/4 on the
+    two middle lines q = m - 1 and q = m halves, and the integral class at
+    (0, m) survives with its generator doubled."""
+    return {(p, q): g.halve_z4s() if q in (m - 1, m) else g for (p, q), g in page.items()}
+
+
 def run_even(m: int, group: str = GroupId.D8) -> tuple[GradedGroups, VerificationReport]:
     """Replay the even-m collapse: one round of injections off the mod-2
     line into the base line, cokernels by closed form, top degree from the
@@ -188,12 +195,7 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
     e2 = build_e2(GroupId.D8, m)
     ranks = rank_recursion(s)
     report = VerificationReport("clss-1mod4", m)
-    # Page 2: d2(kappa^i x_m) = 2 kappa^i alpha2 halves both middle lines;
-    # the integral class at (0, m) survives with its generator doubled.
-    e3 = {
-        (p, q): g.halve_z4s() if q in (m - 1, m) else g
-        for (p, q), g in e2.items()
-    }
+    e3 = _halve_middle_lines(e2, m)
     groups = [e3.get((t, 0), ZERO) for t in range(m)]
     groups.append(e3.get((0, m), ZERO) + e3.get((m, 0), ZERO))  # fibre class plus base
     groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
@@ -372,10 +374,7 @@ def _run_m3_option_b(page: Page, report: VerificationReport) -> Page:
     total degrees are then forced one differential at a time; above total
     degree 5 the elements pair off exactly, which is checked by a
     torsion-order balance along the diagonals."""
-    # Page 2 acts as in the 1 mod 4 case: both middle lines halve.
-    page = {
-        (p, q): g.halve_z4s() if q in (2, 3) else g for (p, q), g in page.items()
-    }
+    page = _halve_middle_lines(page, 3)  # as in the 1 mod 4 case
     new = dict(page)
     # (1,2) -> (4,0) and (2,2) -> (5,0), injectively.
     for p in (1, 2):

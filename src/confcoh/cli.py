@@ -41,34 +41,15 @@ MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
 
-class _Escapes(dict):
-    """The table str.translate reads to escape a string as json.dumps does:
-    code point -> its text in the quotes.  Printable ASCII other than '"'
-    and '\\' stands for itself, those two and \\b \\f \\n \\r \\t take a
-    backslash, any other code point reads \\uXXXX, and one past 0xFFFF the
-    surrogate pair that stands for it."""
-
-    __slots__ = ()
-
-    def __missing__(self, n: int) -> str:
-        if n < 0x10000:
-            return f"\\u{n:04x}"
-        n -= 0x10000
-        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-
-
-_ESCAPES = _Escapes({n: n for n in range(0x20, 0x7F)})
-_ESCAPES.update({
-    ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b", ord("\f"): "\\f",
-    ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
-})
-
-
 def _text(s: str) -> str:
-    """json.dumps(s): s in double quotes, escaped to printable ASCII."""
+    """json.dumps(s): s in double quotes, escaped to printable ASCII.  The
+    strings the package writes are plain ASCII, quoted here; json, whose
+    decoder loads re, is imported only for a string that needs escaping."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return f'"{s.translate(_ESCAPES)}"'
+    import json
+
+    return json.dumps(s)
 
 
 class _Quoted(dict):
@@ -308,10 +289,7 @@ COMMANDS = {
         cmd_verify,
         (
             ("--suite", {"choices": ("all",) + suites.SUITE_NAMES, "default": "all"}),
-            (
-                "--m-range",
-                {"type": _parse_m_range, "default": range(2, 11), "dest": "m_range"},
-            ),
+            ("--m-range", {"type": _parse_m_range, "default": range(2, 11)}),
             ("--format", {"choices": ("table", "json"), "default": "table"}),
             ("--verbose", {"action": "store_true"}),
         ),
@@ -353,8 +331,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         if flag not in given and spec.get("required"):
             return None
         default = spec.get("default", False if spec.get("action") == "store_true" else None)
-        dest = spec.get("dest", flag.lstrip("-").replace("-", "_"))
-        setattr(args, dest, given.get(flag, default))
+        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
     return args
 
 

@@ -34,6 +34,8 @@ class SpaceId(Value, fields="kind m"):
     def __new__(cls, kind: str, m: int) -> "SpaceId":
         if kind not in ("F", "B"):
             raise ValueError("kind must be 'F' or 'B'")
+        if type(m) is not int:
+            raise TypeError(f"m must be an int, got {m!r}")
         if m < 1:
             raise ValueError("m must be >= 1")
         return tuple.__new__(cls, (kind, m))

@@ -34,35 +34,24 @@ class CheckResult(Value, fields="suite label expected got passed m degree skippe
         return f"{' '.join(head)} expected={self.expected} got={self.got} {status}"
 
 
-class VerificationReport:
+class VerificationReport(Value, fields="suite m checks"):
     """Checks of one family at one m, stamped on each check as it is added;
     a report that only collects other reports' checks leaves both unset.
-    Reports are equal when their suite, m and checks are."""
+    The fields are fixed; the list of checks grows."""
 
-    __slots__ = ("suite", "m", "checks")
+    __slots__ = ()
 
-    def __init__(
-        self, suite: str = "", m: int | None = None, checks: list[CheckResult] | None = None
-    ) -> None:
-        self.suite = suite
-        self.m = m
-        self.checks = [] if checks is None else checks
+    def __new__(
+        cls, suite: str = "", m: int | None = None, checks: list[CheckResult] | None = None
+    ) -> "VerificationReport":
+        return tuple.__new__(cls, (suite, m, [] if checks is None else checks))
 
-    def __repr__(self) -> str:
-        return f"VerificationReport(suite={self.suite!r}, m={self.m!r}, checks={self.checks!r})"
+    # add builds each CheckResult with tuple.__new__ directly, in the field
+    # order CheckResult.__new__ takes, which saves a Python call per check:
+    # nearly every check goes through it.  add_bool and add_skip, rare,
+    # call CheckResult.
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.suite, self.m, self.checks) == (other.suite, other.m, other.checks)
-
-    # The add methods build each CheckResult with tuple.__new__ directly, in
-    # the field order CheckResult.__new__ takes, which saves a Python call
-    # per check.
-
-    def add(
-        self, label: str, expected: object, got: object, *, degree: int | None = None
-    ) -> bool:
+    def add(self, label: str, expected: object, got: object, *, degree: int | None = None) -> None:
         ok = expected == got  # decided by value; strings are for display
         self.checks.append(
             tuple.__new__(
@@ -70,7 +59,6 @@ class VerificationReport:
                 (self.suite, label, str(expected), str(got), ok, self.m, degree, False),
             )
         )
-        return ok
 
     def add_bool(
         self,
@@ -80,22 +68,16 @@ class VerificationReport:
         degree: int | None = None,
         expected: object = "true",
         got: object | None = None,
-    ) -> bool:
+    ) -> None:
         passed = bool(passed)  # the json report writes true/false, never 1/0
         shown = str(got) if got is not None else ("true" if passed else "false")
         self.checks.append(
-            tuple.__new__(
-                CheckResult,
-                (self.suite, label, str(expected), shown, passed, self.m, degree, False),
-            )
+            CheckResult(self.suite, label, str(expected), shown, passed, self.m, degree)
         )
-        return passed
 
     def add_skip(self, label: str) -> None:
         self.checks.append(
-            tuple.__new__(
-                CheckResult, (self.suite, label, "open", "open", True, self.m, None, True)
-            )
+            CheckResult(self.suite, label, "open", "open", True, self.m, skipped=True)
         )
 
     def extend(self, other: "VerificationReport") -> None:

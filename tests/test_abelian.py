@@ -398,14 +398,24 @@ def test_non_int_ranks_refused_on_cold_and_warm_tables(monkeypatch, name, rank):
     assert getattr(abelian, table) == {1: one}
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "3"], ids=repr)
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "3", 2.0, "2"], ids=repr)
 def test_non_int_free_ranks_and_exponents_refused(bad):
     with pytest.raises(TypeError, match="free rank must be an int"):
         AbGroup2(free_rank=bad)
     with pytest.raises(TypeError, match="torsion exponents must be ints"):
         AbGroup2(0, (1, bad))
+    # before the order test, which True, 1.0 and 2.0 would pass
+    with pytest.raises(TypeError, match=f"torsion exponents must be ints, got {bad!r}"):
+        AbGroup2.cyclic(bad)
     with pytest.raises(TypeError, match="rank must be an int"):
         elem(3).without_elementary(bad)
+
+
+def test_cyclic_keeps_its_range_check():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="torsion exponents must be positive"):
+            AbGroup2.cyclic(bad)
+    assert AbGroup2.cyclic(2) == AbGroup2(0, (2,))
 
 
 def _ranks_frozen(g):

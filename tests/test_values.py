@@ -3,6 +3,7 @@ equal fields, hashed alike when equal, immutable, picklable, and shown in
 the keyword repr that the verify output prints."""
 
 import pickle
+import re
 from collections import namedtuple
 
 import pytest
@@ -47,7 +48,6 @@ FIELDS = {
     "CheckResult": "suite label expected got passed m degree skipped",
     "VerificationReport": "suite m checks",
 }
-FROZEN = [name for name in VALUES if name != "VerificationReport"]
 HASHABLE = ["AbGroup2", "GradedGroups", "SpaceId", "PStarProfile", "CheckResult"]
 
 
@@ -57,18 +57,17 @@ def test_equal_only_to_own_class_with_equal_fields(name):
     value = build()
     assert value == build() and not value != build()
     assert value != other and not value == other
-    if name in FROZEN:
-        plain = tuple(getattr(value, f) for f in FIELDS[name].split())
-        assert value != plain and plain != value
-        assert not value == plain and not plain == value
-        # A foreign tuple subclass compares first when it is on the left,
-        # as a tuple; with the value on the left the value decides.
-        look_alike = namedtuple(name, FIELDS[name])(*plain)
-        assert value != look_alike and not value == look_alike
+    plain = tuple(getattr(value, f) for f in FIELDS[name].split())
+    assert value != plain and plain != value
+    assert not value == plain and not plain == value
+    # A foreign tuple subclass compares first when it is on the left,
+    # as a tuple; with the value on the left the value decides.
+    look_alike = namedtuple(name, FIELDS[name])(*plain)
+    assert value != look_alike and not value == look_alike
     assert value != object()
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", VALUES)
 def test_identity_shortcut_keeps_values_apart_from_look_alikes(name):
     # value == value returns on identity before the type test; no other
     # object with the same fields may take that way
@@ -108,7 +107,7 @@ def test_hash_follows_equality(name):
             hash(value)
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", VALUES)
 def test_frozen_values_refuse_attribute_changes(name):
     value = VALUES[name][0]()
     field = FIELDS[name].split()[0]
@@ -126,6 +125,19 @@ def test_pickle_round_trip(name):
     value = VALUES[name][0]()
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is type(value) and back == value
+
+
+def test_pickle_round_trip_of_a_report_with_checks():
+    report = VerificationReport("uct", 5)
+    report.add("equal", AbGroup2.elementary(2), AbGroup2.elementary(2), degree=3)
+    report.add_bool("flag", 0, expected="<= 2", got=3)
+    report.add_skip("open case")
+    back = pickle.loads(pickle.dumps(report))
+    assert type(back) is VerificationReport and back == report
+    assert [type(c) for c in back.checks] == [CheckResult] * 3
+    # the copy holds a list of its own, which grows apart from the original's
+    back.add("later", 1, 1)
+    assert len(back.checks) == 4 and len(report.checks) == 3
 
 
 def test_reprs_keep_the_keyword_format():
@@ -162,6 +174,14 @@ def test_defaults_and_keywords():
     report = VerificationReport()
     assert (report.suite, report.m, report.checks) == ("", None, [])
     assert VerificationReport().checks is not report.checks
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3", None], ids=repr)
+def test_space_id_refuses_a_non_int_m(bad):
+    with pytest.raises(TypeError, match=f"m must be an int, got {re.escape(repr(bad))}"):
+        SpaceId("B", bad)
+    with pytest.raises(TypeError, match="m must be an int"):
+        SpaceId("F", bad)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +221,7 @@ def test_constant_sets_hold_their_values():
     assert all(type(v) is int for v in got["ActionSign"].values())
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", VALUES)
 def test_value_fields_and_match_args(name):
     value = VALUES[name][0]()
     cls = type(value)

@@ -114,6 +114,8 @@ def _unordered(m: int, i: int) -> AbGroup2:
 
 def cohomology(s: SpaceId, i: int) -> AbGroup2:
     """Integral cohomology H^i of the configuration space."""
+    if type(i) is not int:
+        raise TypeError(f"degree must be an int, got {i!r}")
     if i < 0:
         return ZERO
     return _ordered(s.m, i) if s.kind == "F" else _unordered(s.m, i)
@@ -125,6 +127,8 @@ def cohomology_table(s: SpaceId) -> GradedGroups:
 
 def mod2_dimension(s: SpaceId, i: int) -> int:
     """Mod-2 Betti number: i+1 up to the middle, then 2m-i, then 0."""
+    if type(i) is not int:
+        raise TypeError(f"degree must be an int, got {i!r}")
     if i < 0:
         return 0
     if i <= s.m - 1:
@@ -157,6 +161,8 @@ def twisted_cohomology(s: SpaceId, j: int) -> AbGroup2:
     Orientable case: the twist is trivial.  Non-orientable case: see
     `_twisted_dual`.
     """
+    if type(j) is not int:
+        raise TypeError(f"degree must be an int, got {j!r}")
     if j < 0 or j > s.support_bound:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{s.support_bound}")
     if is_orientable(s):

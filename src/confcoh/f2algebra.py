@@ -15,6 +15,10 @@ a lower basis that has no earlier exponent, so taken generator by
 generator they come out descending, each tested once.  Nor is a search:
 each basis is stored with the running lengths of its groups, which are
 where its tails start.
+The relations are stored once, by degree: growth reduces those of each
+degree it reaches, the Sq1 check walks them degree by degree, and a new
+ring reads from them which degrees it may share (see _start_from).  Degree
+0, the unit alone, is there from the start.
 A standard monomial's coordinates in the quotient basis are its own bit,
 read from its position; the memo holds only those of non-standard
 monomials, as bitsets found from lower ones: a lead has the bits of the
@@ -26,8 +30,9 @@ generators, extended by the Leibniz rule).  One reader, _coords_of, gives
 each packed monomial v the XOR of those bits and bitsets over v + add for
 each of some shifts (mask, add) whose mask is 0 or meets v: with Sq1's
 shifts (a parity bit, and a monomial of Sq1 g over g) it gives the Sq1
-matrices and the check, once per relation, that Sq1 is well defined, and
-with ((0, 0),) the coordinates that coords adds up.
+matrices and the check, degree by degree up to the one asked for, that Sq1
+of each relation is zero in the quotient, and with ((0, 0),) the
+coordinates that coords adds up.
 Its homology is the first page of the mod-2 Bockstein tower, with each
 matrix ranked once by a pivot map of bitsets.
 
@@ -43,9 +48,9 @@ S-pairs are formed on these ints too: an lcm is a fieldwise max, and two
 leads are coprime iff the guard masks of their nonzero fields are disjoint.
 Exponents fit up to MAX_EXPONENT, so every degree up to MAX_DEGREE can be
 grown; a presentation or monomial that does not fit, or a degree past that
-bound, is refused with ValueError rather than wrapped.  Exponent tuples
-appear only at the public boundary: the presentations, degree_basis and
-coords.
+bound, is refused with ValueError rather than wrapped, and so is a relation
+of degree 0, which would make the ring zero.  Exponent tuples appear
+only at the public boundary: the presentations, degree_basis and coords.
 
 The unordered space's ring is swept as R + x*R.  H*(BD8) = F2[x, x1, x2]/
 (x^2 + x*x1) is H*(BO(2)) + x*H*(BO(2)), H*(BO(2)) = F2[x1, x2], and w_m,
@@ -179,8 +184,7 @@ class PresentedF2Algebra:
         self._growth = tuple(
             (g, unit, self._steps[i + 1 :]) for i, (g, unit) in enumerate(zip(self.degrees, units))
         )
-        self._pending: dict[int, list[frozenset[int]]] = {}  # degree -> to reduce
-        self._sq1_unchecked: dict[frozenset[int], int] = {}  # relation -> degree
+        self._relations: dict[int, list[frozenset[int]]] = {}  # degree -> relations
         for r in self.relations:
             if not r:
                 raise ValueError("zero relation")
@@ -189,10 +193,10 @@ class PresentedF2Algebra:
             if len(degs) != 1:
                 raise ValueError(f"relation {set(r)} is not homogeneous")
             (d,) = degs
-            self._pending.setdefault(d, []).append(packed)
-            self._sq1_unchecked[packed] = d
-        # sq1_matrix(d) checks Sq1 on the relations only from this degree up
-        self._sq1_unchecked_low = min(self._sq1_unchecked.values(), default=MAX_DEGREE + 1)
+            if not d:
+                raise ValueError(f"relation {set(r)} has degree 0")
+            self._relations.setdefault(d, []).append(packed)
+        self._sq1_checked = 0  # Sq1 of each relation through this degree is zero
         # (parity bit of g, a monomial of Sq1 g over g): Sq1 of a monomial
         # with an odd power of g has a term that monomial plus the shift
         self._sq1_shifts: list[tuple[int, int]] = []
@@ -208,10 +212,11 @@ class PresentedF2Algebra:
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
         # non-standard monomial -> coordinates, complete degrees only
         self._coords_memo: dict[int, int] = {}
-        self._basis_cache: dict[int, list[int]] = {}  # degree -> basis, descending
+        # degree -> basis, descending; degree 0 is the unit alone
+        self._basis_cache: dict[int, list[int]] = {0: [0]}
         # degree -> where each generator's group starts in that basis
-        self._starts: dict[int, tuple[int, ...]] = {}
-        self._position: dict[int, int] = {}  # standard monomial -> place in basis
+        self._starts: dict[int, tuple[int, ...]] = {0: (0,) * n}
+        self._position: dict[int, int] = {0: 0}  # standard monomial -> place in basis
         # (degree, twist) -> Sq1 matrix out of that degree, and its rank
         self._sq1_matrix_cache: dict[tuple[int, int | None], list[int]] = {}
         self._rank_cache: dict[tuple[int, int | None], int] = {}
@@ -232,10 +237,6 @@ class PresentedF2Algebra:
                 return v
         raise ValueError(f"{mono} is not {len(units)} exponents in 0..{MAX_EXPONENT}")
 
-    def _packed(self, mono: Monomial) -> int:
-        """The packed form of an exponent tuple that fits, unchecked."""
-        return sum(e * unit for e, unit in zip(mono, self._units))
-
     def _unpack(self, v: int) -> Monomial:
         """The exponent tuple of a packed monomial."""
         return tuple(v >> s & MAX_EXPONENT for s in self._shifts)
@@ -249,25 +250,17 @@ class PresentedF2Algebra:
         non-standard immediate divisor w/h, if it has one; else, a lead, the
         rest of its basis element; else it is standard and moves to the
         result."""
-        position, gb, cache = self._position, self._groebner, self._basis_cache
-        memo, steps, shift = self._coords_memo, self._steps, self._degree_shift
+        position, gb, memo, steps = self._position, self._groebner, self._coords_memo, self._steps
         todo = set(poly)
         out = []
         while todo:
             w = max(todo)
             for field, unit in steps:
                 if w & field and (u := w - unit) not in position:
-                    below = cache[u >> shift]
-                    bits = memo.get(u)
-                    if bits is None:
-                        bits = self._walk(u)
+                    if u not in memo:
+                        self._walk(u)
                     todo.remove(w)
-                    lifted = []
-                    while bits:
-                        low = bits & -bits
-                        lifted.append(below[low.bit_length() - 1] + unit)
-                        bits ^= low
-                    todo.symmetric_difference_update(lifted)
+                    todo.symmetric_difference_update(self._lift(u, unit))
                     break
             else:
                 if w in gb:
@@ -296,7 +289,8 @@ class PresentedF2Algebra:
         nonzero = _support(e, exponents, guards)
         for other in self._groebner:
             if _support(other, exponents, guards) & nonzero:
-                lcm = self._packed(self._unpack(_packed_max(e, other & exponents, guards)))
+                fields = self._unpack(_packed_max(e, other & exponents, guards))
+                lcm = sum(k * unit for k, unit in zip(fields, self._units))
                 self._pairs.setdefault(lcm >> shift, []).append((lcm, other, lead))
         self._groebner[lead] = poly
 
@@ -335,24 +329,19 @@ class PresentedF2Algebra:
         if d > MAX_DEGREE:
             raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
         gb, position, starts = self._groebner, self._position, self._starts
-        pending, pairs = self._pending, self._pairs
+        relations, pairs = self._relations, self._pairs
         for e in range(len(cache), d + 1):
             leads = len(gb)
-            if e in pending:
-                for poly in pending.pop(e):
-                    poly = self._normal_form(poly)
-                    if poly:
-                        self._add_to_groebner(poly)
+            for poly in relations.get(e, ()):
+                poly = self._normal_form(poly)
+                if poly:
+                    self._add_to_groebner(poly)
             if e in pairs:
                 for lcm, a, b in pairs.pop(e):
                     qa, qb = lcm - a, lcm - b
                     poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
                     if poly:
                         self._add_to_groebner(poly)
-            if e == 0:
-                cache[0], starts[0] = [0], (0,) * len(self._growth)
-                position[0] = 0
-                continue
             basis, heads = [], []
             fresh = len(gb) > leads  # a lead of degree e joined
             for i, (g, unit, later) in enumerate(self._growth):
@@ -370,24 +359,24 @@ class PresentedF2Algebra:
 
     def _start_from(self, other: "PresentedF2Algebra") -> bool:
         """Take other's bases with their starts, and its Sq1 matrices and
-        ranks, below degree low, the lowest degree of any relation of either
-        ring, capped at other's frontier; returns whether it did.  It
-        refuses a ring that has grown, or other generators or another Sq1.
+        ranks, below degree low, the lowest degree of either ring's relation
+        table, capped at other's frontier; returns whether it did.  It
+        refuses a ring that has grown past degree 0, or other generators or
+        another Sq1.
 
         Below low both rings are the free ring: no lead, pair, memo entry
-        or Sq1 relation check lies there, so a basis, and a matrix or rank
-        out of degree d with d + 1 < low, is the same in both, and nothing
-        else is taken.
+        or relation to check under Sq1 lies there, so a basis, and a matrix
+        or rank out of degree d with d + 1 < low, is the same in both, and
+        nothing else is taken; the Sq1 check of each ring walks its own
+        relations from degree 1.
         """
         if (
-            self._basis_cache
+            len(self._basis_cache) > 1
             or self.generators != other.generators
             or self.sq1_on_generators != other.sq1_on_generators
         ):
             return False
-        shift = self._degree_shift
-        relations = self.relations + other.relations
-        low = min([len(other._basis_cache), *(self._packed(min(r)) >> shift for r in relations)])
+        low = min([len(other._basis_cache), *self._relations, *other._relations])
         for d in range(low):
             basis = self._basis_cache[d] = other._basis_cache[d]
             self._starts[d] = other._starts[d]
@@ -469,9 +458,7 @@ class PresentedF2Algebra:
         not by recursion, and leaves w there until each part it names is
         known.
         """
-        position, memo = self._position, self._coords_memo
-        gb, steps, cache = self._groebner, self._steps, self._basis_cache
-        shift = self._degree_shift
+        position, memo, gb, steps = self._position, self._coords_memo, self._groebner, self._steps
         stack = [mono]
         while stack:
             w = stack[-1]
@@ -483,16 +470,10 @@ class PresentedF2Algebra:
                 for field, unit in steps:
                     if w & field and (u := w - unit) not in position:
                         break
-                bits = memo.get(u)
-                if bits is None:
+                if u not in memo:
                     stack.append(u)
                     continue
-                below = cache[u >> shift]
-                parts = []
-                while bits:
-                    low = bits & -bits
-                    parts.append(below[low.bit_length() - 1] + unit)
-                    bits ^= low
+                parts = self._lift(u, unit)
             bits = 0
             known = True
             for v in parts:
@@ -511,6 +492,19 @@ class PresentedF2Algebra:
                 stack.pop()
         return memo[mono]
 
+    def _lift(self, u: int, unit: int) -> list[int]:
+        """The monomials v + unit over the standard v set in the memoised
+        coordinates of u: u times a generator, as a sum of products of
+        standard monomials by it."""
+        bits = self._coords_memo[u]
+        below = self._basis_cache[u >> self._degree_shift]
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(below[low.bit_length() - 1] + unit)
+            bits ^= low
+        return out
+
     # -- Sq1 -----------------------------------------------------------------
 
     def sq1_matrix(self, d: int, twist: int | None = None) -> list[int]:
@@ -521,8 +515,10 @@ class PresentedF2Algebra:
         Returned as one bit-column per degree-d basis monomial, bits indexed
         by the degree-(d+1) basis.  Sq1 is first checked to be well defined
         that far: Sq1 of each relation of degree at most d must have zero
-        coordinates.  Each relation passes once; one that fails stays
-        unchecked and raises again.
+        coordinates.  The check walks the degrees past the last one passed,
+        in order, and stops at the first relation that fails, without
+        passing its degree: the lowest failing degree raises, and again on
+        every later call that reaches it.
         """
         cols = self._sq1_matrix_cache.get((d, twist))
         if cols is not None:
@@ -530,11 +526,8 @@ class PresentedF2Algebra:
         self._grow(d + 1)
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
-        if d >= self._sq1_unchecked_low:
-            unchecked = self._sq1_unchecked
-            for rel, e in list(unchecked.items()):
-                if e > d:
-                    continue
+        for e in range(self._sq1_checked + 1, d + 1):
+            for rel in self._relations.get(e, ()):
                 bits = 0
                 for c in self._coords_of(rel, self._sq1_shifts):
                     bits ^= c
@@ -542,8 +535,7 @@ class PresentedF2Algebra:
                     raise IllDefinedDerivationError(
                         f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
                     )
-                del unchecked[rel]
-            self._sq1_unchecked_low = min(unchecked.values(), default=MAX_DEGREE + 1)
+            self._sq1_checked = e
         shifts = self._sq1_shifts
         if twist is not None:
             shifts = [*shifts, (0, self._units[twist])]

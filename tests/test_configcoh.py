@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,16 @@ def test_twisted_examples():
 def test_twisted_degree_range():
     with pytest.raises(DegreeOutOfRangeError):
         twisted_cohomology(B(4), 8)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", None], ids=repr)
+@pytest.mark.parametrize("read", [cohomology, mod2_dimension, twisted_cohomology])
+@pytest.mark.parametrize("s", [B(3), F(4)], ids=str)
+def test_a_non_int_degree_is_refused(s, read, bad):
+    # as SpaceId refuses a non-int m: a bool is not read as 0 or 1, nor a
+    # float as the int it equals
+    with pytest.raises(TypeError, match=f"degree must be an int, got {re.escape(repr(bad))}"):
+        read(s, bad)
 
 
 def test_twisted_free_ranks_nonorientable():

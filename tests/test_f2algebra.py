@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import weakref
 from functools import reduce
 
@@ -775,32 +776,49 @@ def test_ill_defined_derivation_detected():
     assert dims == [1, 1, 1, 1, 1]
     # Sq1 b lies in degree 3, so the matrix out of degree 1 does not see it
     assert ring.sq1_matrix(1) == [1]
-    # the failed relation stays unchecked: every later call raises again
+    # the failed degree stays unchecked: every later call raises again
     for _ in range(2):
         with pytest.raises(IllDefinedDerivationError):
             ring.sq1_matrix(2)
     assert [ring.quotient_dimension(d) for d in range(5)] == dims
 
 
-@pytest.mark.parametrize("e", [2, 3, 5, 8])
-def test_a_bad_relation_gates_sq1_from_its_degree(e):
+@pytest.mark.parametrize(
+    "e, above",
+    [
+        *(pytest.param(e, [], id=str(e)) for e in (2, 3, 5, 8)),
+        pytest.param(3, [5], id="3-below-a-bad-5-listed-first"),
+    ],
+)
+def test_a_bad_relation_gates_sq1_from_its_degree(e, above):
     # F2[a, b] / (b), b of degree e, with Sq1 a = a^2 and Sq1 b = a^(e+1),
     # which is not in the ideal: below degree e the matrices are those of
     # F2[a] (Sq1 a^d = d a^(d+1)), and from degree e on every one raises,
-    # whatever was asked before, and again when asked again.
-    def make():
-        sq1 = {0: frozenset({(2, 0)}), 1: frozenset({(e + 1, 0)})}
-        return PresentedF2Algebra([("a", 1), ("b", e)], [frozenset({(0, 1)})], sq1)
+    # whatever was asked before, and again when asked again.  With above, a
+    # generator c of that higher degree joins, with Sq1 c = a^(deg c + 1)
+    # and the relation c, as bad, listed before b: the ring is still F2[a],
+    # and every error names b, the relation of the lowest failing degree.
+    degrees = [1, e, *above]
+    n = len(degrees)
 
+    def power(i, k):
+        return tuple(k if j == i else 0 for j in range(n))
+
+    def make():
+        sq1 = {i: frozenset({power(0, g + 1)}) for i, g in enumerate(degrees)}
+        relations = [frozenset({power(i, 1)}) for i in range(n - 1, 0, -1)]
+        return PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations, sq1)
+
+    names_b = re.escape(f"Sq1 of relation {({power(1, 1)})} is not in the ideal")
     high_first = make()
     for d in range(e + 3, e - 1, -1):
-        with pytest.raises(IllDefinedDerivationError):
+        with pytest.raises(IllDefinedDerivationError, match=names_b):
             high_first.sq1_matrix(d)
     for ring in (make(), high_first):
         for d in range(e):
             assert ring.sq1_matrix(d) == [d % 2], d
         for d in [*range(e, e + 4), e]:
-            with pytest.raises(IllDefinedDerivationError):
+            with pytest.raises(IllDefinedDerivationError, match=names_b):
                 ring.sq1_matrix(d)
 
 
@@ -864,6 +882,7 @@ def test_sq1_relation_check_against_span_oracle(case):
         pytest.param([("a", 1), ("b", 1)], [], {0: {(2, 0, 0)}}, id="long-sq1-image"),
         pytest.param([("a", 0)], [], None, id="degree-zero-generator"),
         pytest.param([("a", 1), ("b", 1)], [{(2, 0), (0, 1)}], None, id="inhomogeneous"),
+        pytest.param([("a", 1)], [{(0,)}], None, id="degree-zero-relation"),
         pytest.param([("a", 1), ("b", 1)], [], {0: {(0, 1)}}, id="sq1-wrong-degree"),
         pytest.param(
             [("a", 1), ("b", 1)], [{(MAX_EXPONENT + 1, 0)}], None, id="exponent-past-field"
@@ -1260,7 +1279,8 @@ def test_started_ring_on_random_presentations(case):
         assert ring.degree_basis(e) == fresh.degree_basis(e), e
     assert list(ring._groebner.items()) == list(fresh._groebner.items())
     assert ring._pairs == fresh._pairs
-    assert list(ring._sq1_unchecked.items()) == list(fresh._sq1_unchecked.items())
+    assert ring._relations == fresh._relations
+    assert ring._sq1_checked == fresh._sq1_checked
     assert other.__dict__ == twin.__dict__
 
 
@@ -1270,7 +1290,7 @@ def dihedral_with(relations, sq1=None):
 
 
 def grown(ring):
-    ring._grow(0)
+    ring._grow(1)
     return ring
 
 
@@ -1349,8 +1369,8 @@ def test_started_ring_takes_the_free_degrees(make):
     assert set(ring._sq1_matrix_cache) == set(ring._rank_cache) == {(0, None)}
     assert ring._sq1_matrix_cache[0, None] is other._sq1_matrix_cache[0, None]
     assert not ring._groebner and not ring._pairs and not ring._coords_memo
-    assert ring._pending == fresh._pending
-    assert ring._sq1_unchecked == fresh._sq1_unchecked
+    assert ring._relations == fresh._relations
+    assert ring._sq1_checked == fresh._sq1_checked == 0
     assert_grows_as_fresh(ring, fresh)
 
 

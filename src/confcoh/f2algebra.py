@@ -27,12 +27,14 @@ standard v of a non-standard immediate divisor w/h.  Polynomials are
 reduced only while a degree grows, by the same rules through the memo.  On
 top of that sits the degree-raising derivation Sq1 (squaring on degree-1
 generators, extended by the Leibniz rule).  One reader, _coords_of, gives
-each packed monomial v the XOR of those bits and bitsets over v + add for
-each of some shifts (mask, add) whose mask is 0 or meets v: with Sq1's
-shifts (a parity bit, and a monomial of Sq1 g over g) it gives the Sq1
-matrices and the check, degree by degree up to the one asked for, that Sq1
-of each relation is zero in the quotient, and with ((0, 0),) the
-coordinates that coords adds up.
+each packed monomial v the XOR of those bits and bitsets over v*p for the
+products p that a shift table (mask, reads) reads for v's parities v & mask.
+Sq1's table is keyed by product: p = t/g for a term t of the normal form of
+Sq1 g, taken when v's exponents over the generators that carry p have an
+odd sum (see _sq1_table).  It gives the Sq1 matrices and the check, degree
+by degree up to the one asked for, that Sq1 of each relation is zero in the
+quotient; _OWN, which reads v itself, gives the coordinates that coords adds
+up.
 Its homology is the first page of the mod-2 Bockstein tower, with each
 matrix ranked once by a pivot map of bitsets.
 
@@ -68,10 +70,11 @@ ring.  So config_mod2_ring starts each new ring from the last one of its kind
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Iterable
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial] over F2
+ShiftTable = tuple[int, dict[int, tuple[int, ...]]]  # (mask, value of v & mask -> adds)
 
 FIELD_BITS = 16  # bits per packed exponent, the top one a guard
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -150,6 +153,21 @@ def _support(v: int, exponents: int, guards: int) -> int:
     return ((v & exponents) + exponents) & guards
 
 
+def _submasks(mask: int) -> list[int]:
+    """Every s with s & mask == s, from mask down to 0."""
+    out = [mask]
+    s = mask
+    while s:
+        s = s - 1 & mask
+        out.append(s)
+    return out
+
+
+# A shift table (mask, reads) maps each value of v & mask to the products
+# that v is shifted by (see _coords_of).  This one reads v itself.
+_OWN: ShiftTable = (0, {0: (0,)})
+
+
 class PresentedF2Algebra:
     def __init__(
         self,
@@ -197,16 +215,12 @@ class PresentedF2Algebra:
                 raise ValueError(f"relation {set(r)} has degree 0")
             self._relations.setdefault(d, []).append(packed)
         self._sq1_checked = 0  # Sq1 of each relation through this degree is zero
-        # (parity bit of g, a monomial of Sq1 g over g): Sq1 of a monomial
-        # with an odd power of g has a term that monomial plus the shift
-        self._sq1_shifts: list[tuple[int, int]] = []
         for g, poly in self.sq1_on_generators.items():
-            unit = self._units[g]
-            for m in poly:
-                v = self._pack(m)
-                if v >> self._degree_shift != self.degrees[g] + 1:
-                    raise ValueError("Sq1 image of a generator has the wrong degree")
-                self._sq1_shifts.append((1 << self._shifts[g], v - unit))
+            if any(self._pack(m) >> shift != self.degrees[g] + 1 for m in poly):
+                raise ValueError("Sq1 image of a generator has the wrong degree")
+        # twist -> shift table of Sq1 plus the product by that generator
+        # (see _sq1_table), None -> Sq1's; built at the first Sq1 call
+        self._sq1_tables: dict[int | None, ShiftTable] = {}
         self._groebner: dict[int, frozenset[int]] = {}  # lead -> polynomial
         # degree -> S-pairs (lcm, a, b), a and b leads keying _groebner
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
@@ -366,9 +380,11 @@ class PresentedF2Algebra:
 
         Below low both rings are the free ring: no lead, pair, memo entry
         or relation to check under Sq1 lies there, so a basis, and a matrix
-        or rank out of degree d with d + 1 < low, is the same in both, and
-        nothing else is taken; the Sq1 check of each ring walks its own
-        relations from degree 1.
+        or rank out of degree d with d + 1 < low, is the same in both.  So
+        are the Sq1 tables if every generator's image lies below low, where
+        each image is its own normal form (see _sq1_table).  Nothing else
+        is taken; the Sq1 check of each ring walks its own relations from
+        degree 1.
         """
         if (
             len(self._basis_cache) > 1
@@ -386,6 +402,8 @@ class PresentedF2Algebra:
             (self._rank_cache, other._rank_cache),
         ):
             mine.update((key, v) for key, v in theirs.items() if key[0] + 1 < low)
+        if max(self.degrees, default=0) + 1 < low:
+            self._sq1_tables.update(other._sq1_tables)
         return True
 
     def _basis(self, d: int) -> list[int]:
@@ -395,17 +413,27 @@ class PresentedF2Algebra:
         self._grow(d)
         return self._basis_cache[d]
 
+    # Each public reader of a degree refuses one that is not an int, bool
+    # included, before any cache lookup (sq1_square_is_zero through
+    # sq1_matrix).
+
     def quotient_dimension(self, d: int) -> int:
+        if type(d) is not int:
+            raise TypeError(f"degree must be an int, got {d!r}")
         return len(self._basis(d))
 
     def degree_basis(self, d: int) -> dict[Monomial, int]:
         """Standard monomials of degree d, descending, each mapped to its
         position in that order; a new dict on each call."""
+        if type(d) is not int:
+            raise TypeError(f"degree must be an int, got {d!r}")
         return {self._unpack(v): i for i, v in enumerate(self._basis(d))}
 
     def coords(self, poly, d: int) -> int:
         """Coordinates of a degree-d polynomial in the quotient basis, as bits
         (see _coords_of)."""
+        if type(d) is not int:
+            raise TypeError(f"degree must be an int, got {d!r}")
         self._grow(d)
         packed = []
         for mono in poly:
@@ -414,33 +442,33 @@ class PresentedF2Algebra:
                 raise ValueError(f"{mono} is not of degree {d}")
             packed.append(v)
         bits = 0
-        for c in self._coords_of(packed, ((0, 0),)):
+        for c in self._coords_of(packed, _OWN):
             bits ^= c
         return bits
 
-    def _coords_of(
-        self, monomials: "Iterable[int]", shifts: "Sequence[tuple[int, int]]"
-    ) -> list[int]:
+    def _coords_of(self, monomials: "Iterable[int]", table: ShiftTable) -> list[int]:
         """One bitset per packed monomial v: the XOR of the coordinates of
-        v + add over each (mask, add) of shifts whose mask is 0 or meets v,
-        each in a complete degree.  Those are a standard monomial's own bit,
-        else the memoised coordinates, else those _walk finds.
+        v + add over the adds that the shift table (mask, reads) reads for
+        v & mask, each in a complete degree.  Those are a standard
+        monomial's own bit, else the memoised coordinates, else those _walk
+        finds.
 
-        With _sq1_shifts it gives Sq1 of v, plus the product by a generator
-        with (0, its unit) added, and with ((0, 0),) v's own coordinates."""
+        With a table of _sq1_table it gives Sq1 of v, plus the product by a
+        generator if the table is of that twist, and with _OWN v's own
+        coordinates."""
         position, memo, walk = self._position, self._coords_memo, self._walk
+        mask, reads = table
         out = []
         for v in monomials:
             bits = 0
-            for mask, add in shifts:
-                if v & mask or not mask:
-                    t = v + add
-                    p = position.get(t)
-                    if p is not None:
-                        bits ^= 1 << p
-                    else:
-                        c = memo.get(t)
-                        bits ^= walk(t) if c is None else c
+            for add in reads[v & mask]:
+                t = v + add
+                p = position.get(t)
+                if p is not None:
+                    bits ^= 1 << p
+                else:
+                    c = memo.get(t)
+                    bits ^= walk(t) if c is None else c
             out.append(bits)
         return out
 
@@ -520,32 +548,97 @@ class PresentedF2Algebra:
         passing its degree: the lowest failing degree raises, and again on
         every later call that reaches it.
         """
+        if type(d) is not int:
+            raise TypeError(f"degree must be an int, got {d!r}")
         cols = self._sq1_matrix_cache.get((d, twist))
         if cols is not None:
             return cols
         self._grow(d + 1)
         if not self.sq1_on_generators:
             raise IllDefinedDerivationError("no Sq1 declared on generators")
+        table = self._sq1_tables.get(twist)
+        if table is None:
+            table = self._sq1_table(twist)
         for e in range(self._sq1_checked + 1, d + 1):
             for rel in self._relations.get(e, ()):
                 bits = 0
-                for c in self._coords_of(rel, self._sq1_shifts):
+                for c in self._coords_of(rel, self._sq1_tables[None]):
                     bits ^= c
                 if bits:
                     raise IllDefinedDerivationError(
                         f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
                     )
             self._sq1_checked = e
-        shifts = self._sq1_shifts
-        if twist is not None:
-            shifts = [*shifts, (0, self._units[twist])]
-        cols = self._coords_of(self._basis_cache[d] if d >= 0 else (), shifts)
+        cols = self._coords_of(self._basis_cache[d] if d >= 0 else (), table)
         self._sq1_matrix_cache[d, twist] = cols
         return cols
+
+    def _sq1_table(self, twist: int | None) -> ShiftTable:
+        """The shift table of Sq1, or with twist of Sq1 plus the product by
+        generator twist, which _sq1_tables does not hold yet; the caller
+        has looked.  Building Sq1's table grows the ring through degree
+        max g_i + 1, where the images of the generators lie.  A twist that
+        is not a degree-1 generator is refused with ValueError: its product
+        would land past degree d + 1, in a degree not yet grown.
+
+        The table is built by product.  A product p of Sq1 is t/g for a
+        generator g and a term t of the normal form of Sq1 g, and its
+        carriers are those g.  By the Leibniz rule Sq1 of a monomial v is
+        the sum of v*p over the products p whose carriers hold an odd sum of
+        v's exponents.  The table's mask is the parity bits of the carriers'
+        fields, and it reads each value of v & mask, the parities of v, as
+        the products that apply, each once: a column makes one lookup per
+        product that applies.  That is 2^k values for k carriers, at most 8
+        in the rings here.  A twist t adds t*v to every column: each value
+        reads t where it did not, and no longer where it did, which flips
+        t's entry if t is a product and adds one if not.
+
+        The declared images (sq1_on_generators) stay as they are: reading
+        each as its normal form changes no result.  With D the derivation
+        of the declared images and D' that of their normal forms, (D -
+        D')(f) = sum over g of df/dg * (Sq1 g - NF(Sq1 g)) lies in the ideal
+        for every f, so every Sq1 matrix and every relation check is the
+        same with either.  In the three-generator ring, Sq1 x = x^2 is read
+        as x*x1, so a column of x*t reads x*x1*t, mostly standard, not the
+        non-standard x^2*t that the memo would keep.
+        """
+        tables = self._sq1_tables
+        if None not in tables:
+            self._grow(max(self.degrees[g] for g in self.sq1_on_generators) + 1)
+            carriers: dict[int, int] = {}  # product -> parity bits of its carriers
+            mask = 0
+            for g, image in self.sq1_on_generators.items():
+                bits = 0
+                for c in self._coords_of(map(self._pack, image), _OWN):
+                    bits ^= c
+                basis, unit = self._basis_cache[self.degrees[g] + 1], self._units[g]
+                parity = 1 << self._shifts[g]
+                while bits:
+                    low = bits & -bits
+                    p = basis[low.bit_length() - 1] - unit
+                    carriers[p] = carriers.get(p, 0) | parity
+                    mask |= parity
+                    bits ^= low
+            tables[None] = mask, {
+                s: tuple(p for p, bits in carriers.items() if (s & bits).bit_count() & 1)
+                for s in _submasks(mask)
+            }
+        if twist is not None:
+            if not (0 <= twist < len(self.degrees) and self.degrees[twist] == 1):
+                raise ValueError(f"twist {twist!r} is not the index of a degree-1 generator")
+            t = self._units[twist]
+            mask, reads = tables[None]
+            tables[twist] = mask, {
+                s: tuple(p for p in ps if p != t) if t in ps else (*ps, t)
+                for s, ps in reads.items()
+            }
+        return tables[twist]
 
     def sq1_homology_rank(self, d: int, twist: int | None = None) -> int:
         """dim ker(Sq1 at d) - rank(Sq1 at d-1), or of Sq1 + twist (see
         sq1_matrix)."""
+        if type(d) is not int:
+            raise TypeError(f"degree must be an int, got {d!r}")
         ranks = self._rank_cache
         out = ranks.get((d, twist))
         if out is None:
@@ -560,14 +653,15 @@ class PresentedF2Algebra:
         """Rank of the matrix out of degree e, which the rank cache does not
         hold yet; the caller has looked.  It is kept unless degree e is
         empty."""
-        if not self.quotient_dimension(e):
+        if not self._basis(e):
             return 0
         rank = self._rank_cache[e, twist] = f2_rank(self.sq1_matrix(e, twist))
         return rank
 
     def sq1_square_is_zero(self, d: int, twist: int | None = None) -> bool:
         """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases, or the same
-        of Sq1 + twist (see sq1_matrix)."""
+        of Sq1 + twist (see sq1_matrix, which refuses a degree that is not
+        an int before any lookup)."""
         first = self.sq1_matrix(d, twist)
         second = self.sq1_matrix(d + 1, twist)
         for col in filter(None, first):
@@ -602,7 +696,9 @@ _X1 = 1  # x1 in _ORTHOGONAL, the twist of the x*R summand's differential
 
 def dihedral_mod2_ring() -> PresentedF2Algebra:
     """F2[x, x1, x2] / (x^2 + x*x1): the mod-2 cohomology of the dihedral
-    group of order 8, with Sq1 x = x^2, Sq1 x1 = x1^2, Sq1 x2 = x1*x2."""
+    group of order 8, with Sq1 x = x^2, Sq1 x1 = x1^2, Sq1 x2 = x1*x2.
+    Sq1 x is declared as x^2 and read as its normal form x*x1, so the
+    engine's Sq1 table has one product, x1 (see _sq1_table)."""
     return PresentedF2Algebra(*_DIHEDRAL)
 
 

@@ -638,7 +638,8 @@ def test_standard_monomials_have_one_home(kind, m):
         ring.sq1_homology_rank(d)
         ring.sq1_square_is_zero(d)
     assert not ring._coords_memo.keys() & ring._position.keys()
-    assert ring._coords_of(ring._position, ((0, 0),)) == [1 << p for p in ring._position.values()]
+    own = [1 << p for p in ring._position.values()]
+    assert ring._coords_of(ring._position, f2algebra._OWN) == own
     oracle = SpanOracle(ring)
     rng = random.Random(f"{kind} {m}")
     for d in range(2 * m + 2):
@@ -872,6 +873,101 @@ def test_sq1_relation_check_against_span_oracle(case):
             assert ring.sq1_matrix(d) == oracle.sq1_matrix(d), d
 
 
+@st.composite
+def unreduced_sq1_presentations(draw):
+    """A presentation as in random_sq1_presentations with each Sq1 image in
+    normal form, and then each image plus a random sum of monomial
+    multiples of the relations of its degree, if there are any."""
+    degrees, relations, sq1 = draw(random_sq1_presentations())
+    oracle = SpanOracle(
+        PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
+    )
+    reduced, unreduced = {}, {}
+    for g, image in sq1.items():
+        e = degrees[g] + 1
+        bits = oracle.coords(image, e)
+        reduced[g] = frozenset(mono for i, mono in enumerate(oracle.basis(e)) if bits >> i & 1)
+        multiples = [
+            frozenset(oracle.mul(u, mono) for mono in rel)
+            for rel in relations
+            for u in free_monomials(degrees, e - oracle.degree(min(rel)))
+        ]
+        extra = draw(st.sets(st.sampled_from(multiples), min_size=1)) if multiples else ()
+        unreduced[g] = reduce(operator.xor, extra, reduced[g])
+    return degrees, relations, reduced, unreduced
+
+
+@given(unreduced_sq1_presentations())
+@example(  # the dihedral ring, generators x, x1, x2: Sq1 x = x^2 reduces to x*x1
+    (
+        [1, 1, 2],
+        [frozenset({(2, 0, 0), (1, 1, 0)})],
+        {0: frozenset({(1, 1, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 1, 1)})},
+        {0: frozenset({(2, 0, 0)}), 1: frozenset({(0, 2, 0)}), 2: frozenset({(0, 1, 1)})},
+    )
+)
+@example(  # F at m = 2: x1^2 is a lead and Sq1 x1 = x1^2 reduces to x1*y1 + y1^2
+    (
+        [1, 1],
+        [frozenset({(3, 0)}), frozenset({(0, 3)}), frozenset({(2, 0), (1, 1), (0, 2)})],
+        {0: frozenset({(1, 1), (0, 2)}), 1: frozenset({(0, 2)})},
+        {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})},
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_unreduced_images_give_the_reduced_images_sq1(case):
+    # The engine reads each Sq1 image as its normal form: declared with
+    # images that are not reduced, a ring has the span oracle's Sq1 and Sq1
+    # + t matrices for each degree-1 generator t, which the oracle expands
+    # from those images, and the same matrices, or the same refusal, as
+    # the ring declared with the reduced images.
+    degrees, relations, reduced, unreduced = case
+    generators = [(f"g{i}", g) for i, g in enumerate(degrees)]
+    ring = PresentedF2Algebra(generators, relations, unreduced)
+    same = PresentedF2Algebra(generators, relations, reduced)
+    oracle = SpanOracle(ring)
+    outside = []  # degrees of the relations whose Sq1 image is outside the span
+    for rel in ring.relations:
+        e = oracle.degree(min(rel))
+        if oracle.coords([t for mono in rel for t in oracle.sq1(mono)], e + 1):
+            outside.append(e)
+    twists = [None, *(i for i, g in enumerate(degrees) if g == 1)]
+    for d in range(7):
+        for twist in twists:
+            if any(e <= d for e in outside):
+                for r in (ring, same):
+                    with pytest.raises(IllDefinedDerivationError):
+                        r.sq1_matrix(d, twist)
+            else:
+                want = oracle.sq1_matrix(d, twist)
+                assert ring.sq1_matrix(d, twist) == same.sq1_matrix(d, twist) == want, (d, twist)
+
+
+def test_three_generator_ring_reads_one_product():
+    # Sq1 x = x^2 reads as its normal form x*x1, so Sq1 of each generator
+    # is x1 times it: the table has one product, x1, carried by all three,
+    # and reads it on the values of v & mask with an odd number of bits.
+    # After the benchmark's full sweep at m = 18, the memo holds at most 40
+    # monomials (35 when this was written); reading x^2*t, as the declared
+    # image gives, left 205 there, 161 of them x^2*t.
+    m = 18
+    ring = unordered_config_ring(m)
+    for d in range(2 * m + 1):
+        ring.sq1_homology_rank(d)
+    for d in range(2 * m - 1):
+        ring.sq1_square_is_zero(d)
+    x1 = ring._units[x1_of(ring)]
+    mask, reads = ring._sq1_tables[None]
+    assert mask == sum(1 << s for s in ring._shifts)
+    assert reads == {s: (x1,) if s.bit_count() % 2 else () for s in f2algebra._submasks(mask)}
+    assert len(ring._coords_memo) <= 40
+    # a twist by x1 flips that entry; a twist by x, no product, adds one
+    x = [name for name, _ in ring.generators].index("x")
+    flipped = {s: () if s.bit_count() % 2 else (x1,) for s in reads}
+    assert ring._sq1_table(x1_of(ring)) == (mask, flipped)
+    assert ring._sq1_table(x) == (mask, {s: (*ps, ring._units[x]) for s, ps in reads.items()})
+
+
 @pytest.mark.parametrize(
     "generators, relations, sq1",
     [
@@ -918,6 +1014,43 @@ def test_coords_refuses_a_monomial_of_another_degree():
     ring = two_variable_poly_ring()
     with pytest.raises(ValueError, match="not of degree 3"):
         ring.coords({(1, 1)}, 3)
+
+
+@pytest.mark.parametrize("twist", [0, -1, 2])
+def test_a_twist_that_is_not_a_degree_1_generator_is_refused(twist):
+    # In R, listed (x2, x1), x2 has degree 2: Sq1 + x2 would read x2*v two
+    # degrees up, where nothing is grown yet.  -1 would name x1 by Python
+    # indexing, and 2 names no generator.
+    ring = grassmannian_ring(5)
+    with pytest.raises(ValueError, match="not the index of a degree-1 generator"):
+        ring.sq1_matrix(2, twist)
+    assert ring.sq1_matrix(2, x1_of(ring)) == SpanOracle(ring).sq1_matrix(2, x1_of(ring))
+
+
+# each public reader of a degree, called with that degree
+DEGREE_READERS = {
+    "quotient_dimension": lambda ring, d: ring.quotient_dimension(d),
+    "degree_basis": lambda ring, d: ring.degree_basis(d),
+    "coords": lambda ring, d: ring.coords({(1, 1)}, d),
+    "sq1_matrix": lambda ring, d: ring.sq1_matrix(d),
+    "sq1_homology_rank": lambda ring, d: ring.sq1_homology_rank(d),
+    "sq1_square_is_zero": lambda ring, d: ring.sq1_square_is_zero(d),
+}
+
+
+@pytest.mark.parametrize("degree", [True, 2.0, "2", None], ids=repr)
+@pytest.mark.parametrize("reader", DEGREE_READERS)
+def test_a_non_int_degree_is_refused(reader, degree):
+    # Refused before any cache lookup: on a cold ring, and on a ring whose
+    # low degrees have their bases, Sq1 matrices and ranks cached, where
+    # True would read degree 1's entries and 2.0 degree 2's.
+    warm = two_variable_poly_ring()
+    for d in range(4):
+        warm.sq1_homology_rank(d)
+        warm.sq1_square_is_zero(d)
+    for ring in (two_variable_poly_ring(), warm):
+        with pytest.raises(TypeError, match=re.escape(f"degree must be an int, got {degree!r}")):
+            DEGREE_READERS[reader](ring, degree)
 
 
 def test_degree_basis_is_the_callers_own():
@@ -1281,6 +1414,7 @@ def test_started_ring_on_random_presentations(case):
     assert ring._pairs == fresh._pairs
     assert ring._relations == fresh._relations
     assert ring._sq1_checked == fresh._sq1_checked
+    assert ring._sq1_tables == fresh._sq1_tables
     assert other.__dict__ == twin.__dict__
 
 
@@ -1369,9 +1503,30 @@ def test_started_ring_takes_the_free_degrees(make):
     assert set(ring._sq1_matrix_cache) == set(ring._rank_cache) == {(0, None)}
     assert ring._sq1_matrix_cache[0, None] is other._sq1_matrix_cache[0, None]
     assert not ring._groebner and not ring._pairs and not ring._coords_memo
+    assert not ring._sq1_tables  # the images of x2 lie in degree 3
     assert ring._relations == fresh._relations
     assert ring._sq1_checked == fresh._sq1_checked == 0
     assert_grows_as_fresh(ring, fresh)
+
+
+def test_a_shared_ring_takes_the_sq1_tables_below_its_relations():
+    # F's images lie in degree 2.  At m = 2, x1^2 is a lead, so Sq1 x1 =
+    # x1^2 reads as x1*y1 + y1^2 and F(3), started from F(2), builds its own
+    # table; from m = 3 on the rings are free through degree 2, so each
+    # later ring takes its donor's.
+    config_mod2_ring.cache_clear()
+    try:
+        rings = []
+        for m in range(2, 7):
+            ring = config_mod2_ring("F", m)
+            for d in range(2 * m + 1):
+                ring.sq1_homology_rank(d)
+            rings.append(ring)
+    finally:
+        config_mod2_ring.cache_clear()
+    tables = [ring._sq1_tables[None] for ring in rings]
+    assert tables[1] != tables[0]
+    assert all(table is tables[1] for table in tables[2:])
 
 
 def test_cache_clear_empties_the_rings():

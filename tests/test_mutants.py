@@ -470,30 +470,37 @@ def test_twisted_gap_mutant_passes_every_suite(monkeypatch):
     assert killing_families() == set()
 
 
-def sq1_columns(ring, d, twist):
-    """Sq1 columns out of degree d, with the product by the generator twist
-    added if it is given, of a ring whose degree d + 1 is grown, read
-    through the ring's coordinate reader as it stands."""
-    shifts = ring._sq1_shifts
-    if twist is not None:
-        shifts = [*shifts, (0, ring._units[twist])]
-    return ring._coords_of(ring._basis(d), shifts)
+def sq1_table(ring, twist):
+    """The ring's shift table of Sq1, plus the product by the generator
+    twist if it is given; built here if a matrix that the ring took from
+    another (see _start_from) has left it unbuilt."""
+    tables = ring._sq1_tables
+    return tables[twist] if twist in tables else ring._sq1_table(twist)
+
+
+def sq1_columns(ring, d, table):
+    """Columns out of degree d of a ring whose degree d + 1 is grown, read
+    through a shift table by the ring's coordinate reader as it stands."""
+    return ring._coords_of(ring._basis(d), table)
 
 
 def sq1_drops_lead_terms(original):
     """sq1_matrix with the coordinates of every Groebner lead read as 0,
-    as if a lead lost the rest of its basis element where the Sq1 columns
-    read it: the same as dropping each lead term of a column, since the
-    right sq1_matrix has memoised every non-standard term first."""
+    as if a lead lost the rest of its basis element where Sq1 reads it:
+    in the normal forms of the generators' images that its shift table is
+    built from, and in the columns.  That is the same as dropping each lead
+    term of an image and of a column, since the right sq1_matrix has
+    memoised every non-standard term first."""
 
     def mutant(self, d, twist=None):
         original(self, d, twist)  # grows the bases and checks Sq1 on the relations
-        memo = self._coords_memo
+        memo, tables = self._coords_memo, self._sq1_tables
         self._coords_memo = {**memo, **dict.fromkeys(self._groebner, 0)}
+        self._sq1_tables = {}
         try:
-            return sq1_columns(self, d, twist)
+            return sq1_columns(self, d, self._sq1_table(twist))
         finally:
-            self._coords_memo = memo
+            self._coords_memo, self._sq1_tables = memo, tables
 
     return mutant
 
@@ -505,12 +512,8 @@ def sq1_parity_bit_one_high(original):
 
     def mutant(self, d, twist=None):
         original(self, d, twist)
-        right = self._sq1_shifts
-        self._sq1_shifts = [(bit << 1, shift) for bit, shift in right]
-        try:
-            return sq1_columns(self, d, twist)
-        finally:
-            self._sq1_shifts = right
+        mask, reads = sq1_table(self, twist)
+        return sq1_columns(self, d, (mask << 1, {s << 1: adds for s, adds in reads.items()}))
 
     return mutant
 
@@ -527,7 +530,8 @@ ENGINE_MUTANTS = {
     # a lead term at the split's m (3, 7 and 11), and the twisted columns
     # that have one keep the ranks the split reads at degree m + 1.  The
     # comparison with the three-generator ring kills it too
-    # (test_lead_mutant_fails_the_reference).
+    # (test_lead_mutant_fails_the_reference): that ring's image Sq1 x = x^2
+    # is a lead, so its table reads Sq1 x as 0.
     "lead-bitset-drops-tail": (
         "sq1_matrix",
         sq1_drops_lead_terms,
@@ -565,14 +569,19 @@ ENGINE_MUTANTS = {
         recompiled("[starts[e - g][i] :]", "[max(starts[e - g][i] - 1, 0) :]"),
         {"IllDefinedDerivationError"},
     ),
-    # Killed by one family only.  The first generator's Sq1 shift reads
-    # the last generator's unit, so F's Sq1 x1 becomes x1*y1, while R's
-    # table (Sq1 x2 = x2*x1) is unchanged, and so is the three-generator
-    # ring's (Sq1 x = x*x1, which is x^2 in its quotient).  The span oracle
-    # kills it too (test_span_oracle_rejects_the_shift_table_mutant).
+    # Killed by one family only.  Each product of the first generator's
+    # Sq1 reads as the last generator, so F's Sq1 x1 becomes x1*y1, while
+    # R's table (Sq1 x2 = x2*x1) is unchanged, and so is the three-generator
+    # ring's (Sq1 x = x^2, which reduces to x*x1).  At m = 2, where x1^2
+    # is a lead of F, both products of NF(Sq1 x1) = x1*y1 + y1^2 read as y1
+    # and make one entry, so Sq1 x1 is x1*y1 there too, not 0.  The span
+    # oracle kills it too (test_span_oracle_rejects_the_shift_table_mutant).
     "shift-table-Sq1-x1=x1*y1-on-F": (
-        "__init__",
-        recompiled("v - unit))", "v - unit if g else self._units[-1]))"),
+        "_sq1_table",
+        recompiled(
+            "p = basis[low.bit_length() - 1] - unit",
+            "p = basis[low.bit_length() - 1] - unit if g else self._units[-1]",
+        ),
         {"bockstein-page1"},
     ),
 }

@@ -14,7 +14,13 @@ first nonzero exponent is generator i's are generator i times the tail of
 a lower basis that has no earlier exponent, so taken generator by
 generator they come out descending, each tested once.  Nor is a search:
 each basis is stored with the running lengths of its groups, which are
-where its tails start.
+where its tails start.  Two tests are skipped where they can change
+nothing.  When g_i^2 is a lead, group i of the tail is not offered: each
+g_i*t there is a multiple of g_i^2.  And the test of a later generator g_j
+runs on group i only if that group dropped a candidate g_j degrees down:
+each v/g_j is a candidate of group i there, so if none was dropped, every
+v/g_j is standard.  Each basis is stored with a bitmask of the groups that
+dropped one.
 The relations are stored once, by degree: growth reduces those of each
 degree it reaches, the Sq1 check walks them degree by degree, and a new
 ring reads from them which degrees it may share (see _start_from).  Degree
@@ -63,9 +69,10 @@ Sq1 r): R carries Sq1 and, for x*R one degree up, Sq1 + x1 (a twist), and
 
 The configuration rings of P^m are the classifying-space rings modulo
 relations of degree m and up, and the two rings swept here, F2[x1, x2] for R
-and F2[x1, y1], are free: below degree m every configuration ring is the free
-ring.  So config_mod2_ring starts each new ring from the last one of its kind
-(see _start_from), and a range of m grows and sweeps those degrees once.
+and F2[u, x1] for F (see ordered_config_ring), are free: below degree m every
+configuration ring is the free ring.  So config_mod2_ring starts each new
+ring from the last one of its kind (see _start_from), and a range of m grows
+and sweeps those degrees once.
 """
 
 TYPE_CHECKING = False
@@ -163,6 +170,14 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
+def _refusal(d, twist) -> TypeError:
+    """The error of a Sq1 reader given a degree that is not an int, or a
+    bool twist."""
+    if type(d) is not int:
+        return TypeError(f"degree must be an int, got {d!r}")
+    return TypeError(f"twist must be a generator index or None, got {twist!r}")
+
+
 # A shift table (mask, reads) maps each value of v & mask to the products
 # that v is shifted by (see _coords_of).  This one reads v itself.
 _OWN: ShiftTable = (0, {0: (0,)})
@@ -198,9 +213,12 @@ class PresentedF2Algebra:
             self._exponent_bits |= MAX_EXPONENT << s
             self._guards |= 1 << s + FIELD_BITS - 1
         self._units, self._steps = tuple(units), tuple(steps)
-        # (degree, unit, steps of the later generators) of each generator
+        # (degree, unit, its square, and (field, unit, degree) of each later
+        # generator) of each generator
+        later = [(field, unit, g) for (field, unit), g in zip(steps, self.degrees)]
         self._growth = tuple(
-            (g, unit, self._steps[i + 1 :]) for i, (g, unit) in enumerate(zip(self.degrees, units))
+            (g, unit, unit + unit, tuple(later[i + 1 :]))
+            for i, (g, unit) in enumerate(zip(self.degrees, units))
         )
         self._relations: dict[int, list[frozenset[int]]] = {}  # degree -> relations
         for r in self.relations:
@@ -230,6 +248,8 @@ class PresentedF2Algebra:
         self._basis_cache: dict[int, list[int]] = {0: [0]}
         # degree -> where each generator's group starts in that basis
         self._starts: dict[int, tuple[int, ...]] = {0: (0,) * n}
+        # degree -> bit i set iff group i of that basis dropped a candidate
+        self._dropped: dict[int, int] = {0: 0}
         self._position: dict[int, int] = {0: 0}  # standard monomial -> place in basis
         # (degree, twist) -> Sq1 matrix out of that degree, and its rank
         self._sq1_matrix_cache: dict[tuple[int, int | None], list[int]] = {}
@@ -336,14 +356,25 @@ class PresentedF2Algebra:
         of its degree, one that joined as that degree grew, can match) and,
         for each later generator it contains, its immediate divisor by that
         generator is in the basis of its degree.
+        Two skips leave each basis as it is.  When g_i^2 is a lead, group i
+        of the tail, the monomials with a factor g_i, is not offered: each
+        g_i*t there is a multiple of g_i^2.  The tail then starts at its
+        group i + 1, and the last generator's has nothing left.  And each
+        basis is stored with a bitmask of the groups that dropped a
+        candidate, one offered and not kept; the test of a later generator
+        g_j runs on group i only if group i dropped one g_j degrees down.
+        A candidate v = g_i*t has v/g_j = g_i*(t/g_j), a candidate of group
+        i there (a lead g_i^2 there is one here too, and then t has no
+        factor g_i), so if none was dropped every v/g_j is standard.
         """
         cache = self._basis_cache
         if d < len(cache):
             return
         if d > MAX_DEGREE:
             raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
-        gb, position, starts = self._groebner, self._position, self._starts
+        gb, position, starts, dropped = self._groebner, self._position, self._starts, self._dropped
         relations, pairs = self._relations, self._pairs
+        last = len(self._growth) - 1
         for e in range(len(cache), d + 1):
             leads = len(gb)
             for poly in relations.get(e, ()):
@@ -356,19 +387,31 @@ class PresentedF2Algebra:
                     poly = self._normal_form({t + qa for t in gb[a]} ^ {t + qb for t in gb[b]})
                     if poly:
                         self._add_to_groebner(poly)
-            basis, heads = [], []
+            basis, heads, lost = [], [], 0
             fresh = len(gb) > leads  # a lead of degree e joined
-            for i, (g, unit, later) in enumerate(self._growth):
-                heads.append(len(basis))
+            for i, (g, unit, square, later) in enumerate(self._growth):
+                head = len(basis)
+                heads.append(head)
                 if g > e:
                     continue
-                group = map(unit.__add__, cache[e - g][starts[e - g][i] :])
+                tail = cache[e - g]
+                if square not in gb:
+                    first = starts[e - g][i]
+                elif i < last:  # offer the tail past its group i
+                    first = starts[e - g][i + 1]
+                else:
+                    continue
+                group = map(unit.__add__, tail[first:])
                 if fresh:
                     group = [v for v in group if v not in gb]
-                for field, step in later:
-                    group = [v for v in group if not v & field or v - step in position]
+                bit = 1 << i
+                for field, step, h in later:
+                    if dropped.get(e - h, 0) & bit:
+                        group = [v for v in group if not v & field or v - step in position]
                 basis += group
-            cache[e], starts[e] = basis, tuple(heads)
+                if len(basis) - head < len(tail) - first:
+                    lost |= bit
+            cache[e], starts[e], dropped[e] = basis, tuple(heads), lost
             position.update(zip(basis, range(len(basis))))
 
     def _start_from(self, other: "PresentedF2Algebra") -> bool:
@@ -396,6 +439,7 @@ class PresentedF2Algebra:
         for d in range(low):
             basis = self._basis_cache[d] = other._basis_cache[d]
             self._starts[d] = other._starts[d]
+            self._dropped[d] = other._dropped[d]
             self._position.update(zip(basis, range(len(basis))))
         for mine, theirs in (
             (self._sq1_matrix_cache, other._sq1_matrix_cache),
@@ -414,8 +458,9 @@ class PresentedF2Algebra:
         return self._basis_cache[d]
 
     # Each public reader of a degree refuses one that is not an int, bool
-    # included, before any cache lookup (sq1_square_is_zero through
-    # sq1_matrix).
+    # included, and each reader of a twist a bool twist, before any cache
+    # lookup (sq1_square_is_zero through sq1_matrix): as a key, True is 1
+    # and False is 0.
 
     def quotient_dimension(self, d: int) -> int:
         if type(d) is not int:
@@ -484,7 +529,9 @@ class PresentedF2Algebra:
         standard v set in those of w/h.  Every monomial named on the right
         is smaller than w, so the walk ends; it runs on an explicit stack,
         not by recursion, and leaves w there until each part it names is
-        known.
+        known.  A w that is neither a lead nor has a non-standard immediate
+        divisor is standard and missing from its basis, which only a fault
+        of growth can bring about: RuntimeError.
         """
         position, memo, gb, steps = self._position, self._coords_memo, self._groebner, self._steps
         stack = [mono]
@@ -498,6 +545,8 @@ class PresentedF2Algebra:
                 for field, unit in steps:
                     if w & field and (u := w - unit) not in position:
                         break
+                else:  # w names no part: the walk would push forever
+                    raise RuntimeError(f"{self._unpack(w)} is standard but not in its basis")
                 if u not in memo:
                     stack.append(u)
                     continue
@@ -548,8 +597,8 @@ class PresentedF2Algebra:
         passing its degree: the lowest failing degree raises, and again on
         every later call that reaches it.
         """
-        if type(d) is not int:
-            raise TypeError(f"degree must be an int, got {d!r}")
+        if type(d) is not int or twist is True or twist is False:
+            raise _refusal(d, twist)
         cols = self._sq1_matrix_cache.get((d, twist))
         if cols is not None:
             return cols
@@ -637,8 +686,8 @@ class PresentedF2Algebra:
     def sq1_homology_rank(self, d: int, twist: int | None = None) -> int:
         """dim ker(Sq1 at d) - rank(Sq1 at d-1), or of Sq1 + twist (see
         sq1_matrix)."""
-        if type(d) is not int:
-            raise TypeError(f"degree must be an int, got {d!r}")
+        if type(d) is not int or twist is True or twist is False:
+            raise _refusal(d, twist)
         ranks = self._rank_cache
         out = ranks.get((d, twist))
         if out is None:
@@ -661,7 +710,7 @@ class PresentedF2Algebra:
     def sq1_square_is_zero(self, d: int, twist: int | None = None) -> bool:
         """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases, or the same
         of Sq1 + twist (see sq1_matrix, which refuses a degree that is not
-        an int before any lookup)."""
+        an int, or a bool twist, before any lookup)."""
         first = self.sq1_matrix(d, twist)
         second = self.sq1_matrix(d + 1, twist)
         for col in filter(None, first):
@@ -746,19 +795,28 @@ def unordered_config_ring(m: int) -> PresentedF2Algebra:
 
 def ordered_config_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring of the ordered two-point configuration space of
-    P^m: F2[x1, y1] / (x1^(m+1), y1^(m+1), sum_{i+j=m} x1^i y1^j)."""
+    P^m, F2[x1, y1] / (x1^(m+1), y1^(m+1), sum_{i+j=m} x1^i y1^j), presented
+    over u = x1 + y1 and x1, u listed first.
+
+    Over F2 the sum is (x1^(m+1) + y1^(m+1)) / (x1 + y1).  With y1 = u + x1
+    the relations are x1^(m+1), (u + x1)^(m+1) and ((u + x1)^(m+1) +
+    x1^(m+1)) / u = sum_{k >= 1} C(m+1, k) u^(k-1) x1^(m+1-k).  By Lucas'
+    theorem C(m+1, k) is odd for 2^popcount(m+1) values of k, k = 0 among
+    them, so the three have 1, 2^popcount(m+1) and 2^popcount(m+1) - 1
+    terms, where over (x1, y1) they have 1, 1 and m + 1.  The second is u
+    times the third plus the first, so it reduces to zero, and the Groebner
+    basis is the third and x1^(m+1), with the coprime leads u^m and
+    x1^(m+1).  Sq1 u = x1^2 + y1^2 = u^2, so Sq1 squares both generators.
+    The quotient dimensions and Sq1-homology ranks are those of the (x1, y1)
+    listing, whose Sq1 matrices are conjugate to these."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    generators, relations, sq1 = _TWO_VARIABLE
+    n = m + 1
+    power = frozenset((k, n - k) for k in range(n + 1) if binom_mod2(n, k))  # (u + x1)^n
     return PresentedF2Algebra(
-        generators,
-        [
-            *relations,
-            frozenset({(m + 1, 0)}),
-            frozenset({(0, m + 1)}),
-            frozenset({(i, m - i) for i in range(m + 1)}),
-        ],
-        sq1,
+        [("u", 1), ("x1", 1)],
+        [frozenset({(0, n)}), power, frozenset((k - 1, j) for k, j in power if k)],
+        _TWO_VARIABLE[2],
     )
 
 

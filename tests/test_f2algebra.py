@@ -60,12 +60,31 @@ def x1_of(ring):
     return [name for name, _ in ring.generators].index("x1")
 
 
+def x1_y1_listing(m):
+    """F's ring over x1 and y1, as the library presented it before it moved
+    to u = x1 + y1 and x1: F2[x1, y1] / (x1^(m+1), y1^(m+1), sum_{i+j=m}
+    x1^i y1^j), with the squaring Sq1.  The older pins of F's rings were
+    taken on it."""
+    return PresentedF2Algebra(
+        [("x1", 1), ("y1", 1)],
+        [
+            frozenset({(m + 1, 0)}),
+            frozenset({(0, m + 1)}),
+            frozenset({(i, m - i) for i in range(m + 1)}),
+        ],
+        {0: frozenset({(2, 0)}), 1: frozenset({(0, 2)})},
+    )
+
+
 # uncached builders of B's three-generator ring as it was listed ("B", x1
-# first) and as the library lists it (x2 first), and of F's ring
+# first) and as the library lists it (x2 first), and of F's ring as it was
+# presented ("F", over x1 and y1) and as the library presents it (over u =
+# x1 + y1 and x1, u first)
 LISTINGS = {
     "B": lambda m: x1_first(unordered_config_ring(m)),
     "B-x2-first": unordered_config_ring,
-    "F": ordered_config_ring,
+    "F": x1_y1_listing,
+    "F-u-first": ordered_config_ring,
 }
 
 
@@ -421,10 +440,33 @@ INTERLEAVED = (
 )
 
 
+# F2[a, b, c] with b of degree 2 listed between a and c of degree 1, modulo
+# (a^2 + a c, b^2 + b c^2 + c^4): a^2 and b^2 are leads, so from degree 3
+# a's candidates are a times the tail past its group a, the monomials of b
+# and c, and from degree 4 b's are b times the monomials of c alone.
+SQUARE_LEAD = (
+    [1, 2, 1],
+    [frozenset({(2, 0, 0), (1, 0, 1)}), frozenset({(0, 2, 0), (0, 1, 2), (0, 0, 4)})],
+    8,
+    frozenset({(0, 4, 0), (1, 3, 1), (0, 1, 6), (2, 1, 4)}),
+)
+# F2[a, b] with b of degree 2, modulo (a b): group a drops a b in degree 3,
+# and in no other degree below 5, so in degree 5 the test by b runs on
+# group a, read two degrees down, and drops a b^2.
+DROPPED_TWO_DOWN = (
+    [1, 2],
+    [frozenset({(1, 1)})],
+    5,
+    frozenset({(1, 2), (5, 0), (3, 1)}),
+)
+
+
 @given(random_presentations())
 @example(TRIANGLE)
 @example(CHAIN)
 @example(INTERLEAVED)
+@example(SQUARE_LEAD)
+@example(DROPPED_TWO_DOWN)
 @settings(max_examples=300, deadline=None)
 def test_engine_on_random_presentations(case):
     # Random ideals reach lead shapes and pairs that the configuration
@@ -481,6 +523,50 @@ def test_stored_starts_on_random_presentations(case):
     ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
     ring._grow(8)
     assert_starts_match_a_scan(ring)
+
+
+def recounted_dropped(ring, e):
+    """Bit i set iff group i of degree e offered a candidate that is not in
+    the basis: g_i*t for a t of degree e - g_i with no exponent below g_i's,
+    and none of g_i if g_i^2 is a lead.  A recount over exponent tuples,
+    not the bitmask that _grow stores."""
+    leads = set(map(ring._unpack, ring._groebner))
+    kept = ring.degree_basis(e)
+    out = 0
+    for i, g in enumerate(ring.degrees):
+        square = tuple(2 * (k == i) for k in range(len(ring.degrees))) in leads
+        for t in ring.degree_basis(e - g) if g <= e else ():
+            if any(t[:i]) or square and t[i]:
+                continue
+            if (*t[:i], t[i] + 1, *t[i + 1 :]) not in kept:
+                out |= 1 << i
+                break
+    return out
+
+
+def assert_dropped_match_a_recount(ring):
+    assert ring._dropped.keys() == ring._basis_cache.keys()
+    for e in ring._basis_cache:
+        assert ring._dropped[e] == recounted_dropped(ring, e), e
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+@pytest.mark.parametrize("kind", ["R", "B", "F"])
+def test_stored_dropped_groups_match_a_recount(kind, m):
+    ring = {"R": grassmannian_ring, **FRESH}[kind](m)
+    ring._grow(2 * m + 2)
+    assert_dropped_match_a_recount(ring)
+
+
+@given(random_presentations())
+@example(SQUARE_LEAD)
+@example(DROPPED_TWO_DOWN)
+@settings(max_examples=100, deadline=None)
+def test_stored_dropped_groups_on_random_presentations(case):
+    degrees, relations, _, _ = case
+    ring = PresentedF2Algebra([(f"g{i}", g) for i, g in enumerate(degrees)], relations)
+    ring._grow(8)
+    assert_dropped_match_a_recount(ring)
 
 
 @pytest.mark.parametrize("m", [17, 24])
@@ -607,8 +693,8 @@ def grow_checking_pairs(ring, d):
 
 @pytest.mark.parametrize("kind", ["B", "F"])
 def test_queued_pairs_against_tuple_criteria(kind):
-    # Both kinds leave out pairs of coprime leads.  F's two leads, x1^m
-    # and y1^(m+1), are coprime, so F queues no pair at all.
+    # Both kinds leave out pairs of coprime leads.  F's two leads, u^m
+    # and x1^(m+1), are coprime, so F queues no pair at all.
     queued = coprime = 0
     for m in range(2, 13):
         pairs, left_out = grow_checking_pairs(FRESH[kind](m), 2 * m + 1)
@@ -1053,6 +1139,32 @@ def test_a_non_int_degree_is_refused(reader, degree):
             DEGREE_READERS[reader](ring, degree)
 
 
+# each public reader of a twist, called with that twist at degree 3
+TWIST_READERS = {
+    "sq1_matrix": lambda ring, twist: ring.sq1_matrix(3, twist),
+    "sq1_homology_rank": lambda ring, twist: ring.sq1_homology_rank(3, twist),
+    "sq1_square_is_zero": lambda ring, twist: ring.sq1_square_is_zero(3, twist),
+}
+
+
+@pytest.mark.parametrize("twist", [True, False], ids=repr)
+@pytest.mark.parametrize("reader", TWIST_READERS)
+def test_a_bool_twist_is_refused(reader, twist):
+    # As a cache key True is 1 and False is 0: on R, listed (x2, x1), True
+    # would read the entries cached for twist 1, x1.  Refused before any
+    # cache lookup, on a cold ring and on one whose Sq1 and Sq1 + x1
+    # matrices and ranks are cached through degree 4.
+    warm = grassmannian_ring(5)
+    for d in range(5):
+        for t in (None, x1_of(warm)):
+            warm.sq1_homology_rank(d, t)
+            warm.sq1_square_is_zero(d, t)
+    refusal = f"twist must be a generator index or None, got {twist}"
+    for ring in (grassmannian_ring(5), warm):
+        with pytest.raises(TypeError, match=refusal):
+            TWIST_READERS[reader](ring, twist)
+
+
 def test_degree_basis_is_the_callers_own():
     # Each call decodes a new dict, so a caller that empties it leaves the
     # engine's bases, Sq1 matrices and ranks as a fresh ring has them.
@@ -1071,9 +1183,12 @@ def test_degree_basis_is_the_callers_own():
 # sha256 of the reprs of tuple(degree_basis(d)) and of sq1_matrix(d), each
 # over d = 0..2m+1; the span oracles above stop at m = 24.  The pins of "B"
 # and "F" are as the exponent-tuple engine computed them before monomials
-# were packed, "B" on the three-generator ring listed x1 first as it was
-# then; "B-x2-first" pins the ring as the library lists it, and
-# test_listings_have_conjugate_sq1 ties the two listings together.
+# were packed, "B" on the three-generator ring listed x1 first and "F" on
+# the ring over x1 and y1, as they were then; "B-x2-first" and "F-u-first"
+# pin the rings as the library presents them, and
+# test_listings_have_conjugate_sq1 ties each two listings together.  F's
+# two listings have the same exponent tuples in their bases, as x1^m and
+# y1^(m+1) are leads of the one and u^m and x1^(m+1) of the other.
 ENGINE_DIGESTS = {
     ("B", 40): (
         "60e0c49e2b90a8b7bc5c369a6ceb1c6dc34742d8ed3fbf4fdc2ca097dc57c6b0",
@@ -1099,6 +1214,14 @@ ENGINE_DIGESTS = {
         "34d76f16300281ef8c36d51d1487e729a67f02233d9764f6554818032333b732",
         "095a764006de1839cba1c6d6adc7e12669393fc4bb3639d9f6e4e7250809c9c8",
     ),
+    ("F-u-first", 40): (
+        "c39da3624c84db483a762eea448dd079c9ba429a62b82090931415a101ffa1d1",
+        "5b3bba32ee7caf6c55748b2f9df5a8ec4b16ddb3c4ffd9ed81f21c11703a221b",
+    ),
+    ("F-u-first", 64): (
+        "34d76f16300281ef8c36d51d1487e729a67f02233d9764f6554818032333b732",
+        "c229b54471f950bb29a402d591fd44aa4ef758b48a309f42262025e744a2964d",
+    ),
 }
 
 
@@ -1122,33 +1245,60 @@ def times(columns, v):
     return acc
 
 
-def assert_conjugate_to_x1_first(ring, m):
-    """ring's Sq1 and Sq1 + x1 are those of x1_first(ring) up to a change of
-    basis: column j of T_d holds the coordinates, in x1_first(ring), of
-    ring's j-th basis monomial of degree d.  Each T_d has full rank, and
-    T_(d+1) M(d) = M'(d) T_d for the matrices M of ring and M' of the
-    relisting, for each differential."""
-    old = x1_first(ring)
-    order = [ring.generators.index(g) for g in old.generators]
+def assert_conjugate(ring, old, image, twists, m):
+    """ring's Sq1, and Sq1 + t for each pair (t, t') of twists, are old's
+    Sq1 and Sq1 + t' up to a change of basis: column j of T_d holds the
+    coordinates in old of image(mono), mono ring's j-th basis monomial of
+    degree d.  Each T_d has full rank, and T_(d+1) M(d) = M'(d) T_d for the
+    matrices M of ring and M' of old, for each differential."""
     change = []
     for d in range(2 * m + 3):
         basis = ring.degree_basis(d)
-        columns = [old.coords({tuple(mono[i] for i in order)}, d) for mono in basis]
+        columns = [old.coords(image(mono), d) for mono in basis]
         assert f2algebra.f2_rank(columns) == len(columns) == old.quotient_dimension(d), d
         change.append(columns)
-    for twist, old_twist in ((None, None), (x1_of(ring), x1_of(old))):
+    for twist, old_twist in twists:
         for d in range(2 * m + 2):
             left = [times(change[d + 1], c) for c in ring.sq1_matrix(d, twist)]
             right = [times(old.sq1_matrix(d, old_twist), c) for c in change[d]]
             assert left == right, (d, twist)
 
 
+def assert_conjugate_to_x1_first(ring, m):
+    """ring's Sq1 and Sq1 + x1 are those of x1_first(ring) up to a change of
+    basis (see assert_conjugate): each monomial is its own image, its
+    exponents permuted."""
+    old = x1_first(ring)
+    order = [ring.generators.index(g) for g in old.generators]
+    twists = ((None, None), (x1_of(ring), x1_of(old)))
+    assert_conjugate(ring, old, lambda mono: {tuple(mono[i] for i in order)}, twists, m)
+
+
+def assert_conjugate_to_x1_y1(ring, m):
+    """F's Sq1 and Sq1 + x1 over u and x1 are those of x1_y1_listing(m) up
+    to a change of basis (see assert_conjugate): u^a x1^b is (x1 + y1)^a
+    x1^b, expanded mod 2."""
+    old = x1_y1_listing(m)
+
+    def image(mono):
+        a, b = mono
+        return {(k + b, a - k) for k in range(a + 1) if binom_mod2(a, k)}
+
+    assert_conjugate(ring, old, image, ((None, None), (x1_of(ring), x1_of(old))), m)
+
+
 @pytest.mark.parametrize("m", [40, 64])
-@pytest.mark.parametrize("kind", ["R", "B"])
+@pytest.mark.parametrize("kind", ["R", "B", "F"])
 def test_listings_have_conjugate_sq1(kind, m):
     # The library lists x2 before x1; the same rings listed x1 first have
     # other bases but conjugate Sq1 matrices, so the same Sq1-homology.
-    assert_conjugate_to_x1_first((grassmannian_ring if kind == "R" else unordered_config_ring)(m), m)
+    # It presents F over u = x1 + y1 and x1; over x1 and y1 the Sq1
+    # matrices are conjugate too.
+    if kind == "F":
+        assert_conjugate_to_x1_y1(ordered_config_ring(m), m)
+    else:
+        ring = (grassmannian_ring if kind == "R" else unordered_config_ring)(m)
+        assert_conjugate_to_x1_first(ring, m)
 
 
 @pytest.mark.parametrize("kind, most", [("R", 7), ("B", 8), ("F", 2)])
@@ -1345,6 +1495,7 @@ def test_shared_rings_equal_fresh_ones(order):
                 assert all(ring._starts[d] is other._starts[d] for d in range(low))
                 assert ring._basis_cache[low] is not other._basis_cache[low]
                 assert_starts_match_a_scan(ring)
+                assert_dropped_match_a_recount(ring)
             last[kind] = m, ring
     config_mod2_ring.cache_clear()
 
@@ -1412,6 +1563,7 @@ def test_started_ring_on_random_presentations(case):
         assert ring.degree_basis(e) == fresh.degree_basis(e), e
     assert list(ring._groebner.items()) == list(fresh._groebner.items())
     assert ring._pairs == fresh._pairs
+    assert ring._dropped == fresh._dropped
     assert ring._relations == fresh._relations
     assert ring._sq1_checked == fresh._sq1_checked
     assert ring._sq1_tables == fresh._sq1_tables
@@ -1477,6 +1629,7 @@ def assert_grows_as_fresh(ring, fresh):
     assert list(ring._groebner.items()) == list(fresh._groebner.items())
     assert ring._position == fresh._position
     assert ring._starts == fresh._starts
+    assert ring._dropped == fresh._dropped
 
 
 @pytest.mark.parametrize(
@@ -1497,9 +1650,10 @@ def test_started_ring_takes_the_free_degrees(make):
     other = swept_dihedral()
     ring, fresh = make(), make()
     assert ring._start_from(other)
-    assert list(ring._basis_cache) == list(ring._starts) == [0, 1]
+    assert list(ring._basis_cache) == list(ring._starts) == list(ring._dropped) == [0, 1]
     assert all(ring._basis_cache[d] is other._basis_cache[d] for d in (0, 1))
     assert all(ring._starts[d] is other._starts[d] for d in (0, 1))
+    assert all(ring._dropped[d] == other._dropped[d] for d in (0, 1))
     assert set(ring._sq1_matrix_cache) == set(ring._rank_cache) == {(0, None)}
     assert ring._sq1_matrix_cache[0, None] is other._sq1_matrix_cache[0, None]
     assert not ring._groebner and not ring._pairs and not ring._coords_memo
@@ -1510,8 +1664,8 @@ def test_started_ring_takes_the_free_degrees(make):
 
 
 def test_a_shared_ring_takes_the_sq1_tables_below_its_relations():
-    # F's images lie in degree 2.  At m = 2, x1^2 is a lead, so Sq1 x1 =
-    # x1^2 reads as x1*y1 + y1^2 and F(3), started from F(2), builds its own
+    # F's images lie in degree 2.  At m = 2, u^2 is a lead, so Sq1 u = u^2
+    # reads as u*x1 + x1^2 and F(3), started from F(2), builds its own
     # table; from m = 3 on the rings are free through degree 2, so each
     # later ring takes its donor's.
     config_mod2_ring.cache_clear()

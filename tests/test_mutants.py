@@ -9,9 +9,10 @@ of a relation outside the ideal).  A reference mutant changes the
 three-generator presentation of B, which the suites no longer read; the
 test that compares it with the split must then fail for some m in 2..12.
 
-F's relation y1^(m+1) is not mutated: (x1 + y1) * sum x1^i y1^(m-i) =
-x1^(m+1) + y1^(m+1), so it already lies in the ideal of the other two and
-dropping it changes nothing.
+F's ring is presented over u = x1 + y1 and x1, and its relation (u +
+x1)^(m+1), which is y1^(m+1), is not mutated: it is u times the third
+relation plus the first, so it already lies in the ideal of the other two
+and dropping it changes nothing.
 
 A closed-form mutant changes one group in one degree of a configuration
 space table branch or a classifying-space formula, or the sign of the
@@ -67,7 +68,9 @@ MUTANTS = {
         "B",
         lambda rels, sq1: (replace(rels, 1, drop_term(rels[1], top_x2)), sq1),
     ),
-    "F-drop-term-sum": (  # sum x1^i y1^(m-i)
+    # sum x1^i y1^(m-i) over u and x1: one term, u^m, when m + 1 is a power
+    # of 2 (m = 3, 7), where it is left as it is
+    "F-drop-term-sum": (
         "F",
         lambda rels, sq1: (replace(rels, 2, drop_term(rels[2])), sq1),
     ),
@@ -75,9 +78,9 @@ MUTANTS = {
         "B",
         lambda rels, sq1: (rels, {**sq1, X2: frozenset()}),
     ),
-    "F-Sq1-y1=x1*y1": (
+    "F-Sq1-y1=x1*y1": (  # Sq1 u = u*x1, as Sq1 x1 stays x1^2
         "F",
-        lambda rels, sq1: (rels, {**sq1, 1: frozenset({(1, 1)})}),
+        lambda rels, sq1: (rels, {**sq1, 0: frozenset({(1, 1)})}),
     ),
 }
 
@@ -294,10 +297,11 @@ CLOSED_FORM_MUTANTS.update(
 
 def killing_families():
     """Families of the failing checks of every suite over 2..12, or the
-    name of the error that stopped the run."""
+    name of the error that stopped the run: a bad presentation, or a
+    standard monomial missing from its basis."""
     try:
         report = suites.run_suites(list(suites.SUITE_NAMES), range(2, 13))
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         return {type(exc).__name__}
     return {c.suite for c in report.checks if not c.passed}
 
@@ -556,7 +560,7 @@ ENGINE_MUTANTS = {
     # of w_m has nonzero coordinates at m = 2.
     "growth-skips-later-divisors": (
         "_grow",
-        recompiled("for field, step in later:", "for field, step in ():"),
+        recompiled("for field, step, h in later:", "for field, step, h in ():"),
         {"IllDefinedDerivationError"},
     ),
     # Each tail after the first starts one monomial early, on the last
@@ -566,16 +570,28 @@ ENGINE_MUTANTS = {
     # coordinates, which stops the run.
     "growth-tail-starts-one-early": (
         "_grow",
-        recompiled("[starts[e - g][i] :]", "[max(starts[e - g][i] - 1, 0) :]"),
+        recompiled("first = starts[e - g][i]", "first = max(starts[e - g][i] - 1, 0)"),
         {"IllDefinedDerivationError"},
     ),
+    # Group i of each tail is skipped whether or not g_i^2 is a lead, and
+    # the last generator offers nothing, so standard monomials such as F's
+    # u^2 go missing from the bases.  The first walk that reaches one finds
+    # no non-standard immediate divisor and stops the run.
+    "growth-skips-tail-group-without-square-lead": (
+        "_grow",
+        recompiled("if square not in gb:", "if False:"),
+        {"RuntimeError"},
+    ),
     # Killed by one family only.  Each product of the first generator's
-    # Sq1 reads as the last generator, so F's Sq1 x1 becomes x1*y1, while
-    # R's table (Sq1 x2 = x2*x1) is unchanged, and so is the three-generator
-    # ring's (Sq1 x = x^2, which reduces to x*x1).  At m = 2, where x1^2
-    # is a lead of F, both products of NF(Sq1 x1) = x1*y1 + y1^2 read as y1
-    # and make one entry, so Sq1 x1 is x1*y1 there too, not 0.  The span
-    # oracle kills it too (test_span_oracle_rejects_the_shift_table_mutant).
+    # Sq1 reads as the last generator, so F's Sq1 u becomes u*x1, while R's
+    # table (Sq1 x2 = x2*x1) is unchanged, and so is the three-generator
+    # ring's (Sq1 x = x^2, which reduces to x*x1).  The name is from F's
+    # listing over x1 and y1, where the mutant read Sq1 x1 as x1*y1; over
+    # u and x1 it reads Sq1 y1 = Sq1 (u + x1) as x1*y1, and keeps its kill
+    # set.  At m = 2, where u^2 is a lead of F, both products of NF(Sq1 u)
+    # = u*x1 + x1^2 read as x1 and make one entry, so Sq1 u is u*x1 there
+    # too, not 0.  The span oracle kills it too
+    # (test_span_oracle_rejects_the_shift_table_mutant).
     "shift-table-Sq1-x1=x1*y1-on-F": (
         "_sq1_table",
         recompiled(

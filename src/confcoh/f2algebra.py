@@ -14,13 +14,14 @@ first nonzero exponent is generator i's are generator i times the tail of
 a lower basis that has no earlier exponent, so taken generator by
 generator they come out descending, each tested once.  Nor is a search:
 each basis is stored with the running lengths of its groups, which are
-where its tails start.  Two tests are skipped where they can change
-nothing.  When g_i^2 is a lead, group i of the tail is not offered: each
-g_i*t there is a multiple of g_i^2.  And the test of a later generator g_j
-runs on group i only if that group dropped a candidate g_j degrees down:
-each v/g_j is a candidate of group i there, so if none was dropped, every
-v/g_j is standard.  Each basis is stored with a bitmask of the groups that
-dropped one.
+where its tails start, and then with its length, so each group is the
+slice between two stored starts.  Two tests are skipped where they can
+change nothing.  When g_i^2 is a lead, group i of the tail is not offered:
+each g_i*t there is a multiple of g_i^2.  And the test of a later generator
+g_j runs on group i only if that group dropped a candidate g_j degrees
+down: each v/g_j is a candidate of group i there, so if none was dropped,
+every v/g_j is standard.  Each basis is stored with a bitmask of the groups
+that dropped one.
 The relations are stored once, by degree: growth reduces those of each
 degree it reaches, the Sq1 check walks them degree by degree, and a new
 ring reads from them which degrees it may share (see _start_from).  Degree
@@ -36,11 +37,11 @@ generators, extended by the Leibniz rule).  One reader, _coords_of, gives
 each packed monomial v the XOR of those bits and bitsets over v*p for the
 products p that a shift table (mask, reads) reads for v's parities v & mask.
 Sq1's table is keyed by product: p = t/g for a term t of the normal form of
-Sq1 g, taken when v's exponents over the generators that carry p have an
-odd sum (see _sq1_table).  It gives the Sq1 matrices and the check, degree
-by degree up to the one asked for, that Sq1 of each relation is zero in the
-quotient; _OWN, which reads v itself, gives the coordinates that coords adds
-up.
+Sq1 g as coords reads it, taken when v's exponents over the generators
+that carry p have an odd sum (see _sq1_table).  It gives the Sq1 matrices
+and the check, degree by degree up to the one asked for, that Sq1 of each
+relation is zero in the quotient; _OWN, which reads v itself, gives the
+coordinates that coords adds up.
 Its homology is the first page of the mod-2 Bockstein tower, with each
 matrix ranked once by a pivot map of bitsets.
 
@@ -246,8 +247,9 @@ class PresentedF2Algebra:
         self._coords_memo: dict[int, int] = {}
         # degree -> basis, descending; degree 0 is the unit alone
         self._basis_cache: dict[int, list[int]] = {0: [0]}
-        # degree -> where each generator's group starts in that basis
-        self._starts: dict[int, tuple[int, ...]] = {0: (0,) * n}
+        # degree -> where each generator's group starts in that basis, then
+        # its length: group i is basis[starts[i]:starts[i + 1]]
+        self._starts: dict[int, tuple[int, ...]] = {0: (0,) * n + (1,)}
         # degree -> bit i set iff group i of that basis dropped a candidate
         self._dropped: dict[int, int] = {0: 0}
         self._position: dict[int, int] = {0: 0}  # standard monomial -> place in basis
@@ -352,17 +354,19 @@ class PresentedF2Algebra:
         tail's order, the candidates come out descending, each once, and
         the running lengths of the groups are where the tails start: the
         basis of each degree is stored with the start of each generator's
-        group.  A candidate is standard iff it is not a lead (only a lead
-        of its degree, one that joined as that degree grew, can match) and,
-        for each later generator it contains, its immediate divisor by that
-        generator is in the basis of its degree.
+        group and then with its length, so group i is the slice from start
+        i to start i + 1.  A candidate is standard iff it is not a lead
+        (only a lead of its degree, one that joined as that degree grew, can
+        match) and, for each later generator it contains, its immediate
+        divisor by that generator is in the basis of its degree.
         Two skips leave each basis as it is.  When g_i^2 is a lead, group i
         of the tail, the monomials with a factor g_i, is not offered: each
         g_i*t there is a multiple of g_i^2.  The tail then starts at its
-        group i + 1, and the last generator's has nothing left.  And each
-        basis is stored with a bitmask of the groups that dropped a
-        candidate, one offered and not kept; the test of a later generator
-        g_j runs on group i only if group i dropped one g_j degrees down.
+        group i + 1, which for the last generator is the basis end: an
+        empty slice.  And each basis is stored with a bitmask of the groups
+        that dropped a candidate, one offered and not kept; the test of a
+        later generator g_j runs on group i only if group i dropped one g_j
+        degrees down.
         A candidate v = g_i*t has v/g_j = g_i*(t/g_j), a candidate of group
         i there (a lead g_i^2 there is one here too, and then t has no
         factor g_i), so if none was dropped every v/g_j is standard.
@@ -374,7 +378,6 @@ class PresentedF2Algebra:
             raise ValueError(f"degree {d} is past the packing bound {MAX_DEGREE}")
         gb, position, starts, dropped = self._groebner, self._position, self._starts, self._dropped
         relations, pairs = self._relations, self._pairs
-        last = len(self._growth) - 1
         for e in range(len(cache), d + 1):
             leads = len(gb)
             for poly in relations.get(e, ()):
@@ -395,12 +398,7 @@ class PresentedF2Algebra:
                 if g > e:
                     continue
                 tail = cache[e - g]
-                if square not in gb:
-                    first = starts[e - g][i]
-                elif i < last:  # offer the tail past its group i
-                    first = starts[e - g][i + 1]
-                else:
-                    continue
+                first = starts[e - g][i + 1 if square in gb else i]
                 group = map(unit.__add__, tail[first:])
                 if fresh:
                     group = [v for v in group if v not in gb]
@@ -411,7 +409,7 @@ class PresentedF2Algebra:
                 basis += group
                 if len(basis) - head < len(tail) - first:
                     lost |= bit
-            cache[e], starts[e], dropped[e] = basis, tuple(heads), lost
+            cache[e], starts[e], dropped[e] = basis, (*heads, len(basis)), lost
             position.update(zip(basis, range(len(basis))))
 
     def _start_from(self, other: "PresentedF2Algebra") -> bool:
@@ -603,11 +601,7 @@ class PresentedF2Algebra:
         if cols is not None:
             return cols
         self._grow(d + 1)
-        if not self.sq1_on_generators:
-            raise IllDefinedDerivationError("no Sq1 declared on generators")
-        table = self._sq1_tables.get(twist)
-        if table is None:
-            table = self._sq1_table(twist)
+        table = self._sq1_table(twist)
         for e in range(self._sq1_checked + 1, d + 1):
             for rel in self._relations.get(e, ()):
                 bits = 0
@@ -624,17 +618,18 @@ class PresentedF2Algebra:
 
     def _sq1_table(self, twist: int | None) -> ShiftTable:
         """The shift table of Sq1, or with twist of Sq1 plus the product by
-        generator twist, which _sq1_tables does not hold yet; the caller
-        has looked.  Building Sq1's table grows the ring through degree
-        max g_i + 1, where the images of the generators lie.  A twist that
-        is not a degree-1 generator is refused with ValueError: its product
-        would land past degree d + 1, in a degree not yet grown.
+        generator twist: the one _sq1_tables holds, else built there.  A
+        ring with no Sq1 declared has none, and is refused with
+        IllDefinedDerivationError where Sq1's table would be built.  A twist
+        that is not a degree-1 generator is refused with ValueError: its
+        product would land past degree d + 1, in a degree not yet grown.
 
         The table is built by product.  A product p of Sq1 is t/g for a
-        generator g and a term t of the normal form of Sq1 g, and its
-        carriers are those g.  By the Leibniz rule Sq1 of a monomial v is
-        the sum of v*p over the products p whose carriers hold an odd sum of
-        v's exponents.  The table's mask is the parity bits of the carriers'
+        generator g and a term t of the normal form of Sq1 g, which coords
+        reads, growing the ring through that degree, and its carriers are
+        those g.  By the Leibniz rule Sq1 of a monomial v is the sum of v*p
+        over the products p whose carriers hold an odd sum of v's
+        exponents.  The table's mask is the parity bits of the carriers'
         fields, and it reads each value of v & mask, the parities of v, as
         the products that apply, each once: a column makes one lookup per
         product that applies.  That is 2^k values for k carriers, at most 8
@@ -652,14 +647,15 @@ class PresentedF2Algebra:
         non-standard x^2*t that the memo would keep.
         """
         tables = self._sq1_tables
+        if twist in tables:
+            return tables[twist]
         if None not in tables:
-            self._grow(max(self.degrees[g] for g in self.sq1_on_generators) + 1)
+            if not self.sq1_on_generators:
+                raise IllDefinedDerivationError("no Sq1 declared on generators")
             carriers: dict[int, int] = {}  # product -> parity bits of its carriers
             mask = 0
             for g, image in self.sq1_on_generators.items():
-                bits = 0
-                for c in self._coords_of(map(self._pack, image), _OWN):
-                    bits ^= c
+                bits = self.coords(image, self.degrees[g] + 1)
                 basis, unit = self._basis_cache[self.degrees[g] + 1], self._units[g]
                 parity = 1 << self._shifts[g]
                 while bits:
@@ -762,6 +758,15 @@ def _dual_class(n: int) -> list[tuple[int, int]]:
     return [(i, n - 2 * i) for i in range(n // 2 + 1) if binom_mod2(n - i, i)]
 
 
+def _check_m(m) -> None:
+    """Refuse an m that is not an int, bool included, then one below 1, as
+    SpaceId does."""
+    if type(m) is not int:
+        raise TypeError(f"m must be an int, got {m!r}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
 def grassmannian_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring R of the Grassmannian of 2-planes in R^(m+1):
     F2[x1, x2] modulo the dual classes w_m and w_{m+1} (see SplitRing).
@@ -775,8 +780,7 @@ def grassmannian_ring(m: int) -> PresentedF2Algebra:
     in the three-generator ring; at m = 9 they are x2^4 x1, x2^5, x2^2 x1^7
     and x1^15.  The quotient and its Sq1-homology do not depend on the
     listing."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     generators, relations, sq1 = _ORTHOGONAL
     dual = [frozenset(_dual_class(n)) for n in (m, m + 1)]
     return PresentedF2Algebra(generators, [*relations, *dual], sq1)
@@ -786,8 +790,7 @@ def unordered_config_ring(m: int) -> PresentedF2Algebra:
     """Mod-2 cohomology ring of the unordered two-point configuration space
     of P^m: the dihedral ring modulo w_m and w_{m+1}.  The suites read it as
     SplitRing; this is the reference that the split is tested against."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     generators, relations, sq1 = _DIHEDRAL
     dual = [frozenset((0, *e) for e in _dual_class(n)) for n in (m, m + 1)]
     return PresentedF2Algebra(generators, [*relations, *dual], sq1)
@@ -809,12 +812,17 @@ def ordered_config_ring(m: int) -> PresentedF2Algebra:
     x1^(m+1).  Sq1 u = x1^2 + y1^2 = u^2, so Sq1 squares both generators.
     The quotient dimensions and Sq1-homology ranks are those of the (x1, y1)
     listing, whose Sq1 matrices are conjugate to these."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     n = m + 1
     power = frozenset((k, n - k) for k in range(n + 1) if binom_mod2(n, k))  # (u + x1)^n
     return PresentedF2Algebra(
         [("u", 1), ("x1", 1)],
+        # (u + x1)^n is redundant, u times the third relation plus x1^n, and
+        # dropping it changes no basis or Sq1 matrix, but it stays: it is
+        # what makes a wrong third relation visible.  Without it, the third
+        # relation less one term, keeping its lead u^m, passes the
+        # bockstein and sq1 suites at every m = 2..12 (the tests' mutant
+        # F-drop-term-sum).
         [frozenset({(0, n)}), power, frozenset((k - 1, j) for k, j in power if k)],
         _TWO_VARIABLE[2],
     )
@@ -859,6 +867,7 @@ def config_mod2_ring(kind: str, m: int) -> PresentedF2Algebra | SplitRing:
     so a new ring starts from the last ring of its kind (see _start_from)
     and a range of m grows and sweeps those degrees once.
     """
+    _check_m(m)  # before the lookup, whose held[0] == m takes True for 1
     held = _rings.get(kind)
     if held is not None and held[0] == m:
         return held[2]

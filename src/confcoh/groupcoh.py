@@ -25,6 +25,9 @@ class CoeffId:
     MOD_TWO = "F2"
 
 
+COEFFS = (CoeffId.INTEGER_TRIVIAL, CoeffId.INTEGER_TWISTED, CoeffId.MOD_TWO)
+
+
 def _d8_integral(i: int) -> AbGroup2:
     if i == 0:
         return Z
@@ -65,11 +68,14 @@ def _z2z2_twisted(i: int) -> AbGroup2:
 
 def classifying_cohomology(g: str, c: str, i: int) -> AbGroup2:
     """H^i of the classifying space of g with coefficients c; a group
-    outside GROUPS or a coefficient outside CoeffId is refused."""
+    outside GROUPS or a coefficient outside COEFFS is refused, and then a
+    degree that is not an int, bool included."""
     if g not in GROUPS:
         raise ValueError(f"unknown group {g!r}")
-    if c not in (CoeffId.INTEGER_TRIVIAL, CoeffId.INTEGER_TWISTED, CoeffId.MOD_TWO):
+    if c not in COEFFS:
         raise ValueError(f"unknown coefficients {c!r}")
+    if type(i) is not int:
+        raise TypeError(f"degree must be an int, got {i!r}")
     if i < 0:
         return ZERO
     if c == CoeffId.MOD_TWO:

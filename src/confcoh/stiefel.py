@@ -20,7 +20,12 @@ class UnsupportedDegreeError(ValueError):
 
 def stiefel_cohomology(n: int, q: int) -> AbGroup2:
     """H^q(V_{n,2}).  Exterior on classes of degrees n-2 and n-1 for even n;
-    for odd n only degrees 0 and 2n-3 carry a Z, with a Z2 in degree n-1."""
+    for odd n only degrees 0 and 2n-3 carry a Z, with a Z2 in degree n-1.
+    An n or q that is not an int, bool included, is refused."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
+    if type(q) is not int:
+        raise TypeError(f"degree must be an int, got {q!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     if n == 2:

@@ -491,13 +491,14 @@ def test_engine_on_random_presentations(case):
 
 def scanned_starts(ring, basis):
     """For each generator i, the first index in basis whose monomial has no
-    exponent below generator i's set, or len(basis): a scan, not the
-    running lengths that _grow stores."""
+    exponent below generator i's set, or len(basis), and then len(basis): a
+    scan, not the running lengths that _grow stores."""
     exponents = [ring._unpack(v) for v in basis]
-    return tuple(
+    starts = [
         next((k for k, e in enumerate(exponents) if not any(e[:i])), len(basis))
         for i in range(len(ring.degrees))
-    )
+    ]
+    return (*starts, len(basis))
 
 
 def assert_starts_match_a_scan(ring):
@@ -1163,6 +1164,49 @@ def test_a_bool_twist_is_refused(reader, twist):
     for ring in (grassmannian_ring(5), warm):
         with pytest.raises(TypeError, match=refusal):
             TWIST_READERS[reader](ring, twist)
+
+
+# each ring builder, called with m
+RING_BUILDERS = {
+    "grassmannian_ring": grassmannian_ring,
+    "unordered_config_ring": unordered_config_ring,
+    "ordered_config_ring": ordered_config_ring,
+    "config_mod2_ring-B": lambda m: config_mod2_ring("B", m),
+    "config_mod2_ring-F": lambda m: config_mod2_ring("F", m),
+}
+
+
+@pytest.mark.parametrize("m", [True, 2.0, 2.5, "2", None], ids=repr)
+@pytest.mark.parametrize("builder", RING_BUILDERS)
+def test_a_non_int_m_is_refused(builder, m):
+    # As SpaceId refuses it: True is not built as m = 1, nor 2.0 as m = 2.
+    # config_mod2_ring refuses it before its lookup, which would take True
+    # for a held m = 1 ring.
+    try:
+        RING_BUILDERS[builder](1)
+        with pytest.raises(TypeError, match=f"^m must be an int, got {re.escape(repr(m))}$"):
+            RING_BUILDERS[builder](m)
+    finally:
+        config_mod2_ring.cache_clear()
+
+
+NO_SQ1_READERS = {
+    "sq1_matrix(0)": lambda ring: ring.sq1_matrix(0),
+    "sq1_matrix(3, 0)": lambda ring: ring.sq1_matrix(3, 0),
+    "sq1_homology_rank(2)": lambda ring: ring.sq1_homology_rank(2),
+    "sq1_square_is_zero(1)": lambda ring: ring.sq1_square_is_zero(1),
+}
+
+
+@pytest.mark.parametrize("reader", NO_SQ1_READERS)
+def test_a_ring_with_no_sq1_is_refused_by_each_sq1_reader(reader):
+    # Refused where the Sq1 table would be built, on every call, with
+    # nothing cached on the way.
+    ring = PresentedF2Algebra([("a", 1), ("b", 2)], [frozenset({(2, 1)})])
+    for _ in range(2):
+        with pytest.raises(IllDefinedDerivationError, match="no Sq1 declared"):
+            NO_SQ1_READERS[reader](ring)
+    assert ring._sq1_tables == ring._sq1_matrix_cache == ring._rank_cache == {}
 
 
 def test_degree_basis_is_the_callers_own():

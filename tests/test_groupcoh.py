@@ -3,7 +3,14 @@ import re
 import pytest
 
 from confcoh.abelian import AbGroup2, Z
-from confcoh.groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology, uct_mod2_check
+from confcoh.groupcoh import (
+    COEFFS,
+    GROUPS,
+    CoeffId,
+    GroupId,
+    classifying_cohomology,
+    uct_mod2_check,
+)
 
 
 @pytest.mark.parametrize(
@@ -18,10 +25,19 @@ from confcoh.groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology, u
     ],
     ids=["Q8-Z", "Q8-bogus", "None-F2", "D8-bogus", "Z2xZ2-Z/2", "D8-1"],
 )
-@pytest.mark.parametrize("i", [-1, 0, 4])
+@pytest.mark.parametrize("i", [-1, 0, 4, 2.0])  # checked before the degree
 def test_unknown_group_or_coefficients_refused(gid, cid, message, i):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         classifying_cohomology(gid, cid, i)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", None], ids=repr)
+@pytest.mark.parametrize("cid", COEFFS)
+@pytest.mark.parametrize("gid", GROUPS)
+def test_a_non_int_degree_is_refused(gid, cid, bad):
+    # True is not read as degree 1, nor 2.0 as 2
+    with pytest.raises(TypeError, match=f"^degree must be an int, got {re.escape(repr(bad))}$"):
+        classifying_cohomology(gid, cid, bad)
 
 
 def test_groups_and_coefficients_given_as_their_strings():

@@ -474,14 +474,6 @@ def test_twisted_gap_mutant_passes_every_suite(monkeypatch):
     assert killing_families() == set()
 
 
-def sq1_table(ring, twist):
-    """The ring's shift table of Sq1, plus the product by the generator
-    twist if it is given; built here if a matrix that the ring took from
-    another (see _start_from) has left it unbuilt."""
-    tables = ring._sq1_tables
-    return tables[twist] if twist in tables else ring._sq1_table(twist)
-
-
 def sq1_columns(ring, d, table):
     """Columns out of degree d of a ring whose degree d + 1 is grown, read
     through a shift table by the ring's coordinate reader as it stands."""
@@ -516,7 +508,7 @@ def sq1_parity_bit_one_high(original):
 
     def mutant(self, d, twist=None):
         original(self, d, twist)
-        mask, reads = sq1_table(self, twist)
+        mask, reads = self._sq1_table(twist)
         return sq1_columns(self, d, (mask << 1, {s << 1: adds for s, adds in reads.items()}))
 
     return mutant
@@ -570,7 +562,10 @@ ENGINE_MUTANTS = {
     # coordinates, which stops the run.
     "growth-tail-starts-one-early": (
         "_grow",
-        recompiled("first = starts[e - g][i]", "first = max(starts[e - g][i] - 1, 0)"),
+        recompiled(
+            "first = starts[e - g][i + 1 if square in gb else i]",
+            "first = max(starts[e - g][i + 1 if square in gb else i] - 1, 0)",
+        ),
         {"IllDefinedDerivationError"},
     ),
     # Group i of each tail is skipped whether or not g_i^2 is a lead, and
@@ -579,7 +574,7 @@ ENGINE_MUTANTS = {
     # no non-standard immediate divisor and stops the run.
     "growth-skips-tail-group-without-square-lead": (
         "_grow",
-        recompiled("if square not in gb:", "if False:"),
+        recompiled("i + 1 if square in gb else i]", "i + 1]"),
         {"RuntimeError"},
     ),
     # Killed by one family only.  Each product of the first generator's

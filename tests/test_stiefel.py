@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from confcoh.abelian import AbGroup2, Z
@@ -21,6 +23,15 @@ def test_stiefel_cohomology_examples():
     assert stiefel_cohomology(6, 1) == AbGroup2()
     assert stiefel_cohomology(2, 0) == AbGroup2(free_rank=2)
     assert stiefel_cohomology(2, 1) == AbGroup2(free_rank=2)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", None], ids=repr)
+def test_a_non_int_n_or_degree_is_refused(bad):
+    # stiefel_cohomology(5, 2.0) is not the zero group, nor (4.0, 2) Z
+    with pytest.raises(TypeError, match=f"^degree must be an int, got {re.escape(repr(bad))}$"):
+        stiefel_cohomology(5, bad)
+    with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(bad))}$"):
+        stiefel_cohomology(bad, 2)
 
 
 def test_action_sign_examples():

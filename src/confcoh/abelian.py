@@ -394,11 +394,13 @@ class GradedGroups(Value, fields="groups"):
 def uct_homology(coh: GradedGroups) -> GradedGroups:
     """Homology table from a full cohomology table.
 
-    H_i has the free rank of H^i and the torsion of H^(i+1).
+    H_i has the free rank of H^i and the torsion of H^(i+1).  Each row is
+    built in place, as `_of` builds it, without a call per row.
     """
     groups = coh.groups
+    new = tuple.__new__
     return GradedGroups(
-        AbGroup2._of(g.free_rank, up.torsion) for g, up in zip(groups, groups[1:] + (ZERO,))
+        [new(AbGroup2, (g.free_rank, up.torsion)) for g, up in zip(groups, groups[1:] + (ZERO,))]
     )
 
 

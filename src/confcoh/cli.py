@@ -32,11 +32,12 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it
 # check at a time), and takes 1.7-2.8 s (median 2.2 s of 11 runs) on a
 # shared x86-64 host with CPython 3.11.  Over 2..96 one run of the suites
 # on that host took 3.2 s and 50 MiB.  groups writes one row at a time, so
-# at m = 8192 its peak RSS is about 20 MiB (22 MiB with --homology).  There
-# its largest output, json F2 (740 MB), goes to /dev/null in 0.29-0.32 s;
-# csv F2 (134 MB), csv twisted (67 MB) and the homology table take
-# 0.14-0.22 s.  The output, O(m^2), not the time, sets that bound: a
-# caller that captures it in memory holds all 740 MB.
+# at m = 8192 its peak RSS is about 17 MiB.  There its largest output, json
+# F2 (740 MB), goes to /dev/null in 0.12-0.13 s; csv F2 (134 MB), csv
+# twisted (67 MB) and the homology table take 0.08-0.11 s (whole process,
+# 10 runs each, 2-core host, CPython 3.11).  The output, O(m^2), not the
+# time, sets that bound: a caller that captures it in memory holds all
+# 740 MB.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
@@ -86,27 +87,26 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
     if coefficients == "twisted":
         return configcoh.twisted_cohomology_table(s)
     # <k> for the mod-2 Betti number k, which is positive through the support
-    # bound, so the one pair (1, k) is already the canonical torsion
+    # bound, so the one pair (1, k) is already the canonical torsion; each
+    # row is built in place, as `AbGroup2._of` builds it
+    new, mod2_dimension = tuple.__new__, configcoh.mod2_dimension
     return GradedGroups(
-        AbGroup2._of(0, ((1, configcoh.mod2_dimension(s, i)),))
-        for i in range(s.support_bound + 1)
+        [new(AbGroup2, (0, ((1, mod2_dimension(s, i)),))) for i in range(s.support_bound + 1)]
     )
-
-
-def _orders(g: AbGroup2, sep: str) -> str:
-    """The orders of g's cyclic summands, ascending, separated by sep: one
-    string product per (exponent, multiplicity) pair, not one str per
-    summand."""
-    return "".join(f"{1 << e}{sep}" * k for e, k in g.torsion)[: -len(sep)]
 
 
 def _render_groups(
     s: SpaceId, table: GradedGroups, fmt: str, label: str
 ) -> "Iterator[str]":
     """The table's text, without its final newline, in pieces of at most
-    one row, so that writing it holds one row in memory, not the table.  A
-    json row's torsion list is a piece of its own, so that its text is
-    not copied into the rest of the row."""
+    one row, so that writing it holds one row in memory, not the table.
+
+    A torsion list is written as one string product per (exponent,
+    multiplicity) pair, not one str per summand.  In json those products
+    are pieces of their own, and the last order goes out with the row's
+    closing text, so the list is never copied.  The table format makes
+    each distinct group's text once, in a dict that lives for this call;
+    csv and json cache nothing, as their rows grow with the rank."""
     rows = enumerate(table.groups)
     if fmt == "json":
         # The fixed envelope of json.dumps(..., indent=2), written by hand;
@@ -115,25 +115,33 @@ def _render_groups(
             f'{{\n  "space": {_text(s.kind)},\n  "m": {s.m},\n'
             f'  "coefficients": {_text(label)},\n  "groups": ['
         )
-        sep, pad = "\n", "\n        "
-        for i, g in rows:
-            head = f'{sep}    {{\n      "degree": {i},\n      "free": {g.free_rank},\n'
-            if g.torsion:
-                yield f'{head}      "torsion": [{pad}'
-                yield _orders(g, "," + pad)
-                yield "\n      ]\n    }"
-            else:
-                yield f'{head}      "torsion": []\n    }}'
+        sep, pad = "\n", ",\n        "
+        for i, (free, torsion) in rows:
+            head = f'{sep}    {{\n      "degree": {i},\n      "free": {free},\n'
             sep = ",\n"
+            if not torsion:
+                yield f'{head}      "torsion": []\n    }}'
+                continue
+            yield f'{head}      "torsion": [\n        '
+            for e, k in torsion[:-1]:
+                yield f"{1 << e}{pad}" * k
+            e, k = torsion[-1]
+            yield f"{1 << e}{pad}" * (k - 1)
+            yield f"{1 << e}\n      ]\n    }}"
         yield "\n  ]\n}"
     elif fmt == "csv":
         yield "degree,free,torsion"
-        for i, g in rows:
-            yield f"\n{i},{g.free_rank},{_orders(g, ';')}"
+        for i, (free, torsion) in rows:
+            orders = "".join([f"{1 << e};" * k for e, k in torsion])
+            yield f"\n{i},{free},{orders[:-1]}"
     else:
         yield f"{label} groups of {s}\n{'i':>3}  group"
+        texts: dict[AbGroup2, str] = {}
         for i, g in rows:
-            yield f"\n{i:>3}  {g}"
+            text = texts.get(g)
+            if text is None:
+                text = texts[g] = str(g)
+            yield f"\n{i:>3}  {text}"
 
 
 def _render_report_json(report: VerificationReport) -> "Iterator[str]":

@@ -122,7 +122,12 @@ def cohomology(s: SpaceId, i: int) -> AbGroup2:
 
 
 def cohomology_table(s: SpaceId) -> GradedGroups:
-    return GradedGroups(cohomology(s, i) for i in range(s.support_bound + 1))
+    """H^i for i = 0..2m-1.  The closed form of s's kind is looked up once
+    per table, in the module globals, so that a patched one reaches the
+    table; the degrees need none of `cohomology`'s checks."""
+    m = s.m
+    closed_form = _ordered if s.kind == "F" else _unordered
+    return GradedGroups([closed_form(m, i) for i in range(2 * m)])
 
 
 def mod2_dimension(s: SpaceId, i: int) -> int:
@@ -152,7 +157,7 @@ def _twisted_dual(m: int, j: int, h: "Callable[[int], AbGroup2]") -> AbGroup2:
     """Twisted H^j of a non-orientable space, from its integral groups h(i):
     Poincare duality against the (2m-1)-manifold gives the free rank of
     H^(2m-1-j), and the torsion linking pairing the torsion of H^(2m-j)."""
-    return AbGroup2._of(h(2 * m - 1 - j).free_rank, h(2 * m - j).torsion)
+    return tuple.__new__(AbGroup2, (h(2 * m - 1 - j).free_rank, h(2 * m - j).torsion))
 
 
 def twisted_cohomology(s: SpaceId, j: int) -> AbGroup2:
@@ -179,9 +184,8 @@ def twisted_cohomology_table(s: SpaceId) -> GradedGroups:
     table = cohomology_table(s)
     if is_orientable(s):
         return table
-    return GradedGroups(
-        _twisted_dual(s.m, j, table.group) for j in range(s.support_bound + 1)
-    )
+    m = s.m
+    return GradedGroups([_twisted_dual(m, j, table.group) for j in range(2 * m)])
 
 
 def duality_symmetry_check(s: SpaceId) -> VerificationReport:

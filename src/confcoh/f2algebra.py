@@ -193,8 +193,11 @@ class PresentedF2Algebra:
     ) -> None:
         self.generators = tuple(generators)
         self.degrees = tuple(d for _, d in generators)
-        if any(d < 1 for d in self.degrees):
-            raise ValueError("generator degrees must be >= 1")
+        for d in self.degrees:
+            if type(d) is not int:
+                raise TypeError(f"generator degrees must be ints, got {d!r}")
+            if d < 1:
+                raise ValueError("generator degrees must be >= 1")
         self.relations = tuple(frozenset(r) for r in relations)
         self.sq1_on_generators = dict(sq1_on_generators or {})
         n = len(self.degrees)
@@ -261,11 +264,14 @@ class PresentedF2Algebra:
 
     def _pack(self, mono: Monomial) -> int:
         """The packed form of an exponent tuple, refused unless it has one
-        exponent per generator, each in 0..MAX_EXPONENT."""
+        exponent per generator, each an int (bool refused) in
+        0..MAX_EXPONENT."""
         units = self._units
         v = 0
         if len(mono) == len(units):
             for e, unit in zip(mono, units):
+                if type(e) is not int:
+                    raise TypeError(f"exponents must be ints, got {e!r} in {mono}")
                 if not 0 <= e <= MAX_EXPONENT:
                     break
                 v += e * unit

@@ -185,10 +185,17 @@ def _reference_text(s, table, fmt, label):
 
 ALL_OUTPUTS = [(mode, fmt) for mode in GROUP_MODES for fmt in ("table", "csv", "json")]
 # Empty torsion lists, the m = 1 tables and rows of hundreds of summands in
-# every output; at m = 2000 only json Z, the benchmark's largest op, to keep
-# the test fast.
+# every output; past m = 301 only the shapes of the benchmark's larger ops
+# (json Z at m = 2000, its largest), to keep the test fast.  The twisted
+# tables are of odd m, where they are read by duality.
 REFERENCE_CASES = [(m, kind, ALL_OUTPUTS) for m in (1, 2, 3, 4, 5, 300, 301) for kind in "BF"]
-REFERENCE_CASES.append((2000, "F", [("Z", "json")]))
+REFERENCE_CASES += [
+    (393, "F", [("twisted", "csv"), ("twisted", "json")]),
+    (895, "B", [("twisted", "csv"), ("twisted", "json")]),
+    (1163, "F", [("F2", "table")]),
+    (1533, "B", [("homology", "table")]),
+    (2000, "F", [("Z", "json")]),
+]
 
 
 @pytest.mark.parametrize(
@@ -211,11 +218,29 @@ def test_groups_output_matches_reference(capsys, m, kind, outputs):
 def test_torsion_text_matches_reference(free, counts):
     # empty torsion, one exponent and several, up to 10^4 summands each
     g = AbGroup2(free, [e for e, k in counts.items() for _ in range(k)])
-    assert cli._orders(g, ", ") == ", ".join(str(2**e) for e in g.torsion_exponents)
     s, table = SpaceId("B", 2), GradedGroups((g,))
-    for fmt in ("csv", "json"):
+    for fmt in ("table", "csv", "json"):
         want = _reference_text(s, table, fmt, "H^*")
         assert "".join(cli._render_groups(s, table, fmt, "H^*")) == want
+
+
+@pytest.mark.parametrize("mode", GROUP_MODES)
+@pytest.mark.parametrize("m", [1, 6, 7, 300, 301])
+@pytest.mark.parametrize("kind", "BF")
+def test_table_writer_formats_each_distinct_group_once(monkeypatch, kind, m, mode):
+    s = SpaceId(kind, m)
+    table = cli._table_for(s, "Z" if mode == "homology" else mode, mode == "homology")
+    want = _reference_text(s, table, "table", "L")
+    formatted = []
+
+    def counted(g):
+        formatted.append(g)
+        return original(g)
+
+    original = AbGroup2.__str__
+    monkeypatch.setattr(AbGroup2, "__str__", counted)
+    assert "".join(cli._render_groups(s, table, "table", "L")) == want
+    assert len(formatted) == len(set(formatted)) == len(set(table.groups))
 
 
 class _Discard:

@@ -303,19 +303,24 @@ def test_global_checks_build_each_group_once(kind, m, monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3, 10, 11, 877, 1000, 1001, 1999, 2001])
 @pytest.mark.parametrize("kind", ["B", "F"])
 def test_twisted_table_builds_each_group_once(kind, m, monkeypatch):
-    # Both are read through the module globals, so a patched is_orientable
-    # (as the duality-wrong-branch mutant is) reaches the CLI's table.
+    # The closed forms and is_orientable are read through the module
+    # globals, so a patched one (as the closed-form and duality-wrong-branch
+    # mutants are) reaches the CLI's table.
     calls, orientations = [], []
 
-    def counted(s, i):
-        calls.append(i)
-        return cohomology(s, i)
+    def counted(closed_form):
+        def spy(m, i):
+            calls.append(i)
+            return closed_form(m, i)
+
+        return spy
 
     def counted_orientation(s):
         orientations.append(s)
         return is_orientable(s)
 
-    monkeypatch.setattr(configcoh, "cohomology", counted)
+    monkeypatch.setattr(configcoh, "_ordered", counted(configcoh._ordered))
+    monkeypatch.setattr(configcoh, "_unordered", counted(configcoh._unordered))
     monkeypatch.setattr(configcoh, "is_orientable", counted_orientation)
     s = SpaceId(kind, m)
     table = cli._table_for(s, "twisted", False)

@@ -1097,6 +1097,23 @@ def test_packing_overflow_refused():
     assert [ring.quotient_dimension(d) for d in range(4)] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, 2.0, "1", None], ids=repr)
+def test_a_non_int_generator_degree_or_exponent_is_refused(bad):
+    # Unchecked, a degree or exponent True would be read as 1, and a degree
+    # of 1.5 or 2.0 would fail on a bit shift.
+    with pytest.raises(TypeError, match=f"^generator degrees must be ints, got {re.escape(repr(bad))}$"):
+        PresentedF2Algebra([("x", bad)], [])
+    refusal = f"^exponents must be ints, got {re.escape(repr(bad))} in "
+    with pytest.raises(TypeError, match=refusal):  # a relation
+        PresentedF2Algebra([("x", 1), ("y", 1)], [{(bad, 1)}])
+    with pytest.raises(TypeError, match=refusal):  # a Sq1 image
+        PresentedF2Algebra([("x", 1), ("y", 1)], [], {0: {(1, bad)}})
+    ring = two_variable_poly_ring()
+    with pytest.raises(TypeError, match=refusal):
+        ring.coords({(bad, 1)}, 2)
+    assert ring.coords({(1, 1)}, 2) == 1 << 1
+
+
 def test_coords_refuses_a_monomial_of_another_degree():
     ring = two_variable_poly_ring()
     with pytest.raises(ValueError, match="not of degree 3"):

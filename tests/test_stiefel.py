@@ -34,6 +34,31 @@ def test_a_non_int_n_or_degree_is_refused(bad):
         stiefel_cohomology(bad, 2)
 
 
+# Each reader of n but stiefel_cohomology.  Their range checks alone would
+# read 5.0 and True as ints, or fail on unrelated float errors.
+N_READERS = {
+    "d8_action_sign": lambda n: d8_action_sign(n, 2),
+    **{
+        f.__name__: f
+        for f in (
+            quotient_orientable,
+            grassmannian_orientable,
+            top_group_V_quotient,
+            sphere_bundle_sss_e2,
+            sphere_bundle_abutment,
+            oriented_grassmannian_groups,
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("bad", [5.0, True, "5", None], ids=repr)
+@pytest.mark.parametrize("reader", N_READERS)
+def test_every_reader_of_n_refuses_a_non_int(reader, bad):
+    with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(bad))}$"):
+        N_READERS[reader](bad)
+
+
 def test_action_sign_examples():
     assert d8_action_sign(4, 2) == ActionSign.MINUS
     assert d8_action_sign(4, 3) == ActionSign.PLUS

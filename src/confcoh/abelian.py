@@ -5,10 +5,13 @@ Groups are kept in canonical form: a free rank plus an ascending tuple of
 Z/2^e, so <k> and {k} cost the same whatever k is.  <k> and {k} are
 shared: one instance per rank per process, interned on first use.  Each of
 the two tables grows by one entry per distinct rank asked for and is never
-emptied.  Equality of values is equality of groups.  Smith normal form of
-integer matrices, given as lists of rows, gives cokernel computations, and
-the universal-coefficient helpers convert whole cohomology tables into
-homology tables and back.
+emptied; one call of the CLI's `groups` adds at most `MAX_GROUPS_M`
+entries to each (its F2 table asks for <k> for k = 1..m).  `uct_homology`
+reuses each cohomology row that a homology row equals, so the repeated
+rows of a table are shared objects too.  Equality of values is equality
+of groups.  Smith normal form of integer matrices, given as lists of rows,
+gives cokernel computations, and the universal-coefficient helpers
+convert whole cohomology tables into homology tables and back.
 
 All values are immutable and all operations are pure.
 """
@@ -394,13 +397,19 @@ class GradedGroups(Value, fields="groups"):
 def uct_homology(coh: GradedGroups) -> GradedGroups:
     """Homology table from a full cohomology table.
 
-    H_i has the free rank of H^i and the torsion of H^(i+1).  Each row is
-    built in place, as `_of` builds it, without a call per row.
+    H_i has the free rank of H^i and the torsion of H^(i+1).  Where those
+    two degrees have the same free rank, H_i equals H^(i+1), and the row is
+    H^(i+1)'s own object, so a table of shared groups stays shared.  Only
+    the other rows (degree 0 and around a free class) are built, in place,
+    as `_of` builds them, without a call per row.
     """
     groups = coh.groups
     new = tuple.__new__
     return GradedGroups(
-        [new(AbGroup2, (g.free_rank, up.torsion)) for g, up in zip(groups, groups[1:] + (ZERO,))]
+        [
+            up if g.free_rank == up.free_rank else new(AbGroup2, (g.free_rank, up.torsion))
+            for g, up in zip(groups, groups[1:] + (ZERO,))
+        ]
     )
 
 

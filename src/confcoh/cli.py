@@ -32,12 +32,12 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it
 # check at a time), and takes 1.7-2.8 s (median 2.2 s of 11 runs) on a
 # shared x86-64 host with CPython 3.11.  Over 2..96 one run of the suites
 # on that host took 3.2 s and 50 MiB.  groups writes one row at a time, so
-# at m = 8192 its peak RSS is about 17 MiB.  There its largest output, json
-# F2 (740 MB), goes to /dev/null in 0.12-0.13 s; csv F2 (134 MB), csv
-# twisted (67 MB) and the homology table take 0.08-0.11 s (whole process,
-# 10 runs each, 2-core host, CPython 3.11).  The output, O(m^2), not the
-# time, sets that bound: a caller that captures it in memory holds all
-# 740 MB.
+# at m = 8192 its peak RSS is 15.7-16.6 MiB.  There its largest output,
+# json F2 (740 MB), goes to /dev/null in a median 0.13-0.14 s; csv F2
+# (134 MB), csv twisted (67 MB), the homology table and the F2 table take
+# a median 0.08-0.11 s (whole process, 2 rounds of 10 runs each, 2-core
+# host, CPython 3.11).  The output, O(m^2), not the time, sets that bound:
+# a caller that captures it in memory holds all 740 MB.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 
@@ -86,13 +86,11 @@ def _table_for(s: SpaceId, coefficients: str, homology: bool) -> GradedGroups:
         return configcoh.cohomology_table(s)
     if coefficients == "twisted":
         return configcoh.twisted_cohomology_table(s)
-    # <k> for the mod-2 Betti number k, which is positive through the support
-    # bound, so the one pair (1, k) is already the canonical torsion; each
-    # row is built in place, as `AbGroup2._of` builds it
-    new, mod2_dimension = tuple.__new__, configcoh.mod2_dimension
-    return GradedGroups(
-        [new(AbGroup2, (0, ((1, mod2_dimension(s, i)),))) for i in range(s.support_bound + 1)]
-    )
+    # <k> for the mod-2 Betti number k: each row is the shared <k>, so the
+    # table writer's text dict finds a repeated row by identity.  The
+    # interned table grows to at most m <= MAX_GROUPS_M entries here.
+    elementary, mod2_dimension = AbGroup2.elementary, configcoh.mod2_dimension
+    return GradedGroups([elementary(mod2_dimension(s, i)) for i in range(s.support_bound + 1)])
 
 
 def _render_groups(
@@ -106,7 +104,11 @@ def _render_groups(
     are pieces of their own, and the last order goes out with the row's
     closing text, so the list is never copied.  The table format makes
     each distinct group's text once, in a dict that lives for this call;
-    csv and json cache nothing, as their rows grow with the rank."""
+    csv and json cache nothing, as their rows grow with the rank.  In
+    every table but the twisted one, all but at most three rows are shared
+    objects (the interned <k> and {k}, and the cohomology rows that
+    `uct_homology` reuses), so the dict finds nearly every repeat by
+    identity, with no `Value.__eq__` frame."""
     rows = enumerate(table.groups)
     if fmt == "json":
         # The fixed envelope of json.dumps(..., indent=2), written by hand;

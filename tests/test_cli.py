@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confcoh import cli, groupcoh, suites
+from confcoh import abelian, cli, groupcoh, suites
 from confcoh.abelian import AbGroup2, GradedGroups, uct_cohomology, uct_homology
 from confcoh.configcoh import (
     SpaceId,
@@ -143,6 +143,55 @@ def test_one_pass_tables_match_the_per_degree_definitions(m, kind):
     assert uct_cohomology(uct_homology(table)) == table
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 1163, 1533, 8191, 8192])
+@pytest.mark.parametrize("kind", "BF")
+def test_f2_and_homology_rows_are_shared_objects(kind, m):
+    s = SpaceId(kind, m)
+    for i, g in enumerate(cli._table_for(s, "F2", False).groups):
+        assert g is AbGroup2.elementary(mod2_dimension(s, i)), i
+    coh = cli._table_for(s, "Z", False)
+    hom = uct_homology(coh)
+    built = []
+    for i, g in enumerate(hom.groups):
+        up = coh.group(i + 1)
+        if coh.group(i).free_rank == up.free_rank:
+            assert g is up, i
+        else:
+            built.append(i)
+    # degree 0, and the degree of the free class and the one below it
+    assert len(built) <= 3, built
+    assert cli._table_for(s, "Z", True) == hom
+    assert uct_cohomology(hom) == coh
+
+
+def test_table_writer_runs_no_equality_frame(monkeypatch):
+    """The text dict finds each repeated row of these tables by identity.
+    Only a row equal to an earlier row but not the same object makes it
+    compare, through the Python frame of `Value.__eq__`."""
+    cases = [("F", 1163, "F2", False), ("B", 1533, "Z", True), ("F", 676, "Z", False)]
+    tables = []
+    for kind, m, coefficients, homology in cases:
+        s = SpaceId(kind, m)
+        table = cli._table_for(s, coefficients, homology)
+        first = {}
+        unshared = sum(first.setdefault(g, g) is not g for g in table.groups)
+        tables.append((s, table, _reference_text(s, table, "table", "L"), unshared))
+    compared = []
+    original = abelian.Value.__eq__
+
+    def counted(self, other):
+        compared.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(abelian.Value, "__eq__", counted)
+    unshared = 0
+    for s, table, want, n in tables:
+        assert "".join(cli._render_groups(s, table, "table", "L")) == want, s
+        unshared += n
+    monkeypatch.undo()
+    assert len(compared) == unshared <= 3, (len(compared), unshared)
+
+
 GROUP_MODES = {
     "Z": ("--coefficients", "Z"),
     "twisted": ("--coefficients", "twisted"),
@@ -263,6 +312,22 @@ def test_groups_json_is_written_one_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < length / 10, (peak, length)
+
+
+@pytest.mark.parametrize("kind, coefficients, homology", [("F", "F2", False), ("B", "Z", True)])
+def test_groups_table_writer_memory_is_bounded_at_the_cli_bound(kind, coefficients, homology):
+    # The text dict holds one str per distinct group (8192 for F2 at the
+    # bound); CPython 3.11 read peaks of 745 and 742 KB here, for texts of
+    # 216 and 214 KB.
+    s = SpaceId(kind, cli.MAX_GROUPS_M)
+    table = cli._table_for(s, coefficients, homology)
+    tracemalloc.start()
+    try:
+        _Discard().writelines(cli._render_groups(s, table, "table", "H^*"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_groups_usage_error(capsys):

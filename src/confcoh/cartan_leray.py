@@ -9,7 +9,9 @@ and 2-rank bookkeeping.  The executors here replay that bookkeeping on
 pages held as plain data: each differential is written out where it acts,
 as its source and target coordinates (a page-r differential maps (p, q) to
 (p + r, q - r + 1)), every round checks the order arithmetic, and the
-resulting abutment is compared against the closed-form tables.
+resulting abutment is compared against the closed-form tables.  The
+even, 1 mod 4 and odd-ordered executors share one round loop and differ
+only in their page and round rule.
 
 A page is a dict from (p, q) to its entry; a missing key stands for the
 zero group.
@@ -25,6 +27,10 @@ from .configcoh import SpaceId, cohomology, cohomology_table
 from .bockstein import rank_recursion
 from .groupcoh import CoeffId, GroupId, classifying_cohomology
 from .report import VerificationReport
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 Page = dict[tuple[int, int], AbGroup2]
@@ -152,6 +158,31 @@ def _halve_middle_lines(page: Page, m: int) -> Page:
     return {(p, q): g.halve_z4s() if q in (m - 1, m) else g for (p, q), g in page.items()}
 
 
+def _replay_rounds(
+    family: str, s: SpaceId, page: Page, rule: "Callable[..., AbGroup2]",
+    torsion_only: bool = False,
+) -> tuple[GradedGroups, VerificationReport]:
+    """Replay the injection rounds of page into the base line.  Degrees 0..m
+    keep the base plus the free part of (0, m), the fibre class at odd m.
+    For ell = 1..m-1, in order, rule(report, ell, src_mid, src_top, target)
+    adds the family's checks and returns H^(2m-ell).  (0, 2m-1) survives."""
+    m = s.m
+    report = VerificationReport(family, m)
+    groups = [page.get((t, 0), ZERO) for t in range(m + 1)]
+    groups[m] += page.get((0, m), ZERO).free_part()
+    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
+    for ell in range(1, m):
+        t = 2 * m - ell
+        # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
+        src_mid = page.get((m - ell, m - 1), ZERO)
+        src_top = page.get((m - ell - 1, m), ZERO)
+        groups[t] = rule(report, ell, src_mid, src_top, page.get((t, 0), ZERO))
+    groups[2 * m - 1] += page.get((0, 2 * m - 1), ZERO)
+    abutment = GradedGroups(groups)
+    _compare_abutment(report, s, abutment, torsion_only)
+    return abutment, report
+
+
 def run_even(m: int, group: str = GroupId.D8) -> tuple[GradedGroups, VerificationReport]:
     """Replay the even-m collapse: one round of injections off the mod-2
     line into the base line, cokernels by closed form, top degree from the
@@ -159,18 +190,12 @@ def run_even(m: int, group: str = GroupId.D8) -> tuple[GradedGroups, Verificatio
     if m < 2 or m % 2:
         raise RangeError("run_even needs even m >= 2")
     s = SpaceId("B" if group == GroupId.D8 else "F", m)
-    e2 = build_e2(group, m)
     ranks = rank_recursion(s)
-    report = VerificationReport(f"clss-even-{group}", m)
-    groups = [e2.get((t, 0), ZERO) for t in range(m + 1)]
-    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
-    for ell in range(1, m):
-        t = 2 * m - ell
-        # d_(m+1): (m - ell - 1, m) -> (t, 0) injects <m - ell>.
+
+    def rule(report, ell, src_mid, src_top, target):
+        # Only d_(m+1) acts: it injects <m - ell>.
         image_rank = m - ell
-        source = e2.get((m - ell - 1, m), ZERO)
-        target = e2.get((t, 0), ZERO)
-        report.add("source rank", image_rank, source.two_rank_tensor, degree=t)
+        report.add("source rank", image_rank, src_top.two_rank_tensor, degree=2 * m - ell)
         if ell == 1:
             coker = ZERO
         elif group == GroupId.D8:
@@ -178,11 +203,9 @@ def run_even(m: int, group: str = GroupId.D8) -> tuple[GradedGroups, Verificatio
         else:
             coker = AbGroup2.elementary(target.two_rank_tensor - image_rank)
         _check_cokernel(report, m, ell, target, image_rank, coker, ranks)
-        groups[t] = coker
-    groups[2 * m - 1] = e2.get((0, 2 * m - 1), ZERO)  # the fibre class survives
-    abutment = GradedGroups(groups)
-    _compare_abutment(report, s, abutment)
-    return abutment, report
+        return coker
+
+    return _replay_rounds(f"clss-even-{group}", s, build_e2(group, m), rule)
 
 
 def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
@@ -192,33 +215,21 @@ def run_1mod4(m: int) -> tuple[GradedGroups, VerificationReport]:
     if m < 5 or m % 4 != 1:
         raise RangeError("run_1mod4 needs m = 1 mod 4, m >= 5")
     s = SpaceId("B", m)
-    e2 = build_e2(GroupId.D8, m)
+    e3 = _halve_middle_lines(build_e2(GroupId.D8, m), m)
     ranks = rank_recursion(s)
-    report = VerificationReport("clss-1mod4", m)
-    e3 = _halve_middle_lines(e2, m)
-    groups = [e3.get((t, 0), ZERO) for t in range(m)]
-    groups.append(e3.get((0, m), ZERO) + e3.get((m, 0), ZERO))  # fibre class plus base
-    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
-    for ell in range(1, m):
-        t = 2 * m - ell
-        # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
-        src_mid = e3.get((m - ell, m - 1), ZERO)
-        src_top = e3.get((m - ell - 1, m), ZERO)
+
+    def rule(report, ell, src_mid, src_top, target):
         report.add_bool(
             "sources elementary after halving",
             src_mid.z4_count == 0 and src_top.z4_count == 0,
-            degree=t,
+            degree=2 * m - ell,
         )
         coker = _odd_closed_form(ell)
-        _check_cokernel(
-            report, m, ell, e3.get((t, 0), ZERO), _image_log2(src_mid, src_top),
-            coker, ranks,
-        )
-        groups[t] = coker
-    groups[2 * m - 1] += e3.get((0, 2 * m - 1), ZERO)
-    abutment = GradedGroups(groups)
-    _compare_abutment(report, s, abutment, torsion_only=True)
-    return abutment, report
+        image_log2 = _image_log2(src_mid, src_top)
+        _check_cokernel(report, m, ell, target, image_log2, coker, ranks)
+        return coker
+
+    return _replay_rounds("clss-1mod4", s, e3, rule, torsion_only=True)
 
 
 def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
@@ -227,30 +238,19 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
     and the upper-half groups fall out of the order equations."""
     if m < 3 or m % 2 == 0:
         raise RangeError("run_odd_ordered needs odd m >= 3")
-    s = SpaceId("F", m)
-    e2 = build_e2(GroupId.Z2xZ2, m)
-    report = VerificationReport("clss-odd-Z2xZ2", m)
-    groups = [e2.get((t, 0), ZERO) for t in range(m)]
-    groups.append(e2.get((0, m), ZERO) + e2.get((m, 0), ZERO))
-    groups += [ZERO] * (m - 1)  # degrees m + 1 .. 2m - 1, filled in below
-    for ell in range(1, m):
-        t = 2 * m - ell
-        # d_m: (m - ell, m - 1) -> (t, 0) and d_(m+1): (m - ell - 1, m) -> (t, 0).
-        src_mid = e2.get((m - ell, m - 1), ZERO)
-        src_top = e2.get((m - ell - 1, m), ZERO)
-        target = e2.get((t, 0), ZERO)
+
+    def rule(report, ell, src_mid, src_top, target):
         if target.z4_count or src_mid.z4_count or src_top.z4_count:
             raise InconsistentOrdersError("unexpected Z/4 in the ordered case")
         coker_log2 = target.torsion_order_log2 - _image_log2(src_mid, src_top)
         if coker_log2 < 0:
             raise InconsistentOrdersError(
-                f"sources larger than target in degree {t}"
+                f"sources larger than target in degree {2 * m - ell}"
             )
-        groups[t] = AbGroup2.elementary(coker_log2)
-    groups[2 * m - 1] += e2.get((0, 2 * m - 1), ZERO)
-    abutment = GradedGroups(groups)
-    _compare_abutment(report, s, abutment)
-    return abutment, report
+        return AbGroup2.elementary(coker_log2)
+
+    page = build_e2(GroupId.Z2xZ2, m)
+    return _replay_rounds("clss-odd-Z2xZ2", SpaceId("F", m), page, rule)
 
 
 def run_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:

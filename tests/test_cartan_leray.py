@@ -147,13 +147,6 @@ def test_run_1mod4(m):
         assert abutment.group(t).free_rank == table.group(t).free_rank
 
 
-def test_run_1mod4_rejects_other_m():
-    with pytest.raises(RangeError):
-        run_1mod4(7)
-    with pytest.raises(RangeError):
-        run_1mod4(6)
-
-
 def test_run_1mod4_order_equation_degree_8():
     # |E3 base at (8,0)| = |{4}| = 2^6 splits as 2^2 * 2^2 * |Z/4|
     from confcoh.groupcoh import CoeffId, classifying_cohomology
@@ -181,9 +174,22 @@ def test_run_ordered_matches_table(m):
     assert abutment == cohomology_table(SpaceId("F", m))
 
 
-def test_run_odd_ordered_rejects_even():
-    with pytest.raises(RangeError):
-        run_odd_ordered(4)
+@pytest.mark.parametrize(
+    "run, args",
+    [
+        pytest.param(run, args, id="-".join([run.__name__, *map(str, args)]))
+        for run, args in [
+            *[(run_even, (m,)) for m in (0, 1, 3, 5)],
+            (run_even, (3, GroupId.Z2xZ2)),
+            *[(run_1mod4, (m,)) for m in (1, 3, 6, 7)],
+            *[(run_odd_ordered, (m,)) for m in (1, 2, 4)],
+        ]
+    ],
+)
+def test_executors_refuse_m_past_their_edges(run, args):
+    # m below each executor's first case, or of another residue
+    with pytest.raises(RangeError, match=f"^{run.__name__} needs "):
+        run(*args)
 
 
 # ---------------------------------------------------------------------------

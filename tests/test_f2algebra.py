@@ -1097,6 +1097,15 @@ def test_packing_overflow_refused():
     assert [ring.quotient_dimension(d) for d in range(4)] == [1, 2, 3, 4]
 
 
+def test_a_ring_grows_to_exactly_max_degree():
+    # The bound is inclusive: x^MAX_DEGREE fills its field and is grown,
+    # one degree more is refused.
+    ring = PresentedF2Algebra([("x", 1)], [])
+    assert ring.quotient_dimension(MAX_DEGREE) == 1
+    with pytest.raises(ValueError, match="packing bound"):
+        ring.quotient_dimension(MAX_DEGREE + 1)
+
+
 @pytest.mark.parametrize("bad", [True, 1.5, 2.0, "1", None], ids=repr)
 def test_a_non_int_generator_degree_or_exponent_is_refused(bad):
     # Unchecked, a degree or exponent True would be read as 1, and a degree

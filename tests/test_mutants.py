@@ -364,6 +364,28 @@ EXECUTOR_MUTANTS = {
         lambda original: lambda src_mid, src_top: original(src_mid, ZERO),
         {"clss-1mod4", "clss-odd-Z2xZ2"},
     ),
+    # The even, 1 mod 4 and odd ordered executors replay their rounds in one
+    # loop, so each edit of it reaches two families: the even pair, whose
+    # top class survives and whose (0, m) is a Z/2, or the odd pair, which
+    # alone have a page-m source.
+    "rounds-drop-top-fibre-class": (
+        cartan_leray,
+        "_replay_rounds",
+        recompiled("+= page.get((0, 2 * m - 1), ZERO)", "+= ZERO"),
+        EVEN,
+    ),
+    "rounds-add-(0,m)-whole": (  # its torsion too, not only its free part
+        cartan_leray,
+        "_replay_rounds",
+        recompiled("page.get((0, m), ZERO).free_part()", "page.get((0, m), ZERO)"),
+        EVEN,
+    ),
+    "rounds-ignore-page-m-source": (
+        cartan_leray,
+        "_replay_rounds",
+        recompiled("page.get((m - ell, m - 1), ZERO)", "ZERO"),
+        ONE_MOD_4,
+    ),
     # Killed by one family only: the closed form is read by run_1mod4 alone.
     "odd-closed-form-loses-Z4": (  # <ell/2 - 1> in place of {ell/2 - 1}
         cartan_leray,

@@ -212,16 +212,27 @@ class AbGroup2(Value, fields="free_rank torsion"):
             n += k
         return n
 
+    # A part that is the whole group is the group itself, and an empty part
+    # is the shared ZERO.
+
     def torsion_part(self) -> "AbGroup2":
-        return AbGroup2._of(0, self.torsion) if self.free_rank else self
+        if not self.free_rank:
+            return self
+        return AbGroup2._of(0, self.torsion) if self.torsion else ZERO
 
     def free_part(self) -> "AbGroup2":
-        return AbGroup2._of(self.free_rank, ()) if self.torsion else self
+        if not self.torsion:
+            return self
+        return AbGroup2._of(self.free_rank, ()) if self.free_rank else ZERO
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "AbGroup2") -> "AbGroup2":
-        """Direct sum."""
+        """Direct sum.  A trivial summand gives back the other summand itself."""
+        if not (other.free_rank or other.torsion):
+            return self
+        if not (self.free_rank or self.torsion):
+            return other
         free = self.free_rank + other.free_rank
         if not other.torsion or not self.torsion:
             return AbGroup2._of(free, self.torsion or other.torsion)

@@ -27,17 +27,19 @@ if TYPE_CHECKING:
 
 SimpleNamespace = type(sys.implementation)  # as the types module defines it
 
-# Input bounds, each set from a measured run on a 2-core host: verify over
-# 2..80 peaks at 40 MiB RSS, as a table or as json (both are written one
-# check at a time), and takes 1.7-2.8 s (median 2.2 s of 11 runs) on a
-# shared x86-64 host with CPython 3.11.  Over 2..96 one run of the suites
-# on that host took 3.2 s and 50 MiB.  groups writes one row at a time, so
-# at m = 8192 its peak RSS is 15.7-16.6 MiB.  There its largest output,
-# json F2 (740 MB), goes to /dev/null in a median 0.13-0.14 s; csv F2
-# (134 MB), csv twisted (67 MB), the homology table and the F2 table take
-# a median 0.08-0.11 s (whole process, 2 rounds of 10 runs each, 2-core
-# host, CPython 3.11).  The output, O(m^2), not the time, sets that bound:
-# a caller that captures it in memory holds all 740 MB.
+# Input bounds, each set from a measurement; a larger input is refused with
+# exit code 2.  The readings at the bounds, on a shared 2-core x86-64 host
+# with CPython 3.11.7, whole process, stdout to /dev/null, 7 runs each:
+# - verify --suite all over 2..80 (91619 checks, 20 skipped-open) takes
+#   0.65-1.03 s (median 0.69 s) as a table and 0.75-1.00 s (median 0.85 s)
+#   as json, at 38.4 and 38.7 MiB peak RSS: both write one check at a time.
+#   The suites alone over 2..96 took 0.90-1.26 s and 48.6 MiB (3 runs).
+# - groups at m = 8192 writes every format one row at a time, so its peak
+#   RSS is 15.7-16.6 MiB.  Its largest output, --space B --coefficients F2
+#   --format json (740 MB), takes 0.12-0.18 s (median 0.14 s); csv F2
+#   (134 MB), csv twisted at m = 8191 (67 MB), B's homology table and F's
+#   F2 table take a median 0.08-0.11 s.  The output, O(m^2), not the time,
+#   sets this bound: a caller that captures it in memory holds all 740 MB.
 MAX_VERIFY_M = 80
 MAX_GROUPS_M = 8192
 

@@ -490,6 +490,8 @@ def test_mixed_torsion_str_matches_the_frozen_tail(free, multiplicities):
 
 
 @given(models)
+@example((2, ()))  # Z^2: its torsion part is ZERO
+@example((0, (1, 2)))  # Z2 + Z4: its free part is ZERO
 def test_parts_are_self_exactly_when_nothing_is_dropped(model):
     g = _group(model)
     torsion, free = g.torsion_part(), g.free_part()
@@ -497,9 +499,16 @@ def test_parts_are_self_exactly_when_nothing_is_dropped(model):
     assert free == AbGroup2._of(g.free_rank, ())
     assert (torsion is g) == (g.free_rank == 0)
     assert (free is g) == (not g.torsion)
+    # a part with nothing in it, of a group with something else, is ZERO
+    if g.free_rank and not g.torsion:
+        assert torsion is ZERO
+    if g.torsion and not g.free_rank:
+        assert free is ZERO
 
 
 @given(models, models)
+@example((1, (1, 1)), (0, ()))  # Z + <2> plus a fresh zero group
+@example((0, ()), (0, (2,)))  # a fresh zero group plus Z4
 def test_model_sum_and_equality(a, b):
     g, h = _group(a), _group(b)
     assert _model(g + h) == (a[0] + b[0], tuple(sorted(a[1] + b[1])))
@@ -507,6 +516,14 @@ def test_model_sum_and_equality(a, b):
     if a == b:
         assert hash(g) == hash(h)
     assert g + h == h + g
+    # a trivial summand gives back the other summand itself, the left one
+    # when both are trivial
+    assert g + ZERO is g
+    assert ZERO + g is (ZERO if g.is_trivial else g)
+    if h.is_trivial:
+        assert g + h is g
+    elif g.is_trivial:
+        assert g + h is h
 
 
 @given(models, st.integers(0, 12), st.sampled_from((1, 2, 3, 5)))

@@ -652,6 +652,14 @@ COLD_CALLS = {
     "verify-all-json": (
         "code = cli.main(['verify', '--suite', 'all', '--format', 'json', '--m-range', '2..4'])"
     ),
+    # verify's whole range and a large groups table: every string that
+    # their json writes is plain ASCII, so no json or re loads.
+    "verify-all-json-bound": (
+        "code = cli.main(['verify', '--suite', 'all', '--format', 'json', '--m-range', '2..80'])"
+    ),
+    "groups-json-F-2000": (
+        "code = cli.main(['groups', '--space', 'F', '--m', '2000', '--format', 'json'])"
+    ),
     "sq1-sweep": """from confcoh.bockstein import page1_expected
 from confcoh.configcoh import SpaceId
 from confcoh.f2algebra import config_mod2_ring

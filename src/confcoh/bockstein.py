@@ -23,11 +23,8 @@ class InconsistentRecursionError(ValueError):
 
 
 def _free_rank(s: SpaceId, i: int) -> int:
-    if i == 0:
-        return 1
-    if s.m % 2 == 0:
-        return 1 if i == 2 * s.m - 1 else 0
-    return 1 if i == s.m else 0
+    """Free rank of H^i for 2 <= i <= 2m - 2, the degrees rank_recursion asks for."""
+    return 1 if s.m % 2 and i == s.m else 0
 
 
 def rank_recursion(s: SpaceId) -> dict[int, int]:

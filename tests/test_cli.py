@@ -526,6 +526,7 @@ def test_verify_lower_bound(monkeypatch, capsys):
         ("2..1000000000000000000", "m-range capped at 80"),
         ("2..100000000000000000000", "m-range capped at 80"),
         ("0..1000000000000000000", "m-range must start at 1 or above"),
+        ("5..3", "empty m-range"),
     ],
 )
 def test_verify_refuses_huge_range_at_once(m_range, message):

@@ -99,13 +99,14 @@ def test_spot_values():
     assert cohomology(B(1), 1) == Z
     assert cohomology(B(1), 0) == Z
     assert cohomology(B(1), 2).is_trivial
+    assert cohomology(B(6), -1).is_trivial and cohomology(F(5), -2).is_trivial
 
 
 def test_mod2_dimension():
     assert mod2_dimension(B(4), 6) == 2
     assert mod2_dimension(F(5), 0) == 1
     assert mod2_dimension(B(6), 12) == 0
-    assert [mod2_dimension(B(1), i) for i in range(4)] == [1, 1, 0, 0]
+    assert [mod2_dimension(B(1), i) for i in range(-2, 4)] == [0, 0, 1, 1, 0, 0]
 
 
 def test_ordered_tables_have_no_z4():

@@ -1295,6 +1295,42 @@ ENGINE_DIGESTS = {
 }
 
 
+# uncached builders of the listings of PAST_BOUND: B's Grassmannian ring R
+# and three-generator ring, x2 first as the library lists them, and F's
+# ring over x1 and y1 ("F") and over u = x1 + y1 and x1 ("F-u")
+PAST_BOUND_LISTINGS = {
+    "R": grassmannian_ring,
+    "B": unordered_config_ring,
+    "F": x1_y1_listing,
+    "F-u": ordered_config_ring,
+}
+
+# The rings that CI's Sq1 sweep builds past the CLI bound, one row each,
+# keyed (listing, m): whether the row checks Sq1-homology against page 1
+# and Sq1^2 = 0 in every degree; the sha256 of the reprs of
+# sq1_matrix(d, twist), d = 0..2m, for twist None and, on R, then x1; the
+# Groebner basis size, which must fail here if a listing brings back R's
+# staircase of m + 1 elements, not only run slower; and for R and B the
+# same sha256 of the ring listed x1 first, on which their older pins were
+# taken.  The m = 512 rows come last, so that the ru_maxrss CI prints
+# through the m = 256 rows is the sweep's.
+PAST_BOUND = {
+    ("R", 256): (False, "8440710ea35c549539a5169d1d89e6aa58f045ff3b42626bf36fd84be17f2c71", 3, "52a2ae1e9051d945ff2b89164308080df9a0e0a048bf8274241ba598c6614207"),
+    ("B", 96): (True, None, None, None),
+    ("B", 128): (True, None, None, None),
+    ("B", 256): (True, "8fb7c81f831c26b99bd2ef86539c5beeae5e3581e6b36de2b03f3ac86b7feb37", 4, "362f72f0adc7cd6cfb3ac72ff53d84b31f51072c34da499b4bc89e6573fa9235"),
+    ("F", 96): (True, None, None, None),
+    ("F", 128): (True, None, None, None),
+    ("F", 256): (True, "24d2e098d1991220dfe704cb62a5e4e2ef93035b3f8a045887352d73ff833a13", 2, None),
+    ("F-u", 96): (True, None, None, None),
+    ("F-u", 128): (True, None, None, None),
+    ("F-u", 256): (True, "6c2c9dbfedd43479a6bce523b4f35ce4a48dac278cc12a7de627ce865fd34366", 2, None),
+    ("R", 512): (False, "4b53a2f3e3fef4a252ef5404c64a0fcd4fc644a9d3d7859c91d54ea5cb3c90bf", 3, None),
+    ("F", 512): (False, "d8dca73868a0aa6d337389795a9ec909a84cd3a1003bcce49dd076a376ca9287", 2, None),
+    ("F-u", 512): (False, "11da6e0f38a36e21eb83890859c5acc2239d34e7e608739b1f74e77a2e7afeac", 2, None),
+}
+
+
 @pytest.mark.parametrize("kind, m", ENGINE_DIGESTS)
 def test_engine_digests_past_the_span_oracles(kind, m):
     ring = LISTINGS[kind](m)
@@ -1337,11 +1373,12 @@ def assert_conjugate(ring, old, image, twists, m):
 def assert_conjugate_to_x1_first(ring, m):
     """ring's Sq1 and Sq1 + x1 are those of x1_first(ring) up to a change of
     basis (see assert_conjugate): each monomial is its own image, its
-    exponents permuted."""
+    exponents permuted.  Returns x1_first(ring), the ring it built."""
     old = x1_first(ring)
     order = [ring.generators.index(g) for g in old.generators]
     twists = ((None, None), (x1_of(ring), x1_of(old)))
     assert_conjugate(ring, old, lambda mono: {tuple(mono[i] for i in order)}, twists, m)
+    return old
 
 
 def assert_conjugate_to_x1_y1(ring, m):
@@ -1387,11 +1424,11 @@ def test_groebner_bases_stay_small(kind, most):
     assert max(sizes) == most, sizes
 
 
-@pytest.mark.parametrize("kind, size", [("R", 3), ("B", 4), ("F", 2)])
+@pytest.mark.parametrize(
+    "kind, size", [(kind, size) for (kind, m), (_, _, size, _) in PAST_BOUND.items() if m == 256]
+)
 def test_groebner_bases_past_the_cli_bound(kind, size):
-    # The sizes CI asserts at m = 256 and 512: a listing that brings back
-    # R's staircase of m + 1 elements fails here, not only slows down.
-    ring = {"R": grassmannian_ring, **FRESH}[kind](256)
+    ring = PAST_BOUND_LISTINGS[kind](256)
     ring._grow(2 * 256 + 2)
     assert len(ring._groebner) == size
 

@@ -55,6 +55,7 @@ def g(gid, cid, i):
 
 
 def test_dihedral_integral_values():
+    assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, -1) == AbGroup2()
     assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 0) == Z
     assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 1) == AbGroup2()
     assert g(GroupId.D8, CoeffId.INTEGER_TRIVIAL, 2) == AbGroup2.elementary(2)
@@ -80,9 +81,9 @@ def test_product_of_projective_spaces_values():
 
 def test_mod2_dimension_is_linear():
     for gid in GROUPS:
-        for i in range(30):
+        for i in range(-2, 30):
             got = g(gid, CoeffId.MOD_TWO, i)
-            assert got == AbGroup2.elementary(i + 1)
+            assert got == AbGroup2.elementary(max(i + 1, 0))
 
 
 def test_twisted_vanishes_in_degree_zero():

@@ -44,6 +44,8 @@ DIGESTS = [
     ("groups --space F --m 303 --format csv", 0, "27d929dc7076d15ced1ef1ad3e46609c9d70a61e0ee741e0d0f3c33e87d23436"),
     ("groups --space F --m 304 --format csv", 0, "531390cd46a87ad4338aee66e910eab361f2ff386ce3041889223428c0c36080"),
     ("table1", 0, "19a44d9cd565c267daa8ba0e8f7021ce3939665fe0f469d0efa8676b751e5775"),
+    ("table1 --format csv", 0, "c03e8825826717779258bc78dd1f4b35ec5040a23ff80f81d95f7d8ae4cf856e"),
+    ("table1 --format json", 0, "6d762e85bb5c685f2b2db398d338209eb9a5623436139cc988eb4aeb976a5690"),
 ]
 
 

@@ -59,6 +59,16 @@ def test_every_reader_of_n_refuses_a_non_int(reader, bad):
         N_READERS[reader](bad)
 
 
+@pytest.mark.parametrize("reader", N_READERS)
+def test_every_reader_of_n_refuses_n_below_its_least(reader):
+    # V_{n,2} and its quotients need n >= 2; the sphere bundle, the D8 action
+    # and the oriented Grassmannian need n >= 3
+    least = 2 if reader in ("quotient_orientable", "grassmannian_orientable") else 3
+    N_READERS[reader](least)
+    with pytest.raises(ValueError, match=f"^n must be >= {least}$"):
+        N_READERS[reader](least - 1)
+
+
 def test_action_sign_examples():
     assert d8_action_sign(4, 2) == ActionSign.MINUS
     assert d8_action_sign(4, 3) == ActionSign.PLUS

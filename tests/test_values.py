@@ -9,7 +9,9 @@ from collections import namedtuple
 import pytest
 
 from confcoh.abelian import ZERO, AbGroup2, GradedGroups, Value, Z
-from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId, cohomology_table
+from confcoh.cartan_leray import build_e2
+from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId, cohomology_table, global_checks
+from confcoh.f2algebra import PresentedF2Algebra, config_mod2_ring, grassmannian_ring
 from confcoh.groupcoh import GROUPS, CoeffId, GroupId
 from confcoh.report import CheckResult, VerificationReport
 from confcoh.stiefel import ActionSign
@@ -191,6 +193,11 @@ def test_space_id_refuses_a_non_int_m(bad):
         (lambda: SpaceId("B", 0), "m must be >= 1"),
         (lambda: AbGroup2(-1), "free rank must be non-negative"),
         (lambda: AbGroup2(0, (2, 0)), "torsion exponents must be positive"),
+        (lambda: PresentedF2Algebra([("x", 1)], [set()]), "^zero relation$"),
+        (lambda: grassmannian_ring(0), "^m must be >= 1$"),
+        (lambda: config_mod2_ring("C", 3), "^unknown space kind 'C'$"),
+        (lambda: build_e2(GroupId.D8, 1), "^m must be >= 2$"),
+        (lambda: global_checks(SpaceId("B", 1)), "^global checks need m >= 2$"),
     ],
 )
 def test_validation_errors_unchanged(build, message):

@@ -533,17 +533,15 @@ class PresentedF2Algebra:
         standard v set in those of w/h.  Every monomial named on the right
         is smaller than w, so the walk ends; it runs on an explicit stack,
         not by recursion, and leaves w there until each part it names is
-        known.  A w that is neither a lead nor has a non-standard immediate
-        divisor is standard and missing from its basis, which only a fault
-        of growth can bring about: RuntimeError.
+        known; a w pushed twice is derived twice, to the same bits.  A w
+        that is neither a lead nor has a non-standard immediate divisor is
+        standard and missing from its basis, which only a fault of growth
+        can bring about: RuntimeError.
         """
         position, memo, gb, steps = self._position, self._coords_memo, self._groebner, self._steps
         stack = [mono]
         while stack:
             w = stack[-1]
-            if w in memo:
-                stack.pop()
-                continue
             parts = gb.get(w)  # w itself among them, skipped below
             if parts is None:
                 for field, unit in steps:

@@ -31,7 +31,9 @@ from confcoh.f2algebra import (
     unordered_config_ring,
 )
 
-FRESH = {"B": unordered_config_ring, "F": ordered_config_ring}  # uncached builders
+# uncached builders of the library's rings: B's Grassmannian ring R and
+# three-generator ring, and F's ring
+FRESH = {"R": grassmannian_ring, "B": unordered_config_ring, "F": ordered_config_ring}
 
 
 def x1_first(ring):
@@ -510,7 +512,7 @@ def assert_starts_match_a_scan(ring):
 @pytest.mark.parametrize("m", range(2, 25))
 @pytest.mark.parametrize("kind", ["R", "B", "F"])
 def test_stored_starts_match_a_scan(kind, m):
-    ring = {"R": grassmannian_ring, **FRESH}[kind](m)
+    ring = FRESH[kind](m)
     ring._grow(2 * m + 2)
     assert_starts_match_a_scan(ring)
 
@@ -554,7 +556,7 @@ def assert_dropped_match_a_recount(ring):
 @pytest.mark.parametrize("m", range(2, 25))
 @pytest.mark.parametrize("kind", ["R", "B", "F"])
 def test_stored_dropped_groups_match_a_recount(kind, m):
-    ring = {"R": grassmannian_ring, **FRESH}[kind](m)
+    ring = FRESH[kind](m)
     ring._grow(2 * m + 2)
     assert_dropped_match_a_recount(ring)
 
@@ -576,7 +578,7 @@ def test_memo_against_span_oracle(kind, m):
     # After a full sweep (R with both differentials, B the three-generator
     # ring), each memoised non-standard monomial has the coordinates that
     # the oracle's reduction of it gives.
-    ring = {"B": unordered_config_ring, "R": grassmannian_ring, "F": ordered_config_ring}[kind](m)
+    ring = FRESH[kind](m)
     for twist in (None, x1_of(ring)) if kind == "R" else (None,):
         for d in range(2 * m + 1):
             ring.sq1_homology_rank(d, twist)
@@ -780,7 +782,7 @@ def test_sq1_sweep_ranks_each_matrix_once(monkeypatch):
 def test_sq1_sweep_grows_at_most_three_times_per_degree(monkeypatch, kind):
     # The rank, the matrix and the dimension of each degree ask for growth;
     # a rank already taken, or a basis already grown, asks for none.
-    ring = {"R": grassmannian_ring, **FRESH}[kind](20)
+    ring = FRESH[kind](20)
     calls = []
     grow = PresentedF2Algebra._grow
 
@@ -1402,10 +1404,9 @@ def test_listings_have_conjugate_sq1(kind, m):
     # It presents F over u = x1 + y1 and x1; over x1 and y1 the Sq1
     # matrices are conjugate too.
     if kind == "F":
-        assert_conjugate_to_x1_y1(ordered_config_ring(m), m)
+        assert_conjugate_to_x1_y1(FRESH[kind](m), m)
     else:
-        ring = (grassmannian_ring if kind == "R" else unordered_config_ring)(m)
-        assert_conjugate_to_x1_first(ring, m)
+        assert_conjugate_to_x1_first(FRESH[kind](m), m)
 
 
 @pytest.mark.parametrize("kind, most", [("R", 7), ("B", 8), ("F", 2)])
@@ -1415,7 +1416,7 @@ def test_groebner_bases_stay_small(kind, most):
     # the staircase x1^(m-j) x2^j, j = 0..m: m + 1 elements, and the
     # three-generator ring adds x^2 + x*x1.  Listed x2 first, the largest
     # bases over m = 2..129 have 7 and 8 elements; F's always has 2.
-    build = {"R": grassmannian_ring, **FRESH}[kind]
+    build = FRESH[kind]
     sizes = []
     for m in range(2, 130):
         ring = build(m)

@@ -34,9 +34,10 @@ def test_a_non_int_n_or_degree_is_refused(bad):
         stiefel_cohomology(bad, 2)
 
 
-# Each reader of n but stiefel_cohomology.  Their range checks alone would
-# read 5.0 and True as ints, or fail on unrelated float errors.
+# Each reader of n.  Their range checks alone would read 5.0 and True as
+# ints, or fail on unrelated float errors.
 N_READERS = {
+    "stiefel_cohomology": lambda n: stiefel_cohomology(n, 0),
     "d8_action_sign": lambda n: d8_action_sign(n, 2),
     **{
         f.__name__: f
@@ -63,7 +64,7 @@ def test_every_reader_of_n_refuses_a_non_int(reader, bad):
 def test_every_reader_of_n_refuses_n_below_its_least(reader):
     # V_{n,2} and its quotients need n >= 2; the sphere bundle, the D8 action
     # and the oriented Grassmannian need n >= 3
-    least = 2 if reader in ("quotient_orientable", "grassmannian_orientable") else 3
+    least = 2 if reader in ("stiefel_cohomology", "quotient_orientable", "grassmannian_orientable") else 3
     N_READERS[reader](least)
     with pytest.raises(ValueError, match=f"^n must be >= {least}$"):
         N_READERS[reader](least - 1)

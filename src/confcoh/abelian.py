@@ -32,7 +32,15 @@ class NonTwoPrimaryError(ValueError):
     """A presentation produced torsion away from the prime 2."""
 
 
+def require_int(name: str, value: int) -> None:
+    """Refuse a value that is not an int, bool included, naming it: 5.0
+    would pass a range check, and True would be read as 1."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_rank(k: int) -> None:
+    # inline, not through require_int: every first use of a rank runs it
     if type(k) is not int:
         raise TypeError(f"rank must be an int, got {k!r}")
     if k < 0:

@@ -12,8 +12,8 @@ Three independent consistency layers on top of the closed forms:
   single Z/4 summand there.
 """
 
-from .abelian import AbGroup2
-from .configcoh import SpaceId, cohomology, mod2_dimension
+from .abelian import AbGroup2, require_int
+from .configcoh import SpaceId, cohomology, cohomology_line, cohomology_table, mod2_dimension
 from .f2algebra import config_mod2_ring
 from .report import VerificationReport
 
@@ -50,7 +50,10 @@ def rank_recursion(s: SpaceId) -> dict[int, int]:
 
 
 def closed_form_rank(s: SpaceId, i: int) -> int | None:
-    """Published closed form for the rank of H^(2m-l), 2 <= l <= m-1."""
+    """Published closed form for the rank of H^(2m-l), 2 <= l <= m-1; a
+    degree i that is not an int, bool included, is refused."""
+    if type(i) is not int:
+        raise TypeError(f"degree must be an int, got {i!r}")
     m = s.m
     ell = 2 * m - i
     if not 2 <= ell <= m - 1:
@@ -65,8 +68,12 @@ def page1_expected(s: SpaceId, d: int) -> int:
     free rank of H^d plus the Z/4 counts of H^d and H^(d+1)."""
     if d < 0 or d > 2 * s.m:
         raise ValueError(f"degree {d} outside 0..{2 * s.m}")
-    here = cohomology(s, d)
-    above = cohomology(s, d + 1)
+    return _page1_rank(cohomology(s, d), cohomology(s, d + 1))
+
+
+def _page1_rank(here: AbGroup2, above: AbGroup2) -> int:
+    """The first Bockstein page's rank in the degree of here, above being
+    the group one degree up."""
     return here.free_rank + here.z4_count + above.z4_count
 
 
@@ -78,10 +85,11 @@ def page1_compare(s: SpaceId) -> VerificationReport:
     """
     ring = config_mod2_ring(s.kind, s.m)
     report = VerificationReport("bockstein-page1", s.m)
+    line = cohomology_line(s, 2 * s.m + 1)
     for d in range(2 * s.m + 1):
         report.add(
             "Sq1-homology rank",
-            page1_expected(s, d),
+            _page1_rank(line[d], line[d + 1]),
             ring.sq1_homology_rank(d),
             degree=d,
         )
@@ -91,10 +99,9 @@ def page1_compare(s: SpaceId) -> VerificationReport:
 def rank_profile_check(s: SpaceId) -> VerificationReport:
     """rank_recursion against both the closed forms and the tables."""
     report = VerificationReport("bockstein-ranks", s.m)
+    table = cohomology_table(s).groups
     for i, r in rank_recursion(s).items():
-        report.add(
-            "recursion vs table", cohomology(s, i).mult2_kernel_rank, r, degree=i
-        )
+        report.add("recursion vs table", table[i].mult2_kernel_rank, r, degree=i)
         known = closed_form_rank(s, i)
         if known is not None:
             report.add("recursion vs closed form", known, r, degree=i)
@@ -104,7 +111,9 @@ def rank_profile_check(s: SpaceId) -> VerificationReport:
 def sq1_split_check(a: int) -> VerificationReport:
     """For m = 4a + 3: degree-(m+1) Sq1-homology of the R summand is one-
     dimensional and the x*R summand is acyclic there, which forces
-    H^(m+1) of the unordered space to be {2a}."""
+    H^(m+1) of the unordered space to be {2a}.  a is an int (bool
+    refused)."""
+    require_int("a", a)
     if a < 0:
         raise ValueError("a must be >= 0")
     m = 4 * a + 3

@@ -22,10 +22,10 @@ fixed m = 3 evolutions are replayed.
 """
 
 from . import stiefel
-from .abelian import AbGroup2, GradedGroups, Z, ZERO
+from .abelian import AbGroup2, GradedGroups, Z, ZERO, require_int
 from .configcoh import SpaceId, cohomology, cohomology_table
 from .bockstein import rank_recursion
-from .groupcoh import CoeffId, GroupId, classifying_cohomology
+from .groupcoh import CoeffId, GroupId, classifying_table
 from .report import VerificationReport
 
 TYPE_CHECKING = False
@@ -46,30 +46,33 @@ class InconsistentOrdersError(ValueError):
 
 def build_e2(g: str, m: int, p_max: int | None = None) -> Page:
     """Starting page of the covering spectral sequence for V_{m+1,2}:
-    E2^{p,q} = H^p(BG; H^q(V_{m+1,2})), one line per nonzero fibre group.
+    E2^{p,q} = H^p(BG; H^q(V_{m+1,2})), one line per nonzero fibre group,
+    each read as one classifying line through column p_max.
 
     A Z/2 in the fibre gives a mod-2 line; a Z gives an integral line, twisted
     where the dihedral action on it has sign MINUS.
     """
+    require_int("m", m)
     if m < 2:
         raise RangeError("m must be >= 2")
     if p_max is None:
         p_max = 2 * m + 1
+    require_int("p_max", p_max)
     n = m + 1
-    lines = {}
+    page = {}
     for q in range(2 * n - 2):
         fibre = stiefel.stiefel_cohomology(n, q)
         if fibre == AbGroup2.elementary(1):
-            lines[q] = CoeffId.MOD_TWO
+            c = CoeffId.MOD_TWO
         elif fibre == Z:
             plus = stiefel.d8_action_sign(n, q) == stiefel.ActionSign.PLUS
-            lines[q] = CoeffId.INTEGER_TRIVIAL if plus else CoeffId.INTEGER_TWISTED
-    return {
-        (p, q): entry
-        for q, c in lines.items()
-        for p in range(p_max + 1)
-        if not (entry := classifying_cohomology(g, c, p)).is_trivial
-    }
+            c = CoeffId.INTEGER_TRIVIAL if plus else CoeffId.INTEGER_TWISTED
+        else:
+            continue
+        for p, entry in enumerate(classifying_table(g, c, p_max)):
+            if not entry.is_trivial:
+                page[p, q] = entry
+    return page
 
 
 def even_cokernel(m: int, ell: int) -> AbGroup2:
@@ -79,7 +82,11 @@ def even_cokernel(m: int, ell: int) -> AbGroup2:
         {ell/2}        for ell = 0 mod 4,
         <ell/2 + 1>    for ell = 2 mod 4,
         <(ell-1)/2>    for odd ell.
+
+    m and ell are ints (bool refused).
     """
+    require_int("m", m)
+    require_int("ell", ell)
     if m % 2 != 0 or not 2 <= ell <= m - 1:
         raise RangeError(f"need even m and 2 <= ell <= m-1, got m={m}, ell={ell}")
     if ell % 4 == 0:
@@ -254,7 +261,8 @@ def run_odd_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
 
 
 def run_ordered(m: int) -> tuple[GradedGroups, VerificationReport]:
-    """Ordered-space executor for any m >= 2."""
+    """Ordered-space executor for any m >= 2, an int (bool refused)."""
+    require_int("m", m)
     if m % 2 == 0:
         return run_even(m, GroupId.Z2xZ2)
     return run_odd_ordered(m)
@@ -425,13 +433,15 @@ def _less_one_summand(group: AbGroup2, exponent: int) -> AbGroup2 | None:
 
 
 def fragment_check_3mod4(a: int) -> VerificationReport:
-    """Low-degree fragment of the unordered page for m = 4a + 3.
+    """Low-degree fragment of the unordered page for m = 4a + 3, a an int
+    (bool refused).
 
     Checks the three distinguished base entries, the forced injection on
     page m with cokernel {2a+1}, the 2-rank accounting that forces both
     differentials into degree m + 1 to be nonzero, and the resulting
     identification of the torsion of H^m.
     """
+    require_int("a", a)
     m = 4 * a + 3
     s = SpaceId("B", m)
     report = VerificationReport("clss-3mod4-fragment", m)

@@ -31,9 +31,9 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it
 # exit code 2.  The readings at the bounds, on a shared 2-core x86-64 host
 # with CPython 3.11.7, whole process, stdout to /dev/null, 7 runs each:
 # - verify --suite all over 2..80 (91619 checks, 20 skipped-open) takes
-#   0.65-1.03 s (median 0.69 s) as a table and 0.75-1.00 s (median 0.85 s)
-#   as json, at 38.4 and 38.7 MiB peak RSS: both write one check at a time.
-#   The suites alone over 2..96 took 0.90-1.26 s and 48.6 MiB (3 runs).
+#   0.61-0.78 s (median 0.66 s) as a table and 0.77-1.17 s (median 0.89 s)
+#   as json, at 38.4 and 38.6 MiB peak RSS: both write one check at a time.
+#   The suites alone over 2..96 took 0.87-1.04 s and 48.8 MiB (3 runs).
 # - groups at m = 8192 writes every format one row at a time, so its peak
 #   RSS is 15.7-16.6 MiB.  Its largest output, --space B --coefficients F2
 #   --format json (740 MB), takes 0.12-0.18 s (median 0.14 s); csv F2
@@ -148,16 +148,17 @@ def _render_groups(
             yield f"\n{i:>3}  {text}"
 
 
-def _render_report_json(report: VerificationReport) -> "Iterator[str]":
+def _render_report_json(report: VerificationReport, tally: tuple[int, int]) -> "Iterator[str]":
     """json.dumps of the report document, indent=2, without its final
     newline, in pieces of one check each, so that writing it holds one
-    check in memory, not the report.  The checks of one family share their
-    suite and m, so that head is written once per family, and the other
-    strings are quoted once per report."""
+    check in memory, not the report; its header reads tally, the report's
+    tally().  The checks of one family share their suite and m, so that
+    head is written once per family, and the other strings are quoted once
+    per report."""
     quoted = _Quoted()
     yield (
-        f'{{\n  "passed": {"true" if report.passed else "false"},\n'
-        f'  "summary": {_text(report.summary())},\n  "checks": ['
+        f'{{\n  "passed": {"false" if tally[0] else "true"},\n'
+        f'  "summary": {_text(report.summary(tally))},\n  "checks": ['
     )
     sep, family = "\n    ", None
     for suite, label, expected, got, passed, m, degree, skipped in report.checks:
@@ -265,15 +266,17 @@ def cmd_verify(args: SimpleNamespace) -> int:
         print(f"m-range capped at {MAX_VERIFY_M}", file=sys.stderr)
         return 2
     report = suites.run_suites(names, m_range)
+    # One pass tallies the checks and one writes them.
+    tally = report.tally()
     if args.format == "json":
-        sys.stdout.writelines(_render_report_json(report))
+        sys.stdout.writelines(_render_report_json(report, tally))
         print()
     else:
         for check in report.checks:
             if not check.passed or check.skipped or args.verbose:
                 print(check.line())
-        print(report.summary())
-    return 0 if report.passed else 1
+        print(report.summary(tally))
+    return 1 if tally[0] else 0
 
 
 _FORMATS = ("table", "json", "csv")

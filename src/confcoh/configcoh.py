@@ -12,8 +12,8 @@ Notation used throughout: <k> is an elementary abelian 2-group of rank k
 and {k} is <k> plus one Z/4 summand.
 """
 
-from .abelian import AbGroup2, GradedGroups, Value, Z, ZERO, uct_homology
-from .groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology
+from .abelian import AbGroup2, GradedGroups, Value, Z, ZERO, require_int, uct_homology
+from .groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology, classifying_table
 from .report import VerificationReport
 from . import stiefel
 
@@ -34,8 +34,7 @@ class SpaceId(Value, fields="kind m"):
     def __new__(cls, kind: str, m: int) -> "SpaceId":
         if kind not in ("F", "B"):
             raise ValueError("kind must be 'F' or 'B'")
-        if type(m) is not int:
-            raise TypeError(f"m must be an int, got {m!r}")
+        require_int("m", m)
         if m < 1:
             raise ValueError("m must be >= 1")
         return tuple.__new__(cls, (kind, m))
@@ -121,13 +120,21 @@ def cohomology(s: SpaceId, i: int) -> AbGroup2:
     return _ordered(s.m, i) if s.kind == "F" else _unordered(s.m, i)
 
 
-def cohomology_table(s: SpaceId) -> GradedGroups:
-    """H^i for i = 0..2m-1.  The closed form of s's kind is looked up once
-    per table, in the module globals, so that a patched one reaches the
-    table; the degrees need none of `cohomology`'s checks."""
+def cohomology_line(s: SpaceId, top: int) -> list[AbGroup2]:
+    """[cohomology(s, i) for i in range(top + 1)]; a top that is not an
+    int, bool included, is refused.  The closed form of s's kind is looked
+    up once per line, in the module globals, so that a patched one reaches
+    the line; the degrees need none of `cohomology`'s checks."""
+    if type(top) is not int:
+        raise TypeError(f"degree must be an int, got {top!r}")
     m = s.m
     closed_form = _ordered if s.kind == "F" else _unordered
-    return GradedGroups([closed_form(m, i) for i in range(2 * m)])
+    return [closed_form(m, i) for i in range(top + 1)]
+
+
+def cohomology_table(s: SpaceId) -> GradedGroups:
+    """H^i for i = 0..2m-1, read as one line."""
+    return GradedGroups(cohomology_line(s, 2 * s.m - 1))
 
 
 def mod2_dimension(s: SpaceId, i: int) -> int:
@@ -194,24 +201,28 @@ def duality_symmetry_check(s: SpaceId) -> VerificationReport:
     Orientable (even m): torsion of H^i equals torsion of H^(2m-i).
     Non-orientable (odd m): below the connectivity bound the twisted groups
     are the classifying-space ones, so torsion of H^(2m-j) must equal the
-    twisted classifying group in degree j for j <= m - 2.
+    twisted classifying group in degree j for j <= m - 2.  Both branches
+    read the space's groups, and the second the twisted classifying groups,
+    as one line each.
     """
     m = s.m
     report = VerificationReport("duality", m)
+    line = cohomology_line(s, 2 * m)
     if is_orientable(s):
         for i in range(2 * m):
             report.add(
                 f"torsion H^{i} vs H^{2 * m - i}",
-                cohomology(s, i).torsion_part(),
-                cohomology(s, 2 * m - i).torsion_part(),
+                line[i].torsion_part(),
+                line[2 * m - i].torsion_part(),
                 degree=i,
             )
     else:
-        for j in range(m - 1):
+        twisted = classifying_table(s.group, CoeffId.INTEGER_TWISTED, m - 2)
+        for j, group in enumerate(twisted):
             report.add(
                 f"torsion H^{2 * m - j} vs twisted classifying H^{j}",
-                classifying_cohomology(s.group, CoeffId.INTEGER_TWISTED, j),
-                cohomology(s, 2 * m - j).torsion_part(),
+                group,
+                line[2 * m - j].torsion_part(),
                 degree=j,
             )
     return report
@@ -246,10 +257,12 @@ def p_star_profile(g: str, m: int, i: int) -> PStarProfile:
     For the dihedral group with m = 3 mod 4 the surjectivity above the
     middle dimension is not settled; those degrees come back OPEN and no
     suite asserts anything there.  A group outside GROUPS is refused in
-    every degree, as classifying_cohomology refuses it.
+    every degree, as classifying_cohomology refuses it, and then a degree
+    i that is not an int, bool included.
     """
     if g not in GROUPS:
         raise ValueError(f"unknown group {g!r}")
+    require_int("degree", i)
     s = SpaceId("B" if g == GroupId.D8 else "F", m)
     open_band = g == GroupId.D8 and m % 4 == 3 and m > 1
 
@@ -287,7 +300,7 @@ def global_checks(s: SpaceId) -> VerificationReport:
         raise ValueError("global checks need m >= 2")
     m = s.m
     report = VerificationReport("global", m)
-    table = [cohomology(s, i) for i in range(2 * m + 3)]  # H^0 .. H^(2m+2)
+    table = cohomology_line(s, 2 * m + 2)
     free_degree = 2 * m - 1 if m % 2 == 0 else m
     free_profile = {i: g.free_rank for i, g in enumerate(table[: 2 * m]) if g.free_rank}
     report.add("free ranks", {0: 1, free_degree: 1}, free_profile)

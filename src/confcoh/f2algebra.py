@@ -135,11 +135,12 @@ class F2Echelon:
 
 
 def f2_rank(columns: list[int]) -> int:
-    """Rank of the span of the columns; a zero column is not offered."""
+    """Rank of the span of the columns; each nonzero column is offered once
+    and a zero column not at all."""
     ech = F2Echelon()
-    for c in columns:
-        if c:
-            ech.add(c)
+    add = ech.add
+    for c in filter(None, columns):
+        add(c)
     return ech.rank
 
 
@@ -598,24 +599,33 @@ class PresentedF2Algebra:
         in order, and stops at the first relation that fails, without
         passing its degree: the lowest failing degree raises, and again on
         every later call that reaches it.
+
+        After the refusals it reads, in order, the matrix cache, the
+        frontier, the held shift table and the degree checked so far, and
+        calls down only for what they do not hold.
         """
         if type(d) is not int or twist is True or twist is False:
             raise _refusal(d, twist)
         cols = self._sq1_matrix_cache.get((d, twist))
         if cols is not None:
             return cols
-        self._grow(d + 1)
-        table = self._sq1_table(twist)
-        for e in range(self._sq1_checked + 1, d + 1):
-            for rel in self._relations.get(e, ()):
-                bits = 0
-                for c in self._coords_of(rel, self._sq1_tables[None]):
-                    bits ^= c
-                if bits:
-                    raise IllDefinedDerivationError(
-                        f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
-                    )
-            self._sq1_checked = e
+        if d >= len(self._basis_cache) - 1:
+            self._grow(d + 1)
+        table = self._sq1_tables.get(twist)
+        if table is None:
+            table = self._sq1_table(twist)
+        if d > self._sq1_checked:
+            sq1 = self._sq1_tables[None]
+            for e in range(self._sq1_checked + 1, d + 1):
+                for rel in self._relations.get(e, ()):
+                    bits = 0
+                    for c in self._coords_of(rel, sq1):
+                        bits ^= c
+                    if bits:
+                        raise IllDefinedDerivationError(
+                            f"Sq1 of relation {set(map(self._unpack, rel))} is not in the ideal"
+                        )
+                self._sq1_checked = e
         cols = self._coords_of(self._basis_cache[d] if d >= 0 else (), table)
         self._sq1_matrix_cache[d, twist] = cols
         return cols
@@ -685,7 +695,8 @@ class PresentedF2Algebra:
 
     def sq1_homology_rank(self, d: int, twist: int | None = None) -> int:
         """dim ker(Sq1 at d) - rank(Sq1 at d-1), or of Sq1 + twist (see
-        sq1_matrix)."""
+        sq1_matrix).  After the refusals it reads the two ranks from the
+        rank cache, and only a rank missing there is taken."""
         if type(d) is not int or twist is True or twist is False:
             raise _refusal(d, twist)
         ranks = self._rank_cache
@@ -700,9 +711,13 @@ class PresentedF2Algebra:
 
     def _rank_out(self, e: int, twist: int | None) -> int:
         """Rank of the matrix out of degree e, which the rank cache does not
-        hold yet; the caller has looked.  It is kept unless degree e is
-        empty."""
-        if not self._basis(e):
+        hold yet; the caller has looked.  Degree e's basis is read from the
+        basis cache, grown only if it is not there yet; the rank is kept
+        unless degree e is empty."""
+        basis = self._basis_cache.get(e)
+        if basis is None:
+            basis = self._basis(e)
+        if not basis:
             return 0
         rank = self._rank_cache[e, twist] = f2_rank(self.sq1_matrix(e, twist))
         return rank
@@ -710,7 +725,10 @@ class PresentedF2Algebra:
     def sq1_square_is_zero(self, d: int, twist: int | None = None) -> bool:
         """Check Sq1(d+1) . Sq1(d) = 0 on the computed bases, or the same
         of Sq1 + twist (see sq1_matrix, which refuses a degree that is not
-        an int, or a bool twist, before any lookup)."""
+        an int, or a bool twist, before any lookup).  Both matrices come
+        through sq1_matrix, which looks in its cache first; a read of that
+        cache here would pass by a sq1_matrix that has been replaced, as
+        the mutation tests replace it."""
         first = self.sq1_matrix(d, twist)
         second = self.sq1_matrix(d + 1, twist)
         for col in filter(None, first):
@@ -850,7 +868,9 @@ class SplitRing:
         return r.sq1_homology_rank(d), r.sq1_homology_rank(d - 1, _X1)
 
     def sq1_homology_rank(self, d: int) -> int:
-        return sum(self.split_sq1_homology_rank(d))
+        """The sum of the split ranks, each read straight from R."""
+        r = self.grassmannian
+        return r.sq1_homology_rank(d) + r.sq1_homology_rank(d - 1, _X1)
 
     def sq1_square_is_zero(self, d: int) -> bool:
         r = self.grassmannian

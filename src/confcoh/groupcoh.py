@@ -5,10 +5,20 @@ abelian subgroup (whose classifying space is a product of two infinite
 real projective spaces).  Coefficients are the integers, the sign
 representation twisted by the orientation character (written Z_alpha),
 or the field with two elements.
+
+One dispatch, _closed_form, maps (group, coefficients) to the closed form
+of that pair; it refuses an unknown group, then unknown coefficients, and
+reads the forms from the module globals when it is called.  Through it
+classifying_cohomology reads one degree, and classifying_table a whole
+line: the pair is looked up, and the top degree checked, once per line.
 """
 
-from .abelian import AbGroup2, Z, ZERO
+from .abelian import AbGroup2, Z, ZERO, require_int
 from .report import VerificationReport
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 class GroupId:
@@ -66,37 +76,55 @@ def _z2z2_twisted(i: int) -> AbGroup2:
     return AbGroup2.elementary((i + 1) // 2)
 
 
-def classifying_cohomology(g: str, c: str, i: int) -> AbGroup2:
-    """H^i of the classifying space of g with coefficients c; a group
-    outside GROUPS or a coefficient outside COEFFS is refused, and then a
-    degree that is not an int, bool included."""
+def _mod_two(i: int) -> AbGroup2:
+    return AbGroup2.elementary(i + 1)
+
+
+def _closed_form(g: str, c: str) -> "Callable[[int], AbGroup2]":
+    """The closed form of H^i(Bg; c) for i >= 0; a group outside GROUPS is
+    refused, then a coefficient outside COEFFS."""
     if g not in GROUPS:
         raise ValueError(f"unknown group {g!r}")
     if c not in COEFFS:
         raise ValueError(f"unknown coefficients {c!r}")
+    if c == CoeffId.MOD_TWO:
+        return _mod_two
+    if g == GroupId.D8:
+        return _d8_integral if c == CoeffId.INTEGER_TRIVIAL else _d8_twisted
+    return _z2z2_integral if c == CoeffId.INTEGER_TRIVIAL else _z2z2_twisted
+
+
+def classifying_cohomology(g: str, c: str, i: int) -> AbGroup2:
+    """H^i of the classifying space of g with coefficients c; a group
+    outside GROUPS or a coefficient outside COEFFS is refused, and then a
+    degree that is not an int, bool included."""
+    form = _closed_form(g, c)
     if type(i) is not int:
         raise TypeError(f"degree must be an int, got {i!r}")
-    if i < 0:
-        return ZERO
-    if c == CoeffId.MOD_TWO:
-        return AbGroup2.elementary(i + 1)
-    if g == GroupId.D8:
-        return _d8_integral(i) if c == CoeffId.INTEGER_TRIVIAL else _d8_twisted(i)
-    return _z2z2_integral(i) if c == CoeffId.INTEGER_TRIVIAL else _z2z2_twisted(i)
+    return form(i) if i >= 0 else ZERO
+
+
+def classifying_table(g: str, c: str, n: int) -> list[AbGroup2]:
+    """[classifying_cohomology(g, c, i) for i in range(n + 1)], refused as
+    classifying_cohomology refuses it, with n for the degree: the closed
+    form is looked up, and n checked, once for the whole line."""
+    form = _closed_form(g, c)
+    if type(n) is not int:
+        raise TypeError(f"degree must be an int, got {n!r}")
+    return [form(i) for i in range(n + 1)]
 
 
 def uct_mod2_check(g: str, i_max: int) -> VerificationReport:
     """Mod-2 universal-coefficient consistency of the integral closed forms.
 
     dim(H^i tensor F2) + #(2-torsion of H^(i+1)) must equal the mod-2
-    Betti number i + 1 in every degree.
+    Betti number i + 1 in every degree i <= i_max, an int (bool refused).
     """
+    require_int("i_max", i_max)
     report = VerificationReport(f"uct-mod2-{g}")
-    for i in range(i_max + 1):
-        lhs = (
-            classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i).two_rank_tensor
-            + classifying_cohomology(g, CoeffId.INTEGER_TRIVIAL, i + 1).mult2_kernel_rank
-        )
-        dim = classifying_cohomology(g, CoeffId.MOD_TWO, i).mult2_kernel_rank
-        report.add("tensor+tor vs mod-2 dim", dim, lhs, degree=i)
+    integral = classifying_table(g, CoeffId.INTEGER_TRIVIAL, i_max + 1)
+    mod_two = classifying_table(g, CoeffId.MOD_TWO, i_max)
+    for i, dim in enumerate(mod_two):
+        lhs = integral[i].two_rank_tensor + integral[i + 1].mult2_kernel_rank
+        report.add("tensor+tor vs mod-2 dim", dim.mult2_kernel_rank, lhs, degree=i)
     return report

@@ -83,6 +83,16 @@ class VerificationReport(Value, fields="suite m checks"):
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
 
+    def tally(self) -> tuple[int, int]:
+        """(failures, skipped-open checks), counted in one pass."""
+        failures = skipped = 0
+        for check in self.checks:
+            if not check.passed:
+                failures += 1
+            if check.skipped:
+                skipped += 1
+        return failures, skipped
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -90,10 +100,10 @@ class VerificationReport(Value, fields="suite m checks"):
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def summary(self) -> str:
-        n_skip = sum(1 for c in self.checks if c.skipped)
-        return (
-            f"{len(self.checks)} checks, {len(self.failures())} failures"
-            + (f", {n_skip} skipped-open" if n_skip else "")
+    def summary(self, tally: tuple[int, int] | None = None) -> str:
+        """The count of checks, of failures and, if any, of skipped-open
+        checks, from the given tally of this report or else a new one."""
+        failures, skipped = self.tally() if tally is None else tally
+        return f"{len(self.checks)} checks, {failures} failures" + (
+            f", {skipped} skipped-open" if skipped else ""
         )
-

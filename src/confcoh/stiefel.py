@@ -6,7 +6,7 @@ sphere, orientability of the quotients, and the graded groups of the
 oriented Grassmannian of 2-planes computed from its presented ring.
 """
 
-from .abelian import AbGroup2, GradedGroups, Z, ZERO, group_from_presentation
+from .abelian import AbGroup2, GradedGroups, Z, ZERO, group_from_presentation, require_int
 
 
 class ActionSign:
@@ -18,18 +18,11 @@ class UnsupportedDegreeError(ValueError):
     """The action sign is only defined on a nontrivial cohomology group."""
 
 
-def _check_n(n: int) -> None:
-    """Refuse an n that is not an int, bool included, before any range
-    check compares it: 5.0 and True would pass those checks."""
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
-
-
 def stiefel_cohomology(n: int, q: int) -> AbGroup2:
     """H^q(V_{n,2}).  Exterior on classes of degrees n-2 and n-1 for even n;
     for odd n only degrees 0 and 2n-3 carry a Z, with a Z2 in degree n-1.
     An n or q that is not an int, bool included, is refused."""
-    _check_n(n)
+    require_int("n", n)
     if type(q) is not int:
         raise TypeError(f"degree must be an int, got {q!r}")
     if n < 2:
@@ -48,7 +41,7 @@ def stiefel_cohomology(n: int, q: int) -> AbGroup2:
 
 def d8_action_sign(n: int, q: int) -> int:
     """Common sign of the three reflection-type generators on H^q(V_{n,2})."""
-    _check_n(n)
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     if stiefel_cohomology(n, q).is_trivial:
@@ -65,7 +58,7 @@ def sphere_bundle_sss_e2(n: int) -> tuple[dict[tuple[int, int], AbGroup2], int]:
     Four Z entries; the only candidate differential is multiplication by
     the Euler characteristic of the base sphere (0 for even n, 2 for odd).
     """
-    _check_n(n)
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     page = {(p, q): Z for q in (0, n - 2) for p in (0, n - 1)}
@@ -89,7 +82,7 @@ def sphere_bundle_abutment(n: int) -> GradedGroups:
 def quotient_orientable(n: int) -> bool:
     """Is the quotient of V_{n,2} by D8, or by its subgroup Z2xZ2, an
     orientable manifold?  The two quotients give the same answer."""
-    _check_n(n)
+    require_int("n", n)
     if n < 2:
         raise ValueError("n must be >= 2")
     if n == 2:
@@ -100,7 +93,7 @@ def quotient_orientable(n: int) -> bool:
 def grassmannian_orientable(n: int) -> bool:
     """Is the quotient of V_{n,2} by O(2), the unoriented Grassmannian of
     2-planes in R^n, orientable?  Exactly when n is even."""
-    _check_n(n)
+    require_int("n", n)
     if n < 2:
         raise ValueError("n must be >= 2")
     return n % 2 == 0
@@ -108,7 +101,7 @@ def grassmannian_orientable(n: int) -> bool:
 
 def top_group_V_quotient(n: int) -> AbGroup2:
     """Top cohomology group (degree 2n-3) of V_{n,2} modulo D8 or Z2xZ2."""
-    _check_n(n)
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     return Z if quotient_orientable(n) else AbGroup2.elementary(1)
@@ -146,7 +139,7 @@ def _quadric_ring(n: int) -> tuple[list[int], list[dict[tuple[int, int], int]]]:
 def oriented_grassmannian_groups(n: int) -> GradedGroups:
     """Integral cohomology groups of the Grassmannian of oriented 2-planes
     in R^n, computed degreewise from the presented ring by Smith reduction."""
-    _check_n(n)
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     degrees, relations = _quadric_ring(n)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from confcoh import cartan_leray
+from confcoh import cartan_leray, stiefel
 from confcoh.abelian import AbGroup2, Z
 from confcoh.cartan_leray import (
     InconsistentOrdersError,
@@ -17,7 +17,7 @@ from confcoh.cartan_leray import (
     run_ordered,
 )
 from confcoh.configcoh import SpaceId, cohomology, cohomology_table
-from confcoh.groupcoh import GROUPS, GroupId
+from confcoh.groupcoh import GROUPS, CoeffId, GroupId, classifying_cohomology
 
 
 def elem(k):
@@ -35,6 +35,34 @@ def brace(k):
 
 def line_degrees(page):
     return sorted({q for _, q in page})
+
+
+def page_by_entry(g, m):
+    """build_e2's page as it reads one classifying degree per entry."""
+    n = m + 1
+    page = {}
+    for q in range(2 * n - 2):
+        fibre = stiefel.stiefel_cohomology(n, q)
+        if fibre == AbGroup2.elementary(1):
+            c = CoeffId.MOD_TWO
+        elif fibre == Z:
+            plus = stiefel.d8_action_sign(n, q) == stiefel.ActionSign.PLUS
+            c = CoeffId.INTEGER_TRIVIAL if plus else CoeffId.INTEGER_TWISTED
+        else:
+            continue
+        for p in range(2 * m + 2):
+            entry = classifying_cohomology(g, c, p)
+            if not entry.is_trivial:
+                page[p, q] = entry
+    return page
+
+
+@pytest.mark.parametrize("g", GROUPS)
+def test_build_e2_reads_whole_lines_as_single_entries(g):
+    for m in range(2, 41):
+        page = build_e2(g, m)
+        want = page_by_entry(g, m)
+        assert page == want and list(page) == list(want), m
 
 
 def test_build_e2_unordered_m2():

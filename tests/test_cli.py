@@ -430,7 +430,7 @@ def test_verify_json_matches_json_dumps():
         escapes,
     ):
         want = _reference_report_json(report)
-        assert "".join(cli._render_report_json(report)) == want
+        assert "".join(cli._render_report_json(report, report.tally())) == want
 
 
 # Strings json.dumps escapes, one kind each: a control character, DEL, the
@@ -467,7 +467,7 @@ def test_report_json_escapes_like_json_dumps():
         family.add_bool(f"bool {suite}", True)
         family.add_skip("open \u2028")
         report.extend(family)
-    text = "".join(cli._render_report_json(report))
+    text = "".join(cli._render_report_json(report, report.tally()))
     assert text == _reference_report_json(report)
     rows = json.loads(text)["checks"]
     assert [(c["suite"], c["m"], c["label"], c["expected"], c["got"]) for c in rows] == [
@@ -491,10 +491,10 @@ def test_verify_json_output_is_the_reference(capsys, names, m_range, argv):
 
 def test_verify_json_is_written_one_check_at_a_time():
     report = suites.run_suites(list(suites.SUITE_NAMES), range(2, 17))
-    length = sum(map(len, cli._render_report_json(report)))
+    length = sum(map(len, cli._render_report_json(report, report.tally())))
     tracemalloc.start()
     try:
-        _Discard().writelines(cli._render_report_json(report))
+        _Discard().writelines(cli._render_report_json(report, report.tally()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,12 +573,28 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     def fake(names, m_range):
         report = VerificationReport("fake")
         report.add("forced", 1, 2)
+        report.add_skip("left open")
+        report.add("kept", 3, 3)
         return report
 
     monkeypatch.setattr(cli.suites, "run_suites", fake)
+    summary = "3 checks, 1 failures, 1 skipped-open"
     code, out, _ = run_cli(capsys, "verify", "--suite", "uct")
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines() == [
+        "[fake] forced: expected=1 got=2 FAIL",
+        "[fake] left open: expected=open got=open SKIPPED-OPEN",
+        summary,
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "uct", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["passed"], doc["summary"]) == (False, summary)
+    assert [(c["label"], c["passed"], c["skipped"]) for c in doc["checks"]] == [
+        ("forced", False, False),
+        ("left open", True, True),
+        ("kept", True, False),
+    ]
 
 
 def test_usage_error_exit_code(capsys):

@@ -12,6 +12,7 @@ from confcoh.configcoh import (
     PStarBehavior,
     SpaceId,
     cohomology,
+    cohomology_line,
     cohomology_table,
     duality_symmetry_check,
     global_checks,
@@ -163,7 +164,7 @@ def test_twisted_degree_range():
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", None], ids=repr)
-@pytest.mark.parametrize("read", [cohomology, mod2_dimension, twisted_cohomology])
+@pytest.mark.parametrize("read", [cohomology, mod2_dimension, twisted_cohomology, cohomology_line])
 @pytest.mark.parametrize("s", [B(3), F(4)], ids=str)
 def test_a_non_int_degree_is_refused(s, read, bad):
     # as SpaceId refuses a non-int m: a bool is not read as 0 or 1, nor a
@@ -289,16 +290,29 @@ def test_global_checks(kind, m):
 @pytest.mark.parametrize("m", [2, 3, 10, 11, 1000])
 @pytest.mark.parametrize("kind", ["B", "F"])
 def test_global_checks_build_each_group_once(kind, m, monkeypatch):
+    # read through the closed form of the space's kind, which the line
+    # looks up in the module globals
     calls = []
+    closed_form = "_ordered" if kind == "F" else "_unordered"
+    original = getattr(configcoh, closed_form)
 
-    def counted(s, i):
+    def counted(m, i):
         calls.append(i)
-        return cohomology(s, i)
+        return original(m, i)
 
-    monkeypatch.setattr(configcoh, "cohomology", counted)
+    monkeypatch.setattr(configcoh, closed_form, counted)
     report = global_checks(SpaceId(kind, m))
     assert report.passed, report.failures()
-    assert len(calls) <= 2 * m + 3
+    assert calls == list(range(2 * m + 3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 40])
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_cohomology_line_is_the_degrees_in_turn(kind, m):
+    s = SpaceId(kind, m)
+    for top in range(-2, 2 * m + 4):
+        assert cohomology_line(s, top) == [cohomology(s, i) for i in range(top + 1)], top
+    assert GradedGroups(cohomology_line(s, 2 * m - 1)) == cohomology_table(s)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10, 11, 877, 1000, 1001, 1999, 2001])

@@ -9,6 +9,7 @@ from confcoh.groupcoh import (
     CoeffId,
     GroupId,
     classifying_cohomology,
+    classifying_table,
     uct_mod2_check,
 )
 
@@ -38,6 +39,34 @@ def test_a_non_int_degree_is_refused(gid, cid, bad):
     # True is not read as degree 1, nor 2.0 as 2
     with pytest.raises(TypeError, match=f"^degree must be an int, got {re.escape(repr(bad))}$"):
         classifying_cohomology(gid, cid, bad)
+
+
+@pytest.mark.parametrize("cid", COEFFS)
+@pytest.mark.parametrize("gid", GROUPS)
+def test_classifying_table_is_the_line_of_degrees(gid, cid):
+    for n in range(-1, 65):
+        want = [classifying_cohomology(gid, cid, i) for i in range(n + 1)]
+        assert classifying_table(gid, cid, n) == want, n
+
+
+@pytest.mark.parametrize(
+    "gid, cid, n, error, message",
+    [
+        ("Q8", "bogus", 2.0, ValueError, "unknown group 'Q8'"),
+        (None, CoeffId.MOD_TWO, 3, ValueError, "unknown group None"),
+        (GroupId.D8, "bogus", True, ValueError, "unknown coefficients 'bogus'"),
+        (GroupId.Z2xZ2, 1, -1, ValueError, "unknown coefficients 1"),
+        (GroupId.D8, CoeffId.INTEGER_TRIVIAL, True, TypeError, "degree must be an int, got True"),
+        (GroupId.Z2xZ2, CoeffId.MOD_TWO, 4.0, TypeError, "degree must be an int, got 4.0"),
+        (GroupId.D8, CoeffId.INTEGER_TWISTED, "4", TypeError, "degree must be an int, got '4'"),
+    ],
+    ids=["Q8-bogus", "None-F2", "D8-bogus", "Z2xZ2-1", "D8-True", "Z2xZ2-4.0", "D8-'4'"],
+)
+def test_classifying_table_refuses_as_classifying_cohomology(gid, cid, n, error, message):
+    # an unknown group first, then unknown coefficients, then the degree
+    for read in (classifying_table, classifying_cohomology):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            read(gid, cid, n)
 
 
 def test_groups_and_coefficients_given_as_their_strings():

@@ -9,10 +9,18 @@ from collections import namedtuple
 import pytest
 
 from confcoh.abelian import ZERO, AbGroup2, GradedGroups, Value, Z
-from confcoh.cartan_leray import build_e2
-from confcoh.configcoh import PStarBehavior, PStarProfile, SpaceId, cohomology_table, global_checks
+from confcoh.bockstein import closed_form_rank, sq1_split_check
+from confcoh.cartan_leray import build_e2, even_cokernel, fragment_check_3mod4, run_ordered
+from confcoh.configcoh import (
+    PStarBehavior,
+    PStarProfile,
+    SpaceId,
+    cohomology_table,
+    global_checks,
+    p_star_profile,
+)
 from confcoh.f2algebra import PresentedF2Algebra, config_mod2_ring, grassmannian_ring
-from confcoh.groupcoh import GROUPS, CoeffId, GroupId
+from confcoh.groupcoh import GROUPS, CoeffId, GroupId, uct_mod2_check
 from confcoh.report import CheckResult, VerificationReport
 from confcoh.stiefel import ActionSign
 
@@ -203,6 +211,38 @@ def test_space_id_refuses_a_non_int_m(bad):
 def test_validation_errors_unchanged(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# (reader, args, keyword args, refusal) of the sweep entry points given a
+# bound that is not an int
+SWEEP_REFUSALS = [
+    (build_e2, (GroupId.D8, 5.0), {}, "m must be an int, got 5.0"),
+    (build_e2, (GroupId.Z2xZ2, True), {}, "m must be an int, got True"),
+    (build_e2, (GroupId.D8, 3), {"p_max": 2.5}, "p_max must be an int, got 2.5"),
+    (build_e2, (GroupId.D8, 3), {"p_max": True}, "p_max must be an int, got True"),
+    (run_ordered, (3.0,), {}, "m must be an int, got 3.0"),
+    (uct_mod2_check, (GroupId.D8, 3.0), {}, "i_max must be an int, got 3.0"),
+    (uct_mod2_check, (GroupId.Z2xZ2, True), {}, "i_max must be an int, got True"),
+    (fragment_check_3mod4, (True,), {}, "a must be an int, got True"),
+    (fragment_check_3mod4, (0.0,), {}, "a must be an int, got 0.0"),
+    (sq1_split_check, (True,), {}, "a must be an int, got True"),
+    (sq1_split_check, (0.0,), {}, "a must be an int, got 0.0"),
+    (even_cokernel, (4.0, 2), {}, "m must be an int, got 4.0"),
+    (even_cokernel, (4, 2.0), {}, "ell must be an int, got 2.0"),
+    (p_star_profile, (GroupId.D8, 5, 3.0), {}, "degree must be an int, got 3.0"),
+    (closed_form_rank, (SpaceId("B", 5), 7.0), {}, "degree must be an int, got 7.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "read, args, kwargs, message",
+    SWEEP_REFUSALS,
+    ids=[f"{read.__name__}{args}{kwargs or ''}" for read, args, kwargs, _ in SWEEP_REFUSALS],
+)
+def test_sweep_entry_points_refuse_a_non_int_bound(read, args, kwargs, message):
+    # 5.0 would pass the range checks, and True would be read as 1
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        read(*args, **kwargs)
 
 
 def test_constant_sets_hold_their_values():
